@@ -23,16 +23,17 @@ from .config import (
     preset_names,
 )
 from .engine import (
-    Event,
-    SampleLifetime,
+    LogEvent,
     classify_server_state,
     estimate_arrival_rate,
     parse_event_log_line,
     run_simulation,
 )
-from .errors import CascSimError
+from .errors import CascSimError, InvariantError
 from .metrics import (
     MetricsReport,
+    SampleColumns,
+    SampleLifetime,
     accuracy,
     aggregate_by_tier,
     forward_rate,
@@ -57,8 +58,6 @@ from .scheduler import (
 from .server import (
     BatchLatencyTable,
     CapacityResult,
-    QueuedRequest,
-    RequestQueue,
     compute_capacity_exact,
     compute_capacity_greedy,
     select_batch_size,

@@ -12,20 +12,22 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from .cascade import calibrate_static_threshold, cascade_accuracy
 from .config import ExperimentConfig, load_config, preset_names
 from .engine import run_simulation
 from .errors import CascSimError, ConfigError
-from .metrics import SWEEP_CSV_HEADER, MetricsReport, mean_report, sweep_csv_rows
+from .metrics import SWEEP_CSV_HEADER, mean_report, sweep_csv_rows
 from .server import BatchLatencyTable, compute_capacity_exact, compute_capacity_greedy
 from .trace import load_trace_csv, trace_forward_rate
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, text: Union[str, Iterable[str]]) -> None:
+    """Write text, or the concatenation of an iterable of strings, then rename into place."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with open(tmp, "w", encoding="utf-8") as out:
+        out.writelines([text] if isinstance(text, str) else text)
     os.replace(tmp, path)
 
 
@@ -59,10 +61,6 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return cfg
 
 
-def _run_one(cfg: ExperimentConfig, seed: int, collect_event_log: bool) -> MetricsReport:
-    return run_simulation(cfg, traces=None, seed=seed, collect_event_log=collect_event_log)
-
-
 def cmd_simulate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     seeds = _parse_seed_list(args.seed_list, cfg.seeds)
@@ -74,13 +72,13 @@ def cmd_simulate(args) -> int:
 
     reports = []
     for seed in seeds:
-        report = _run_one(cfg, seed, collect_event_log=args.event_log)
+        report = run_simulation(cfg, seed=seed, collect_event_log=args.event_log)
         reports.append(report)
         if out_dir:
             _write_atomic(out_dir / f"report_seed{seed}.json", report.to_json() + "\n")
             if args.event_log:
                 _write_atomic(out_dir / f"events_seed{seed}.tsv",
-                              "\n".join(report.event_log) + "\n")
+                              (line + "\n" for line in report.event_log))
     mean = mean_report(reports)
     mean_text = json.dumps(mean, sort_keys=True, indent=2)
     if out_dir:
@@ -101,7 +99,7 @@ def cmd_sweep(args) -> int:
         for count in counts:
             point_cfg = kind_cfg.with_device_count(count)
             for seed in seeds:
-                reports.append(_run_one(point_cfg, seed, collect_event_log=False))
+                reports.append(run_simulation(point_cfg, seed=seed))
 
     lines = [SWEEP_CSV_HEADER] + sweep_csv_rows(reports)
     text = "\n".join(lines) + "\n"

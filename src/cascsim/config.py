@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from importlib import resources
+from math import isfinite
 from pathlib import Path
 from typing import Optional, Union
 
@@ -34,8 +35,11 @@ class NetworkModel:
     downlink_ms: float = 5.0
 
     def validate(self) -> None:
-        if self.uplink_ms < 0 or self.downlink_ms < 0:
-            raise ConfigError("network", "delays must be non-negative")
+        for name in ("uplink_ms", "downlink_ms"):
+            value = getattr(self, name)
+            if not (isfinite(value) and value >= 0):
+                raise ConfigError(f"network.{name}",
+                                  f"must be finite and non-negative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +66,9 @@ class FleetGroup:
     def validate(self, path: str) -> None:
         if self.count < 1:
             raise ConfigError(f"{path}.count", f"must be >= 1, got {self.count}")
-        if self.t_inf_ms <= 0:
-            raise ConfigError(f"{path}.t_inf_ms", f"must be positive, got {self.t_inf_ms}")
+        if not (isfinite(self.t_inf_ms) and self.t_inf_ms > 0):
+            raise ConfigError(f"{path}.t_inf_ms",
+                              f"must be finite and positive, got {self.t_inf_ms}")
         if (self.synthetic is None) == (self.trace_csv is None):
             raise ConfigError(f"{path}.trace",
                               "exactly one of synthetic params or a csv path is required")
@@ -85,6 +90,11 @@ class SchedulerSpec:
         if self.kind not in SCHEDULER_KINDS:
             raise ConfigError("scheduler.kind",
                               f"must be one of {SCHEDULER_KINDS}, got {self.kind!r}")
+        for name in ("update_fraction", "margin", "alpha", "beta", "tick_period_ms",
+                     "flush_factor", "slo_ms"):
+            value = getattr(self.config, name)
+            if not isfinite(value):
+                raise ConfigError(f"scheduler.{name}", f"must be finite, got {value}")
         try:
             self.config.validate()
         except Exception as exc:
@@ -116,17 +126,19 @@ class ExperimentConfig:
             raise ConfigError("fleet", "must contain at least one device group")
         for i, group in enumerate(self.fleet):
             group.validate(f"fleet[{i}]")
+        if not self.slos_ms or any(not (isfinite(s) and s > 0) for s in self.slos_ms):
+            raise ConfigError("slos_ms", "must be a non-empty list of finite positive values")
         self.scheduler.validate()
         self.network.validate()
-        if not self.slos_ms or any(s <= 0 for s in self.slos_ms):
-            raise ConfigError("slos_ms", "must be a non-empty list of positive values")
         if not self.seeds or any((not isinstance(s, int)) or s < 0 for s in self.seeds):
             raise ConfigError("seeds", "must be a non-empty list of non-negative integers")
         if self.start_phase not in START_PHASES:
             raise ConfigError("sim.start_phase",
                               f"must be one of {START_PHASES}, got {self.start_phase!r}")
-        if self.horizon_ms is not None and self.horizon_ms <= 0:
-            raise ConfigError("sim.horizon_ms", "must be positive when set")
+        if self.horizon_ms is not None and not (isfinite(self.horizon_ms)
+                                                and self.horizon_ms > 0):
+            raise ConfigError("sim.horizon_ms",
+                              f"must be finite and positive when set, got {self.horizon_ms}")
 
     @property
     def total_devices(self) -> int:

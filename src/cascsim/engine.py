@@ -1,31 +1,59 @@
-"""Deterministic discrete-event engine binding devices, network, server, and scheduler.
+"""Deterministic epoch-stepped engine binding devices, network, server, and scheduler.
 
 Devices run open loop: each starts its next local inference as soon as the
 previous one finishes and never blocks on the server. At every local
-completion the current threshold decides whether the sample is final or
-becomes a server request. The server runs one batch at a time, always taking
-the largest batch size covered by its queue. The control loop fires on a
-fixed period and its threshold updates reach devices after the downlink delay.
+completion the device's applied threshold decides whether the sample is final
+or becomes a server request. The server runs one batch at a time, always
+taking the largest batch size covered by its queue. The control loop fires on
+a fixed period and its threshold updates reach devices after the downlink delay.
 
-Two runs with identical config, traces, and seed produce identical event logs
-and reports: the loop is single threaded, events are ordered by (time,
-sequence), and no wall-clock or unordered collection leaks in.
+The run is defined as a discrete-event simulation: each event's handler may
+schedule (push) further events, and events are processed in order of time,
+ties broken by push sequence. The engine computes exactly that run without
+stepping through samples one by one:
+
+- A device's decisions depend only on its trace and its applied threshold,
+  and thresholds change only when a threshold update is applied. Every local
+  completion time has a closed form, ``offset + i*t_inf + t_inf`` with
+  ``offset = (device_id / n) * t_inf`` when staggered, so all of them are laid
+  out once, in processing order, as numpy columns.
+- The Python loop steps only over the control events (scheduler ticks and
+  threshold applications) and the server's batch launches and completions.
+  Before each control event, numpy decides every sample that completes ahead
+  of it against the thresholds in force and appends the forwarded ones to the
+  request stream, arriving at ``completion + uplink``.
+- The server's FIFO queue is a range of that stream: a batch completion counts
+  the requests that arrived before it with a binary search.
+- Reports are computed from the per-sample columns. The event log, when asked
+  for, is rebuilt after the run from the columns and the per-batch and
+  per-tick records.
+
+Tie rule. Ordering by (time, push sequence) is the same as ordering by time,
+then by the processing order of the event that pushed each one (its parent),
+then by push position inside that parent's handler; the initial pushes (each
+device's first completion by device id, then the first tick) have no parent
+and come first. The engine breaks every same-time tie by walking up the two
+parent chains while their times stay equal. Log sequence numbers are the
+cumulative push count along the resulting order, so the output is identical to
+a heap-driven loop's, byte for byte.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
-from dataclasses import dataclass
-from math import isclose
-from typing import Optional, Sequence
+from bisect import bisect_left, bisect_right
+from collections import deque
+from math import inf, isclose
+from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from . import metrics as metrics_mod
-from .config import ExperimentConfig, NetworkModel  # noqa: F401  (NetworkModel re-exported)
-from .errors import ConfigError, TraceMissingError
-from .metrics import MetricsReport
+from .config import ExperimentConfig
+from .errors import ConfigError, InvariantError, TraceMissingError
+from .metrics import MetricsReport, SampleColumns
 from .scheduler import AdaptivePolicy, DeviceState, StaticPolicy
-from .server import RequestQueue, QueuedRequest, compute_capacity_greedy, select_batch_size
+from .server import compute_capacity_greedy, select_batch_size
 from .trace import TraceSet
 
 EVENT_DEVICE_SAMPLE_DONE = "device_sample_done"
@@ -40,10 +68,14 @@ SERVER_UNDERUTILIZED = "underutilized"
 SERVER_EQUILIBRIUM = "equilibrium"
 SERVER_OVERLOADED = "overloaded"
 
+# Event streams: local sample completions, request arrivals, batch completions,
+# response arrivals, scheduler ticks and threshold applications. An event is
+# referenced as (stream, index); within a stream, index order is processing order.
+SD, RA, BC, RESP, TICK, TA = range(6)
 
-@dataclass(frozen=True, slots=True)
-class Event:
-    """One simulation event; processed in (time_ms, sequence) order."""
+
+class LogEvent(NamedTuple):
+    """One parsed event-log line."""
 
     time_ms: float
     sequence: int
@@ -51,23 +83,10 @@ class Event:
     payload: dict
 
 
-def parse_event_log_line(line: str) -> Event:
+def parse_event_log_line(line: str) -> LogEvent:
     """Parse one exported event-log line (tab-separated time, seq, kind, JSON payload)."""
     time_str, seq_str, kind, payload = line.split("\t", 3)
-    return Event(float(time_str), int(seq_str), kind, json.loads(payload))
-
-
-@dataclass(frozen=True, slots=True)
-class SampleLifetime:
-    """End-to-end story of one sample, from local-inference start to final result."""
-
-    device_id: int
-    sample_index: int
-    start_ms: float
-    completion_ms: float
-    location: str  # "local" or "server"
-    correct: bool
-    latency_ms: float
+    return LogEvent(float(time_str), int(seq_str), kind, json.loads(payload))
 
 
 def estimate_arrival_rate(devices: Sequence[tuple[float, float]]) -> float:
@@ -93,26 +112,66 @@ def classify_server_state(arrival_rate: float, server_throughput: float) -> str:
     return SERVER_OVERLOADED
 
 
-class _DeviceRuntime:
-    """Device-side run state; the applied threshold lags the commanded one by
-    the downlink delay."""
+def check_run_invariants(*, finalized: int, local: int, served: int, in_flight: int,
+                         decided: int, batch_sizes: np.ndarray, max_batch: int,
+                         stream_times: Sequence[np.ndarray], queue_area: float,
+                         queue_waits: np.ndarray) -> None:
+    """Raise InvariantError unless a finished run is self-consistent.
 
-    __slots__ = ("state", "trace", "t_inf_ms", "start_offset_ms", "applied_threshold")
+    Checks sample conservation, a non-negative in-flight count, batch sizes
+    within [1, max_batch], event times that never decrease along each stream
+    of processed events, and Little's identity: the area under the queue
+    length curve equals the summed queue waits of the requests (relative 1e-9).
+    """
+    if finalized != local + served or finalized + in_flight != decided:
+        raise InvariantError(f"sample conservation violated: finalized {finalized}, local "
+                             f"{local}, served {served}, in flight {in_flight}, "
+                             f"decided {decided}")
+    if in_flight < 0:
+        raise InvariantError(f"negative in-flight count {in_flight}")
+    if batch_sizes.size and (batch_sizes.min() < 1 or batch_sizes.max() > max_batch):
+        raise InvariantError(f"batch size outside [1, {max_batch}]: "
+                             f"{batch_sizes.min()}..{batch_sizes.max()}")
+    for times in stream_times:
+        if times.size > 1 and not (times[1:] >= times[:-1]).all():
+            raise InvariantError("processed event times decrease")
+    waits = float(queue_waits.sum())
+    if not isclose(queue_area, waits, rel_tol=1e-9, abs_tol=1e-9):
+        raise InvariantError(f"queue area {queue_area!r} != summed queue waits {waits!r}")
 
-    def __init__(self, state: DeviceState, trace: TraceSet, t_inf_ms: float,
-                 start_offset_ms: float):
-        self.state = state
-        self.trace = trace
-        self.t_inf_ms = t_inf_ms
-        self.start_offset_ms = start_offset_ms
-        self.applied_threshold = state.threshold.value
 
-    def sample_start(self, index: int) -> float:
-        return self.start_offset_ms + index * self.t_inf_ms
+def _completion_order(times: np.ndarray, parent: np.ndarray, device: np.ndarray,
+                      n_devices: int) -> np.ndarray:
+    """Processing order of all local completions, which never depends on decisions.
+
+    Two completions compare by time, then by their parents' order (the
+    previous completion of the same device), and so on back; a device's first
+    completion has no parent and precedes any non-first one at equal times,
+    first completions ordering by device id. That is, by the sequence
+    (t_i, t_{i-1}, ..., t_0, root_d), ranked here by prefix doubling.
+    """
+    n = times.size
+    null = n + n_devices  # sentinel past every root, smaller than everything
+    rank = np.empty(n + n_devices + 1, dtype=np.int64)
+    rank[:n] = np.unique(times, return_inverse=True)[1].ravel() + n_devices + 1
+    rank[n:null] = np.arange(1, n_devices + 1)
+    rank[null] = 0
+    anc = np.full(n + n_devices + 1, null, dtype=np.int64)
+    anc[:n] = np.where(parent >= 0, parent, n + device)
+    while True:
+        order = np.argsort(rank[:n], kind="stable")
+        ranked = rank[:n][order]
+        if n < 2 or (ranked[1:] != ranked[:-1]).all() or (anc == null).all():
+            return order
+        upper = rank[anc]
+        both = np.lexsort((upper, rank))
+        step = (rank[both][1:] != rank[both][:-1]) | (upper[both][1:] != upper[both][:-1])
+        rank[both] = np.concatenate(([0], np.cumsum(step)))
+        anc = anc[anc]
 
 
 class _Run:
-    """Single simulation run; mutated only by the event loop."""
+    """Single simulation run: the device columns, the loop state and the records."""
 
     def __init__(self, experiment: ExperimentConfig, traces: dict[int, TraceSet],
                  seed: int, collect_event_log: bool):
@@ -120,16 +179,23 @@ class _Run:
         self.experiment = experiment
         self.seed = seed
         self.table = experiment.server_table
-        self.network = experiment.network
-        self.log: Optional[list[str]] = [] if collect_event_log else None
+        self.latency = self.table.entries
+        self.uplink = experiment.network.uplink_ms
+        self.downlink = experiment.network.downlink_ms
+        self.collect_event_log = collect_event_log
+        horizon = experiment.horizon_ms
+        self.limit = inf if horizon is None else horizon
 
         initial = experiment.resolve_initial_thresholds()
         group_of = experiment.device_groups()
         n = len(group_of)
         if n == 0:
             raise ConfigError("fleet", "no devices configured")
+        self.n_devices = n
 
-        self.devices: list[_DeviceRuntime] = []
+        self.states: list[DeviceState] = []
+        self.t_inf = np.empty(n)
+        lengths, starts, bvsb, light, heavy = [], [], [], [], []
         for device_id, gi in enumerate(group_of):
             group = experiment.fleet[gi]
             if device_id not in traces:
@@ -141,275 +207,422 @@ class _Run:
                 offset = (device_id / n) * group.t_inf_ms
             else:
                 offset = 0.0
-            state = DeviceState(device_id=device_id, tier=group.tier,
-                                threshold=initial[gi], local_latency_ms=group.t_inf_ms)
-            self.devices.append(_DeviceRuntime(state, trace, group.t_inf_ms, offset))
+            self.states.append(DeviceState(device_id, group.tier, initial[gi]))
+            self.t_inf[device_id] = group.t_inf_ms
+            lengths.append(len(trace))
+            starts.append(offset + np.arange(len(trace), dtype=np.float64) * group.t_inf_ms)
+            bvsb.append(trace.bvsb)
+            light.append(trace.light_correct)
+            heavy.append(trace.heavy_correct)
+        self.device_tiers = [s.tier.value for s in self.states]
+
+        # device-major columns, then permuted once into processing order
+        lengths_arr = np.asarray(lengths)
+        device = np.repeat(np.arange(n), lengths_arr)
+        first = np.concatenate(([0], np.cumsum(lengths_arr)[:-1]))
+        index = np.arange(device.size) - np.repeat(first, lengths_arr)
+        start = np.concatenate(starts)
+        done = start + self.t_inf[device]
+        parent = np.arange(-1, device.size - 1)
+        parent[first] = -1
+        order = _completion_order(done, parent, device, n)
+        position = np.empty_like(order)
+        position[order] = np.arange(order.size)
+        self.total_samples = int(device.size)
+        self.sd_time = done[order]
+        self.sd_start = start[order]
+        self.sd_dev = device[order]
+        self.sd_index = index[order]
+        self.sd_bvsb = np.concatenate(bvsb)[order]
+        self.sd_light = np.concatenate(light)[order]
+        self.sd_heavy = np.concatenate(heavy)[order]
+        self.sd_last = (index + 1 == lengths_arr[device])[order]
+        parent_flat = parent[order]
+        self.sd_parent = np.where(parent_flat >= 0, position[np.maximum(parent_flat, 0)], -1)
 
         capacity = compute_capacity_greedy(self.table, experiment.scheduler.config.slo_ms)
         policy_cls = AdaptivePolicy if experiment.scheduler.kind == "multitasc" else StaticPolicy
         self.policy = policy_cls(experiment.scheduler.config, capacity.capacity)
 
-        self.total_samples = sum(len(d.trace) for d in self.devices)
-        self.queue = RequestQueue()
-        self.executor_busy = False
-        self.heap: list[tuple[float, int, str, tuple]] = []
-        self.seq = 0
-        self.lifetimes: list[SampleLifetime] = []
-        self.finalized = 0
-        self.local_count = 0
-        self.served_count = 0
-        self.in_flight_by_device: dict[int, int] = {}
-        self.queue_area = 0.0
-        self.queue_last_change_ms = 0.0
+        # device side: applied thresholds and the decided prefix of the columns
+        self.thresholds = np.array([s.threshold.value for s in self.states])
+        self.decided = 0
+        self.local_kept = 0
+        self.forward = np.zeros(self.total_samples, dtype=bool)
+        self.applied = np.zeros(self.total_samples)
+        # request stream: arrival time and completion position, in processing order
+        self.ra_time: list[float] = []
+        self.ra_sd: list[int] = []
+        # server: one record per launched batch; the queue is ra[head:arrived]
+        self.head = 0
+        self.busy = False
+        self.bc_time: list[float] = []      # completion time
+        self.bc_launch: list[float] = []
+        self.bc_size: list[int] = []
+        self.bc_from_ra: list[int] = []     # request whose arrival launched it, or -1
+        self.bc_qlen: list[int] = []        # queue length seen at completion
+        self.resp_time: list[float] = []    # per completed batch
+        self.resp_served = [0]              # samples served by the first k responses
+        # control: scheduled tick times, per-tick records, threshold updates
+        self.tick_time = [self.policy.cfg.tick_period_ms]
+        self.ticks: list[tuple[int, float, str, list]] = []
+        self.ta_tick: list[int] = []
+        self.ta_pos: list[int] = []
+        self.ta_dev: list[int] = []
+        self.ta_value: list[float] = []
+        self.ta_reason: list[str] = []
+        self.ta_pending: deque[tuple[int, int]] = deque()  # (first update, count)
+        self.ta_applied = 0
 
-    # -- event plumbing ----------------------------------------------------
+    # -- event order ---------------------------------------------------------
 
-    def schedule(self, time_ms: float, kind: str, data: tuple) -> None:
-        self.seq += 1
-        heapq.heappush(self.heap, (time_ms, self.seq, kind, data))
+    def time_of(self, ref: tuple[int, int]) -> float:
+        stream, i = ref
+        if stream == SD:
+            return float(self.sd_time[i])
+        if stream == RA:
+            return self.ra_time[i]
+        if stream == BC:
+            return self.bc_time[i]
+        if stream == RESP:
+            return self.resp_time[i]
+        if stream == TICK:
+            return self.tick_time[i]
+        return self.tick_time[self.ta_tick[i]] + self.downlink
 
-    def emit(self, time_ms: float, seq: int, kind: str, payload: dict) -> None:
-        if self.log is not None:
-            self.log.append(f"{time_ms!r}\t{seq}\t{kind}\t"
-                            f"{json.dumps(payload, sort_keys=True)}")
+    def _parent(self, ref: tuple[int, int]) -> tuple[Optional[tuple[int, int]], int]:
+        """The event that pushed ``ref`` (None for an initial push) and its push position."""
+        stream, i = ref
+        if stream == SD:
+            p = int(self.sd_parent[i])
+            if p < 0:
+                return None, int(self.sd_dev[i])
+            return (SD, p), int(self.forward[p])  # the request, if any, was pushed first
+        if stream == RA:
+            return (SD, self.ra_sd[i]), 0
+        if stream == BC:
+            r = self.bc_from_ra[i]
+            return ((RA, r), 0) if r >= 0 else ((BC, i - 1), 1)  # after its response
+        if stream == RESP:
+            return (BC, i), 0
+        if stream == TICK:
+            if i == 0:
+                return None, self.n_devices
+            return (TICK, i - 1), len(self.ticks[i - 1][3])  # after its updates
+        return (TICK, self.ta_tick[i]), self.ta_pos[i]
 
-    def _queue_changed(self, now_ms: float, old_len: int) -> None:
-        self.queue_area += old_len * (now_ms - self.queue_last_change_ms)
-        self.queue_last_change_ms = now_ms
+    def precedes(self, a: tuple[int, int], b: tuple[int, int]) -> bool:
+        """Whether event ``a`` is processed before event ``b`` (the tie rule)."""
+        while True:
+            ta, tb = self.time_of(a), self.time_of(b)
+            if ta != tb:
+                return ta < tb
+            if a[0] == b[0]:
+                return a[1] < b[1]
+            pa, pos_a = self._parent(a)
+            pb, pos_b = self._parent(b)
+            if pa == pb:
+                return pos_a < pos_b
+            if pa is None or pb is None:
+                return pa is None
+            a, b = pa, pb
 
-    # -- handlers ----------------------------------------------------------
+    def _count_before(self, times: list[float], lo: int, t: float, ref: tuple[int, int],
+                      stream: int) -> int:
+        """How many ``stream`` events (``times`` sorted, in processing order) precede
+        ``ref``, which happens at time ``t``."""
+        k = bisect_left(times, t, lo)
+        while k < len(times) and times[k] == t and self.precedes((stream, k), ref):
+            k += 1
+        return k
 
-    def on_sample_done(self, now: float, seq: int, device_id: int, index: int) -> None:
-        dev = self.devices[device_id]
-        score = float(dev.trace.bvsb[index])
-        threshold = dev.applied_threshold
-        keep_local = score >= threshold
-        dev.state.sample_count += 1
-        start = dev.sample_start(index)
-        if keep_local:
-            correct = bool(dev.trace.light_correct[index])
-            latency = now - start
-            self.lifetimes.append(SampleLifetime(device_id, index, start, now,
-                                                 "local", correct, latency))
-            self.finalized += 1
-            self.local_count += 1
+    # -- stepping ------------------------------------------------------------
+
+    def _decide(self, end: int) -> None:
+        """Decide the local completions up to position ``end`` with today's thresholds."""
+        a = self.decided
+        if end <= a:
+            return
+        threshold = self.thresholds[self.sd_dev[a:end]]
+        forward = self.sd_bvsb[a:end] < threshold
+        self.applied[a:end] = threshold
+        self.forward[a:end] = forward
+        fwd = np.flatnonzero(forward) + a
+        self.ra_sd.extend(fwd.tolist())
+        self.ra_time.extend((self.sd_time[fwd] + self.uplink).tolist())
+        self.local_kept += (end - a) - fwd.size
+        self.decided = end
+
+    def _launch(self, now: float, size: int, from_ra: int) -> None:
+        self.policy.record_batch(size)
+        self.bc_launch.append(now)
+        self.bc_size.append(size)
+        self.bc_from_ra.append(from_ra)
+        self.bc_time.append(now + self.latency[size])
+        self.head += size
+        self.busy = True
+
+    def _complete(self, b: int) -> None:
+        now = self.bc_time[b]
+        queue_len = self._count_before(self.ra_time, self.head, now, (BC, b), RA) - self.head
+        self.bc_qlen.append(queue_len)
+        self.resp_time.append(now + self.downlink)
+        self.resp_served.append(self.resp_served[-1] + self.bc_size[b])
+        if queue_len:
+            self._launch(now, select_batch_size(queue_len, self.table), -1)
         else:
-            dev.state.forward_count += 1
-            self.in_flight_by_device[device_id] = \
-                self.in_flight_by_device.get(device_id, 0) + 1
-            self.schedule(now + self.network.uplink_ms, EVENT_REQUEST_ARRIVAL,
-                          (device_id, index))
-        if self.log is not None:
-            self.emit(now, seq, EVENT_DEVICE_SAMPLE_DONE,
-                      {"device": device_id, "sample": index, "bvsb": score,
-                       "threshold": threshold,
-                       "decision": "keep_local" if keep_local else "forward"})
-        next_index = index + 1
-        if next_index < len(dev.trace):
-            # closed form keeps the per-device time grid free of float drift
-            self.schedule(dev.sample_start(next_index) + dev.t_inf_ms,
-                          EVENT_DEVICE_SAMPLE_DONE, (device_id, next_index))
+            self.busy = False
 
-    def on_request_arrival(self, now: float, seq: int, device_id: int, index: int) -> None:
-        old = len(self.queue)
-        self.queue.enqueue(QueuedRequest(device_id, index, now))
-        self._queue_changed(now, old)
-        if self.log is not None:
-            self.emit(now, seq, EVENT_REQUEST_ARRIVAL,
-                      {"device": device_id, "sample": index, "queue_len": old + 1})
-        self.try_launch(now)
+    def _advance(self, control: Optional[tuple[int, int]]) -> None:
+        """Process every device and server event that precedes ``control``
+        (None: every event up to the horizon)."""
+        if control is None:
+            t_x = self.limit
+            end = int(np.searchsorted(self.sd_time, t_x, "right"))
+        else:
+            t_x = self.time_of(control)
+            end = int(np.searchsorted(self.sd_time, t_x, "left"))
+            self._decide(end)
+            while (end < self.total_samples and self.sd_time[end] == t_x
+                   and self.precedes((SD, end), control)):
+                end += 1
+        self._decide(end)
 
-    def try_launch(self, now: float) -> None:
-        if self.executor_busy:
-            return
-        batch_size = select_batch_size(len(self.queue), self.table)
-        if batch_size is None:
-            return
-        old = len(self.queue)
-        requests = self.queue.dequeue_batch(batch_size)
-        self._queue_changed(now, old)
-        self.policy.record_batch(batch_size)
-        self.executor_busy = True
-        done = now + self.table.latency(batch_size)
-        self.schedule(done, EVENT_BATCH_COMPLETE, (requests, batch_size, now))
-
-    def on_batch_complete(self, now: float, seq: int, requests: list[QueuedRequest],
-                          batch_size: int, launched_ms: float) -> None:
-        if self.log is not None:
-            self.emit(now, seq, EVENT_BATCH_COMPLETE,
-                      {"batch_size": batch_size, "launched_ms": launched_ms,
-                       "queue_len": len(self.queue),
-                       "samples": [[r.device_id, r.sample_index] for r in requests]})
-        self.executor_busy = False
-        self.schedule(now + self.network.downlink_ms, EVENT_RESPONSE_ARRIVAL,
-                      (requests, batch_size))
-        self.try_launch(now)
-
-    def on_response_arrival(self, now: float, seq: int, requests: list[QueuedRequest],
-                            batch_size: int) -> None:
-        for req in requests:
-            dev = self.devices[req.device_id]
-            start = dev.sample_start(req.sample_index)
-            correct = bool(dev.trace.heavy_correct[req.sample_index])
-            latency = now - start
-            if not self.experiment.include_local_in_latency:
-                latency -= dev.t_inf_ms
-            self.lifetimes.append(SampleLifetime(req.device_id, req.sample_index,
-                                                 start, now, "server", correct, latency))
-            self.finalized += 1
-            self.served_count += 1
-            self.in_flight_by_device[req.device_id] -= 1
-        if self.log is not None:
-            self.emit(now, seq, EVENT_RESPONSE_ARRIVAL,
-                      {"batch_size": batch_size,
-                       "samples": [[r.device_id, r.sample_index] for r in requests]})
-
-    def on_scheduler_tick(self, now: float, seq: int) -> None:
-        states = [d.state for d in self.devices]
-        queue_len = len(self.queue)
-        b_bar = self.policy.state.b_bar
-        flush_before = self.policy.state.flush_active
-        updates = self.policy.tick(states, queue_len, now)
-        for update in updates:
-            self.schedule(now + self.network.downlink_ms, EVENT_THRESHOLD_APPLIED,
-                          (update.device_id, update.threshold.value, update.reason))
-        if self.log is not None:
-            flush_after = self.policy.state.flush_active
-            if flush_after and not flush_before:
-                flush = "entered"
-            elif flush_before and not flush_after:
-                flush = "exited"
-            elif flush_after:
-                flush = "active"
+        ra_time, bc_time = self.ra_time, self.bc_time
+        while True:
+            if self.busy:
+                ref = (BC, len(bc_time) - 1)
+                t = bc_time[-1]
+            elif self.head < len(ra_time):
+                ref = (RA, self.head)
+                t = ra_time[self.head]
             else:
-                flush = "off"
-            self.emit(now, seq, EVENT_SCHEDULER_TICK,
-                      {"queue_len": queue_len, "b_bar": b_bar,
-                       "capacity": self.policy.capacity, "flush": flush,
-                       "updates": [[u.device_id, u.threshold.value, u.reason]
-                                   for u in updates]})
-        if self.finalized < self.total_samples:
-            self.schedule(now + self.policy.cfg.tick_period_ms, EVENT_SCHEDULER_TICK, ())
+                return
+            if t > t_x or (t == t_x and control is not None
+                           and not self.precedes(ref, control)):
+                return
+            if self.busy:
+                self._complete(ref[1])
+            else:
+                self._launch(t, 1, ref[1])  # the queue holds just this request
 
-    def on_threshold_applied(self, now: float, seq: int, device_id: int,
-                             value: float, reason: str) -> None:
-        self.devices[device_id].applied_threshold = value
-        if self.log is not None:
-            self.emit(now, seq, EVENT_THRESHOLD_APPLIED,
-                      {"device": device_id, "threshold": value, "reason": reason})
+    def _tick(self, k: int) -> None:
+        now = self.tick_time[k]
+        queue_len = self._count_before(self.ra_time, self.head, now, (TICK, k), RA) - self.head
+        responses = self._count_before(self.resp_time, 0, now, (TICK, k), RESP)
+        finalized = self.local_kept + self.resp_served[responses]
+        state = self.policy.state
+        b_bar = state.b_bar
+        flush_before = state.flush_active
+        updates = self.policy.tick(self.states, queue_len, now)
+        flush_after = state.flush_active
+        if flush_after and not flush_before:
+            flush = "entered"
+        elif flush_before and not flush_after:
+            flush = "exited"
+        elif flush_after:
+            flush = "active"
+        else:
+            flush = "off"
+        self.ticks.append((queue_len, b_bar, flush,
+                           [[u.device_id, u.threshold.value, u.reason] for u in updates]))
+        if updates:
+            self.ta_pending.append((len(self.ta_dev), len(updates)))
+            for j, u in enumerate(updates):
+                self.ta_tick.append(k)
+                self.ta_pos.append(j)
+                self.ta_dev.append(u.device_id)
+                self.ta_value.append(u.threshold.value)
+                self.ta_reason.append(u.reason)
+        if finalized < self.total_samples:
+            self.tick_time.append(now + self.policy.cfg.tick_period_ms)
 
-    # -- main loop ---------------------------------------------------------
+    def _apply_thresholds(self) -> None:
+        first, count = self.ta_pending.popleft()
+        for i in range(first, first + count):
+            self.thresholds[self.ta_dev[i]] = self.ta_value[i]
+        self.ta_applied += count
+
+    # -- main loop -----------------------------------------------------------
 
     def run(self) -> MetricsReport:
-        for dev in self.devices:
-            self.schedule(dev.start_offset_ms + dev.t_inf_ms,
-                          EVENT_DEVICE_SAMPLE_DONE, (dev.state.device_id, 0))
-        self.schedule(self.policy.cfg.tick_period_ms, EVENT_SCHEDULER_TICK, ())
-
-        horizon = self.experiment.horizon_ms
-        end_time = 0.0
-        while self.heap:
-            time_ms, seq, kind, data = heapq.heappop(self.heap)
-            if horizon is not None and time_ms > horizon:
-                end_time = horizon
+        while True:
+            candidates = []
+            if len(self.ticks) < len(self.tick_time):
+                candidates.append((TICK, len(self.ticks)))
+            if self.ta_pending:
+                candidates.append((TA, self.ta_pending[0][0]))
+            if len(candidates) == 2 and self.precedes(candidates[1], candidates[0]):
+                candidates.reverse()
+            if not candidates or self.time_of(candidates[0]) > self.limit:
                 break
-            end_time = time_ms
-            if kind == EVENT_DEVICE_SAMPLE_DONE:
-                self.on_sample_done(time_ms, seq, *data)
-            elif kind == EVENT_REQUEST_ARRIVAL:
-                self.on_request_arrival(time_ms, seq, *data)
-            elif kind == EVENT_BATCH_COMPLETE:
-                self.on_batch_complete(time_ms, seq, *data)
-            elif kind == EVENT_RESPONSE_ARRIVAL:
-                self.on_response_arrival(time_ms, seq, *data)
-            elif kind == EVENT_SCHEDULER_TICK:
-                self.on_scheduler_tick(time_ms, seq)
-            elif kind == EVENT_THRESHOLD_APPLIED:
-                self.on_threshold_applied(time_ms, seq, *data)
+            control = candidates[0]
+            self._advance(control)
+            if control[0] == TICK:
+                self._tick(control[1])
+            else:
+                self._apply_thresholds()
+        self._advance(None)
 
-        return self.build_report(end_time)
+        processed = self.processed_counts()
+        pending = (self.decided < self.total_samples or processed[RA] < len(self.ra_time)
+                   or self.busy or processed[RESP] < len(self.resp_time)
+                   or len(self.ticks) < len(self.tick_time) or bool(self.ta_pending))
+        if pending:
+            end_time = self.limit
+        else:
+            end_time = max((self.time_of((s, count - 1)) for s, count in enumerate(processed)
+                            if count), default=0.0)
+        report = self.build_report(end_time)
+        if self.collect_event_log:
+            from .eventlog import rebuild_event_log  # only runs that keep a log need it
+            report.event_log = rebuild_event_log(self, report, max(end_time, report.makespan_ms))
+        return report
+
+    def processed_counts(self) -> list[int]:
+        """Processed event count of each stream (all of them absent a horizon)."""
+        return [self.decided, bisect_right(self.ra_time, self.limit), len(self.bc_qlen),
+                bisect_right(self.resp_time, self.limit), len(self.ticks), self.ta_applied]
+
+    # -- results -------------------------------------------------------------
+
+    def _samples(self, n_resp: int) -> SampleColumns:
+        """Finalized samples in finalization order: local completions and the
+        responses of the first ``n_resp`` batches, merged by the tie rule."""
+        local = np.flatnonzero(~self.forward[:self.decided])
+        sizes = np.asarray(self.bc_size[:n_resp], dtype=np.int64)
+        served_count = int(sizes.sum())
+        served = np.asarray(self.ra_sd[:served_count], dtype=np.int64)
+        resp_time = np.asarray(self.resp_time[:n_resp])
+        local_time = self.sd_time[local]
+
+        # locals finalized before each response; those at its own time go by the tie rule
+        before = np.searchsorted(local_time, resp_time, "left")
+        tied = np.flatnonzero(before < local.size)
+        for b in tied[local_time[before[tied]] == resp_time[tied]].tolist():
+            while (before[b] < local.size and local_time[before[b]] == resp_time[b]
+                   and self.precedes((SD, int(local[before[b]])), (RESP, b))):
+                before[b] += 1
+        keys = np.concatenate((2 * np.arange(local.size) + 1, 2 * before))
+        event_order = np.argsort(keys, kind="stable")
+        event_sizes = np.concatenate((np.ones(local.size, dtype=np.int64), sizes))[event_order]
+        event_rows = np.concatenate((np.arange(local.size),
+                                     local.size + np.cumsum(sizes) - sizes))[event_order]
+        skip = np.cumsum(event_sizes) - event_sizes
+        rows = np.repeat(event_rows - skip, event_sizes) + np.arange(local.size + served_count)
+
+        sd = np.concatenate((local, served))[rows]
+        is_served = (np.arange(local.size + served_count) >= local.size)[rows]
+        completion = np.concatenate((local_time, np.repeat(resp_time, sizes)))[rows]
+        start = self.sd_start[sd]
+        device = self.sd_dev[sd]
+        latency = completion - start
+        if not self.experiment.include_local_in_latency:
+            latency = np.where(is_served, latency - self.t_inf[device], latency)
+        correct = np.where(is_served, self.sd_heavy[sd], self.sd_light[sd])
+        return SampleColumns(device, self.sd_index[sd], start, completion, is_served,
+                             correct, latency)
+
+    def _queue_area(self, n_ra: int, span: float) -> tuple[float, np.ndarray]:
+        """Area under the queue-length curve up to ``span``, summed left to right in
+        event order as a per-event loop would, and every request's queue wait."""
+        ra_time = np.asarray(self.ra_time[:n_ra])
+        launch = np.asarray(self.bc_launch)
+        sizes = np.asarray(self.bc_size, dtype=np.int64)
+        times = np.concatenate((ra_time, launch))
+        change_times, inverse = np.unique(times, return_inverse=True)
+        delta = np.zeros(change_times.size, dtype=np.int64)
+        np.add.at(delta, inverse.ravel(), np.concatenate((np.ones(n_ra, dtype=np.int64), -sizes)))
+        length = np.cumsum(delta)
+        # same-time changes add 0 to the area, so only distinct change times matter
+        steps = length[:-1] * np.diff(change_times)
+        area = float(np.cumsum(steps)[-1]) if steps.size else 0.0
+        last, queued = (float(change_times[-1]), int(length[-1])) if length.size else (0.0, 0)
+        if span > last:
+            area += queued * (span - last)
+        dequeued = np.repeat(launch, sizes)
+        waits = np.concatenate((dequeued - ra_time[:dequeued.size],
+                                span - ra_time[dequeued.size:]))
+        return area, waits
 
     def build_report(self, end_time: float) -> MetricsReport:
-        in_flight = sum(self.in_flight_by_device.values())
-        assert self.finalized == self.local_count + self.served_count, \
-            "sample conservation violated"
-        assert in_flight >= 0
+        experiment = self.experiment
+        n = self.n_devices
+        processed = self.processed_counts()
+        cols = self._samples(processed[RESP])
+        local = int(np.count_nonzero(~cols.served))
+        served = len(cols) - local
+        decided_dev = self.sd_dev[:self.decided]
+        forwarded_dev = decided_dev[self.forward[:self.decided]]
+        forwarded_by_device = np.bincount(forwarded_dev, minlength=n)
+        in_flight_by_device = forwarded_by_device - np.bincount(
+            cols.device_id[cols.served], minlength=n)
+        in_flight = int(in_flight_by_device.sum())
 
-        makespan = max((lt.completion_ms for lt in self.lifetimes), default=0.0)
-        if self.experiment.horizon_ms is not None:
-            makespan = min(makespan, self.experiment.horizon_ms)
-            span = self.experiment.horizon_ms
+        makespan = float(cols.completion_ms.max()) if len(cols) else 0.0
+        if experiment.horizon_ms is not None:
+            makespan = min(makespan, experiment.horizon_ms)
+            span = experiment.horizon_ms
         else:
             span = makespan
-        if span > self.queue_last_change_ms:
-            self.queue_area += len(self.queue) * (span - self.queue_last_change_ms)
-            self.queue_last_change_ms = span
+        queue_area, queue_waits = self._queue_area(processed[RA], span)
+        check_run_invariants(
+            finalized=len(cols), local=self.local_kept,
+            served=self.resp_served[processed[RESP]], in_flight=in_flight,
+            decided=self.decided, batch_sizes=np.asarray(self.bc_size, dtype=np.int64),
+            max_batch=self.table.max_effective_batch,
+            stream_times=(self.sd_time[:self.decided], np.asarray(self.ra_time),
+                          np.asarray(self.bc_launch), np.asarray(self.bc_time),
+                          np.asarray(self.tick_time)),
+            queue_area=queue_area, queue_waits=queue_waits)
 
-        device_tiers = {d.state.device_id: d.state.tier.value for d in self.devices}
-        slos = self.experiment.slos_ms
-
-        fr = metrics_mod.forward_rate(self.lifetimes, in_flight)
-        if self.lifetimes or in_flight:
-            satisfaction = {float(slo): metrics_mod.slo_satisfaction(self.lifetimes, slo,
-                                                                     in_flight)
+        slos = experiment.slos_ms
+        if len(cols) or in_flight:
+            satisfaction = {float(slo): metrics_mod.slo_satisfaction(cols, slo, in_flight)
                             for slo in slos}
         else:
             satisfaction = {float(slo): 0.0 for slo in slos}
+        # a tier is reported once any of its devices finalized or forwarded a sample
         in_flight_by_tier: dict[str, int] = {}
-        for device_id, count in self.in_flight_by_device.items():
-            tier = device_tiers[device_id]
-            in_flight_by_tier[tier] = in_flight_by_tier.get(tier, 0) + count
-        per_tier = metrics_mod.aggregate_by_tier(self.lifetimes, device_tiers,
+        for device_id in np.flatnonzero(forwarded_by_device).tolist():
+            tier = self.device_tiers[device_id]
+            in_flight_by_tier[tier] = (in_flight_by_tier.get(tier, 0)
+                                       + int(in_flight_by_device[device_id]))
+        per_tier = metrics_mod.aggregate_by_tier(cols, dict(enumerate(self.device_tiers)),
                                                  makespan, slos, in_flight_by_tier)
 
-        per_device_acc = []
-        correct_by_device: dict[int, int] = {}
-        count_by_device: dict[int, int] = {}
-        for lt in self.lifetimes:
-            count_by_device[lt.device_id] = count_by_device.get(lt.device_id, 0) + 1
-            if lt.correct:
-                correct_by_device[lt.device_id] = correct_by_device.get(lt.device_id, 0) + 1
-        for dev in self.devices:
-            did = dev.state.device_id
-            if count_by_device.get(did):
-                per_device_acc.append(correct_by_device.get(did, 0) / count_by_device[did])
-
+        count_by_device = np.bincount(cols.device_id, minlength=n).tolist()
+        correct_by_device = np.bincount(cols.device_id[cols.correct], minlength=n).tolist()
+        per_device_acc = [c / total for c, total in zip(correct_by_device, count_by_device)
+                          if total]
+        decided_by_device = np.bincount(decided_dev, minlength=n).tolist()
         arrival = estimate_arrival_rate(
-            [(d.state.forward_probability, d.t_inf_ms) for d in self.devices])
+            [(f / d if d else 0.0, t) for f, d, t in
+             zip(forwarded_by_device.tolist(), decided_by_device, self.t_inf.tolist())])
         peak = self.table.peak_throughput
-        mean_queue = self.queue_area / span if span > 0 else 0.0
 
-        report = MetricsReport(
-            scheduler_kind=self.experiment.scheduler.kind,
-            device_count=len(self.devices),
+        return MetricsReport(
+            scheduler_kind=experiment.scheduler.kind,
+            device_count=n,
             seed=self.seed,
             makespan_ms=makespan,
-            total_throughput=metrics_mod.throughput(self.lifetimes, makespan)
-            if makespan > 0 else 0.0,
-            cascade_accuracy=metrics_mod.accuracy(self.lifetimes) if self.lifetimes else 0.0,
+            total_throughput=metrics_mod.throughput(cols, makespan) if makespan > 0 else 0.0,
+            cascade_accuracy=metrics_mod.accuracy(cols) if len(cols) else 0.0,
             device_mean_accuracy=sum(per_device_acc) / len(per_device_acc)
             if per_device_acc else 0.0,
             slo_satisfaction=satisfaction,
             per_tier=per_tier,
-            forward_rate=fr,
-            mean_queue_length=mean_queue,
+            forward_rate=metrics_mod.forward_rate(cols, in_flight),
+            mean_queue_length=queue_area / span if span > 0 else 0.0,
             arrival_rate=arrival,
             server_throughput=peak,
             server_state=classify_server_state(arrival, peak),
-            samples_finalized=self.finalized,
-            samples_local=self.local_count,
-            samples_served=self.served_count,
+            samples_finalized=len(cols),
+            samples_local=local,
+            samples_served=served,
             samples_in_flight=in_flight,
-            sample_lifetimes=self.lifetimes,
-            event_log=self.log,
+            samples=cols,
         )
-        if self.log is not None:
-            self.seq += 1
-            self.emit(max(end_time, makespan), self.seq, EVENT_RUN_END,
-                      {"finalized": self.finalized, "local": self.local_count,
-                       "served": self.served_count, "in_flight": in_flight,
-                       "makespan_ms": makespan})
-        return report
 
 
 def run_simulation(experiment: ExperimentConfig, traces: Optional[dict[int, TraceSet]] = None,

@@ -55,3 +55,7 @@ class ConfigError(CascSimError, ValueError):
 
 class TraceMissingError(CascSimError, ValueError):
     """A device was configured without a bound trace."""
+
+
+class InvariantError(CascSimError, RuntimeError):
+    """A finished run broke one of the simulator's own invariants (a simulator bug)."""

@@ -1,100 +1,161 @@
 """Run evaluation: latency-SLO satisfaction, throughput, accuracy, tier rollups.
 
-All functions are pure post-processing over the per-sample lifetimes a run
-produces. Throughput is finalized samples over the run makespan; satisfaction
-counts samples whose end-to-end latency fits the objective, with any samples
-still in flight at a forced horizon counted as violations.
+All functions are pure post-processing over the per-sample results a run
+produces, held as numpy columns (``SampleColumns``); a sequence of
+``SampleLifetime`` records is accepted too and converted. Throughput is
+finalized samples over the run makespan; satisfaction counts samples whose
+end-to-end latency fits the objective, with any samples still in flight at a
+forced horizon counted as violations.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import InvalidParamsError
 
 
-def slo_satisfaction(lifetimes: Sequence, slo_ms: float, in_flight: int = 0) -> float:
+@dataclass(frozen=True, slots=True)
+class SampleLifetime:
+    """End-to-end story of one sample, from local-inference start to final result."""
+
+    device_id: int
+    sample_index: int
+    start_ms: float
+    completion_ms: float
+    location: str  # "local" or "server"
+    correct: bool
+    latency_ms: float
+
+
+class SampleColumns:
+    """Finalized samples of a run as numpy columns, one row per sample in the
+    order the run finalized them."""
+
+    __slots__ = ("device_id", "sample_index", "start_ms", "completion_ms", "served",
+                 "correct", "latency_ms")
+
+    def __init__(self, device_id, sample_index, start_ms, completion_ms, served, correct,
+                 latency_ms):
+        self.device_id = np.asarray(device_id, dtype=np.int64)
+        self.sample_index = np.asarray(sample_index, dtype=np.int64)
+        self.start_ms = np.asarray(start_ms, dtype=np.float64)
+        self.completion_ms = np.asarray(completion_ms, dtype=np.float64)
+        self.served = np.asarray(served, dtype=bool)
+        self.correct = np.asarray(correct, dtype=bool)
+        self.latency_ms = np.asarray(latency_ms, dtype=np.float64)
+
+    @classmethod
+    def of(cls, samples: Union["SampleColumns", Sequence[SampleLifetime]]) -> "SampleColumns":
+        """The columns themselves, or the columns of a sequence of lifetimes."""
+        if isinstance(samples, cls):
+            return samples
+        return cls([lt.device_id for lt in samples], [lt.sample_index for lt in samples],
+                   [lt.start_ms for lt in samples], [lt.completion_ms for lt in samples],
+                   [lt.location == "server" for lt in samples],
+                   [lt.correct for lt in samples], [lt.latency_ms for lt in samples])
+
+    def __len__(self) -> int:
+        return int(self.device_id.size)
+
+    def select(self, mask) -> "SampleColumns":
+        return SampleColumns(*(getattr(self, name)[mask] for name in self.__slots__))
+
+    def records(self) -> list[dict]:
+        """One dict per sample, in the ``SampleLifetime`` field layout."""
+        location = np.where(self.served, "server", "local").tolist()
+        return [dict(zip(SampleLifetime.__slots__, row)) for row in zip(
+            self.device_id.tolist(), self.sample_index.tolist(), self.start_ms.tolist(),
+            self.completion_ms.tolist(), location, self.correct.tolist(),
+            self.latency_ms.tolist())]
+
+    def lifetimes(self) -> list[SampleLifetime]:
+        return [SampleLifetime(**record) for record in self.records()]
+
+
+def slo_satisfaction(samples, slo_ms: float, in_flight: int = 0) -> float:
     """Fraction of samples finishing within the latency objective.
 
     in_flight samples (cut off by a horizon) count against the rate.
     """
-    if not lifetimes and in_flight == 0:
+    cols = SampleColumns.of(samples)
+    if not len(cols) and in_flight == 0:
         raise InvalidParamsError("slo_satisfaction needs at least one sample")
-    latencies = np.array([lt.latency_ms for lt in lifetimes], dtype=np.float64)
-    satisfied = int((latencies <= slo_ms).sum()) if len(latencies) else 0
-    return satisfied / (len(latencies) + in_flight)
+    satisfied = int((cols.latency_ms <= slo_ms).sum())
+    return satisfied / (len(cols) + in_flight)
 
 
-def throughput(lifetimes: Sequence, makespan_ms: float) -> float:
+def throughput(samples, makespan_ms: float) -> float:
     """Finalized samples per second over the run makespan."""
     if makespan_ms <= 0:
         raise InvalidParamsError(f"makespan must be positive, got {makespan_ms}")
-    return len(lifetimes) / (makespan_ms / 1000.0)
+    return len(SampleColumns.of(samples)) / (makespan_ms / 1000.0)
 
 
-def accuracy(lifetimes: Sequence) -> float:
+def accuracy(samples) -> float:
     """Fraction of finalized samples answered correctly."""
-    if not lifetimes:
+    cols = SampleColumns.of(samples)
+    if not len(cols):
         raise InvalidParamsError("accuracy needs at least one sample")
-    return sum(1 for lt in lifetimes if lt.correct) / len(lifetimes)
+    return int(cols.correct.sum()) / len(cols)
 
 
-def forward_rate(lifetimes: Sequence, in_flight: int = 0) -> float:
+def forward_rate(samples, in_flight: int = 0) -> float:
     """Fraction of decided samples that went to the server."""
-    decided = len(lifetimes) + in_flight
+    cols = SampleColumns.of(samples)
+    decided = len(cols) + in_flight
     if decided == 0:
         return 0.0
-    served = sum(1 for lt in lifetimes if lt.location == "server") + in_flight
-    return served / decided
+    return (int(cols.served.sum()) + in_flight) / decided
 
 
-def windowed_throughput(lifetimes: Sequence, window_ms: float) -> list[tuple[float, float]]:
+def windowed_throughput(samples, window_ms: float) -> list[tuple[float, float]]:
     """Completion rate per fixed window, for plateau visualization.
 
     Returns (window end ms, samples/s) pairs covering the whole run."""
     if window_ms <= 0:
         raise InvalidParamsError(f"window must be positive, got {window_ms}")
-    if not lifetimes:
+    cols = SampleColumns.of(samples)
+    if not len(cols):
         return []
-    end = max(lt.completion_ms for lt in lifetimes)
-    buckets = int(end // window_ms) + 1
-    counts = [0] * buckets
-    for lt in lifetimes:
-        counts[int(lt.completion_ms // window_ms)] += 1
+    counts = np.bincount((cols.completion_ms // window_ms).astype(np.int64))
     return [((i + 1) * window_ms, c / (window_ms / 1000.0))
-            for i, c in enumerate(counts)]
+            for i, c in enumerate(counts.tolist())]
 
 
-def aggregate_by_tier(lifetimes: Sequence, device_tiers: dict[int, str],
+def aggregate_by_tier(samples, device_tiers: dict[int, str],
                       makespan_ms: float, slos_ms: Sequence[float],
                       in_flight_by_tier: Optional[dict[str, int]] = None) -> dict:
     """Per-tier accuracy, throughput, and satisfaction.
 
     Tier throughputs share the run-wide makespan so they sum to the total.
     """
+    cols = SampleColumns.of(samples)
     in_flight_by_tier = in_flight_by_tier or {}
-    by_tier: dict[str, list] = {}
-    for lt in lifetimes:
-        by_tier.setdefault(device_tiers[lt.device_id], []).append(lt)
-    for tier in in_flight_by_tier:
-        by_tier.setdefault(tier, [])
+    names = sorted(set(device_tiers.values()))
+    lookup = np.full(max(device_tiers, default=-1) + 1, -1, dtype=np.int64)
+    for device_id, tier in device_tiers.items():
+        lookup[device_id] = names.index(tier)
+    sample_codes = lookup[cols.device_id]
+    counts = np.bincount(sample_codes, minlength=len(names))
+    tiers = {names[i] for i in np.flatnonzero(counts).tolist()} | set(in_flight_by_tier)
 
     report = {}
-    for tier in sorted(by_tier):
-        tier_lts = by_tier[tier]
+    for tier in sorted(tiers):
+        tier_cols = cols.select(sample_codes == names.index(tier))
         stuck = in_flight_by_tier.get(tier, 0)
         report[tier] = {
-            "samples": len(tier_lts),
-            "accuracy": accuracy(tier_lts) if tier_lts else 0.0,
-            "throughput": throughput(tier_lts, makespan_ms) if makespan_ms > 0 else 0.0,
+            "samples": len(tier_cols),
+            "accuracy": accuracy(tier_cols) if len(tier_cols) else 0.0,
+            "throughput": throughput(tier_cols, makespan_ms) if makespan_ms > 0 else 0.0,
             "satisfaction": {
-                float(slo): slo_satisfaction(tier_lts, slo, stuck)
+                float(slo): slo_satisfaction(tier_cols, slo, stuck)
                 for slo in slos_ms
-            } if (tier_lts or stuck) else {float(slo): 0.0 for slo in slos_ms},
+            } if (len(tier_cols) or stuck) else {float(slo): 0.0 for slo in slos_ms},
         }
     return report
 
@@ -121,8 +182,13 @@ class MetricsReport:
     samples_local: int
     samples_served: int
     samples_in_flight: int
-    sample_lifetimes: Optional[list] = field(default=None, repr=False)
+    samples: Optional[SampleColumns] = field(default=None, repr=False)
     event_log: Optional[list[str]] = field(default=None, repr=False)
+
+    @property
+    def sample_lifetimes(self) -> Optional[list[SampleLifetime]]:
+        """The finalized samples as records, built on demand from ``samples``."""
+        return None if self.samples is None else self.samples.lifetimes()
 
     def to_dict(self, include_lifetimes: bool = False) -> dict:
         doc = {
@@ -145,14 +211,8 @@ class MetricsReport:
             "samples_served": self.samples_served,
             "samples_in_flight": self.samples_in_flight,
         }
-        if include_lifetimes and self.sample_lifetimes is not None:
-            doc["sample_lifetimes"] = [
-                {"device_id": lt.device_id, "sample_index": lt.sample_index,
-                 "start_ms": lt.start_ms, "completion_ms": lt.completion_ms,
-                 "location": lt.location, "correct": lt.correct,
-                 "latency_ms": lt.latency_ms}
-                for lt in self.sample_lifetimes
-            ]
+        if include_lifetimes and self.samples is not None:
+            doc["sample_lifetimes"] = self.samples.records()
         return doc
 
     def to_json(self, include_lifetimes: bool = False) -> str:

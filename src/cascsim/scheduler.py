@@ -84,19 +84,11 @@ class SchedulerConfig:
 
 @dataclass
 class DeviceState:
-    """Controller-side view of one device."""
+    """Controller-side view of one device: the threshold last commanded to it."""
 
     device_id: int
     tier: Tier
     threshold: Threshold
-    local_latency_ms: float
-    forward_count: int = 0
-    sample_count: int = 0
-
-    @property
-    def forward_probability(self) -> float:
-        """Empirical forwarding probability observed so far."""
-        return self.forward_count / self.sample_count if self.sample_count else 0.0
 
 
 class SchedulerState:

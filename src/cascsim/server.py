@@ -1,4 +1,4 @@
-"""Shared server model: batch-latency profile, FIFO request queue, and capacity solvers.
+"""Shared server model: batch-latency profile, batch-size selection, and capacity solvers.
 
 Capacity is the largest number of samples the server can push through within
 one latency budget, choosing batch sizes from its profile. Computing it is an
@@ -9,12 +9,11 @@ dynamic program over a 1 ms time grid serves as the independent check.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from math import ceil, floor
+from math import ceil, floor, isfinite
 from typing import Optional
 
-from .errors import GridOverflowError, InvalidParamsError, QueueUnderflowError
+from .errors import GridOverflowError, InvalidParamsError
 
 BATCH_POOL = (1, 2, 4, 8, 16, 32, 64)
 
@@ -39,8 +38,9 @@ class BatchLatencyTable:
             latency = float(latency)
             if size not in BATCH_POOL:
                 raise InvalidParamsError(f"batch size {size} not in pool {BATCH_POOL}")
-            if latency <= 0.0:
-                raise InvalidParamsError(f"latency for batch {size} must be positive")
+            if not (isfinite(latency) and latency > 0.0):
+                raise InvalidParamsError(
+                    f"latency for batch {size} must be positive and finite, got {latency}")
             clean[size] = latency
         if 1 not in clean:
             raise InvalidParamsError("batch latency table must contain batch size 1")
@@ -79,37 +79,6 @@ class BatchLatencyTable:
 
     def __repr__(self):
         return f"BatchLatencyTable({self.entries}, max_effective_batch={self.max_effective_batch})"
-
-
-@dataclass(frozen=True, slots=True)
-class QueuedRequest:
-    device_id: int
-    sample_index: int
-    enqueued_ms: float
-
-
-class RequestQueue:
-    """Strict FIFO queue of forwarded inference requests."""
-
-    __slots__ = ("_pending",)
-
-    def __init__(self):
-        self._pending = deque()
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    def enqueue(self, request: QueuedRequest) -> None:
-        self._pending.append(request)
-
-    def dequeue_batch(self, batch_size: int) -> list[QueuedRequest]:
-        if batch_size > len(self._pending):
-            raise QueueUnderflowError(
-                f"dequeue of {batch_size} from queue of {len(self._pending)}")
-        return [self._pending.popleft() for _ in range(batch_size)]
-
-    def peek_all(self) -> tuple[QueuedRequest, ...]:
-        return tuple(self._pending)
 
 
 @dataclass(frozen=True, slots=True)

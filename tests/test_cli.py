@@ -179,3 +179,45 @@ class TestConfigRoundTrip:
             cfg = load_config(name)
             cfg.validate()
             assert cfg.total_devices >= 1
+
+
+class TestNonFiniteConfig:
+    """Every float the engine reads must be finite; NaN and Infinity parse from JSON."""
+
+    @pytest.mark.parametrize("field, edit", [
+        ("fleet[0].t_inf_ms", lambda d: d["fleet"][0].update(t_inf_ms=float("nan"))),
+        ("fleet[0].t_inf_ms", lambda d: d["fleet"][0].update(t_inf_ms=float("inf"))),
+        ("server.batch_latency_table",
+         lambda d: d["server"]["batch_latency_table"].update({"2": float("inf")})),
+        ("server.batch_latency_table",
+         lambda d: d["server"]["batch_latency_table"].update({"1": float("nan")})),
+        ("network.uplink_ms", lambda d: d["network"].update(uplink_ms=float("nan"))),
+        ("network.downlink_ms", lambda d: d["network"].update(downlink_ms=float("inf"))),
+        ("scheduler.tick_period_ms",
+         lambda d: d["scheduler"].update(tick_period_ms=float("nan"))),
+        ("scheduler.tick_period_ms",
+         lambda d: d["scheduler"].update(tick_period_ms=float("inf"))),
+        ("scheduler.slo_ms", lambda d: d["scheduler"].update(slo_ms=float("nan"))),
+        ("scheduler.alpha", lambda d: d["scheduler"].update(alpha=float("nan"))),
+        ("scheduler.flush_factor", lambda d: d["scheduler"].update(flush_factor=float("nan"))),
+        ("slos_ms", lambda d: d.update(slos_ms=[100.0, float("nan")])),
+        ("slos_ms", lambda d: d.update(slos_ms=[float("inf")])),
+        ("sim.horizon_ms", lambda d: d.update(sim={"horizon_ms": float("nan")})),
+        ("sim.horizon_ms", lambda d: d.update(sim={"horizon_ms": float("inf")})),
+    ])
+    def test_rejected_with_field_path(self, field, edit):
+        doc = tiny_config_doc()
+        edit(doc)
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(doc)
+        assert info.value.field == field
+
+    def test_cli_exits_1_with_json_error(self, tmp_path, capsys):
+        doc = tiny_config_doc()
+        doc["network"]["downlink_ms"] = float("inf")
+        cfg_path = write_config(tmp_path, doc)  # json.dumps writes Infinity
+        assert "Infinity" in open(cfg_path, encoding="utf-8").read()
+        assert main(["simulate", "--config", cfg_path]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith("network.downlink_ms:")

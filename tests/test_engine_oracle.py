@@ -1,0 +1,152 @@
+"""The epoch-stepped engine against the per-event oracle: identical reports,
+per-sample columns and event logs, byte for byte.
+
+The presets run with shortened traces at device counts on both sides of
+saturation; the small configs are built to put many events at the same
+instant, where only the tie rule decides the order (which batch a request
+joins, which threshold a sample sees, what a tick observes).
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from cascsim.config import load_config, preset_names
+from cascsim.engine import run_simulation
+from cascsim.metrics import SampleColumns
+
+import oracle_engine
+from conftest import make_trace, small_config
+
+SEEDS = (1, 2, 3)
+TRACE_COUNT = 300
+# (fewest, most) devices per preset: underutilized and overloaded static servers
+PRESET_COUNTS = {
+    "homog_efflite0_inceptionv3": (10, 50),
+    "homog_efflite0_efficientnetb3": (10, 50),
+    "heterog_inceptionv3": (9, 45),
+    "heterog_efficientnetb3": (9, 45),
+}
+
+
+def oracle_run(cfg, traces, seed):
+    if traces is None:
+        traces = cfg.build_traces(seed)
+    return oracle_engine._Run(cfg, traces, seed, collect_event_log=True).run()
+
+
+def assert_identical(cfg, traces=None, seed=0):
+    expected = oracle_run(cfg, traces, seed)
+    actual = run_simulation(cfg, traces, seed=seed, collect_event_log=True)
+    assert actual.to_json() == expected.to_json()
+    for name in SampleColumns.__slots__:
+        e, a = getattr(expected.samples, name), getattr(actual.samples, name)
+        assert a.dtype == e.dtype and np.array_equal(a, e), name
+    assert actual.event_log == expected.event_log
+    return actual
+
+
+def shortened(preset: str, kind: str):
+    cfg = load_config(preset)
+    return replace(cfg, scheduler=replace(cfg.scheduler, kind=kind), fleet=tuple(
+        replace(g, synthetic=replace(g.synthetic, count=TRACE_COUNT)) for g in cfg.fleet))
+
+
+def test_every_preset_is_covered():
+    assert sorted(PRESET_COUNTS) == preset_names()
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_COUNTS))
+@pytest.mark.parametrize("kind", ["static", "multitasc"])
+def test_presets_match_oracle_across_saturation(preset, kind):
+    states = set()
+    for devices in PRESET_COUNTS[preset]:
+        cfg = shortened(preset, kind).with_device_count(devices)
+        for seed in SEEDS:
+            states.add(assert_identical(cfg, seed=seed).server_state)
+    if kind == "static":
+        assert states == {"underutilized", "overloaded"}
+
+
+def random_traces(rng, devices, n, quantized=False):
+    scores = [rng.random(n) for _ in range(devices)]
+    if quantized:  # many identical scores: decisions flip exactly at threshold steps
+        scores = [np.round(s * 4) / 4 for s in scores]
+    return {i: make_trace(scores[i], rng.random(n) < 0.7, rng.random(n) < 0.8)
+            for i in range(devices)}
+
+
+def test_flush_round_trip_config_matches_oracle():
+    cfg = small_config(groups=[("mid", 3, 43.0)], table_entries={1: 40.0}, kind="multitasc",
+                       threshold=1.0, uplink=0.0, downlink=0.0, start_phase="aligned",
+                       trace_count=400)
+    traces = {i: make_trace([0.5] * 400, [True] * 400, [i % 2 == 0] * 400) for i in range(3)}
+    report = assert_identical(cfg, traces)
+    assert any('"flush": "entered"' in line for line in report.event_log)
+
+
+TIE_CONFIGS = {
+    "aligned_zero_links": dict(groups=[("low", 2, 20.0), ("mid", 2, 40.0), ("high", 2, 40.0)],
+                               table_entries={1: 10.0, 2: 15.0, 4: 20.0}, uplink=0.0,
+                               downlink=0.0),
+    "t_inf_equals_uplink": dict(groups=[("mid", 3, 5.0), ("high", 3, 10.0)],
+                                table_entries={1: 5.0, 2: 8.0, 4: 10.0}, uplink=5.0,
+                                downlink=5.0),
+    "downlink_beyond_tick": dict(groups=[("mid", 4, 20.0)], table_entries={1: 10.0, 2: 15.0},
+                                 uplink=5.0, downlink=200.0),
+    "downlink_equals_tick": dict(groups=[("mid", 4, 20.0)], table_entries={1: 10.0, 2: 15.0},
+                                 uplink=5.0, downlink=100.0, start_phase="staggered"),
+    "horizon_mid_batch": dict(groups=[("mid", 4, 20.0)],
+                              table_entries={1: 10.0, 2: 15.0, 4: 29.0}, uplink=5.0,
+                              downlink=5.0, threshold=0.9, horizon=1013.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIE_CONFIGS))
+@pytest.mark.parametrize("kind", ["static", "multitasc"])
+def test_tie_heavy_configs_match_oracle(name, kind):
+    params = dict(threshold=0.6, start_phase="aligned", kind=kind,
+                  sched_overrides=dict(tick_period_ms=100.0))
+    params.update(TIE_CONFIGS[name])
+    cfg = small_config(**params)
+    devices = sum(count for _, count, _ in params["groups"])
+    rng = np.random.default_rng(sorted(TIE_CONFIGS).index(name))
+    assert_identical(cfg, random_traces(rng, devices, 300))
+
+
+@pytest.mark.parametrize("kind", ["static", "multitasc"])
+def test_local_latency_excluded_matches_oracle(kind):
+    cfg = small_config(groups=[("mid", 4, 20.0), ("low", 4, 30.0)],
+                       table_entries={1: 10.0, 2: 15.0, 4: 20.0}, kind=kind, threshold=0.6,
+                       uplink=5.0, downlink=5.0, start_phase="staggered",
+                       sched_overrides=dict(tick_period_ms=100.0))
+    cfg = replace(cfg, include_local_in_latency=False)
+    assert_identical(cfg, random_traces(np.random.default_rng(7), 8, 300))
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_random_integral_configs_match_oracle(block):
+    """Random small fleets on an integral time grid, where same-instant events abound."""
+    for trial in range(block * 25, block * 25 + 25):
+        rng = np.random.default_rng(trial)
+        groups = [(("low", "mid", "high")[i % 3], int(rng.integers(1, 4)),
+                   float(rng.choice([5, 10, 15, 20, 40]))) for i in range(rng.integers(1, 6))]
+        lat1 = float(rng.choice([5, 10, 20]))
+        table = {1: lat1, 2: 2 * lat1 - float(rng.choice([0, 2, 4]))}
+        table[4] = 2 * table[2] - float(rng.choice([0, 4]))
+        cfg = small_config(
+            groups=groups, table_entries=table, kind=str(rng.choice(["static", "multitasc"])),
+            threshold=float(rng.choice([0.3, 0.6, 1.0])),
+            uplink=float(rng.choice([0, 5, 10, groups[0][2]])),
+            downlink=float(rng.choice([0, 5, 100, 200, 250])),
+            start_phase=str(rng.choice(["aligned", "staggered"])),
+            horizon=None if rng.random() < 0.6 else float(rng.integers(50, 3000)),
+            sched_overrides=dict(tick_period_ms=float(rng.choice([50, 100, 200])),
+                                 alpha=float(rng.choice([0.5, 0.83])),
+                                 flush_factor=float(rng.choice([1.0, 2.0])),
+                                 update_fraction=float(rng.choice([0.2, 0.5, 1.0]))))
+        cfg = replace(cfg, include_local_in_latency=bool(rng.random() < 0.7))
+        devices = sum(count for _, count, _ in groups)
+        assert_identical(cfg, random_traces(rng, devices, int(rng.integers(1, 200)),
+                                            quantized=bool(rng.random() < 0.5)))

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from cascsim.engine import SampleLifetime, run_simulation
+from cascsim.engine import run_simulation
 from cascsim.errors import InvalidParamsError
 from cascsim.metrics import (
+    SampleLifetime,
     SWEEP_CSV_HEADER,
     accuracy,
     aggregate_by_tier,

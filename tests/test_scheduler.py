@@ -28,7 +28,7 @@ def fleet(low=0, mid=0, high=0, threshold=0.5, t_inf=43.0):
     device_id = 0
     for tier, count in ((Tier.LOW, low), (Tier.MID, mid), (Tier.HIGH, high)):
         for _ in range(count):
-            devices.append(DeviceState(device_id, tier, Threshold(threshold), t_inf))
+            devices.append(DeviceState(device_id, tier, Threshold(threshold)))
             device_id += 1
     return devices
 

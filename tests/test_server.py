@@ -4,14 +4,13 @@ import pytest
 from cascsim.errors import GridOverflowError, InvalidParamsError, QueueUnderflowError
 from cascsim.server import (
     BatchLatencyTable,
-    QueuedRequest,
-    RequestQueue,
     compute_capacity_exact,
     compute_capacity_greedy,
     select_batch_size,
 )
 
 from conftest import random_monotone_table
+from oracle_engine import QueuedRequest, RequestQueue
 
 
 class TestBatchLatencyTable:
