@@ -3,17 +3,14 @@ cascades: a shared batched server, per-device forwarding thresholds, and an
 adaptive scheduler that retunes those thresholds against queue pressure."""
 
 from .cascade import (
-    CascadeOutcome,
-    Decision,
+    CalibrationSpec,
     Threshold,
-    bvsb,
     calibrate_static_threshold,
     cascade_accuracy,
-    cascade_outcome,
-    decide,
+    forwards,
+    trace_forward_rate,
 )
 from .config import (
-    CalibrationSpec,
     ExperimentConfig,
     FleetGroup,
     NetworkModel,
@@ -40,7 +37,6 @@ from .metrics import (
     mean_report,
     slo_satisfaction,
     throughput,
-    windowed_throughput,
 )
 from .scheduler import (
     DeviceState,
@@ -49,7 +45,6 @@ from .scheduler import (
     SchedulerState,
     ThresholdUpdate,
     Tier,
-    baseline_tick,
     flush_check,
     scheduler_tick,
     select_update_targets,
@@ -68,7 +63,6 @@ from .trace import (
     TraceSet,
     generate_synthetic_trace,
     load_trace_csv,
-    trace_forward_rate,
     write_trace_csv,
 )
 

@@ -1,20 +1,20 @@
-"""Single-cascade semantics: confidence scoring, the forwarding decision, and accuracy.
+"""Single-cascade semantics: the forwarding rule, accuracy, and threshold calibration.
 
 A two-model cascade keeps a sample on the device when the light model's
-confidence gap clears the device threshold and otherwise escalates it to the
-heavy server model. The threshold is the one knob the scheduler turns.
+confidence gap (top-1 minus top-2 softmax probability) reaches the device
+threshold and otherwise escalates it to the heavy server model. The threshold
+is the one knob the scheduler turns, and ``forwards`` is the one place the
+rule is written.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyTraceError, InvalidDistributionError, InvalidTargetError
-from .trace import TraceRecord, TraceSet
+from .errors import EmptyTraceError, InvalidParamsError, InvalidTargetError
+from .trace import TraceSet
 
 # Resolution of the calibration scan; 201 uniform points over [0, 1].
 CALIBRATION_GRID_STEP = 0.005
@@ -40,60 +40,45 @@ class Threshold:
         object.__setattr__(self, "value", v)
 
 
-class Decision(enum.Enum):
-    KEEP_LOCAL = "keep_local"
-    FORWARD = "forward"
+@dataclass(frozen=True)
+class CalibrationSpec:
+    """How to derive the initial threshold from a held-out calibration trace."""
+
+    target_forward_rate: float = 0.30
+    accuracy_tolerance: float = 0.01
+    count: int = 10_000
+    seed: int = 90210
 
 
-LOCATION_LOCAL = "local"
-LOCATION_SERVER = "server"
+def forwards(bvsb, threshold):
+    """Whether each sample goes to the server: its confidence gap is below the
+    threshold (numpy broadcasting; a gap equal to the threshold stays local)."""
+    return bvsb < threshold
 
 
-@dataclass(frozen=True, slots=True)
-class CascadeOutcome:
-    location: str  # LOCATION_LOCAL or LOCATION_SERVER
-    correct: bool
-
-
-def bvsb(softmax: Sequence[float]) -> float:
-    """Confidence gap of a softmax vector: largest minus second-largest entry."""
-    probs = np.asarray(softmax, dtype=np.float64)
-    if probs.ndim != 1 or probs.size < 2:
-        raise InvalidDistributionError("softmax vector must be 1-D with at least 2 entries")
-    if probs.min() < 0.0:
-        raise InvalidDistributionError("softmax entries must be non-negative")
-    if abs(float(probs.sum()) - 1.0) > 1e-6:
-        raise InvalidDistributionError(f"softmax entries must sum to 1, got {probs.sum()}")
-    top2 = np.partition(probs, -2)[-2:]
-    return float(top2[1] - top2[0])
-
-
-def decide(score: float, threshold: Threshold) -> Decision:
-    """Keep the sample local iff its confidence gap reaches the threshold."""
-    if not 0.0 <= score <= 1.0:
-        raise InvalidDistributionError(f"score must be in [0, 1], got {score}")
-    return Decision.KEEP_LOCAL if score >= threshold.value else Decision.FORWARD
-
-
-def cascade_outcome(record: TraceRecord, threshold: Threshold) -> CascadeOutcome:
-    """Where the sample ends up and whether the answering model was right."""
-    if decide(record.bvsb, threshold) is Decision.KEEP_LOCAL:
-        return CascadeOutcome(LOCATION_LOCAL, record.light_correct)
-    return CascadeOutcome(LOCATION_SERVER, record.heavy_correct)
+def trace_forward_rate(trace: TraceSet, threshold: float) -> float:
+    """Fraction of records a device holding this trace forwards at this
+    threshold; an empty trace yields 0."""
+    if not 0.0 <= threshold <= 1.0:
+        raise InvalidParamsError(f"threshold must be in [0, 1], got {threshold}")
+    if len(trace) == 0:
+        return 0.0
+    return float(forwards(trace.bvsb, threshold).mean())
 
 
 def cascade_accuracy(trace: TraceSet, threshold: Threshold) -> float:
     """Fraction of trace samples the cascade answers correctly at this threshold."""
     if len(trace) == 0:
         raise EmptyTraceError("cascade_accuracy needs a non-empty trace")
-    keep = trace.bvsb >= threshold.value
-    correct = np.where(keep, trace.light_correct, trace.heavy_correct)
+    correct = np.where(forwards(trace.bvsb, threshold.value),
+                       trace.heavy_correct, trace.light_correct)
     return float(correct.mean())
 
 
 def calibrate_static_threshold(calibration_trace: TraceSet,
-                               target_forward_rate: float = 0.30,
-                               accuracy_tolerance: float = 0.01) -> Threshold:
+                               target_forward_rate: float = CalibrationSpec.target_forward_rate,
+                               accuracy_tolerance: float = CalibrationSpec.accuracy_tolerance,
+                               ) -> Threshold:
     """Pick a fixed threshold from the calibration grid.
 
     Scans the 201-point grid for the threshold whose forward rate is closest
@@ -114,7 +99,7 @@ def calibrate_static_threshold(calibration_trace: TraceSet,
     grid = np.asarray(CALIBRATION_GRID)
     n = len(calibration_trace)
     # forward rate and accuracy at every grid point, vectorized over the grid
-    forwarded = calibration_trace.bvsb[None, :] < grid[:, None]
+    forwarded = forwards(calibration_trace.bvsb[None, :], grid[:, None])
     rates = forwarded.sum(axis=1) / n
     correct = np.where(forwarded,
                        calibration_trace.heavy_correct[None, :],

@@ -14,13 +14,14 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-from .cascade import calibrate_static_threshold, cascade_accuracy
+from .cascade import (CalibrationSpec, calibrate_static_threshold, cascade_accuracy,
+                      trace_forward_rate)
 from .config import ExperimentConfig, load_config, preset_names
 from .engine import run_simulation
 from .errors import CascSimError, ConfigError
 from .metrics import SWEEP_CSV_HEADER, mean_report, sweep_csv_rows
 from .server import BatchLatencyTable, compute_capacity_exact, compute_capacity_greedy
-from .trace import load_trace_csv, trace_forward_rate
+from .trace import load_trace_csv
 
 
 def _write_atomic(path: Path, text: Union[str, Iterable[str]]) -> None:
@@ -140,9 +141,13 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    # a flag that is given overrides the config's (or the default) calibration target
+    given = {name: value for name, value in (("target_forward_rate", args.target),
+                                             ("accuracy_tolerance", args.tolerance))
+             if value is not None}
     if args.trace:
         trace = load_trace_csv(args.trace)
-        threshold = calibrate_static_threshold(trace, args.target, args.tolerance)
+        threshold = calibrate_static_threshold(trace, **given)
         print(json.dumps({
             "threshold": threshold.value,
             "forward_rate": trace_forward_rate(trace, threshold.value),
@@ -154,17 +159,15 @@ def cmd_calibrate(args) -> int:
     cfg = load_config(args.config)
     calib = cfg.scheduler.calibration
     if calib is not None:
-        cfg = replace(cfg, scheduler=replace(
-            cfg.scheduler,
-            calibration=replace(calib, target_forward_rate=args.target,
-                                accuracy_tolerance=args.tolerance)))
+        calib = replace(calib, **given)
+        cfg = replace(cfg, scheduler=replace(cfg.scheduler, calibration=calib))
     thresholds = cfg.resolve_initial_thresholds()
     print(json.dumps({
         "thresholds": [
             {"group": i, "tier": g.tier.value, "model": g.model, "threshold": t.value}
             for i, (g, t) in enumerate(zip(cfg.fleet, thresholds))
         ],
-        "target_forward_rate": args.target,
+        "target_forward_rate": calib.target_forward_rate if calib else None,
     }, sort_keys=True))
     return 0
 
@@ -210,9 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
     cal = sub.add_parser("calibrate", help="pick static thresholds from a calibration trace")
     cal.add_argument("--config", help="calibrate every fleet group of this config/preset")
     cal.add_argument("--trace", help="calibrate a single trace CSV file")
-    cal.add_argument("--target", type=float, default=0.30, help="target forward rate")
-    cal.add_argument("--tolerance", type=float, default=0.01,
-                     help="maximum cascade-accuracy loss")
+    default = CalibrationSpec()
+    cal.add_argument("--target", type=float, help="target forward rate (default: the "
+                     f"config's, else {default.target_forward_rate})")
+    cal.add_argument("--tolerance", type=float, help="maximum cascade-accuracy loss "
+                     f"(default: the config's, else {default.accuracy_tolerance})")
     cal.set_defaults(func=cmd_calibrate)
     return parser
 

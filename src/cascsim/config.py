@@ -11,13 +11,14 @@ preset files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from enum import Enum
 from importlib import resources
 from math import isfinite
 from pathlib import Path
 from typing import Optional, Union
 
-from .cascade import Threshold, calibrate_static_threshold
+from .cascade import CalibrationSpec, Threshold, calibrate_static_threshold
 from .errors import ConfigError
 from .scheduler import SchedulerConfig, Tier
 from .server import BatchLatencyTable
@@ -40,16 +41,6 @@ class NetworkModel:
             if not (isfinite(value) and value >= 0):
                 raise ConfigError(f"network.{name}",
                                   f"must be finite and non-negative, got {value}")
-
-
-@dataclass(frozen=True)
-class CalibrationSpec:
-    """How to derive the initial threshold from a held-out calibration trace."""
-
-    target_forward_rate: float = 0.30
-    accuracy_tolerance: float = 0.01
-    count: int = 10_000
-    seed: int = 90210
 
 
 @dataclass(frozen=True)
@@ -205,125 +196,155 @@ class ExperimentConfig:
         return thresholds
 
     def to_dict(self) -> dict:
-        doc = {
-            "name": self.name,
-            "fleet": [],
-            "server": {
-                "model": self.server_model,
-                "batch_latency_table": self.server_table.to_dict(),
-                "max_effective_batch": self.server_table.max_effective_batch,
-            },
-            "scheduler": self._scheduler_dict(),
-            "network": {"uplink_ms": self.network.uplink_ms,
-                        "downlink_ms": self.network.downlink_ms},
-            "slos_ms": list(self.slos_ms),
-            "seeds": list(self.seeds),
-            "sim": {"start_phase": self.start_phase,
-                    "horizon_ms": self.horizon_ms,
-                    "include_local_in_latency": self.include_local_in_latency},
+        """The config as a JSON document, laid out as ``config_from_dict`` reads it."""
+        spec = self.scheduler
+        return {
+            **_dump(self, _TOP_KEYS),
+            "fleet": [{**_dump(g, _GROUP_KEYS), "trace": _dump(g, _TRACE_KEYS, skip_none=True)}
+                      for g in self.fleet],
+            "server": {**_dump(self, _SERVER_KEYS),
+                       "batch_latency_table": self.server_table.to_dict(),
+                       "max_effective_batch": self.server_table.max_effective_batch},
+            "scheduler": {**_dump(spec, _SPEC_KEYS, skip_none=True), **_dump(spec.config)},
+            "sim": _dump(self, _SIM_KEYS),
         }
-        for group in self.fleet:
-            g: dict = {"tier": group.tier.value, "count": group.count,
-                       "t_inf_ms": group.t_inf_ms, "model": group.model}
-            if group.synthetic is not None:
-                p = group.synthetic
-                g["trace"] = {"synthetic": {
-                    "light_accuracy": p.light_accuracy,
-                    "heavy_accuracy_given_light_correct": p.heavy_accuracy_given_light_correct,
-                    "heavy_accuracy_given_light_wrong": p.heavy_accuracy_given_light_wrong,
-                    "bvsb_shape_correct": list(p.bvsb_shape_correct),
-                    "bvsb_shape_wrong": list(p.bvsb_shape_wrong),
-                    "count": p.count,
-                }}
-            else:
-                g["trace"] = {"csv": group.trace_csv}
-            doc["fleet"].append(g)
-        return doc
-
-    def _scheduler_dict(self) -> dict:
-        cfg = self.scheduler.config
-        doc = {
-            "kind": self.scheduler.kind,
-            "update_fraction": cfg.update_fraction,
-            "margin": cfg.margin,
-            "window": cfg.window,
-            "alpha": cfg.alpha,
-            "beta": cfg.beta,
-            "tick_period_ms": cfg.tick_period_ms,
-            "flush_factor": cfg.flush_factor,
-            "slo_ms": cfg.slo_ms,
-        }
-        if self.scheduler.initial_threshold is not None:
-            doc["initial_threshold"] = self.scheduler.initial_threshold
-        else:
-            c = self.scheduler.calibration
-            doc["calibration"] = {"target_forward_rate": c.target_forward_rate,
-                                  "accuracy_tolerance": c.accuracy_tolerance,
-                                  "count": c.count, "seed": c.seed}
-        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
+def _keys(*same: str, **renamed: str) -> dict[str, str]:
+    return {**{name: name for name in same}, **renamed}
+
+
+# Where each dataclass field sits in its section of the document: JSON key -> field.
+_TOP_KEYS = _keys("name", "network", "slos_ms", "seeds")
+_SECTIONS = ("_notes", "fleet", "server", "scheduler", "sim")
+_SERVER_KEYS = _keys(model="server_model")
+_SIM_KEYS = _keys("start_phase", "horizon_ms", "include_local_in_latency")
+_GROUP_KEYS = _keys("tier", "count", "t_inf_ms", "model")
+_TRACE_KEYS = _keys("synthetic", csv="trace_csv")
+_SPEC_KEYS = _keys("kind", "initial_threshold", "calibration")
+_JSON_TYPES = {float: "number", int: "integer", str: "string", bool: "boolean"}
+# The types a field read from the document may have, by the name its annotation uses.
+_FIELD_TYPES = {t.__name__: t for t in (float, int, str, bool, Tier, NetworkModel,
+                                         SyntheticTraceParams, CalibrationSpec)}
+
+
+def _schema(cls) -> dict[str, tuple[str, bool]]:
+    """Each field of dataclass ``cls``: its annotation and whether it is required.
+
+    Annotations are strings (postponed evaluation) and are read as such:
+    evaluating them would leave the classes in typing's caches, which keeps
+    every earlier copy alive when the package is imported again.
+    """
+    return {f.name: (f.type, f.default is MISSING and f.default_factory is MISSING)
+            for f in fields(cls)}
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
 def _require(doc: dict, key: str, path: str):
     if key not in doc:
-        raise ConfigError(f"{path}.{key}" if path else key, "required field missing")
+        raise ConfigError(_join(path, key), "required field missing")
     return doc[key]
 
 
-def _tier(raw: str, path: str) -> Tier:
-    try:
-        return Tier(raw)
-    except ValueError:
-        raise ConfigError(path, f"unknown tier {raw!r}") from None
+def _read(cls, doc, path: str, keys: Optional[dict[str, str]] = None, extra=(),
+          **computed) -> dict:
+    """Keyword arguments for dataclass ``cls`` from the JSON object ``doc`` at ``path``.
+
+    ``keys`` maps JSON keys to fields (default: every field under its own
+    name); any other key not in ``extra`` is rejected. An absent key takes its
+    ``computed`` default if given, else the field default, else is reported
+    missing. Every value is checked against the field's annotation.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(path, f"must be a JSON object, got {doc!r}")
+    schema = _schema(cls)
+    keys = keys or {name: name for name in schema}
+    for key in doc:
+        if key not in keys and key not in extra:
+            raise ConfigError(_join(path, key), "unknown field")
+    out = {}
+    for key, name in keys.items():
+        annotation, required = schema[name]
+        if key in doc:
+            out[name] = _value(annotation, doc[key], _join(path, key))
+        elif name in computed:
+            out[name] = computed[name]
+        elif required:
+            raise ConfigError(_join(path, key), "required field missing")
+    return out
+
+
+def _value(annotation: str, value, path: str):
+    """``value`` checked against a field annotation and converted to its type."""
+    if annotation.startswith("Optional["):
+        return None if value is None else _value(annotation[9:-1], value, path)
+    if annotation.startswith("tuple["):  # tuple[X, ...] or tuple[X, X]
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(path, f"must be a list, got {value!r}")
+        item = annotation[6:-1].split(",")[0]
+        return tuple(_value(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    kind = _FIELD_TYPES[annotation]
+    if is_dataclass(kind):
+        return kind(**_read(kind, value, path))
+    if issubclass(kind, Enum):
+        try:
+            return kind(value)
+        except (ValueError, TypeError):
+            raise ConfigError(path, f"unknown {annotation.lower()} {value!r}") from None
+    number = kind is float and isinstance(value, (int, float))
+    if isinstance(value, bool) != (kind is bool) or not (number or isinstance(value, kind)):
+        raise ConfigError(path, f"must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
+    if kind is float:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(path, "is too large for a float") from None
+    return value
+
+
+def _dump(obj, keys: Optional[dict[str, str]] = None, skip_none: bool = False) -> dict:
+    """The JSON section of dataclass ``obj``, laid out as ``_read`` reads it."""
+    keys = keys or {name: name for name in _schema(type(obj))}
+    out = {key: _plain(getattr(obj, name)) for key, name in keys.items()}
+    return {k: v for k, v in out.items() if v is not None} if skip_none else out
+
+
+def _plain(value):
+    if is_dataclass(value):
+        return _dump(value)
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value.value if isinstance(value, Enum) else value
+
+
+def _fleet_group(raw, path: str) -> FleetGroup:
+    group = _read(FleetGroup, raw, path, _GROUP_KEYS, extra=("trace",))
+    trace = _read(FleetGroup, raw.get("trace", {}), f"{path}.trace", _TRACE_KEYS)
+    return FleetGroup(**group, **trace)
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Parse and validate a config document; raises ConfigError with a field path."""
-    if not isinstance(doc, dict):
-        raise ConfigError("", "config must be a JSON object")
+    """Parse and validate a config document; raises ConfigError with a field path.
 
-    fleet = []
+    Each section is read by the fields of its dataclass, which hold the only
+    defaults. Unknown keys and values of the wrong JSON type are rejected; the
+    one computed default is ``scheduler.slo_ms``, the smallest of ``slos_ms``.
+    """
+    top = _read(ExperimentConfig, doc, "", _TOP_KEYS, extra=_SECTIONS)
     raw_fleet = _require(doc, "fleet", "")
     if not isinstance(raw_fleet, list) or not raw_fleet:
         raise ConfigError("fleet", "must be a non-empty list")
-    for i, raw in enumerate(raw_fleet):
-        path = f"fleet[{i}]"
-        trace_doc = _require(raw, "trace", path)
-        synthetic = None
-        trace_csv = None
-        if "synthetic" in trace_doc:
-            s = trace_doc["synthetic"]
-            try:
-                synthetic = SyntheticTraceParams(
-                    light_accuracy=_require(s, "light_accuracy", f"{path}.trace.synthetic"),
-                    heavy_accuracy_given_light_correct=_require(
-                        s, "heavy_accuracy_given_light_correct", f"{path}.trace.synthetic"),
-                    heavy_accuracy_given_light_wrong=_require(
-                        s, "heavy_accuracy_given_light_wrong", f"{path}.trace.synthetic"),
-                    bvsb_shape_correct=tuple(s.get("bvsb_shape_correct", (5.0, 1.0))),
-                    bvsb_shape_wrong=tuple(s.get("bvsb_shape_wrong", (1.2, 3.0))),
-                    count=int(s.get("count", 5000)),
-                )
-            except ConfigError:
-                raise
-            except Exception as exc:
-                raise ConfigError(f"{path}.trace.synthetic", str(exc)) from None
-        elif "csv" in trace_doc:
-            trace_csv = str(trace_doc["csv"])
-        else:
-            raise ConfigError(f"{path}.trace", "needs a 'synthetic' or 'csv' entry")
-        fleet.append(FleetGroup(
-            tier=_tier(_require(raw, "tier", path), f"{path}.tier"),
-            count=int(_require(raw, "count", path)),
-            t_inf_ms=float(_require(raw, "t_inf_ms", path)),
-            synthetic=synthetic,
-            trace_csv=trace_csv,
-            model=str(raw.get("model", "")),
-        ))
+    fleet = tuple(_fleet_group(raw, f"fleet[{i}]") for i, raw in enumerate(raw_fleet))
 
     server_doc = _require(doc, "server", "")
+    server = _read(ExperimentConfig, server_doc, "server", _SERVER_KEYS,
+                   extra=("batch_latency_table", "max_effective_batch"))
     table_doc = _require(server_doc, "batch_latency_table", "server")
     try:
         table = BatchLatencyTable(table_doc, server_doc.get("max_effective_batch"))
@@ -331,51 +352,16 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ConfigError("server.batch_latency_table", str(exc)) from None
 
     sched_doc = _require(doc, "scheduler", "")
-    kind = _require(sched_doc, "kind", "scheduler")
-    slos = tuple(float(s) for s in doc.get("slos_ms", (100.0, 200.0)))
-    sched_cfg = SchedulerConfig(
-        update_fraction=float(sched_doc.get("update_fraction", 0.20)),
-        margin=float(sched_doc.get("margin", 0.05)),
-        window=int(sched_doc.get("window", 5)),
-        alpha=float(sched_doc.get("alpha", 0.83)),
-        beta=float(sched_doc.get("beta", 0.125)),
-        tick_period_ms=float(sched_doc.get("tick_period_ms", 2000.0)),
-        flush_factor=float(sched_doc.get("flush_factor", 2.0)),
-        slo_ms=float(sched_doc.get("slo_ms", min(slos) if slos else 100.0)),
-    )
-    calibration = None
-    initial = sched_doc.get("initial_threshold")
-    if "calibration" in sched_doc:
-        c = sched_doc["calibration"]
-        calibration = CalibrationSpec(
-            target_forward_rate=float(c.get("target_forward_rate", 0.30)),
-            accuracy_tolerance=float(c.get("accuracy_tolerance", 0.01)),
-            count=int(c.get("count", 10_000)),
-            seed=int(c.get("seed", 90210)),
-        )
-    scheduler = SchedulerSpec(kind=kind, config=sched_cfg,
-                              initial_threshold=None if initial is None else float(initial),
-                              calibration=calibration)
-
-    net_doc = doc.get("network", {})
-    network = NetworkModel(uplink_ms=float(net_doc.get("uplink_ms", 5.0)),
-                           downlink_ms=float(net_doc.get("downlink_ms", 5.0)))
-
-    sim_doc = doc.get("sim", {})
-    horizon = sim_doc.get("horizon_ms")
+    spec = _read(SchedulerSpec, sched_doc, "scheduler", _SPEC_KEYS,
+                 extra=_schema(SchedulerConfig))
+    slos = top.get("slos_ms", ExperimentConfig.slos_ms)
+    tuning = _read(SchedulerConfig, sched_doc, "scheduler", extra=_SPEC_KEYS,
+                   slo_ms=min(slos, default=SchedulerConfig.slo_ms))
+    sim = _read(ExperimentConfig, doc.get("sim", {}), "sim", _SIM_KEYS)
     config = ExperimentConfig(
-        fleet=tuple(fleet),
-        server_table=table,
-        scheduler=scheduler,
-        network=network,
-        slos_ms=slos,
-        seeds=tuple(int(s) for s in doc.get("seeds", (1, 2, 3))),
-        start_phase=str(sim_doc.get("start_phase", "staggered")),
-        horizon_ms=None if horizon is None else float(horizon),
-        include_local_in_latency=bool(sim_doc.get("include_local_in_latency", True)),
-        server_model=str(server_doc.get("model", "")),
-        name=str(doc.get("name", "")),
-    )
+        fleet=fleet, server_table=table,
+        scheduler=SchedulerSpec(config=SchedulerConfig(**tuning), **spec),
+        **top, **server, **sim)
     config.validate()
     return config
 

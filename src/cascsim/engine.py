@@ -49,10 +49,11 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import metrics as metrics_mod
+from .cascade import forwards
 from .config import ExperimentConfig
 from .errors import ConfigError, InvariantError, TraceMissingError
 from .metrics import MetricsReport, SampleColumns
-from .scheduler import AdaptivePolicy, DeviceState, StaticPolicy
+from .scheduler import DeviceState, SchedulerState, scheduler_tick
 from .server import compute_capacity_greedy, select_batch_size
 from .trace import TraceSet
 
@@ -240,9 +241,11 @@ class _Run:
         parent_flat = parent[order]
         self.sd_parent = np.where(parent_flat >= 0, position[np.maximum(parent_flat, 0)], -1)
 
-        capacity = compute_capacity_greedy(self.table, experiment.scheduler.config.slo_ms)
-        policy_cls = AdaptivePolicy if experiment.scheduler.kind == "multitasc" else StaticPolicy
-        self.policy = policy_cls(experiment.scheduler.config, capacity.capacity)
+        # control loop: the static baseline keeps the state (for b_bar) but never ticks it
+        self.sched_cfg = experiment.scheduler.config
+        self.adaptive = experiment.scheduler.kind == "multitasc"
+        self.sched_state = SchedulerState(self.sched_cfg.window)
+        self.capacity = compute_capacity_greedy(self.table, self.sched_cfg.slo_ms).capacity
 
         # device side: applied thresholds and the decided prefix of the columns
         self.thresholds = np.array([s.threshold.value for s in self.states])
@@ -264,7 +267,7 @@ class _Run:
         self.resp_time: list[float] = []    # per completed batch
         self.resp_served = [0]              # samples served by the first k responses
         # control: scheduled tick times, per-tick records, threshold updates
-        self.tick_time = [self.policy.cfg.tick_period_ms]
+        self.tick_time = [self.sched_cfg.tick_period_ms]
         self.ticks: list[tuple[int, float, str, list]] = []
         self.ta_tick: list[int] = []
         self.ta_pos: list[int] = []
@@ -344,7 +347,7 @@ class _Run:
         if end <= a:
             return
         threshold = self.thresholds[self.sd_dev[a:end]]
-        forward = self.sd_bvsb[a:end] < threshold
+        forward = forwards(self.sd_bvsb[a:end], threshold)
         self.applied[a:end] = threshold
         self.forward[a:end] = forward
         fwd = np.flatnonzero(forward) + a
@@ -354,7 +357,7 @@ class _Run:
         self.decided = end
 
     def _launch(self, now: float, size: int, from_ra: int) -> None:
-        self.policy.record_batch(size)
+        self.sched_state.record_batch(size)
         self.bc_launch.append(now)
         self.bc_size.append(size)
         self.bc_from_ra.append(from_ra)
@@ -411,10 +414,11 @@ class _Run:
         queue_len = self._count_before(self.ra_time, self.head, now, (TICK, k), RA) - self.head
         responses = self._count_before(self.resp_time, 0, now, (TICK, k), RESP)
         finalized = self.local_kept + self.resp_served[responses]
-        state = self.policy.state
+        state = self.sched_state
         b_bar = state.b_bar
         flush_before = state.flush_active
-        updates = self.policy.tick(self.states, queue_len, now)
+        updates = (scheduler_tick(self.states, state, queue_len, self.capacity, self.sched_cfg)
+                   if self.adaptive else [])
         flush_after = state.flush_active
         if flush_after and not flush_before:
             flush = "entered"
@@ -435,7 +439,7 @@ class _Run:
                 self.ta_value.append(u.threshold.value)
                 self.ta_reason.append(u.reason)
         if finalized < self.total_samples:
-            self.tick_time.append(now + self.policy.cfg.tick_period_ms)
+            self.tick_time.append(now + self.sched_cfg.tick_period_ms)
 
     def _apply_thresholds(self) -> None:
         first, count = self.ta_pending.popleft()

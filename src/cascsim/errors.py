@@ -29,16 +29,8 @@ class EmptyTraceError(CascSimError, ValueError):
     """An operation that needs at least one trace record got none."""
 
 
-class InvalidDistributionError(CascSimError, ValueError):
-    """A probability vector is malformed (wrong length, negative, or not normalized)."""
-
-
 class InvalidTargetError(CascSimError, ValueError):
     """A calibration target is outside the open interval (0, 1)."""
-
-
-class QueueUnderflowError(CascSimError, RuntimeError):
-    """More requests were dequeued than the queue holds."""
 
 
 class GridOverflowError(CascSimError, ValueError):

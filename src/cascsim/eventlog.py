@@ -133,7 +133,7 @@ def rebuild_event_log(run, report: MetricsReport, end_ms: float) -> list[str]:
     for k, s in enumerate(tick_seq.tolist()):
         queue_len, b_bar, flush, updates = run.ticks[k]
         lines.append(f"{run.tick_time[k]!r}\t{s}\t{EVENT_SCHEDULER_TICK}\t" + json.dumps(
-            {"queue_len": queue_len, "b_bar": b_bar, "capacity": run.policy.capacity,
+            {"queue_len": queue_len, "b_bar": b_bar, "capacity": run.capacity,
              "flush": flush, "updates": updates}, sort_keys=True))
     lines += [f'{t!r}\t{s}\t{EVENT_THRESHOLD_APPLIED}\t{{"device": {d}, "reason": '
               f'"{r}", "threshold": {v!r}}}'

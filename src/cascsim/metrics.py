@@ -113,20 +113,6 @@ def forward_rate(samples, in_flight: int = 0) -> float:
     return (int(cols.served.sum()) + in_flight) / decided
 
 
-def windowed_throughput(samples, window_ms: float) -> list[tuple[float, float]]:
-    """Completion rate per fixed window, for plateau visualization.
-
-    Returns (window end ms, samples/s) pairs covering the whole run."""
-    if window_ms <= 0:
-        raise InvalidParamsError(f"window must be positive, got {window_ms}")
-    cols = SampleColumns.of(samples)
-    if not len(cols):
-        return []
-    counts = np.bincount((cols.completion_ms // window_ms).astype(np.int64))
-    return [((i + 1) * window_ms, c / (window_ms / 1000.0))
-            for i, c in enumerate(counts.tolist())]
-
-
 def aggregate_by_tier(samples, device_tiers: dict[int, str],
                       makespan_ms: float, slos_ms: Sequence[float],
                       in_flight_by_tier: Optional[dict[str, int]] = None) -> dict:

@@ -1,5 +1,5 @@
 """Threshold control loop: reactive change rule, fractional updates, tier
-prioritization, and the emergency flush, plus the static no-op baseline.
+prioritization, and the emergency flush. The static baseline runs no loop.
 
 Every tick the controller compares the recent average batch size and the queue
 length against weighted fractions of the server's capacity. Sustained pressure
@@ -189,8 +189,8 @@ def flush_check(state: SchedulerState, queue_length: int, capacity: int,
 
 
 def scheduler_tick(devices: list[DeviceState], state: SchedulerState,
-                   queue_length: int, capacity: int, cfg: SchedulerConfig,
-                   now_ms: float = 0.0) -> list[ThresholdUpdate]:
+                   queue_length: int, capacity: int,
+                   cfg: SchedulerConfig) -> list[ThresholdUpdate]:
     """One control-loop invocation; returns the threshold updates to deliver."""
     state.tick_ordinal += 1
     transition = flush_check(state, queue_length, capacity, cfg, devices)
@@ -214,49 +214,3 @@ def scheduler_tick(devices: list[DeviceState], state: SchedulerState,
         state.last_update_tick[device_id] = state.tick_ordinal
         updates.append(ThresholdUpdate(device_id, device.threshold, direction.value))
     return updates
-
-
-def baseline_tick(devices: list[DeviceState], state: SchedulerState,
-                  queue_length: int, capacity: int, cfg: SchedulerConfig,
-                  now_ms: float = 0.0) -> list[ThresholdUpdate]:
-    """Static baseline: thresholds never move."""
-    return []
-
-
-class AdaptivePolicy:
-    """Stateful wrapper binding the control loop to one simulation run."""
-
-    kind = "multitasc"
-
-    def __init__(self, cfg: SchedulerConfig, capacity: int):
-        cfg.validate()
-        self.cfg = cfg
-        self.capacity = capacity
-        self.state = SchedulerState(cfg.window)
-
-    def record_batch(self, batch_size: int) -> None:
-        self.state.record_batch(batch_size)
-
-    def tick(self, devices: list[DeviceState], queue_length: int,
-             now_ms: float) -> list[ThresholdUpdate]:
-        return scheduler_tick(devices, self.state, queue_length,
-                              self.capacity, self.cfg, now_ms)
-
-
-class StaticPolicy:
-    """Fixed-threshold baseline; ignores everything it observes."""
-
-    kind = "static"
-
-    def __init__(self, cfg: SchedulerConfig, capacity: int):
-        self.cfg = cfg
-        self.capacity = capacity
-        self.state = SchedulerState(cfg.window)
-
-    def record_batch(self, batch_size: int) -> None:
-        self.state.record_batch(batch_size)
-
-    def tick(self, devices: list[DeviceState], queue_length: int,
-             now_ms: float) -> list[ThresholdUpdate]:
-        return baseline_tick(devices, self.state, queue_length,
-                             self.capacity, self.cfg, now_ms)

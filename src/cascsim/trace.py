@@ -1,4 +1,4 @@
-"""Per-sample trace data model: synthetic generation, CSV ingestion, forward-rate estimation.
+"""Per-sample trace data model: synthetic generation and CSV ingestion.
 
 A trace stands in for running the real model pair. Each record keeps the light
 model's confidence gap (difference of the two largest softmax probabilities)
@@ -226,16 +226,3 @@ def write_trace_csv(trace: TraceSet, stream) -> None:
     for rec in trace:
         stream.write(f"{rec.sample_index},{rec.bvsb!r},"
                      f"{int(rec.light_correct)},{int(rec.heavy_correct)}\n")
-
-
-def trace_forward_rate(trace: TraceSet, threshold: float) -> float:
-    """Fraction of records whose confidence gap falls strictly below threshold.
-
-    This is the empirical probability that a device holding this trace would
-    forward a sample at the given decision threshold. Empty trace yields 0.
-    """
-    if not 0.0 <= threshold <= 1.0:
-        raise InvalidParamsError(f"threshold must be in [0, 1], got {threshold}")
-    if len(trace) == 0:
-        return 0.0
-    return float((trace.bvsb < threshold).mean())

@@ -1,8 +1,9 @@
 """Reference per-event engine: one heap event per sample, processed in (time, sequence) order.
 
 This is the engine cascsim shipped before its epoch-stepped engine, kept
-unchanged apart from its imports and two pieces the package no longer has:
-the FIFO request queue and the per-device decision counters.
+unchanged apart from its imports and three pieces the package no longer has:
+the FIFO request queue, the per-device decision counters and the policy object
+that binds the control loop to a run.
 It is the independent oracle the production engine is compared against, the
 same role ``compute_capacity_exact`` plays for the greedy capacity solver.
 It is slow (one Python call per event) and is never used outside the tests.
@@ -19,10 +20,10 @@ from typing import Optional, Sequence
 from cascsim import metrics as metrics_mod
 from cascsim.config import ExperimentConfig
 from cascsim.engine import classify_server_state, estimate_arrival_rate
-from cascsim.errors import ConfigError, QueueUnderflowError, TraceMissingError
+from cascsim.errors import CascSimError, ConfigError, TraceMissingError
 from cascsim.metrics import MetricsReport, SampleColumns, SampleLifetime
-from cascsim.scheduler import AdaptivePolicy, StaticPolicy
 from cascsim.scheduler import DeviceState as _ControllerDeviceState
+from cascsim.scheduler import SchedulerState, scheduler_tick
 from cascsim.server import compute_capacity_greedy, select_batch_size
 from cascsim.trace import TraceSet
 
@@ -33,6 +34,29 @@ EVENT_SCHEDULER_TICK = "scheduler_tick"
 EVENT_THRESHOLD_APPLIED = "threshold_applied"
 EVENT_RESPONSE_ARRIVAL = "response_arrival"
 EVENT_RUN_END = "run_end"
+
+
+class QueueUnderflowError(CascSimError, RuntimeError):
+    """More requests were dequeued than the queue holds."""
+
+
+class Policy:
+    """The control loop bound to one run; the static baseline never moves a threshold."""
+
+    def __init__(self, kind: str, cfg, capacity: int):
+        self.adaptive = kind == "multitasc"
+        self.cfg = cfg
+        self.capacity = capacity
+        self.state = SchedulerState(cfg.window)
+
+    def record_batch(self, batch_size: int) -> None:
+        self.state.record_batch(batch_size)
+
+    def tick(self, devices, queue_length: int, now_ms: float) -> list:
+        if not self.adaptive:
+            return []
+        return scheduler_tick(devices, self.state, queue_length, self.capacity, self.cfg)
+
 
 @dataclass(frozen=True, slots=True)
 class QueuedRequest:
@@ -129,8 +153,8 @@ class _Run:
             self.devices.append(_DeviceRuntime(state, trace, group.t_inf_ms, offset))
 
         capacity = compute_capacity_greedy(self.table, experiment.scheduler.config.slo_ms)
-        policy_cls = AdaptivePolicy if experiment.scheduler.kind == "multitasc" else StaticPolicy
-        self.policy = policy_cls(experiment.scheduler.config, capacity.capacity)
+        self.policy = Policy(experiment.scheduler.kind, experiment.scheduler.config,
+                             capacity.capacity)
 
         self.total_samples = sum(len(d.trace) for d in self.devices)
         self.queue = RequestQueue()

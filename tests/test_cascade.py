@@ -3,38 +3,15 @@ import pytest
 
 from cascsim.cascade import (
     CALIBRATION_GRID,
-    Decision,
     Threshold,
-    bvsb,
     calibrate_static_threshold,
     cascade_accuracy,
-    cascade_outcome,
-    decide,
+    forwards,
 )
-from cascsim.errors import EmptyTraceError, InvalidDistributionError, InvalidTargetError
-from cascsim.trace import TraceRecord, generate_synthetic_trace, SyntheticTraceParams
+from cascsim.errors import EmptyTraceError, InvalidTargetError
+from cascsim.trace import generate_synthetic_trace, SyntheticTraceParams
 
 from conftest import make_trace
-
-
-class TestBvsb:
-    def test_top_two_gap(self):
-        assert bvsb([0.7, 0.2, 0.1]) == pytest.approx(0.5)
-
-    def test_one_hot(self):
-        assert bvsb([1.0, 0.0, 0.0, 0.0]) == 1.0
-
-    def test_uniform(self):
-        assert bvsb([0.25] * 4) == 0.0
-
-    @pytest.mark.parametrize("bad", [
-        [1.0],                      # too short
-        [0.9, 0.2],                 # does not sum to 1
-        [1.1, -0.1],                # negative entry
-    ])
-    def test_invalid_distribution(self, bad):
-        with pytest.raises(InvalidDistributionError):
-            bvsb(bad)
 
 
 class TestThreshold:
@@ -49,44 +26,38 @@ class TestThreshold:
 
 
 class TestDecide:
+    """The keep/forward rule: a confidence gap below the threshold forwards."""
+
     def test_boundary_keeps_local(self):
-        assert decide(0.5, Threshold(0.5)) is Decision.KEEP_LOCAL
+        assert not forwards(0.5, 0.5)
 
     def test_zero_threshold_keeps_everything(self):
-        for score in (0.0, 0.3, 1.0):
-            assert decide(score, Threshold(0.0)) is Decision.KEEP_LOCAL
+        assert not forwards(np.array([0.0, 0.3, 1.0]), 0.0).any()
 
     def test_below_threshold_forwards(self):
-        assert decide(0.49, Threshold(0.5)) is Decision.FORWARD
+        assert forwards(0.49, 0.5)
 
     def test_monotone_in_threshold(self):
         # raising the threshold never flips forward back to keep_local
         rng = np.random.default_rng(0)
-        for score in rng.random(50):
-            forwarded = False
-            for t in np.linspace(0, 1, 51):
-                d = decide(float(score), Threshold(float(t)))
-                if d is Decision.FORWARD:
-                    forwarded = True
-                else:
-                    assert not forwarded, "keep_local after forward while raising threshold"
+        grid = forwards(rng.random(50)[:, None], np.linspace(0, 1, 51)[None, :])
+        assert (grid[:, 1:] >= grid[:, :-1]).all()
 
 
 class TestCascadeOutcome:
+    """Which model answers a one-record trace, read from its cascade accuracy."""
+
     def test_local_branch(self):
-        rec = TraceRecord(0, 0.9, True, True)
-        out = cascade_outcome(rec, Threshold(0.5))
-        assert (out.location, out.correct) == ("local", True)
+        trace = make_trace([0.9], [True], [False])
+        assert cascade_accuracy(trace, Threshold(0.5)) == 1.0
 
     def test_server_branch(self):
-        rec = TraceRecord(0, 0.1, True, False)
-        out = cascade_outcome(rec, Threshold(0.5))
-        assert (out.location, out.correct) == ("server", False)
+        trace = make_trace([0.1], [True], [False])
+        assert cascade_accuracy(trace, Threshold(0.5)) == 0.0
 
     def test_boundary_keeps_local_even_when_wrong(self):
-        rec = TraceRecord(0, 1.0, False, True)
-        out = cascade_outcome(rec, Threshold(1.0))
-        assert (out.location, out.correct) == ("local", False)
+        trace = make_trace([1.0], [False], [True])
+        assert cascade_accuracy(trace, Threshold(1.0)) == 0.0
 
 
 def enumeration_accuracy(trace, threshold: float) -> float:

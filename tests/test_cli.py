@@ -7,8 +7,7 @@ from cascsim.cli import main
 from cascsim.config import config_from_dict, load_config
 from cascsim.errors import ConfigError
 from cascsim.trace import generate_synthetic_trace, SyntheticTraceParams, write_trace_csv
-from cascsim.cascade import CALIBRATION_GRID
-from cascsim.trace import trace_forward_rate
+from cascsim.cascade import CALIBRATION_GRID, trace_forward_rate
 
 
 def tiny_config_doc(count=2, kind="static"):
@@ -158,6 +157,21 @@ class TestCalibrateCommand:
         assert [g["tier"] for g in doc["thresholds"]] == ["low", "mid", "high"]
         assert all(0.0 <= g["threshold"] <= 1.0 for g in doc["thresholds"])
 
+    def test_config_target_is_kept_unless_a_flag_is_given(self, tmp_path, capsys):
+        doc = json.loads(load_config("homog_efflite0_inceptionv3").to_json())
+        doc["scheduler"]["calibration"]["target_forward_rate"] = 0.5
+        cfg_path = write_config(tmp_path, doc)
+        simulated = load_config(cfg_path).resolve_initial_thresholds()[0].value
+        assert main(["calibrate", "--config", cfg_path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["target_forward_rate"] == 0.5
+        assert out["thresholds"][0]["threshold"] == simulated
+        assert main(["calibrate", "--config", cfg_path, "--target", "0.3"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["target_forward_rate"] == 0.3
+        assert out["thresholds"][0]["threshold"] == \
+            load_config("homog_efflite0_inceptionv3").resolve_initial_thresholds()[0].value
+
     def test_needs_a_source(self, capsys):
         assert main(["calibrate", "--target", "0.3"]) == 1
 
@@ -182,7 +196,9 @@ class TestConfigRoundTrip:
 
 
 class TestNonFiniteConfig:
-    """Every float the engine reads must be finite; NaN and Infinity parse from JSON."""
+    """Every float the engine reads must be finite (NaN and Infinity parse from
+    JSON), every value must have its field's JSON type, and every key must name
+    a field."""
 
     @pytest.mark.parametrize("field, edit", [
         ("fleet[0].t_inf_ms", lambda d: d["fleet"][0].update(t_inf_ms=float("nan"))),
@@ -204,6 +220,13 @@ class TestNonFiniteConfig:
         ("slos_ms", lambda d: d.update(slos_ms=[float("inf")])),
         ("sim.horizon_ms", lambda d: d.update(sim={"horizon_ms": float("nan")})),
         ("sim.horizon_ms", lambda d: d.update(sim={"horizon_ms": float("inf")})),
+        ("scheduler.window", lambda d: d["scheduler"].update(window="x")),
+        ("fleet[0].count", lambda d: d["fleet"][0].update(count=2.7)),
+        ("seeds[0]", lambda d: d.update(seeds=[True])),
+        ("fleet[0]", lambda d: d.update(fleet=[3])),
+        ("schedular", lambda d: d.update(schedular=d.pop("scheduler"))),
+        ("sim.include_local_in_latency",
+         lambda d: d.update(sim={"include_local_in_latency": "no"})),
     ])
     def test_rejected_with_field_path(self, field, edit):
         doc = tiny_config_doc()
@@ -221,3 +244,11 @@ class TestNonFiniteConfig:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert err["message"].startswith("network.downlink_ms:")
+
+    def test_cli_wrong_type_exits_1_with_json_error(self, tmp_path, capsys):
+        doc = tiny_config_doc()
+        doc["scheduler"]["window"] = "x"
+        assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith("scheduler.window:")

@@ -1,0 +1,52 @@
+"""Mutated preset documents either parse to a valid config or raise ConfigError."""
+
+import copy
+import json
+from importlib import resources
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cascsim.config import config_from_dict, preset_names
+from cascsim.errors import ConfigError
+
+PRESETS = [json.loads(resources.files("cascsim").joinpath("presets", f"{name}.json")
+                      .read_text(encoding="utf-8")) for name in preset_names()]
+
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.just(10 ** 400),
+                    st.floats(), st.text(max_size=6))
+JSON_VALUES = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3), max_leaves=6)
+
+
+def locations(doc, prefix=()):
+    """Key path of every value below the document root."""
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from locations(value, prefix + (key,))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.data())
+def test_mutated_presets_parse_or_raise_config_error(data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(PRESETS)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        where = data.draw(st.sampled_from(list(locations(doc))))
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        action = data.draw(st.sampled_from(("replace", "delete", "add key")))
+        if action == "replace":
+            parent[where[-1]] = data.draw(JSON_VALUES)
+        elif action == "delete":
+            del parent[where[-1]]
+        elif isinstance(parent, dict):
+            parent[data.draw(st.text(max_size=8))] = data.draw(JSON_VALUES)
+    try:
+        config = config_from_dict(doc)
+    except ConfigError:
+        return
+    config.validate()

@@ -13,7 +13,6 @@ from cascsim.metrics import (
     slo_satisfaction,
     sweep_csv_rows,
     throughput,
-    windowed_throughput,
 )
 
 from conftest import make_trace, small_config
@@ -72,17 +71,6 @@ class TestThroughputAndAccuracy:
         lts = [lifetime(10.0, location="local"), lifetime(10.0, location="server")]
         assert forward_rate(lts) == 0.5
         assert forward_rate(lts, in_flight=2) == 0.75
-
-    def test_windowed_series_sums_to_sample_count(self):
-        lts = [lifetime(10.0, start=float(s)) for s in range(0, 1000, 7)]
-        series = windowed_throughput(lts, 100.0)
-        total = sum(rate * 0.1 for _, rate in series)
-        assert total == pytest.approx(len(lts))
-        assert series[0][0] == 100.0
-
-    def test_windowed_series_needs_positive_window(self):
-        with pytest.raises(InvalidParamsError):
-            windowed_throughput([lifetime(10.0)], 0.0)
 
 
 class TestTierAggregation:

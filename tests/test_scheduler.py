@@ -1,6 +1,7 @@
 import pytest
 
 from cascsim.cascade import Threshold
+from cascsim.engine import parse_event_log_line, run_simulation
 from cascsim.errors import InvalidParamsError
 from cascsim.scheduler import (
     DeviceState,
@@ -9,12 +10,13 @@ from cascsim.scheduler import (
     SchedulerConfig,
     SchedulerState,
     Tier,
-    baseline_tick,
     flush_check,
     scheduler_tick,
     select_update_targets,
     threshold_change,
 )
+
+from conftest import small_config
 
 
 def cfg(**overrides) -> SchedulerConfig:
@@ -241,13 +243,24 @@ class TestSchedulerTick:
 
 class TestBaseline:
     def test_never_updates(self):
-        devices = fleet(mid=5, threshold=0.62)
-        state = SchedulerState(window=5)
-        for b in (32, 32, 32):
-            state.record_batch(b)
-        for _ in range(100):
-            assert baseline_tick(devices, state, 500, 36, cfg()) == []
-        assert all(d.threshold.value == 0.62 for d in devices)
+        """Under queue pressure that moves the adaptive loop's thresholds, a
+        static run applies no update and decides every sample at its initial
+        threshold."""
+        logs = {}
+        for kind in ("static", "multitasc"):
+            config = small_config(groups=[("mid", 5, 10.0)], table_entries={1: 15, 2: 20},
+                                  kind=kind, threshold=0.62, trace_count=300,
+                                  sched_overrides=dict(tick_period_ms=100.0))
+            report = run_simulation(config, seed=1, collect_event_log=True)
+            logs[kind] = [parse_event_log_line(line) for line in report.event_log]
+        assert any(e.kind == "threshold_applied" for e in logs["multitasc"])
+        static = logs["static"]
+        ticks = [e for e in static if e.kind == "scheduler_tick"]
+        assert ticks and all(e.payload["updates"] == [] for e in ticks)
+        assert max(e.payload["queue_len"] for e in ticks) > ticks[0].payload["capacity"]
+        assert not any(e.kind == "threshold_applied" for e in static)
+        assert {e.payload["threshold"] for e in static
+                if e.kind == "device_sample_done"} == {0.62}
 
 
 class TestStateAccounting:

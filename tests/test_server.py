@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cascsim.errors import GridOverflowError, InvalidParamsError, QueueUnderflowError
+from cascsim.errors import GridOverflowError, InvalidParamsError
 from cascsim.server import (
     BatchLatencyTable,
     compute_capacity_exact,
@@ -10,7 +10,7 @@ from cascsim.server import (
 )
 
 from conftest import random_monotone_table
-from oracle_engine import QueuedRequest, RequestQueue
+from oracle_engine import QueuedRequest, QueueUnderflowError, RequestQueue
 
 
 class TestBatchLatencyTable:

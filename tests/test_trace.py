@@ -9,12 +9,12 @@ from cascsim.errors import (
     TraceParseError,
     TraceRangeError,
 )
+from cascsim.cascade import trace_forward_rate
 from cascsim.trace import (
     SyntheticTraceParams,
     TraceSet,
     generate_synthetic_trace,
     load_trace_csv,
-    trace_forward_rate,
     write_trace_csv,
 )
 
