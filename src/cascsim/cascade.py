@@ -9,11 +9,13 @@ rule is written.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
-from .errors import EmptyTraceError, InvalidParamsError, InvalidTargetError
+from .errors import ConfigError, EmptyTraceError, InvalidParamsError, InvalidTargetError
 from .trace import TraceSet
 
 # Resolution of the calibration scan; 201 uniform points over [0, 1].
@@ -48,6 +50,18 @@ class CalibrationSpec:
     accuracy_tolerance: float = 0.01
     count: int = 10_000
     seed: int = 90210
+
+    def validate(self) -> None:
+        tolerance = self.accuracy_tolerance
+        for name, ok, rule in (
+                ("target_forward_rate", 0.0 < self.target_forward_rate < 1.0, "in (0, 1)"),
+                ("accuracy_tolerance", isfinite(tolerance) and tolerance >= 0.0,
+                 "finite and non-negative"),
+                ("count", 1 <= self.count <= sys.maxsize, f"in [1, {sys.maxsize}]"),
+                ("seed", self.seed >= 0, "non-negative")):
+            if not ok:
+                raise ConfigError(f"scheduler.calibration.{name}",
+                                  f"must be {rule}, got {getattr(self, name)}")
 
 
 def forwards(bvsb, threshold):
@@ -92,7 +106,7 @@ def calibrate_static_threshold(calibration_trace: TraceSet,
     if not 0.0 < target_forward_rate < 1.0:
         raise InvalidTargetError(
             f"target_forward_rate must be in (0, 1), got {target_forward_rate}")
-    if accuracy_tolerance < 0.0:
+    if not accuracy_tolerance >= 0.0:  # NaN fails too
         raise InvalidTargetError(
             f"accuracy_tolerance must be non-negative, got {accuracy_tolerance}")
 

@@ -11,6 +11,7 @@ preset files.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from enum import Enum
 from importlib import resources
@@ -55,8 +56,8 @@ class FleetGroup:
     model: str = ""
 
     def validate(self, path: str) -> None:
-        if self.count < 1:
-            raise ConfigError(f"{path}.count", f"must be >= 1, got {self.count}")
+        if not 1 <= self.count <= sys.maxsize:
+            raise ConfigError(f"{path}.count", f"must be in [1, {sys.maxsize}], got {self.count}")
         if not (isfinite(self.t_inf_ms) and self.t_inf_ms > 0):
             raise ConfigError(f"{path}.t_inf_ms",
                               f"must be finite and positive, got {self.t_inf_ms}")
@@ -96,6 +97,8 @@ class SchedulerSpec:
         if self.initial_threshold is not None and not 0.0 <= self.initial_threshold <= 1.0:
             raise ConfigError("scheduler.initial_threshold",
                               f"must be in [0, 1], got {self.initial_threshold}")
+        if self.calibration is not None:
+            self.calibration.validate()
 
 
 @dataclass(frozen=True)
@@ -131,10 +134,6 @@ class ExperimentConfig:
             raise ConfigError("sim.horizon_ms",
                               f"must be finite and positive when set, got {self.horizon_ms}")
 
-    @property
-    def total_devices(self) -> int:
-        return sum(g.count for g in self.fleet)
-
     def with_device_count(self, devices: int) -> "ExperimentConfig":
         """Rescale the fleet to a total device count, split equally across groups."""
         groups = len(self.fleet)
@@ -167,10 +166,8 @@ class ExperimentConfig:
                 if csv_trace is not None:
                     traces[device_id] = csv_trace
                 else:
-                    traces[device_id] = generate_synthetic_trace(
-                        group.synthetic, [seed, device_id],
-                        light_model_name=group.model or "synthetic-light",
-                        heavy_model_name=self.server_model or "synthetic-heavy")
+                    traces[device_id] = generate_synthetic_trace(group.synthetic,
+                                                                 [seed, device_id])
                 device_id += 1
         return traces
 

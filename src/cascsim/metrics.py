@@ -1,8 +1,7 @@
 """Run evaluation: latency-SLO satisfaction, throughput, accuracy, tier rollups.
 
 All functions are pure post-processing over the per-sample results a run
-produces, held as numpy columns (``SampleColumns``); a sequence of
-``SampleLifetime`` records is accepted too and converted. Throughput is
+produces, held as numpy columns (``SampleColumns``). Throughput is
 finalized samples over the run makespan; satisfaction counts samples whose
 end-to-end latency fits the objective, with any samples still in flight at a
 forced horizon counted as violations.
@@ -12,24 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidParamsError
-
-
-@dataclass(frozen=True, slots=True)
-class SampleLifetime:
-    """End-to-end story of one sample, from local-inference start to final result."""
-
-    device_id: int
-    sample_index: int
-    start_ms: float
-    completion_ms: float
-    location: str  # "local" or "server"
-    correct: bool
-    latency_ms: float
 
 
 class SampleColumns:
@@ -49,90 +35,65 @@ class SampleColumns:
         self.correct = np.asarray(correct, dtype=bool)
         self.latency_ms = np.asarray(latency_ms, dtype=np.float64)
 
-    @classmethod
-    def of(cls, samples: Union["SampleColumns", Sequence[SampleLifetime]]) -> "SampleColumns":
-        """The columns themselves, or the columns of a sequence of lifetimes."""
-        if isinstance(samples, cls):
-            return samples
-        return cls([lt.device_id for lt in samples], [lt.sample_index for lt in samples],
-                   [lt.start_ms for lt in samples], [lt.completion_ms for lt in samples],
-                   [lt.location == "server" for lt in samples],
-                   [lt.correct for lt in samples], [lt.latency_ms for lt in samples])
-
     def __len__(self) -> int:
         return int(self.device_id.size)
 
     def select(self, mask) -> "SampleColumns":
         return SampleColumns(*(getattr(self, name)[mask] for name in self.__slots__))
 
-    def records(self) -> list[dict]:
-        """One dict per sample, in the ``SampleLifetime`` field layout."""
-        location = np.where(self.served, "server", "local").tolist()
-        return [dict(zip(SampleLifetime.__slots__, row)) for row in zip(
-            self.device_id.tolist(), self.sample_index.tolist(), self.start_ms.tolist(),
-            self.completion_ms.tolist(), location, self.correct.tolist(),
-            self.latency_ms.tolist())]
 
-    def lifetimes(self) -> list[SampleLifetime]:
-        return [SampleLifetime(**record) for record in self.records()]
-
-
-def slo_satisfaction(samples, slo_ms: float, in_flight: int = 0) -> float:
+def slo_satisfaction(samples: SampleColumns, slo_ms: float, in_flight: int = 0) -> float:
     """Fraction of samples finishing within the latency objective.
 
     in_flight samples (cut off by a horizon) count against the rate.
     """
-    cols = SampleColumns.of(samples)
-    if not len(cols) and in_flight == 0:
+    if not len(samples) and in_flight == 0:
         raise InvalidParamsError("slo_satisfaction needs at least one sample")
-    satisfied = int((cols.latency_ms <= slo_ms).sum())
-    return satisfied / (len(cols) + in_flight)
+    satisfied = int((samples.latency_ms <= slo_ms).sum())
+    return satisfied / (len(samples) + in_flight)
 
 
-def throughput(samples, makespan_ms: float) -> float:
+def throughput(samples: SampleColumns, makespan_ms: float) -> float:
     """Finalized samples per second over the run makespan."""
     if makespan_ms <= 0:
         raise InvalidParamsError(f"makespan must be positive, got {makespan_ms}")
-    return len(SampleColumns.of(samples)) / (makespan_ms / 1000.0)
+    return len(samples) / (makespan_ms / 1000.0)
 
 
-def accuracy(samples) -> float:
+def accuracy(samples: SampleColumns) -> float:
     """Fraction of finalized samples answered correctly."""
-    cols = SampleColumns.of(samples)
-    if not len(cols):
+    if not len(samples):
         raise InvalidParamsError("accuracy needs at least one sample")
-    return int(cols.correct.sum()) / len(cols)
+    return int(samples.correct.sum()) / len(samples)
 
 
-def forward_rate(samples, in_flight: int = 0) -> float:
+def forward_rate(samples: SampleColumns, in_flight: int = 0) -> float:
     """Fraction of decided samples that went to the server."""
-    cols = SampleColumns.of(samples)
-    decided = len(cols) + in_flight
+    decided = len(samples) + in_flight
     if decided == 0:
         return 0.0
-    return (int(cols.served.sum()) + in_flight) / decided
+    return (int(samples.served.sum()) + in_flight) / decided
 
 
-def aggregate_by_tier(samples, device_tiers: dict[int, str],
+def aggregate_by_tier(samples: SampleColumns, device_tiers: dict[int, str],
                       makespan_ms: float, slos_ms: Sequence[float],
                       in_flight_by_tier: Optional[dict[str, int]] = None) -> dict:
     """Per-tier accuracy, throughput, and satisfaction.
 
     Tier throughputs share the run-wide makespan so they sum to the total.
     """
-    cols = SampleColumns.of(samples)
     in_flight_by_tier = in_flight_by_tier or {}
     names = sorted(set(device_tiers.values()))
     lookup = np.full(max(device_tiers, default=-1) + 1, -1, dtype=np.int64)
     for device_id, tier in device_tiers.items():
         lookup[device_id] = names.index(tier)
-    sample_codes = lookup[cols.device_id]
+    sample_codes = lookup[samples.device_id]
     counts = np.bincount(sample_codes, minlength=len(names))
     tiers = {names[i] for i in np.flatnonzero(counts).tolist()} | set(in_flight_by_tier)
 
     report = {}
     for tier in sorted(tiers):
-        tier_cols = cols.select(sample_codes == names.index(tier))
+        tier_cols = samples.select(sample_codes == names.index(tier))
         stuck = in_flight_by_tier.get(tier, 0)
         report[tier] = {
             "samples": len(tier_cols),
@@ -171,13 +132,8 @@ class MetricsReport:
     samples: Optional[SampleColumns] = field(default=None, repr=False)
     event_log: Optional[list[str]] = field(default=None, repr=False)
 
-    @property
-    def sample_lifetimes(self) -> Optional[list[SampleLifetime]]:
-        """The finalized samples as records, built on demand from ``samples``."""
-        return None if self.samples is None else self.samples.lifetimes()
-
-    def to_dict(self, include_lifetimes: bool = False) -> dict:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "scheduler_kind": self.scheduler_kind,
             "device_count": self.device_count,
             "seed": self.seed,
@@ -197,12 +153,9 @@ class MetricsReport:
             "samples_served": self.samples_served,
             "samples_in_flight": self.samples_in_flight,
         }
-        if include_lifetimes and self.samples is not None:
-            doc["sample_lifetimes"] = self.samples.records()
-        return doc
 
-    def to_json(self, include_lifetimes: bool = False) -> str:
-        return json.dumps(self.to_dict(include_lifetimes), sort_keys=True, indent=2)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def mean_report(reports: Sequence[MetricsReport]) -> dict:

@@ -11,6 +11,7 @@ and the tier ordering decides who gets touched first.
 from __future__ import annotations
 
 import enum
+import sys
 from collections import deque
 from dataclasses import dataclass
 from math import ceil
@@ -67,8 +68,9 @@ class SchedulerConfig:
             raise InvalidParamsError(f"update_fraction must be in [0, 1], got {self.update_fraction}")
         if not 0.0 <= self.margin <= 1.0:
             raise InvalidParamsError(f"margin must be in [0, 1], got {self.margin}")
-        if self.window < 1:
-            raise InvalidParamsError(f"window must be a positive integer, got {self.window}")
+        if not 1 <= self.window <= sys.maxsize:
+            raise InvalidParamsError(
+                f"window must be in [1, {sys.maxsize}], got {self.window}")
         if self.alpha <= 0 or self.beta <= 0:
             raise InvalidParamsError("alpha and beta must be positive")
         if self.beta >= self.alpha:

@@ -9,8 +9,10 @@ semantics ever look at.
 from __future__ import annotations
 
 import io
+import sys
 from dataclasses import dataclass
-from typing import Iterator, Union
+from math import isfinite
+from typing import Union
 
 import numpy as np
 
@@ -23,38 +25,22 @@ from .errors import (
 
 TRACE_CSV_HEADER = "sample_index,bvsb,light_correct,heavy_correct"
 
-SOURCE_SYNTHETIC = "synthetic"
-SOURCE_FILE = "file"
-
-
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
-    sample_index: int
-    bvsb: float
-    light_correct: bool
-    heavy_correct: bool
-
 
 class TraceSet:
-    """Ordered, immutable collection of trace records backed by numpy arrays.
+    """Ordered, immutable trace held as three read-only numpy columns.
 
-    sample_index values are implicit and consecutive from 0; the columns are
-    exposed both as arrays (for vectorized math) and as TraceRecord views.
+    Row i is sample i: sample indices are implicit and consecutive from 0.
     """
 
-    __slots__ = ("bvsb", "light_correct", "heavy_correct", "source",
-                 "light_model_name", "heavy_model_name")
+    __slots__ = ("bvsb", "light_correct", "heavy_correct")
 
-    def __init__(self, bvsb, light_correct, heavy_correct,
-                 source: str = SOURCE_SYNTHETIC,
-                 light_model_name: str = "light",
-                 heavy_model_name: str = "heavy"):
+    def __init__(self, bvsb, light_correct, heavy_correct):
         bvsb = np.asarray(bvsb, dtype=np.float64)
         light = np.asarray(light_correct, dtype=bool)
         heavy = np.asarray(heavy_correct, dtype=bool)
         if not (bvsb.shape == light.shape == heavy.shape) or bvsb.ndim != 1:
             raise InvalidParamsError("trace columns must be 1-D and equal length")
-        if bvsb.size and (bvsb.min() < 0.0 or bvsb.max() > 1.0):
+        if bvsb.size and not (bvsb.min() >= 0.0 and bvsb.max() <= 1.0):  # NaN fails too
             raise InvalidParamsError("bvsb values must lie in [0, 1]")
         bvsb.setflags(write=False)
         light.setflags(write=False)
@@ -62,31 +48,9 @@ class TraceSet:
         self.bvsb = bvsb
         self.light_correct = light
         self.heavy_correct = heavy
-        self.source = source
-        self.light_model_name = light_model_name
-        self.heavy_model_name = heavy_model_name
 
     def __len__(self) -> int:
         return int(self.bvsb.size)
-
-    def __getitem__(self, i: int) -> TraceRecord:
-        if not -len(self) <= i < len(self):
-            raise IndexError(i)
-        i = i % len(self) if len(self) else i
-        return TraceRecord(i, float(self.bvsb[i]),
-                           bool(self.light_correct[i]), bool(self.heavy_correct[i]))
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        for i in range(len(self)):
-            yield self[i]
-
-    @property
-    def light_accuracy(self) -> float:
-        return float(self.light_correct.mean()) if len(self) else 0.0
-
-    @property
-    def heavy_accuracy(self) -> float:
-        return float(self.heavy_correct.mean()) if len(self) else 0.0
 
 
 @dataclass(frozen=True)
@@ -118,10 +82,11 @@ class SyntheticTraceParams:
                 raise InvalidParamsError(f"{name} must be in [0, 1], got {p}")
         for name, shape in (("bvsb_shape_correct", self.bvsb_shape_correct),
                             ("bvsb_shape_wrong", self.bvsb_shape_wrong)):
-            if len(shape) != 2 or shape[0] <= 0 or shape[1] <= 0:
-                raise InvalidParamsError(f"{name} must be a pair of positive reals, got {shape}")
-        if self.count <= 0:
-            raise InvalidParamsError(f"count must be positive, got {self.count}")
+            if len(shape) != 2 or not all(isfinite(v) and v > 0 for v in shape):
+                raise InvalidParamsError(
+                    f"{name} must be a pair of finite positive reals, got {shape}")
+        if not 1 <= self.count <= sys.maxsize:
+            raise InvalidParamsError(f"count must be in [1, {sys.maxsize}], got {self.count}")
         marginal = self.marginal_heavy_accuracy
         if not 0.0 <= marginal <= 1.0:
             raise InvalidParamsError(f"marginal heavy accuracy {marginal} outside [0, 1]")
@@ -133,9 +98,7 @@ class SyntheticTraceParams:
             (1.0 - la) * self.heavy_accuracy_given_light_wrong
 
 
-def generate_synthetic_trace(params: SyntheticTraceParams, seed,
-                             light_model_name: str = "synthetic-light",
-                             heavy_model_name: str = "synthetic-heavy") -> TraceSet:
+def generate_synthetic_trace(params: SyntheticTraceParams, seed) -> TraceSet:
     """Generate a trace; a pure function of (params, seed).
 
     The seed may be an int or a sequence of ints (numpy SeedSequence entropy).
@@ -152,8 +115,7 @@ def generate_synthetic_trace(params: SyntheticTraceParams, seed,
     bvsb_correct = rng.beta(ac, bc, n)
     bvsb_wrong = rng.beta(aw, bw, n)
     bvsb = np.where(light, bvsb_correct, bvsb_wrong)
-    return TraceSet(bvsb, light, heavy, source=SOURCE_SYNTHETIC,
-                    light_model_name=light_model_name, heavy_model_name=heavy_model_name)
+    return TraceSet(bvsb, light, heavy)
 
 
 def _parse_bool(field: str, raw: str, row: int) -> bool:
@@ -164,9 +126,7 @@ def _parse_bool(field: str, raw: str, row: int) -> bool:
     raise TraceParseError(row, f"{field} must be 0 or 1, got {raw!r}")
 
 
-def load_trace_csv(source: Union[str, bytes, io.IOBase],
-                   light_model_name: str = "file-light",
-                   heavy_model_name: str = "file-heavy") -> TraceSet:
+def load_trace_csv(source: Union[str, bytes, io.IOBase]) -> TraceSet:
     """Load a trace from CSV text.
 
     Accepts a path, raw bytes/str content containing a newline, or a file-like
@@ -216,13 +176,12 @@ def load_trace_csv(source: Union[str, bytes, io.IOBase],
         light.append(_parse_bool("light_correct", fields[2], row_no))
         heavy.append(_parse_bool("heavy_correct", fields[3], row_no))
 
-    return TraceSet(bvsb, light, heavy, source=SOURCE_FILE,
-                    light_model_name=light_model_name, heavy_model_name=heavy_model_name)
+    return TraceSet(bvsb, light, heavy)
 
 
 def write_trace_csv(trace: TraceSet, stream) -> None:
     """Write a trace in the CSV format load_trace_csv accepts."""
     stream.write(TRACE_CSV_HEADER + "\n")
-    for rec in trace:
-        stream.write(f"{rec.sample_index},{rec.bvsb!r},"
-                     f"{int(rec.light_correct)},{int(rec.heavy_correct)}\n")
+    rows = zip(trace.bvsb.tolist(), trace.light_correct.tolist(), trace.heavy_correct.tolist())
+    for i, (bvsb, light, heavy) in enumerate(rows):
+        stream.write(f"{i},{bvsb!r},{int(light)},{int(heavy)}\n")

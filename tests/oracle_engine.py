@@ -1,9 +1,10 @@
 """Reference per-event engine: one heap event per sample, processed in (time, sequence) order.
 
 This is the engine cascsim shipped before its epoch-stepped engine, kept
-unchanged apart from its imports and three pieces the package no longer has:
-the FIFO request queue, the per-device decision counters and the policy object
-that binds the control loop to a run.
+unchanged apart from its imports and four pieces the package no longer has:
+the FIFO request queue, the per-device decision counters, the policy object
+that binds the control loop to a run and the per-sample record type (finalized
+samples go into one list per ``SampleColumns`` column instead).
 It is the independent oracle the production engine is compared against, the
 same role ``compute_capacity_exact`` plays for the greedy capacity solver.
 It is slow (one Python call per event) and is never used outside the tests.
@@ -21,7 +22,7 @@ from cascsim import metrics as metrics_mod
 from cascsim.config import ExperimentConfig
 from cascsim.engine import classify_server_state, estimate_arrival_rate
 from cascsim.errors import CascSimError, ConfigError, TraceMissingError
-from cascsim.metrics import MetricsReport, SampleColumns, SampleLifetime
+from cascsim.metrics import MetricsReport, SampleColumns
 from cascsim.scheduler import DeviceState as _ControllerDeviceState
 from cascsim.scheduler import SchedulerState, scheduler_tick
 from cascsim.server import compute_capacity_greedy, select_batch_size
@@ -161,7 +162,7 @@ class _Run:
         self.executor_busy = False
         self.heap: list[tuple[float, int, str, tuple]] = []
         self.seq = 0
-        self.lifetimes: list[SampleLifetime] = []
+        self.columns: dict[str, list] = {name: [] for name in SampleColumns.__slots__}
         self.finalized = 0
         self.local_count = 0
         self.served_count = 0
@@ -180,6 +181,11 @@ class _Run:
             self.log.append(f"{time_ms!r}\t{seq}\t{kind}\t"
                             f"{json.dumps(payload, sort_keys=True)}")
 
+    def finalize(self, *row) -> None:
+        """Record one finalized sample, one value per ``SampleColumns`` column."""
+        for name, value in zip(SampleColumns.__slots__, row):
+            self.columns[name].append(value)
+
     def _queue_changed(self, now_ms: float, old_len: int) -> None:
         self.queue_area += old_len * (now_ms - self.queue_last_change_ms)
         self.queue_last_change_ms = now_ms
@@ -196,8 +202,7 @@ class _Run:
         if keep_local:
             correct = bool(dev.trace.light_correct[index])
             latency = now - start
-            self.lifetimes.append(SampleLifetime(device_id, index, start, now,
-                                                 "local", correct, latency))
+            self.finalize(device_id, index, start, now, False, correct, latency)
             self.finalized += 1
             self.local_count += 1
         else:
@@ -261,8 +266,7 @@ class _Run:
             latency = now - start
             if not self.experiment.include_local_in_latency:
                 latency -= dev.t_inf_ms
-            self.lifetimes.append(SampleLifetime(req.device_id, req.sample_index,
-                                                 start, now, "server", correct, latency))
+            self.finalize(req.device_id, req.sample_index, start, now, True, correct, latency)
             self.finalized += 1
             self.served_count += 1
             self.in_flight_by_device[req.device_id] -= 1
@@ -342,7 +346,8 @@ class _Run:
             "sample conservation violated"
         assert in_flight >= 0
 
-        makespan = max((lt.completion_ms for lt in self.lifetimes), default=0.0)
+        samples = SampleColumns(**self.columns)
+        makespan = max(self.columns["completion_ms"], default=0.0)
         if self.experiment.horizon_ms is not None:
             makespan = min(makespan, self.experiment.horizon_ms)
             span = self.experiment.horizon_ms
@@ -355,10 +360,9 @@ class _Run:
         device_tiers = {d.state.device_id: d.state.tier.value for d in self.devices}
         slos = self.experiment.slos_ms
 
-        fr = metrics_mod.forward_rate(self.lifetimes, in_flight)
-        if self.lifetimes or in_flight:
-            satisfaction = {float(slo): metrics_mod.slo_satisfaction(self.lifetimes, slo,
-                                                                     in_flight)
+        fr = metrics_mod.forward_rate(samples, in_flight)
+        if len(samples) or in_flight:
+            satisfaction = {float(slo): metrics_mod.slo_satisfaction(samples, slo, in_flight)
                             for slo in slos}
         else:
             satisfaction = {float(slo): 0.0 for slo in slos}
@@ -366,16 +370,16 @@ class _Run:
         for device_id, count in self.in_flight_by_device.items():
             tier = device_tiers[device_id]
             in_flight_by_tier[tier] = in_flight_by_tier.get(tier, 0) + count
-        per_tier = metrics_mod.aggregate_by_tier(self.lifetimes, device_tiers,
+        per_tier = metrics_mod.aggregate_by_tier(samples, device_tiers,
                                                  makespan, slos, in_flight_by_tier)
 
         per_device_acc = []
         correct_by_device: dict[int, int] = {}
         count_by_device: dict[int, int] = {}
-        for lt in self.lifetimes:
-            count_by_device[lt.device_id] = count_by_device.get(lt.device_id, 0) + 1
-            if lt.correct:
-                correct_by_device[lt.device_id] = correct_by_device.get(lt.device_id, 0) + 1
+        for device_id, correct in zip(self.columns["device_id"], self.columns["correct"]):
+            count_by_device[device_id] = count_by_device.get(device_id, 0) + 1
+            if correct:
+                correct_by_device[device_id] = correct_by_device.get(device_id, 0) + 1
         for dev in self.devices:
             did = dev.state.device_id
             if count_by_device.get(did):
@@ -391,9 +395,9 @@ class _Run:
             device_count=len(self.devices),
             seed=self.seed,
             makespan_ms=makespan,
-            total_throughput=metrics_mod.throughput(self.lifetimes, makespan)
+            total_throughput=metrics_mod.throughput(samples, makespan)
             if makespan > 0 else 0.0,
-            cascade_accuracy=metrics_mod.accuracy(self.lifetimes) if self.lifetimes else 0.0,
+            cascade_accuracy=metrics_mod.accuracy(samples) if len(samples) else 0.0,
             device_mean_accuracy=sum(per_device_acc) / len(per_device_acc)
             if per_device_acc else 0.0,
             slo_satisfaction=satisfaction,
@@ -407,7 +411,7 @@ class _Run:
             samples_local=self.local_count,
             samples_served=self.served_count,
             samples_in_flight=in_flight,
-            samples=SampleColumns.of(self.lifetimes),
+            samples=samples,
             event_log=self.log,
         )
         if self.log is not None:

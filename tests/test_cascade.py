@@ -60,21 +60,27 @@ class TestCascadeOutcome:
         assert cascade_accuracy(trace, Threshold(1.0)) == 0.0
 
 
+def rows(trace):
+    """(bvsb, light_correct, heavy_correct) of each record, as Python values."""
+    return list(zip(trace.bvsb.tolist(), trace.light_correct.tolist(),
+                    trace.heavy_correct.tolist()))
+
+
 def enumeration_accuracy(trace, threshold: float) -> float:
     """Independent per-record oracle for cascade accuracy."""
     correct = 0
-    for rec in trace:
-        if rec.bvsb >= threshold:
-            correct += rec.light_correct
+    for bvsb, light_correct, heavy_correct in rows(trace):
+        if bvsb >= threshold:
+            correct += light_correct
         else:
-            correct += rec.heavy_correct
+            correct += heavy_correct
     return correct / len(trace)
 
 
 class TestCascadeAccuracy:
     def test_threshold_zero_equals_light_accuracy(self):
         trace = make_trace([0.2, 0.8, 0.5, 0.9], [1, 0, 1, 1], [0, 0, 0, 0])
-        assert cascade_accuracy(trace, Threshold(0.0)) == trace.light_accuracy
+        assert cascade_accuracy(trace, Threshold(0.0)) == trace.light_correct.mean()
 
     def test_hand_enumerated_mix(self):
         trace = make_trace([0.9, 0.4, 0.4, 0.8],
@@ -87,7 +93,7 @@ class TestCascadeAccuracy:
         rng = np.random.default_rng(2)
         trace = make_trace(rng.random(200), rng.random(200) < 0.6, np.ones(200, dtype=bool))
         # everything except exact-1 scores is forwarded to an always-right model
-        assert cascade_accuracy(trace, Threshold(1.0)) >= trace.heavy_accuracy - 1e-12
+        assert cascade_accuracy(trace, Threshold(1.0)) >= trace.heavy_correct.mean() - 1e-12
 
     def test_empty_trace_rejected(self):
         with pytest.raises(EmptyTraceError):
@@ -106,10 +112,11 @@ class TestCascadeAccuracy:
 def calibration_oracle(trace, target: float, tolerance: float) -> float:
     """Grid-scan oracle mirroring the calibration contract, written plainly."""
     n = len(trace)
+    records = rows(trace)
     stats = []
     for t in CALIBRATION_GRID:
-        fwd = sum(1 for r in trace if r.bvsb < t)
-        correct = sum((r.heavy_correct if r.bvsb < t else r.light_correct) for r in trace)
+        fwd = sum(1 for bvsb, _, _ in records if bvsb < t)
+        correct = sum((heavy if bvsb < t else light) for bvsb, light, heavy in records)
         stats.append((t, fwd / n, correct / n))
     best = min(stats, key=lambda s: (abs(s[1] - target), s[0]))
     max_acc = max(s[2] for s in stats)

@@ -192,13 +192,21 @@ class TestConfigRoundTrip:
         for name in preset_names():
             cfg = load_config(name)
             cfg.validate()
-            assert cfg.total_devices >= 1
+            assert len(cfg.device_groups()) >= 1
+
+
+def calibrated(**calibration):
+    """An edit that replaces the fixed initial threshold with a calibration section."""
+    def edit(doc):
+        del doc["scheduler"]["initial_threshold"]
+        doc["scheduler"]["calibration"] = calibration
+    return edit
 
 
 class TestNonFiniteConfig:
     """Every float the engine reads must be finite (NaN and Infinity parse from
-    JSON), every value must have its field's JSON type, and every key must name
-    a field."""
+    JSON), every value must have its field's JSON type and range, every size
+    must fit a machine integer, and every key must name a field."""
 
     @pytest.mark.parametrize("field, edit", [
         ("fleet[0].t_inf_ms", lambda d: d["fleet"][0].update(t_inf_ms=float("nan"))),
@@ -227,6 +235,18 @@ class TestNonFiniteConfig:
         ("schedular", lambda d: d.update(schedular=d.pop("scheduler"))),
         ("sim.include_local_in_latency",
          lambda d: d.update(sim={"include_local_in_latency": "no"})),
+        ("scheduler.calibration.target_forward_rate", calibrated(target_forward_rate=1.5)),
+        ("scheduler.calibration.accuracy_tolerance",
+         calibrated(accuracy_tolerance=float("nan"))),
+        ("scheduler.calibration.count", calibrated(count=0)),
+        ("scheduler.calibration.count", calibrated(count=10**20)),
+        ("scheduler.calibration.seed", calibrated(seed=-1)),
+        ("scheduler", lambda d: d["scheduler"].update(window=10**20)),
+        ("fleet[0].trace.synthetic",
+         lambda d: d["fleet"][0]["trace"]["synthetic"].update(count=10**20)),
+        ("fleet[0].trace.synthetic",
+         lambda d: d["fleet"][0]["trace"]["synthetic"].update(
+             bvsb_shape_correct=[float("nan"), 1.0])),
     ])
     def test_rejected_with_field_path(self, field, edit):
         doc = tiny_config_doc()
@@ -252,3 +272,21 @@ class TestNonFiniteConfig:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert err["message"].startswith("scheduler.window:")
+
+    @pytest.mark.parametrize("message, edit", [
+        ("scheduler: window", lambda d: d["scheduler"].update(window=10**20)),
+        ("fleet[0].count:", lambda d: d["fleet"][0].update(count=10**20)),
+        ("fleet[0].trace.synthetic: count",
+         lambda d: d["fleet"][0]["trace"]["synthetic"].update(count=10**20)),
+        ("scheduler.calibration.count:", calibrated(count=10**20)),
+        ("scheduler.calibration.seed:", calibrated(seed=-1)),
+        ("scheduler.calibration.accuracy_tolerance:",
+         calibrated(accuracy_tolerance=float("nan"))),
+    ])
+    def test_cli_out_of_range_exits_1_with_json_error(self, tmp_path, capsys, message, edit):
+        doc = tiny_config_doc()
+        edit(doc)
+        assert main(["simulate", "--config", write_config(tmp_path, doc)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(message)

@@ -61,7 +61,7 @@ class TestSingleDeviceClosedForms:
         assert report.samples_served == 0
         assert report.makespan_ms == 4300.0
         assert report.total_throughput == pytest.approx(100 / 4.3)
-        assert all(lt.latency_ms == 43.0 for lt in report.sample_lifetimes)
+        assert (report.samples.latency_ms == 43.0).all()
 
     def test_all_forwarded_steady_state_has_no_wait(self):
         cfg = small_config(groups=[("mid", 1, 43.0)], table_entries={1: 15},
@@ -70,7 +70,7 @@ class TestSingleDeviceClosedForms:
         report = run_simulation(cfg, {0: trace}, seed=0)
         assert report.samples_served == 100
         # local inference 43 ms, zero-delay network, batch-of-1 service 15 ms
-        assert all(lt.latency_ms == pytest.approx(58.0) for lt in report.sample_lifetimes)
+        assert report.samples.latency_ms == pytest.approx([58.0] * 100)
 
     def test_local_latency_excluded_when_configured(self):
         from dataclasses import replace
@@ -78,7 +78,7 @@ class TestSingleDeviceClosedForms:
                            threshold=1.0)
         cfg = replace(cfg, include_local_in_latency=False)
         report = run_simulation(cfg, {0: constant_trace(10, 0.5)}, seed=0)
-        assert all(lt.latency_ms == pytest.approx(15.0) for lt in report.sample_lifetimes)
+        assert report.samples.latency_ms == pytest.approx([15.0] * 10)
 
 
 class TestValidation:
@@ -117,7 +117,8 @@ class TestConservationAndCausality:
         assert report.samples_finalized == 1000
         assert report.samples_local + report.samples_served == 1000
         assert report.samples_in_flight == 0
-        seen = {(lt.device_id, lt.sample_index) for lt in report.sample_lifetimes}
+        samples = report.samples
+        seen = set(zip(samples.device_id.tolist(), samples.sample_index.tolist()))
         assert len(seen) == 1000
 
     def test_event_log_is_totally_ordered(self):
@@ -138,7 +139,7 @@ class TestConservationAndCausality:
                            threshold=0.7, uplink=3.0, downlink=2.0)
         traces = {i: constant_trace(50, 0.4) for i in range(2)}
         report = run_simulation(cfg, traces, seed=0)
-        assert all(lt.completion_ms >= lt.start_ms for lt in report.sample_lifetimes)
+        assert (report.samples.completion_ms >= report.samples.start_ms).all()
 
 
 class TestDeterminism:
@@ -161,7 +162,7 @@ class TestStartPhases:
                            threshold=0.0, start_phase="aligned")
         traces = {i: constant_trace(3, 0.5) for i in range(2)}
         report = run_simulation(cfg, traces, seed=0)
-        starts = sorted({lt.start_ms for lt in report.sample_lifetimes})
+        starts = sorted(set(report.samples.start_ms.tolist()))
         assert starts == [0.0, 43.0, 86.0]
 
     def test_staggered_devices_spread_phases(self):
@@ -169,8 +170,9 @@ class TestStartPhases:
                            threshold=0.0, start_phase="staggered")
         traces = {i: constant_trace(2, 0.5) for i in range(2)}
         report = run_simulation(cfg, traces, seed=0)
-        dev0 = [lt.start_ms for lt in report.sample_lifetimes if lt.device_id == 0]
-        dev1 = [lt.start_ms for lt in report.sample_lifetimes if lt.device_id == 1]
+        samples = report.samples
+        dev0 = samples.start_ms[samples.device_id == 0]
+        dev1 = samples.start_ms[samples.device_id == 1]
         assert min(dev0) == 0.0
         assert min(dev1) == pytest.approx(21.5)
 
@@ -186,7 +188,7 @@ class TestHorizon:
         # nothing finalized within any SLO here, so satisfaction is 0
         assert report.slo_satisfaction[100.0] == 0.0
         assert report.forward_rate == 1.0
-        assert decided == len(report.sample_lifetimes) + report.samples_in_flight
+        assert decided == len(report.samples) + report.samples_in_flight
 
 
 class TestRealizedThresholdOracle:
@@ -207,11 +209,10 @@ class TestRealizedThresholdOracle:
             if event.kind != "device_sample_done":
                 continue
             payload = event.payload
-            trace = traces[payload["device"]]
-            rec = trace[payload["sample"]]
-            forwarded = forwards(rec.bvsb, payload["threshold"])
+            trace, i = traces[payload["device"]], payload["sample"]
+            forwarded = forwards(trace.bvsb[i], payload["threshold"])
             assert payload["decision"] == ("forward" if forwarded else "keep_local")
-            correct += rec.heavy_correct if forwarded else rec.light_correct
+            correct += int((trace.heavy_correct if forwarded else trace.light_correct)[i])
             decisions += 1
         assert decisions == 1200
         assert report.cascade_accuracy == correct / decisions
@@ -249,9 +250,7 @@ class TestBaselineEquivalence:
                                                   flush_factor=1e9))
         a = run_simulation(static, copy.deepcopy(traces), seed=0)
         b = run_simulation(inert, copy.deepcopy(traces), seed=0)
-        assert [(lt.device_id, lt.sample_index, lt.completion_ms, lt.correct)
-                for lt in a.sample_lifetimes] == \
-               [(lt.device_id, lt.sample_index, lt.completion_ms, lt.correct)
-                for lt in b.sample_lifetimes]
+        for name in ("device_id", "sample_index", "completion_ms", "correct"):
+            assert np.array_equal(getattr(a.samples, name), getattr(b.samples, name)), name
         assert a.slo_satisfaction == b.slo_satisfaction
         assert a.cascade_accuracy == b.cascade_accuracy

@@ -4,8 +4,8 @@ import pytest
 from cascsim.engine import run_simulation
 from cascsim.errors import InvalidParamsError
 from cascsim.metrics import (
-    SampleLifetime,
     SWEEP_CSV_HEADER,
+    SampleColumns,
     accuracy,
     aggregate_by_tier,
     forward_rate,
@@ -18,64 +18,62 @@ from cascsim.metrics import (
 from conftest import make_trace, small_config
 
 
-def lifetime(latency, correct=True, device_id=0, location="local", start=0.0):
-    return SampleLifetime(device_id, 0, start, start + latency, location, correct, latency)
+def columns(latency, correct=True, device_id=0, served=False):
+    """Samples started at 0 with these latencies; any argument may be one value or a list."""
+    latency, correct, device_id, served = np.broadcast_arrays(latency, correct, device_id,
+                                                              served)
+    return SampleColumns(device_id, np.zeros_like(device_id), np.zeros_like(latency),
+                         latency, served, correct, latency)
 
 
 class TestSloSatisfaction:
     def test_all_within(self):
-        lts = [lifetime(43.0) for _ in range(10)]
-        assert slo_satisfaction(lts, 100.0) == 1.0
+        assert slo_satisfaction(columns([43.0] * 10), 100.0) == 1.0
 
     def test_counted_by_enumeration(self):
-        lts = [lifetime(v) for v in (50.0, 150.0, 250.0)]
-        assert slo_satisfaction(lts, 200.0) == pytest.approx(2 / 3)
+        assert slo_satisfaction(columns([50.0, 150.0, 250.0]), 200.0) == pytest.approx(2 / 3)
 
     def test_slo_below_every_latency(self):
-        lts = [lifetime(v) for v in (50.0, 150.0)]
-        assert slo_satisfaction(lts, 10.0) == 0.0
+        assert slo_satisfaction(columns([50.0, 150.0]), 10.0) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidParamsError):
-            slo_satisfaction([], 100.0)
+            slo_satisfaction(columns([]), 100.0)
 
     def test_in_flight_counts_against(self):
-        lts = [lifetime(50.0)]
-        assert slo_satisfaction(lts, 100.0, in_flight=1) == 0.5
+        assert slo_satisfaction(columns([50.0]), 100.0, in_flight=1) == 0.5
 
     def test_monotone_in_slo(self):
         rng = np.random.default_rng(1)
-        lts = [lifetime(float(v)) for v in rng.uniform(10, 500, 200)]
+        lts = columns(rng.uniform(10, 500, 200))
         sats = [slo_satisfaction(lts, s) for s in range(10, 510, 25)]
         assert all(a <= b for a, b in zip(sats, sats[1:]))
 
 
 class TestThroughputAndAccuracy:
     def test_worked_throughput(self):
-        lts = [lifetime(43.0) for _ in range(100)]
-        assert throughput(lts, 4300.0) == pytest.approx(100 / 4.3)
+        assert throughput(columns([43.0] * 100), 4300.0) == pytest.approx(100 / 4.3)
 
     def test_positive_makespan_required(self):
         with pytest.raises(InvalidParamsError):
-            throughput([], 0.0)
+            throughput(columns([]), 0.0)
 
     def test_all_correct(self):
-        lts = [lifetime(10.0, correct=True) for _ in range(5)]
-        assert accuracy(lts) == 1.0
+        assert accuracy(columns([10.0] * 5, correct=True)) == 1.0
 
     def test_fractional(self):
-        lts = [lifetime(10.0, correct=(i % 4 != 0)) for i in range(8)]
-        assert accuracy(lts) == 0.75
+        assert accuracy(columns(10.0, correct=[i % 4 != 0 for i in range(8)])) == 0.75
 
     def test_forward_rate_counts_server_and_in_flight(self):
-        lts = [lifetime(10.0, location="local"), lifetime(10.0, location="server")]
+        lts = columns(10.0, served=[False, True])
         assert forward_rate(lts) == 0.5
         assert forward_rate(lts, in_flight=2) == 0.75
 
 
 class TestTierAggregation:
     def test_single_tier_matches_totals(self):
-        lts = [lifetime(40.0, correct=(i % 2 == 0), device_id=i % 3) for i in range(12)]
+        lts = columns(40.0, correct=[i % 2 == 0 for i in range(12)],
+                      device_id=[i % 3 for i in range(12)])
         tiers = {0: "mid", 1: "mid", 2: "mid"}
         report = aggregate_by_tier(lts, tiers, makespan_ms=1000.0, slos_ms=[100.0])
         assert set(report) == {"mid"}
@@ -86,15 +84,14 @@ class TestTierAggregation:
     def test_tier_throughputs_sum_to_total(self):
         rng = np.random.default_rng(2)
         tiers = {i: ("low", "mid", "high")[i % 3] for i in range(9)}
-        lts = [lifetime(float(rng.uniform(10, 300)), device_id=int(rng.integers(9)))
-               for _ in range(500)]
+        draws = [(rng.uniform(10, 300), rng.integers(9)) for _ in range(500)]
+        lts = columns([d[0] for d in draws], device_id=[d[1] for d in draws])
         report = aggregate_by_tier(lts, tiers, makespan_ms=2000.0, slos_ms=[100.0])
         total = throughput(lts, 2000.0)
         assert sum(t["throughput"] for t in report.values()) == pytest.approx(total, rel=1e-9)
 
     def test_partition_by_tier(self):
-        lts = [lifetime(10.0, device_id=0), lifetime(10.0, device_id=1),
-               lifetime(10.0, device_id=1)]
+        lts = columns(10.0, device_id=[0, 1, 1])
         report = aggregate_by_tier(lts, {0: "low", 1: "high"}, 1000.0, [50.0])
         assert report["low"]["samples"] == 1
         assert report["high"]["samples"] == 2
@@ -153,5 +150,4 @@ class TestReportPlumbing:
         doc = json.loads(report.to_json())
         assert doc["samples_finalized"] == 100
         assert "sample_lifetimes" not in doc
-        doc = report.to_dict(include_lifetimes=True)
-        assert len(doc["sample_lifetimes"]) == 100
+        assert len(report.samples) == 100

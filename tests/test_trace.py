@@ -65,7 +65,7 @@ class TestGenerateSynthetic:
         trace = generate_synthetic_trace(p, seed=seed)
         expected = p.marginal_heavy_accuracy
         sigma = (expected * (1 - expected) / len(trace)) ** 0.5
-        assert abs(trace.heavy_accuracy - expected) <= 3 * sigma
+        assert abs(trace.heavy_correct.mean() - expected) <= 3 * sigma
 
     @pytest.mark.parametrize("bad", [
         dict(light_accuracy=1.5),
@@ -73,6 +73,8 @@ class TestGenerateSynthetic:
         dict(bvsb_shape_correct=(0.0, 1.0)),
         dict(bvsb_shape_wrong=(1.0, -2.0)),
         dict(count=-5),
+        dict(bvsb_shape_correct=(float("nan"), 1.0)),
+        dict(bvsb_shape_wrong=(1.0, float("inf"))),
     ])
     def test_invalid_params_rejected(self, bad):
         with pytest.raises(InvalidParamsError):
@@ -85,9 +87,8 @@ class TestCsv:
     def test_single_row(self):
         trace = load_trace_csv(f"{self.HEADER}\n0,0.5,1,1\n")
         assert len(trace) == 1
-        rec = trace[0]
-        assert (rec.sample_index, rec.bvsb, rec.light_correct, rec.heavy_correct) == \
-            (0, 0.5, True, True)
+        assert (trace.bvsb[0], trace.light_correct[0], trace.heavy_correct[0]) == \
+            (0.5, True, True)
 
     def test_bvsb_out_of_range_names_row(self):
         with pytest.raises(TraceRangeError) as err:
@@ -123,10 +124,15 @@ class TestCsv:
         assert np.array_equal(again.bvsb, trace.bvsb)
         assert np.array_equal(again.light_correct, trace.light_correct)
         assert np.array_equal(again.heavy_correct, trace.heavy_correct)
+        # the exact bytes: shortest round-trip floats, booleans as 0/1, LF endings
+        buf = io.StringIO()
+        write_trace_csv(make_trace([0.1, 1.0, 2 / 3], [1, 0, 1], [0, 0, 1]), buf)
+        assert buf.getvalue() == (f"{self.HEADER}\n0,0.1,1,0\n1,1.0,0,0\n"
+                                  "2,0.6666666666666666,1,1\n")
 
     def test_reads_bytes(self):
         trace = load_trace_csv(f"{self.HEADER}\n0,0.25,0,1\n".encode("utf-8"))
-        assert trace[0].bvsb == 0.25
+        assert trace.bvsb[0] == 0.25
 
 
 class TestForwardRate:
@@ -169,7 +175,5 @@ class TestTraceSet:
     def test_bvsb_bounds_enforced(self):
         with pytest.raises(InvalidParamsError):
             make_trace([1.5], [1], [1])
-
-    def test_iteration_yields_consecutive_indices(self):
-        trace = make_trace([0.1, 0.2, 0.3], [1, 0, 1], [0, 1, 1])
-        assert [r.sample_index for r in trace] == [0, 1, 2]
+        with pytest.raises(InvalidParamsError):
+            make_trace([0.5, float("nan")], [1, 1], [1, 1])
