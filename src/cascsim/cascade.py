@@ -15,7 +15,7 @@ from math import isfinite
 
 import numpy as np
 
-from .errors import ConfigError, EmptyTraceError, InvalidParamsError, InvalidTargetError
+from .errors import ConfigError
 from .trace import TraceSet
 
 # Resolution of the calibration scan; 201 uniform points over [0, 1].
@@ -74,7 +74,7 @@ def trace_forward_rate(trace: TraceSet, threshold: float) -> float:
     """Fraction of records a device holding this trace forwards at this
     threshold; an empty trace yields 0."""
     if not 0.0 <= threshold <= 1.0:
-        raise InvalidParamsError(f"threshold must be in [0, 1], got {threshold}")
+        raise ConfigError("threshold", f"must be in [0, 1], got {threshold}")
     if len(trace) == 0:
         return 0.0
     return float(forwards(trace.bvsb, threshold).mean())
@@ -83,7 +83,7 @@ def trace_forward_rate(trace: TraceSet, threshold: float) -> float:
 def cascade_accuracy(trace: TraceSet, threshold: Threshold) -> float:
     """Fraction of trace samples the cascade answers correctly at this threshold."""
     if len(trace) == 0:
-        raise EmptyTraceError("cascade_accuracy needs a non-empty trace")
+        raise ConfigError("trace", "must not be empty")
     correct = np.where(forwards(trace.bvsb, threshold.value),
                        trace.heavy_correct, trace.light_correct)
     return float(correct.mean())
@@ -102,13 +102,11 @@ def calibrate_static_threshold(calibration_trace: TraceSet,
     maximum.
     """
     if len(calibration_trace) == 0:
-        raise EmptyTraceError("calibration needs a non-empty trace")
+        raise ConfigError("trace", "must not be empty")
     if not 0.0 < target_forward_rate < 1.0:
-        raise InvalidTargetError(
-            f"target_forward_rate must be in (0, 1), got {target_forward_rate}")
+        raise ConfigError("target_forward_rate", f"must be in (0, 1), got {target_forward_rate}")
     if not accuracy_tolerance >= 0.0:  # NaN fails too
-        raise InvalidTargetError(
-            f"accuracy_tolerance must be non-negative, got {accuracy_tolerance}")
+        raise ConfigError("accuracy_tolerance", f"must be non-negative, got {accuracy_tolerance}")
 
     grid = np.asarray(CALIBRATION_GRID)
     n = len(calibration_trace)

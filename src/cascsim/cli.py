@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .cascade import (CalibrationSpec, calibrate_static_threshold, cascade_accuracy,
                       trace_forward_rate)
-from .config import ExperimentConfig, load_config, preset_names
+from .config import ExperimentConfig, load_config, preset_names, read_batch_table
 from .engine import run_simulation
 from .errors import CascSimError, ConfigError
 from .metrics import SWEEP_CSV_HEADER, mean_report, sweep_csv_rows
@@ -35,10 +35,11 @@ def _write_atomic(path: Path, text: Union[str, Iterable[str]]) -> None:
 def _parse_seed_list(raw: Optional[str], default: Sequence[int]) -> list[int]:
     if raw is None:
         return list(default)
-    try:
-        return [int(s) for s in raw.split(",") if s.strip() != ""]
-    except ValueError:
-        raise ConfigError("--seed-list", f"expected comma-separated integers, got {raw!r}") from None
+    seeds = [s.strip() for s in raw.split(",") if s.strip()]
+    if not seeds or not all(s.isdecimal() for s in seeds):
+        raise ConfigError("--seed-list",
+                          f"expected comma-separated non-negative integers, got {raw!r}")
+    return [int(s) for s in seeds]
 
 
 def _parse_device_range(raw: str) -> list[int]:
@@ -55,9 +56,9 @@ def _parse_device_range(raw: str) -> list[int]:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if getattr(args, "scheduler", None) and args.scheduler != "both":
+    if args.scheduler:
         cfg = replace(cfg, scheduler=replace(cfg.scheduler, kind=args.scheduler))
-    if getattr(args, "devices_count", None):
+    if args.devices_count is not None:
         cfg = cfg.with_device_count(args.devices_count)
     return cfg
 
@@ -123,7 +124,7 @@ def _table_from_args(args) -> BatchLatencyTable:
         entries = json.loads(args.table)
     except json.JSONDecodeError as exc:
         raise ConfigError("--table", f"invalid JSON: {exc}") from None
-    return BatchLatencyTable(entries, args.max_effective)
+    return read_batch_table(entries, args.max_effective, "--table", "--max-effective")
 
 
 def cmd_capacity(args) -> int:
@@ -146,7 +147,7 @@ def cmd_calibrate(args) -> int:
                                              ("accuracy_tolerance", args.tolerance))
              if value is not None}
     if args.trace:
-        trace = load_trace_csv(args.trace)
+        trace = load_trace_csv(args.trace, "--trace")
         threshold = calibrate_static_threshold(trace, **given)
         print(json.dumps({
             "threshold": threshold.value,

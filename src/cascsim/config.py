@@ -22,7 +22,7 @@ from typing import Optional, Union
 from .cascade import CalibrationSpec, Threshold, calibrate_static_threshold
 from .errors import ConfigError
 from .scheduler import SchedulerConfig, Tier
-from .server import BatchLatencyTable
+from .server import BATCH_POOL, BatchLatencyTable
 from .trace import SyntheticTraceParams, TraceSet, generate_synthetic_trace, load_trace_csv
 
 SCHEDULER_KINDS = ("multitasc", "static")
@@ -65,10 +65,7 @@ class FleetGroup:
             raise ConfigError(f"{path}.trace",
                               "exactly one of synthetic params or a csv path is required")
         if self.synthetic is not None:
-            try:
-                self.synthetic.validate()
-            except Exception as exc:
-                raise ConfigError(f"{path}.trace.synthetic", str(exc)) from None
+            self.synthetic.validate(f"{path}.trace.synthetic")
 
 
 @dataclass(frozen=True)
@@ -82,15 +79,7 @@ class SchedulerSpec:
         if self.kind not in SCHEDULER_KINDS:
             raise ConfigError("scheduler.kind",
                               f"must be one of {SCHEDULER_KINDS}, got {self.kind!r}")
-        for name in ("update_fraction", "margin", "alpha", "beta", "tick_period_ms",
-                     "flush_factor", "slo_ms"):
-            value = getattr(self.config, name)
-            if not isfinite(value):
-                raise ConfigError(f"scheduler.{name}", f"must be finite, got {value}")
-        try:
-            self.config.validate()
-        except Exception as exc:
-            raise ConfigError("scheduler", str(exc)) from None
+        self.config.validate()
         if (self.initial_threshold is None) == (self.calibration is None):
             raise ConfigError("scheduler",
                               "exactly one of initial_threshold or calibration is required")
@@ -160,8 +149,9 @@ class ExperimentConfig:
         (seed, device id); csv groups share the loaded file."""
         traces: dict[int, TraceSet] = {}
         device_id = 0
-        for group in self.fleet:
-            csv_trace = load_trace_csv(group.trace_csv) if group.trace_csv else None
+        for gi, group in enumerate(self.fleet):
+            csv_trace = (load_trace_csv(group.trace_csv, f"fleet[{gi}].trace.csv")
+                         if group.trace_csv else None)
             for _ in range(group.count):
                 if csv_trace is not None:
                     traces[device_id] = csv_trace
@@ -184,7 +174,7 @@ class ExperimentConfig:
         thresholds = []
         for gi, group in enumerate(self.fleet):
             if group.trace_csv is not None:
-                trace = load_trace_csv(group.trace_csv)
+                trace = load_trace_csv(group.trace_csv, f"fleet[{gi}].trace.csv")
             else:
                 params = replace(group.synthetic, count=calib.count)
                 trace = generate_synthetic_trace(params, [calib.seed, gi])
@@ -305,6 +295,18 @@ def _value(annotation: str, value, path: str):
     return value
 
 
+def read_batch_table(entries, max_effective_batch, path: str = "server.batch_latency_table",
+                     max_path: str = "server.max_effective_batch") -> BatchLatencyTable:
+    """A batch-latency table from its JSON object (batch size keys, latency values)
+    and its cap, every value read by the strict field reader."""
+    if not isinstance(entries, dict):
+        raise ConfigError(path, f"must be a JSON object, got {entries!r}")
+    sizes = {str(b): b for b in BATCH_POOL}  # any other key fails the table's pool check
+    latencies = {sizes.get(k, k): _value("float", v, _join(path, k)) for k, v in entries.items()}
+    return BatchLatencyTable(latencies, _value("Optional[int]", max_effective_batch, max_path),
+                             path, max_path)
+
+
 def _dump(obj, keys: Optional[dict[str, str]] = None, skip_none: bool = False) -> dict:
     """The JSON section of dataclass ``obj``, laid out as ``_read`` reads it."""
     keys = keys or {name: name for name in _schema(type(obj))}
@@ -342,11 +344,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     server_doc = _require(doc, "server", "")
     server = _read(ExperimentConfig, server_doc, "server", _SERVER_KEYS,
                    extra=("batch_latency_table", "max_effective_batch"))
-    table_doc = _require(server_doc, "batch_latency_table", "server")
-    try:
-        table = BatchLatencyTable(table_doc, server_doc.get("max_effective_batch"))
-    except Exception as exc:
-        raise ConfigError("server.batch_latency_table", str(exc)) from None
+    table = read_batch_table(_require(server_doc, "batch_latency_table", "server"),
+                             server_doc.get("max_effective_batch"))
 
     sched_doc = _require(doc, "scheduler", "")
     spec = _read(SchedulerSpec, sched_doc, "scheduler", _SPEC_KEYS,

@@ -51,7 +51,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from .cascade import forwards
 from .config import ExperimentConfig
-from .errors import ConfigError, InvariantError, TraceMissingError
+from .errors import ConfigError, InvariantError
 from .metrics import MetricsReport, SampleColumns
 from .scheduler import DeviceState, SchedulerState, scheduler_tick
 from .server import compute_capacity_greedy, select_batch_size
@@ -200,7 +200,7 @@ class _Run:
         for device_id, gi in enumerate(group_of):
             group = experiment.fleet[gi]
             if device_id not in traces:
-                raise TraceMissingError(f"device {device_id} has no bound trace")
+                raise ConfigError(f"traces[{device_id}]", "no trace bound to this device")
             trace = traces[device_id]
             if len(trace) == 0:
                 raise ConfigError(f"fleet[{gi}].trace", "trace is empty")
@@ -491,33 +491,18 @@ class _Run:
     # -- results -------------------------------------------------------------
 
     def _samples(self, n_resp: int) -> SampleColumns:
-        """Finalized samples in finalization order: local completions and the
-        responses of the first ``n_resp`` batches, merged by the tie rule."""
-        local = np.flatnonzero(~self.forward[:self.decided])
+        """Finalized samples in decision (local completion) order: the locally kept
+        ones and those served by the first ``n_resp`` batch responses."""
+        decided = self.decided
         sizes = np.asarray(self.bc_size[:n_resp], dtype=np.int64)
-        served_count = int(sizes.sum())
-        served = np.asarray(self.ra_sd[:served_count], dtype=np.int64)
-        resp_time = np.asarray(self.resp_time[:n_resp])
-        local_time = self.sd_time[local]
-
-        # locals finalized before each response; those at its own time go by the tie rule
-        before = np.searchsorted(local_time, resp_time, "left")
-        tied = np.flatnonzero(before < local.size)
-        for b in tied[local_time[before[tied]] == resp_time[tied]].tolist():
-            while (before[b] < local.size and local_time[before[b]] == resp_time[b]
-                   and self.precedes((SD, int(local[before[b]])), (RESP, b))):
-                before[b] += 1
-        keys = np.concatenate((2 * np.arange(local.size) + 1, 2 * before))
-        event_order = np.argsort(keys, kind="stable")
-        event_sizes = np.concatenate((np.ones(local.size, dtype=np.int64), sizes))[event_order]
-        event_rows = np.concatenate((np.arange(local.size),
-                                     local.size + np.cumsum(sizes) - sizes))[event_order]
-        skip = np.cumsum(event_sizes) - event_sizes
-        rows = np.repeat(event_rows - skip, event_sizes) + np.arange(local.size + served_count)
-
-        sd = np.concatenate((local, served))[rows]
-        is_served = (np.arange(local.size + served_count) >= local.size)[rows]
-        completion = np.concatenate((local_time, np.repeat(resp_time, sizes)))[rows]
+        served = np.asarray(self.ra_sd[:int(sizes.sum())], dtype=np.int64)
+        finish = self.sd_time[:decided].copy()
+        finish[served] = np.repeat(self.resp_time[:n_resp], sizes)
+        final = ~self.forward[:decided]
+        final[served] = True
+        sd = np.flatnonzero(final)
+        is_served = self.forward[sd]
+        completion = finish[sd]
         start = self.sd_start[sd]
         device = self.sd_dev[sd]
         latency = completion - start

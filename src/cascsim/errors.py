@@ -1,52 +1,24 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one per input source, plus run checks."""
 
 
 class CascSimError(Exception):
     """Base class for every error raised by this package."""
 
 
-class InvalidParamsError(CascSimError, ValueError):
-    """A parameter object violates its own invariants."""
-
-
-class TraceParseError(CascSimError, ValueError):
-    """A trace file row could not be parsed; carries the 1-based row number."""
-
-    def __init__(self, row: int, message: str):
-        super().__init__(f"row {row}: {message}")
-        self.row = row
-
-
-class TraceRangeError(CascSimError, ValueError):
-    """A trace value is outside its legal range; carries the 1-based row number."""
-
-    def __init__(self, row: int, message: str):
-        super().__init__(f"row {row}: {message}")
-        self.row = row
-
-
-class EmptyTraceError(CascSimError, ValueError):
-    """An operation that needs at least one trace record got none."""
-
-
-class InvalidTargetError(CascSimError, ValueError):
-    """A calibration target is outside the open interval (0, 1)."""
-
-
-class GridOverflowError(CascSimError, ValueError):
-    """A latency budget exceeds the exact solver's time grid limit."""
-
-
 class ConfigError(CascSimError, ValueError):
-    """An experiment config is invalid; carries the offending field path."""
+    """A config value, CLI flag or call parameter is invalid; carries its field path."""
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
 
 
-class TraceMissingError(CascSimError, ValueError):
-    """A device was configured without a bound trace."""
+class TraceError(CascSimError, ValueError):
+    """A trace CSV row is malformed or out of range; carries the 1-based row number."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(f"row {row}: {message}")
+        self.row = row
 
 
 class InvariantError(CascSimError, RuntimeError):

@@ -15,12 +15,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidParamsError
+from .errors import ConfigError
 
 
 class SampleColumns:
-    """Finalized samples of a run as numpy columns, one row per sample in the
-    order the run finalized them."""
+    """Finalized samples of a run as numpy columns, one row per sample in decision
+    order: the order of the local completions that kept or forwarded them. No
+    report field depends on the row order."""
 
     __slots__ = ("device_id", "sample_index", "start_ms", "completion_ms", "served",
                  "correct", "latency_ms")
@@ -48,7 +49,7 @@ def slo_satisfaction(samples: SampleColumns, slo_ms: float, in_flight: int = 0) 
     in_flight samples (cut off by a horizon) count against the rate.
     """
     if not len(samples) and in_flight == 0:
-        raise InvalidParamsError("slo_satisfaction needs at least one sample")
+        raise ConfigError("samples", "must not be empty")
     satisfied = int((samples.latency_ms <= slo_ms).sum())
     return satisfied / (len(samples) + in_flight)
 
@@ -56,14 +57,14 @@ def slo_satisfaction(samples: SampleColumns, slo_ms: float, in_flight: int = 0) 
 def throughput(samples: SampleColumns, makespan_ms: float) -> float:
     """Finalized samples per second over the run makespan."""
     if makespan_ms <= 0:
-        raise InvalidParamsError(f"makespan must be positive, got {makespan_ms}")
+        raise ConfigError("makespan_ms", f"must be positive, got {makespan_ms}")
     return len(samples) / (makespan_ms / 1000.0)
 
 
 def accuracy(samples: SampleColumns) -> float:
     """Fraction of finalized samples answered correctly."""
     if not len(samples):
-        raise InvalidParamsError("accuracy needs at least one sample")
+        raise ConfigError("samples", "must not be empty")
     return int(samples.correct.sum()) / len(samples)
 
 
@@ -161,7 +162,7 @@ class MetricsReport:
 def mean_report(reports: Sequence[MetricsReport]) -> dict:
     """Average the numeric fields of several per-seed reports."""
     if not reports:
-        raise InvalidParamsError("mean_report needs at least one report")
+        raise ConfigError("reports", "must not be empty")
     first = reports[0]
     n = len(reports)
 

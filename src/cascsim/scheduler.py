@@ -14,11 +14,11 @@ import enum
 import sys
 from collections import deque
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, inf
 from typing import Optional
 
 from .cascade import Threshold
-from .errors import InvalidParamsError
+from .errors import ConfigError
 
 
 class Tier(enum.Enum):
@@ -64,24 +64,20 @@ class SchedulerConfig:
     slo_ms: float = 100.0
 
     def validate(self) -> None:
-        if not 0.0 <= self.update_fraction <= 1.0:
-            raise InvalidParamsError(f"update_fraction must be in [0, 1], got {self.update_fraction}")
-        if not 0.0 <= self.margin <= 1.0:
-            raise InvalidParamsError(f"margin must be in [0, 1], got {self.margin}")
-        if not 1 <= self.window <= sys.maxsize:
-            raise InvalidParamsError(
-                f"window must be in [1, {sys.maxsize}], got {self.window}")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise InvalidParamsError("alpha and beta must be positive")
-        if self.beta >= self.alpha:
-            raise InvalidParamsError(
-                f"beta ({self.beta}) must be smaller than alpha ({self.alpha})")
-        if self.tick_period_ms <= 0:
-            raise InvalidParamsError(f"tick_period_ms must be positive, got {self.tick_period_ms}")
-        if self.flush_factor <= 0:
-            raise InvalidParamsError(f"flush_factor must be positive, got {self.flush_factor}")
-        if self.slo_ms <= 0:
-            raise InvalidParamsError(f"slo_ms must be positive, got {self.slo_ms}")
+        """Raise ConfigError at ``scheduler.<field>`` for the first value out of range
+        (NaN fails every comparison, so each rule also rejects it)."""
+        for name, ok, rule in (
+                ("update_fraction", 0.0 <= self.update_fraction <= 1.0, "in [0, 1]"),
+                ("margin", 0.0 <= self.margin <= 1.0, "in [0, 1]"),
+                ("window", 1 <= self.window <= sys.maxsize, f"in [1, {sys.maxsize}]"),
+                ("alpha", 0.0 < self.alpha < inf, "finite and positive"),
+                ("beta", 0.0 < self.beta < self.alpha, f"positive and below alpha ({self.alpha})"),
+                ("tick_period_ms", 0.0 < self.tick_period_ms < inf, "finite and positive"),
+                ("flush_factor", 0.0 < self.flush_factor < inf, "finite and positive"),
+                ("slo_ms", 0.0 < self.slo_ms < inf, "finite and positive")):
+            if not ok:
+                raise ConfigError(f"scheduler.{name}",
+                                  f"must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -133,7 +129,7 @@ def threshold_change(b_bar: float, queue_length: int, capacity: int,
     beta * capacity. Anything in between holds steady.
     """
     if capacity < 0:
-        raise InvalidParamsError(f"capacity must be non-negative, got {capacity}")
+        raise ConfigError("capacity", f"must be non-negative, got {capacity}")
     high = cfg.alpha * capacity
     low = cfg.beta * capacity
     if b_bar > high and queue_length > high:
@@ -152,7 +148,7 @@ def select_update_targets(devices: list[DeviceState], direction: Direction,
     recently updated first, then ascending device id; the prefix is taken.
     """
     if not devices:
-        raise InvalidParamsError("device list must be non-empty")
+        raise ConfigError("devices", "must be a non-empty list")
     if last_update_tick is None:
         last_update_tick = {}
     priority = _DECREASE_PRIORITY if direction is Direction.DECREASE else _INCREASE_PRIORITY

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import ceil, floor, isfinite
 from typing import Optional
 
-from .errors import GridOverflowError, InvalidParamsError
+from .errors import ConfigError
 
 BATCH_POOL = (1, 2, 4, 8, 16, 32, 64)
 
@@ -31,31 +31,30 @@ class BatchLatencyTable:
 
     __slots__ = ("entries", "max_effective_batch", "effective_sizes")
 
-    def __init__(self, entries: dict, max_effective_batch: Optional[int] = None):
-        clean = {}
+    def __init__(self, entries: dict[int, float], max_effective_batch: Optional[int] = None,
+                 path: str = "batch_latency_table", max_path: str = "max_effective_batch"):
+        """``entries`` maps batch sizes to latencies in ms. Configs and the CLI read
+        them from JSON with ``config.read_batch_table``; a failed check raises
+        ConfigError at ``path`` (``path.<size>`` for one entry) or ``max_path``."""
         for size, latency in entries.items():
-            size = int(size)
-            latency = float(latency)
             if size not in BATCH_POOL:
-                raise InvalidParamsError(f"batch size {size} not in pool {BATCH_POOL}")
+                raise ConfigError(f"{path}.{size}", f"batch size not in pool {BATCH_POOL}")
             if not (isfinite(latency) and latency > 0.0):
-                raise InvalidParamsError(
-                    f"latency for batch {size} must be positive and finite, got {latency}")
-            clean[size] = latency
-        if 1 not in clean:
-            raise InvalidParamsError("batch latency table must contain batch size 1")
+                raise ConfigError(f"{path}.{size}",
+                                  f"latency must be positive and finite, got {latency}")
+        if 1 not in entries:
+            raise ConfigError(path, "must contain batch size 1")
         if max_effective_batch is None:
-            max_effective_batch = max(clean)
-        max_effective_batch = int(max_effective_batch)
-        if max_effective_batch not in clean:
-            raise InvalidParamsError(
-                f"max_effective_batch {max_effective_batch} has no latency entry")
+            max_effective_batch = max(entries)
+        if max_effective_batch not in entries:
+            raise ConfigError(max_path, f"{max_effective_batch} has no latency entry")
+        clean = {size: float(latency) for size, latency in entries.items()}
 
         sizes = tuple(sorted(b for b in clean if b <= max_effective_batch))
         for small, big in zip(sizes, sizes[1:]):
             if big / clean[big] < small / clean[small]:
-                raise InvalidParamsError(
-                    f"throughput must not decrease from batch {small} to {big}")
+                raise ConfigError(f"{path}.{big}",
+                                  f"throughput must not decrease from batch {small} to {big}")
 
         self.entries = dict(sorted(clean.items()))
         self.max_effective_batch = max_effective_batch
@@ -110,7 +109,7 @@ def compute_capacity_greedy(table: BatchLatencyTable, slo_ms: float) -> Capacity
     """Greedy capacity: repeat the largest batch size as often as the budget allows,
     then fall through to smaller sizes with whatever time remains."""
     if slo_ms <= 0:
-        raise InvalidParamsError(f"slo must be positive, got {slo_ms}")
+        raise ConfigError("slo_ms", f"must be positive, got {slo_ms}")
     remaining = float(slo_ms)
     schedule = []
     capacity = 0
@@ -136,9 +135,9 @@ def compute_capacity_exact(table: BatchLatencyTable, slo_ms: float,
     oracle for the greedy solver.
     """
     if slo_ms <= 0:
-        raise InvalidParamsError(f"slo must be positive, got {slo_ms}")
+        raise ConfigError("slo_ms", f"must be positive, got {slo_ms}")
     if slo_ms > grid_limit_ms:
-        raise GridOverflowError(f"slo {slo_ms} ms exceeds DP grid limit {grid_limit_ms} ms")
+        raise ConfigError("slo_ms", f"{slo_ms} exceeds the exact grid limit {grid_limit_ms} ms")
 
     horizon = int(floor(slo_ms))
     costs = {b: int(ceil(table.latency(b))) for b in table.effective_sizes}

@@ -16,12 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import (
-    EmptyTraceError,
-    InvalidParamsError,
-    TraceParseError,
-    TraceRangeError,
-)
+from .errors import ConfigError, TraceError
 
 TRACE_CSV_HEADER = "sample_index,bvsb,light_correct,heavy_correct"
 
@@ -39,9 +34,9 @@ class TraceSet:
         light = np.asarray(light_correct, dtype=bool)
         heavy = np.asarray(heavy_correct, dtype=bool)
         if not (bvsb.shape == light.shape == heavy.shape) or bvsb.ndim != 1:
-            raise InvalidParamsError("trace columns must be 1-D and equal length")
+            raise ConfigError("trace", "columns must be 1-D and of equal length")
         if bvsb.size and not (bvsb.min() >= 0.0 and bvsb.max() <= 1.0):  # NaN fails too
-            raise InvalidParamsError("bvsb values must lie in [0, 1]")
+            raise ConfigError("trace.bvsb", "values must lie in [0, 1]")
         bvsb.setflags(write=False)
         light.setflags(write=False)
         heavy.setflags(write=False)
@@ -71,25 +66,23 @@ class SyntheticTraceParams:
     bvsb_shape_wrong: tuple[float, float] = (1.2, 3.0)
     count: int = 5000
 
-    def validate(self) -> None:
-        probs = {
-            "light_accuracy": self.light_accuracy,
-            "heavy_accuracy_given_light_correct": self.heavy_accuracy_given_light_correct,
-            "heavy_accuracy_given_light_wrong": self.heavy_accuracy_given_light_wrong,
-        }
-        for name, p in probs.items():
-            if not 0.0 <= p <= 1.0:
-                raise InvalidParamsError(f"{name} must be in [0, 1], got {p}")
-        for name, shape in (("bvsb_shape_correct", self.bvsb_shape_correct),
-                            ("bvsb_shape_wrong", self.bvsb_shape_wrong)):
+    def validate(self, path: str = "synthetic") -> None:
+        """Raise ConfigError at ``path.<field>`` for the first value out of range."""
+        for name in ("light_accuracy", "heavy_accuracy_given_light_correct",
+                     "heavy_accuracy_given_light_wrong"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{path}.{name}", f"must be in [0, 1], got {value}")
+        for name in ("bvsb_shape_correct", "bvsb_shape_wrong"):
+            shape = getattr(self, name)
             if len(shape) != 2 or not all(isfinite(v) and v > 0 for v in shape):
-                raise InvalidParamsError(
-                    f"{name} must be a pair of finite positive reals, got {shape}")
+                raise ConfigError(f"{path}.{name}",
+                                  f"must be a pair of finite positive reals, got {shape}")
         if not 1 <= self.count <= sys.maxsize:
-            raise InvalidParamsError(f"count must be in [1, {sys.maxsize}], got {self.count}")
-        marginal = self.marginal_heavy_accuracy
-        if not 0.0 <= marginal <= 1.0:
-            raise InvalidParamsError(f"marginal heavy accuracy {marginal} outside [0, 1]")
+            raise ConfigError(f"{path}.count", f"must be in [1, {sys.maxsize}], got {self.count}")
+        if not 0.0 <= self.marginal_heavy_accuracy <= 1.0:
+            raise ConfigError(path, f"marginal heavy accuracy {self.marginal_heavy_accuracy} "
+                              "outside [0, 1]")
 
     @property
     def marginal_heavy_accuracy(self) -> float:
@@ -123,55 +116,61 @@ def _parse_bool(field: str, raw: str, row: int) -> bool:
         return False
     if raw == "1":
         return True
-    raise TraceParseError(row, f"{field} must be 0 or 1, got {raw!r}")
+    raise TraceError(row, f"{field} must be 0 or 1, got {raw!r}")
 
 
-def load_trace_csv(source: Union[str, bytes, io.IOBase]) -> TraceSet:
+def load_trace_csv(source: Union[str, bytes, io.IOBase], field: str = "csv") -> TraceSet:
     """Load a trace from CSV text.
 
     Accepts a path, raw bytes/str content containing a newline, or a file-like
     object. Format: header `sample_index,bvsb,light_correct,heavy_correct`,
-    booleans as 0/1, LF line endings, no quoting.
+    booleans as 0/1, LF line endings, no quoting. A path that cannot be read
+    raises ConfigError at ``field``; a malformed row raises TraceError.
     """
     if hasattr(source, "read"):
         data = source.read()
     elif isinstance(source, bytes):
         data = source
     elif isinstance(source, str) and "\n" not in source:
-        with open(source, "rb") as fh:
-            data = fh.read()
+        try:
+            with open(source, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise ConfigError(field, f"cannot read {source!r}: {exc.strerror}") from None
     else:
         data = source
+    text = data
     if isinstance(data, bytes):
-        text = data.decode("utf-8")
-    else:
-        text = data
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TraceError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
 
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
-        raise EmptyTraceError("trace file is empty")
+        raise TraceError(1, "trace file is empty")
     header = lines[0].rstrip("\r")
     if header != TRACE_CSV_HEADER:
-        raise TraceParseError(1, f"expected header {TRACE_CSV_HEADER!r}, got {header!r}")
+        raise TraceError(1, f"expected header {TRACE_CSV_HEADER!r}, got {header!r}")
     if len(lines) == 1:
-        raise EmptyTraceError("trace file has a header but no records")
+        raise TraceError(2, "trace file has a header but no records")
 
     bvsb, light, heavy = [], [], []
     for row_no, line in enumerate(lines[1:], start=2):
         fields = line.rstrip("\r").split(",")
         if len(fields) != 4:
-            raise TraceParseError(row_no, f"expected 4 fields, got {len(fields)}")
+            raise TraceError(row_no, f"expected 4 fields, got {len(fields)}")
         try:
             idx = int(fields[0])
             score = float(fields[1])
         except ValueError as exc:
-            raise TraceParseError(row_no, str(exc)) from None
+            raise TraceError(row_no, str(exc)) from None
         if idx != row_no - 2:
-            raise TraceParseError(row_no, f"sample_index {idx} is not consecutive from 0")
+            raise TraceError(row_no, f"sample_index {idx} is not consecutive from 0")
         if not 0.0 <= score <= 1.0:
-            raise TraceRangeError(row_no, f"bvsb {score} outside [0, 1]")
+            raise TraceError(row_no, f"bvsb {score} outside [0, 1]")
         bvsb.append(score)
         light.append(_parse_bool("light_correct", fields[2], row_no))
         heavy.append(_parse_bool("heavy_correct", fields[3], row_no))

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from cascsim import metrics as metrics_mod
 from cascsim.config import ExperimentConfig
 from cascsim.engine import classify_server_state, estimate_arrival_rate
-from cascsim.errors import CascSimError, ConfigError, TraceMissingError
+from cascsim.errors import CascSimError, ConfigError
 from cascsim.metrics import MetricsReport, SampleColumns
 from cascsim.scheduler import DeviceState as _ControllerDeviceState
 from cascsim.scheduler import SchedulerState, scheduler_tick
@@ -141,7 +141,7 @@ class _Run:
         for device_id, gi in enumerate(group_of):
             group = experiment.fleet[gi]
             if device_id not in traces:
-                raise TraceMissingError(f"device {device_id} has no bound trace")
+                raise ConfigError(f"traces[{device_id}]", "no trace bound to this device")
             trace = traces[device_id]
             if len(trace) == 0:
                 raise ConfigError(f"fleet[{gi}].trace", "trace is empty")

@@ -8,7 +8,7 @@ from cascsim.cascade import (
     cascade_accuracy,
     forwards,
 )
-from cascsim.errors import EmptyTraceError, InvalidTargetError
+from cascsim.errors import ConfigError
 from cascsim.trace import generate_synthetic_trace, SyntheticTraceParams
 
 from conftest import make_trace
@@ -96,7 +96,7 @@ class TestCascadeAccuracy:
         assert cascade_accuracy(trace, Threshold(1.0)) >= trace.heavy_correct.mean() - 1e-12
 
     def test_empty_trace_rejected(self):
-        with pytest.raises(EmptyTraceError):
+        with pytest.raises(ConfigError):
             cascade_accuracy(make_trace([], [], []), Threshold(0.5))
 
     def test_matches_enumeration_oracle(self):
@@ -144,7 +144,7 @@ class TestCalibration:
     def test_invalid_target_rejected(self):
         trace = make_trace([0.5], [1], [1])
         for target in (0.0, 1.0, -0.2):
-            with pytest.raises(InvalidTargetError):
+            with pytest.raises(ConfigError):
                 calibrate_static_threshold(trace, target)
 
     def test_accuracy_fallback_matches_oracle(self):
@@ -166,5 +166,5 @@ class TestCalibration:
             assert got == pytest.approx(calibration_oracle(trace, 0.30, 0.01))
 
     def test_empty_trace_rejected(self):
-        with pytest.raises(EmptyTraceError):
+        with pytest.raises(ConfigError):
             calibrate_static_threshold(make_trace([], [], []), 0.30)

@@ -203,6 +203,23 @@ def calibrated(**calibration):
     return edit
 
 
+def table_edit(entries):
+    """An edit that sets entries of the batch-latency table."""
+    return lambda d: d["server"]["batch_latency_table"].update(entries)
+
+
+# the batch-latency table is read by the strict reader: no truncation, no coercion
+BAD_TABLES = [
+    ("server.max_effective_batch", lambda d: d["server"].update(max_effective_batch=2.9)),
+    ("server.max_effective_batch", lambda d: d["server"].update(max_effective_batch=True)),
+    ("server.max_effective_batch", lambda d: d["server"].update(max_effective_batch="4")),
+    ("server.batch_latency_table.2", table_edit({"2": "ten"})),
+    ("server.batch_latency_table.1", table_edit({"1": None})),
+    ("server.batch_latency_table.x", table_edit({"x": 12.0})),
+    ("server.batch_latency_table", lambda d: d["server"].update(batch_latency_table=None)),
+]
+
+
 class TestNonFiniteConfig:
     """Every float the engine reads must be finite (NaN and Infinity parse from
     JSON), every value must have its field's JSON type and range, every size
@@ -211,9 +228,9 @@ class TestNonFiniteConfig:
     @pytest.mark.parametrize("field, edit", [
         ("fleet[0].t_inf_ms", lambda d: d["fleet"][0].update(t_inf_ms=float("nan"))),
         ("fleet[0].t_inf_ms", lambda d: d["fleet"][0].update(t_inf_ms=float("inf"))),
-        ("server.batch_latency_table",
+        ("server.batch_latency_table.2",
          lambda d: d["server"]["batch_latency_table"].update({"2": float("inf")})),
-        ("server.batch_latency_table",
+        ("server.batch_latency_table.1",
          lambda d: d["server"]["batch_latency_table"].update({"1": float("nan")})),
         ("network.uplink_ms", lambda d: d["network"].update(uplink_ms=float("nan"))),
         ("network.downlink_ms", lambda d: d["network"].update(downlink_ms=float("inf"))),
@@ -241,12 +258,14 @@ class TestNonFiniteConfig:
         ("scheduler.calibration.count", calibrated(count=0)),
         ("scheduler.calibration.count", calibrated(count=10**20)),
         ("scheduler.calibration.seed", calibrated(seed=-1)),
-        ("scheduler", lambda d: d["scheduler"].update(window=10**20)),
-        ("fleet[0].trace.synthetic",
+        pytest.param("scheduler.window", lambda d: d["scheduler"].update(window=10**20),
+                     id="scheduler.window-too-large"),
+        ("fleet[0].trace.synthetic.count",
          lambda d: d["fleet"][0]["trace"]["synthetic"].update(count=10**20)),
-        ("fleet[0].trace.synthetic",
+        ("fleet[0].trace.synthetic.bvsb_shape_correct",
          lambda d: d["fleet"][0]["trace"]["synthetic"].update(
              bvsb_shape_correct=[float("nan"), 1.0])),
+        *BAD_TABLES,
     ])
     def test_rejected_with_field_path(self, field, edit):
         doc = tiny_config_doc()
@@ -274,14 +293,15 @@ class TestNonFiniteConfig:
         assert err["message"].startswith("scheduler.window:")
 
     @pytest.mark.parametrize("message, edit", [
-        ("scheduler: window", lambda d: d["scheduler"].update(window=10**20)),
+        ("scheduler.window:", lambda d: d["scheduler"].update(window=10**20)),
         ("fleet[0].count:", lambda d: d["fleet"][0].update(count=10**20)),
-        ("fleet[0].trace.synthetic: count",
+        ("fleet[0].trace.synthetic.count:",
          lambda d: d["fleet"][0]["trace"]["synthetic"].update(count=10**20)),
         ("scheduler.calibration.count:", calibrated(count=10**20)),
         ("scheduler.calibration.seed:", calibrated(seed=-1)),
         ("scheduler.calibration.accuracy_tolerance:",
          calibrated(accuracy_tolerance=float("nan"))),
+        *((f"{field}:", edit) for field, edit in BAD_TABLES),
     ])
     def test_cli_out_of_range_exits_1_with_json_error(self, tmp_path, capsys, message, edit):
         doc = tiny_config_doc()
@@ -290,3 +310,45 @@ class TestNonFiniteConfig:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert err["message"].startswith(message)
+
+
+class TestCliInputErrors:
+    """Malformed flags and unreadable inputs end in exit 1 and a JSON error whose
+    message starts with the field path, never in a traceback or a silent run."""
+
+    @pytest.mark.parametrize("message, argv", [
+        ("--seed-list:", ["simulate", "--config", "{config}", "--seed-list", "-1"]),
+        ("--seed-list:", ["simulate", "--config", "{config}", "--seed-list", ","]),
+        ("--seed-list:", ["sweep", "--config", "{config}", "--devices", "2..4:2",
+                          "--seed-list", ","]),
+        ("devices:", ["simulate", "--config", "{config}", "--devices", "0"]),
+        ("fleet[0].trace.csv:", ["simulate", "--config", "{csv_config}"]),
+        ("fleet[0].trace.csv:", ["calibrate", "--config", "{csv_config}"]),
+        ("--trace:", ["calibrate", "--trace", "{missing}"]),
+        ("--table.2:", ["capacity", "--table", '{"1": 10, "2": "12"}', "--slo", "100"]),
+        ("--table.x:", ["capacity", "--table", '{"1": 10, "x": 12}', "--slo", "100"]),
+        ("--max-effective:", ["capacity", "--table", '{"1": 10, "2": 12}',
+                              "--max-effective", "4", "--slo", "100"]),
+    ])
+    def test_exits_1_with_json_error(self, tmp_path, capsys, message, argv):
+        missing = tmp_path / "missing.csv"
+        csv_doc = tiny_config_doc()
+        csv_doc["fleet"][0]["trace"] = {"csv": str(missing)}
+        calibrated()(csv_doc)
+        (tmp_path / "csv").mkdir()
+        paths = {"{config}": write_config(tmp_path, tiny_config_doc()),
+                 "{csv_config}": write_config(tmp_path / "csv", csv_doc),
+                 "{missing}": str(missing)}
+        assert main([paths.get(arg, arg) for arg in argv]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(message)
+        if "trace.csv" in message or "--trace" in message:
+            assert str(missing) in err["message"]
+
+    def test_malformed_trace_file_is_a_trace_error(self, tmp_path, capsys):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"sample_index,bvsb,light_correct,heavy_correct\n0,\xff,1,1\n")
+        assert main(["calibrate", "--trace", str(path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "TraceError", "message": "row 2: not UTF-8 text"}

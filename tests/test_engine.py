@@ -10,7 +10,7 @@ from cascsim.engine import (
     parse_event_log_line,
     run_simulation,
 )
-from cascsim.errors import CascSimError, ConfigError, TraceMissingError
+from cascsim.errors import CascSimError, ConfigError
 
 from conftest import make_trace, small_config
 
@@ -96,7 +96,7 @@ class TestValidation:
 
     def test_missing_trace_rejected(self):
         cfg = small_config(groups=[("mid", 2, 43.0)], table_entries={1: 15})
-        with pytest.raises(TraceMissingError):
+        with pytest.raises(ConfigError):
             run_simulation(cfg, {0: constant_trace(5, 0.5)}, seed=0)
 
     def test_empty_bound_trace_rejected(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cascsim.engine import run_simulation
-from cascsim.errors import InvalidParamsError
+from cascsim.errors import ConfigError
 from cascsim.metrics import (
     SWEEP_CSV_HEADER,
     SampleColumns,
@@ -37,7 +37,7 @@ class TestSloSatisfaction:
         assert slo_satisfaction(columns([50.0, 150.0]), 10.0) == 0.0
 
     def test_empty_rejected(self):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(ConfigError):
             slo_satisfaction(columns([]), 100.0)
 
     def test_in_flight_counts_against(self):
@@ -55,7 +55,7 @@ class TestThroughputAndAccuracy:
         assert throughput(columns([43.0] * 100), 4300.0) == pytest.approx(100 / 4.3)
 
     def test_positive_makespan_required(self):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(ConfigError):
             throughput(columns([]), 0.0)
 
     def test_all_correct(self):

@@ -2,7 +2,7 @@ import pytest
 
 from cascsim.cascade import Threshold
 from cascsim.engine import parse_event_log_line, run_simulation
-from cascsim.errors import InvalidParamsError
+from cascsim.errors import ConfigError
 from cascsim.scheduler import (
     DeviceState,
     Direction,
@@ -42,7 +42,7 @@ class TestConfig:
                 c.tick_period_ms) == (0.20, 0.05, 5, 0.83, 0.125, 2000.0)
 
     def test_beta_must_be_below_alpha(self):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(ConfigError, match=r"^scheduler\.beta: "):
             cfg(alpha=0.5, beta=0.5)
 
     def test_degenerate_zero_fraction_and_margin_allowed(self):
@@ -57,8 +57,9 @@ class TestConfig:
         dict(slo_ms=-1),
     ])
     def test_invalid_values_rejected(self, bad):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(ConfigError) as info:
             cfg(**bad)
+        assert info.value.field == f"scheduler.{next(iter(bad))}"
 
 
 class TestThresholdChange:
@@ -87,7 +88,7 @@ class TestThresholdChange:
         assert threshold_change(1.0, 5, 0, cfg()) == -0.05
 
     def test_negative_capacity_rejected(self):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(ConfigError):
             threshold_change(1.0, 5, -1, cfg())
 
 
@@ -127,7 +128,7 @@ class TestSelectUpdateTargets:
         assert got == [1, 2]
 
     def test_empty_fleet_rejected(self):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(ConfigError):
             select_update_targets([], Direction.DECREASE, cfg())
 
 

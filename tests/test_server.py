@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cascsim.errors import GridOverflowError, InvalidParamsError
+from cascsim.errors import ConfigError
 from cascsim.server import (
     BatchLatencyTable,
     compute_capacity_exact,
@@ -15,24 +15,24 @@ from oracle_engine import QueuedRequest, QueueUnderflowError, RequestQueue
 
 class TestBatchLatencyTable:
     def test_key_outside_pool_rejected(self):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(ConfigError, match=r"^batch_latency_table\.3: "):
             BatchLatencyTable({1: 10, 3: 12})
 
     def test_batch_one_required(self):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(ConfigError, match=r"^batch_latency_table: "):
             BatchLatencyTable({2: 10})
 
     def test_non_positive_latency_rejected(self):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(ConfigError, match=r"^batch_latency_table\.1: "):
             BatchLatencyTable({1: 0.0})
 
     def test_max_effective_must_have_entry(self):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(ConfigError, match=r"^max_effective_batch: "):
             BatchLatencyTable({1: 10, 2: 12}, max_effective_batch=4)
 
     def test_throughput_regression_rejected(self):
         # 2/25 < 1/10, so throughput would fall from batch 1 to batch 2
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(ConfigError, match=r"^batch_latency_table\.2: "):
             BatchLatencyTable({1: 10, 2: 25})
 
     def test_regression_beyond_cap_is_allowed(self):
@@ -89,7 +89,7 @@ class TestGreedyCapacity:
         assert result.time_used_ms == 0.0
 
     def test_non_positive_slo_rejected(self, spec_table):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(ConfigError):
             compute_capacity_greedy(spec_table, 0)
 
 
@@ -102,11 +102,11 @@ class TestExactCapacity:
         assert compute_capacity_exact(table, 95).capacity == 9
 
     def test_zero_slo_rejected(self, spec_table):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(ConfigError):
             compute_capacity_exact(spec_table, 0)
 
     def test_grid_limit_enforced(self, spec_table):
-        with pytest.raises(GridOverflowError):
+        with pytest.raises(ConfigError):
             compute_capacity_exact(spec_table, 60_001)
 
     def test_schedule_invariants(self, spec_table):

@@ -3,12 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from cascsim.errors import (
-    EmptyTraceError,
-    InvalidParamsError,
-    TraceParseError,
-    TraceRangeError,
-)
+from cascsim.errors import ConfigError, TraceError
 from cascsim.cascade import trace_forward_rate
 from cascsim.trace import (
     SyntheticTraceParams,
@@ -37,7 +32,7 @@ class TestGenerateSynthetic:
         assert trace.light_correct.all()
 
     def test_zero_count_rejected(self):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(ConfigError):
             generate_synthetic_trace(params(count=0), seed=1)
 
     def test_empirical_light_accuracy_matches_parameter(self):
@@ -77,8 +72,9 @@ class TestGenerateSynthetic:
         dict(bvsb_shape_wrong=(1.0, float("inf"))),
     ])
     def test_invalid_params_rejected(self, bad):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(ConfigError) as info:
             generate_synthetic_trace(params(**bad), seed=1)
+        assert info.value.field == f"synthetic.{next(iter(bad))}"
 
 
 class TestCsv:
@@ -91,29 +87,29 @@ class TestCsv:
             (0.5, True, True)
 
     def test_bvsb_out_of_range_names_row(self):
-        with pytest.raises(TraceRangeError) as err:
+        with pytest.raises(TraceError) as err:
             load_trace_csv(f"{self.HEADER}\n0,0.2,1,1\n1,1.2,0,0\n")
         assert err.value.row == 3
 
     def test_header_only_is_empty_trace(self):
-        with pytest.raises(EmptyTraceError):
+        with pytest.raises(TraceError):
             load_trace_csv(self.HEADER + "\n")
 
     def test_wrong_header_rejected(self):
-        with pytest.raises(TraceParseError):
+        with pytest.raises(TraceError):
             load_trace_csv("a,b,c,d\n0,0.5,1,1\n")
 
     def test_malformed_row_names_row(self):
-        with pytest.raises(TraceParseError) as err:
+        with pytest.raises(TraceError) as err:
             load_trace_csv(f"{self.HEADER}\n0,0.5,1,1\n1,oops,1,0\n")
         assert err.value.row == 3
 
     def test_non_consecutive_index_rejected(self):
-        with pytest.raises(TraceParseError):
+        with pytest.raises(TraceError):
             load_trace_csv(f"{self.HEADER}\n5,0.5,1,1\n")
 
     def test_boolean_must_be_zero_or_one(self):
-        with pytest.raises(TraceParseError):
+        with pytest.raises(TraceError):
             load_trace_csv(f"{self.HEADER}\n0,0.5,true,1\n")
 
     def test_round_trip(self):
@@ -129,6 +125,11 @@ class TestCsv:
         write_trace_csv(make_trace([0.1, 1.0, 2 / 3], [1, 0, 1], [0, 0, 1]), buf)
         assert buf.getvalue() == (f"{self.HEADER}\n0,0.1,1,0\n1,1.0,0,0\n"
                                   "2,0.6666666666666666,1,1\n")
+
+    def test_invalid_utf8_names_row(self):
+        with pytest.raises(TraceError) as err:
+            load_trace_csv(f"{self.HEADER}\n0,0.5,1,1\n".encode("utf-8") + b"1,0.\xff,1,1\n")
+        assert err.value.row == 3
 
     def test_reads_bytes(self):
         trace = load_trace_csv(f"{self.HEADER}\n0,0.25,0,1\n".encode("utf-8"))
@@ -163,17 +164,17 @@ class TestForwardRate:
 
     def test_threshold_outside_unit_interval_rejected(self):
         trace = make_trace([0.5], [1], [1])
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(ConfigError):
             trace_forward_rate(trace, 1.5)
 
 
 class TestTraceSet:
     def test_columns_must_align(self):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(ConfigError):
             TraceSet([0.5, 0.6], [True], [False])
 
     def test_bvsb_bounds_enforced(self):
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(ConfigError):
             make_trace([1.5], [1], [1])
-        with pytest.raises(InvalidParamsError):
+        with pytest.raises(ConfigError):
             make_trace([0.5, float("nan")], [1, 1], [1, 1])
