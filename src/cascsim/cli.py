@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from math import inf
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -142,6 +143,10 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    if args.target is not None and not 0.0 < args.target < 1.0:
+        raise ConfigError("--target", f"must be in (0, 1), got {args.target}")
+    if args.tolerance is not None and not 0.0 <= args.tolerance < inf:  # NaN fails too
+        raise ConfigError("--tolerance", f"must be finite and non-negative, got {args.tolerance}")
     # a flag that is given overrides the config's (or the default) calibration target
     given = {name: value for name, value in (("target_forward_rate", args.target),
                                              ("accuracy_tolerance", args.tolerance))

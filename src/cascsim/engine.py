@@ -53,7 +53,7 @@ from .cascade import forwards
 from .config import ExperimentConfig
 from .errors import ConfigError, InvariantError
 from .metrics import MetricsReport, SampleColumns
-from .scheduler import DeviceState, SchedulerState, scheduler_tick
+from .scheduler import TIER_LEVEL, SchedulerState, Tier, scheduler_tick
 from .server import compute_capacity_greedy, select_batch_size
 from .trace import TraceSet
 
@@ -194,9 +194,8 @@ class _Run:
             raise ConfigError("fleet", "no devices configured")
         self.n_devices = n
 
-        self.states: list[DeviceState] = []
         self.t_inf = np.empty(n)
-        lengths, starts, bvsb, light, heavy = [], [], [], [], []
+        commanded, levels, lengths, starts, bvsb, light, heavy = [], [], [], [], [], [], []
         for device_id, gi in enumerate(group_of):
             group = experiment.fleet[gi]
             if device_id not in traces:
@@ -208,14 +207,14 @@ class _Run:
                 offset = (device_id / n) * group.t_inf_ms
             else:
                 offset = 0.0
-            self.states.append(DeviceState(device_id, group.tier, initial[gi]))
+            commanded.append(initial[gi].value)
+            levels.append(TIER_LEVEL[group.tier])
             self.t_inf[device_id] = group.t_inf_ms
             lengths.append(len(trace))
             starts.append(offset + np.arange(len(trace), dtype=np.float64) * group.t_inf_ms)
             bvsb.append(trace.bvsb)
             light.append(trace.light_correct)
             heavy.append(trace.heavy_correct)
-        self.device_tiers = [s.tier.value for s in self.states]
 
         # device-major columns, then permuted once into processing order
         lengths_arr = np.asarray(lengths)
@@ -244,11 +243,11 @@ class _Run:
         # control loop: the static baseline keeps the state (for b_bar) but never ticks it
         self.sched_cfg = experiment.scheduler.config
         self.adaptive = experiment.scheduler.kind == "multitasc"
-        self.sched_state = SchedulerState(self.sched_cfg.window)
+        self.sched_state = SchedulerState(self.sched_cfg.window, commanded, levels)
         self.capacity = compute_capacity_greedy(self.table, self.sched_cfg.slo_ms).capacity
 
         # device side: applied thresholds and the decided prefix of the columns
-        self.thresholds = np.array([s.threshold.value for s in self.states])
+        self.thresholds = self.sched_state.thresholds.copy()
         self.decided = 0
         self.local_kept = 0
         self.forward = np.zeros(self.total_samples, dtype=bool)
@@ -416,28 +415,21 @@ class _Run:
         finalized = self.local_kept + self.resp_served[responses]
         state = self.sched_state
         b_bar = state.b_bar
-        flush_before = state.flush_active
-        updates = (scheduler_tick(self.states, state, queue_len, self.capacity, self.sched_cfg)
-                   if self.adaptive else [])
-        flush_after = state.flush_active
-        if flush_after and not flush_before:
-            flush = "entered"
-        elif flush_before and not flush_after:
-            flush = "exited"
-        elif flush_after:
-            flush = "active"
-        else:
-            flush = "off"
+        ids, reason = (scheduler_tick(state, queue_len, self.capacity, self.sched_cfg)
+                       if self.adaptive else (np.arange(0), "hold"))
+        values = state.thresholds[ids].tolist()
+        ids = ids.tolist()
+        flush = {"flush_enter": "entered", "flush_exit": "exited"}.get(
+            reason, "active" if state.flush_active else "off")
         self.ticks.append((queue_len, b_bar, flush,
-                           [[u.device_id, u.threshold.value, u.reason] for u in updates]))
-        if updates:
-            self.ta_pending.append((len(self.ta_dev), len(updates)))
-            for j, u in enumerate(updates):
-                self.ta_tick.append(k)
-                self.ta_pos.append(j)
-                self.ta_dev.append(u.device_id)
-                self.ta_value.append(u.threshold.value)
-                self.ta_reason.append(u.reason)
+                           [[d, v, reason] for d, v in zip(ids, values)]))
+        if ids:
+            self.ta_pending.append((len(self.ta_dev), len(ids)))
+            self.ta_tick += [k] * len(ids)
+            self.ta_pos += range(len(ids))
+            self.ta_dev += ids
+            self.ta_value += values
+            self.ta_reason += [reason] * len(ids)
         if finalized < self.total_samples:
             self.tick_time.append(now + self.sched_cfg.tick_period_ms)
 
@@ -571,14 +563,10 @@ class _Run:
                             for slo in slos}
         else:
             satisfaction = {float(slo): 0.0 for slo in slos}
-        # a tier is reported once any of its devices finalized or forwarded a sample
-        in_flight_by_tier: dict[str, int] = {}
-        for device_id in np.flatnonzero(forwarded_by_device).tolist():
-            tier = self.device_tiers[device_id]
-            in_flight_by_tier[tier] = (in_flight_by_tier.get(tier, 0)
-                                       + int(in_flight_by_device[device_id]))
-        per_tier = metrics_mod.aggregate_by_tier(cols, dict(enumerate(self.device_tiers)),
-                                                 makespan, slos, in_flight_by_tier)
+        tier_names = [tier.value for tier in Tier]  # indexed by tier level
+        per_tier = metrics_mod.aggregate_by_tier(
+            cols, [tier_names[level] for level in self.sched_state.levels.tolist()],
+            makespan, slos, in_flight_by_device)
 
         count_by_device = np.bincount(cols.device_id, minlength=n).tolist()
         correct_by_device = np.bincount(cols.device_id[cols.correct], minlength=n).tolist()

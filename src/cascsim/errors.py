@@ -14,10 +14,12 @@ class ConfigError(CascSimError, ValueError):
 
 
 class TraceError(CascSimError, ValueError):
-    """A trace CSV row is malformed or out of range; carries the 1-based row number."""
+    """A trace CSV row is malformed or out of range; carries the field path (or flag)
+    that named the trace and the 1-based row number."""
 
-    def __init__(self, row: int, message: str):
-        super().__init__(f"row {row}: {message}")
+    def __init__(self, field: str, row: int, message: str):
+        super().__init__(f"{field}: row {row}: {message}")
+        self.field = field
         self.row = row
 
 

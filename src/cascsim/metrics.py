@@ -76,34 +76,33 @@ def forward_rate(samples: SampleColumns, in_flight: int = 0) -> float:
     return (int(samples.served.sum()) + in_flight) / decided
 
 
-def aggregate_by_tier(samples: SampleColumns, device_tiers: dict[int, str],
+def aggregate_by_tier(samples: SampleColumns, device_tiers: Sequence[str],
                       makespan_ms: float, slos_ms: Sequence[float],
-                      in_flight_by_tier: Optional[dict[str, int]] = None) -> dict:
+                      in_flight_by_device: Optional[Sequence[int]] = None) -> dict:
     """Per-tier accuracy, throughput, and satisfaction.
 
-    Tier throughputs share the run-wide makespan so they sum to the total.
+    ``device_tiers`` and ``in_flight_by_device`` are indexed by device id. A
+    tier is reported once one of its devices finalized a sample or has one in
+    flight; in-flight samples count against its satisfaction. Tier throughputs
+    share the run-wide makespan so they sum to the total.
     """
-    in_flight_by_tier = in_flight_by_tier or {}
-    names = sorted(set(device_tiers.values()))
-    lookup = np.full(max(device_tiers, default=-1) + 1, -1, dtype=np.int64)
-    for device_id, tier in device_tiers.items():
-        lookup[device_id] = names.index(tier)
-    sample_codes = lookup[samples.device_id]
-    counts = np.bincount(sample_codes, minlength=len(names))
-    tiers = {names[i] for i in np.flatnonzero(counts).tolist()} | set(in_flight_by_tier)
+    names, codes = np.unique(np.asarray(device_tiers, dtype=str), return_inverse=True)
+    sample_codes = codes[samples.device_id]
+    in_flight = np.zeros(names.size, dtype=np.int64)
+    if in_flight_by_device is not None:
+        np.add.at(in_flight, codes, np.asarray(in_flight_by_device, dtype=np.int64))
+    reported = np.bincount(sample_codes, minlength=names.size).astype(bool) | (in_flight > 0)
 
     report = {}
-    for tier in sorted(tiers):
-        tier_cols = samples.select(sample_codes == names.index(tier))
-        stuck = in_flight_by_tier.get(tier, 0)
-        report[tier] = {
+    for code in np.flatnonzero(reported).tolist():
+        tier_cols = samples.select(sample_codes == code)
+        stuck = int(in_flight[code])
+        report[str(names[code])] = {
             "samples": len(tier_cols),
             "accuracy": accuracy(tier_cols) if len(tier_cols) else 0.0,
             "throughput": throughput(tier_cols, makespan_ms) if makespan_ms > 0 else 0.0,
-            "satisfaction": {
-                float(slo): slo_satisfaction(tier_cols, slo, stuck)
-                for slo in slos_ms
-            } if (len(tier_cols) or stuck) else {float(slo): 0.0 for slo in slos_ms},
+            "satisfaction": {float(slo): slo_satisfaction(tier_cols, slo, stuck)
+                             for slo in slos_ms},
         }
     return report
 

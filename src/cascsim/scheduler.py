@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from math import ceil, inf
 from typing import Optional
 
-from .cascade import Threshold
+import numpy as np
+
 from .errors import ConfigError
 
 
@@ -27,21 +28,9 @@ class Tier(enum.Enum):
     HIGH = "high"
 
 
-# Update order per direction: when throttling, devices with stronger local
-# models lose server access first; when relaxing, weaker ones regain it first.
-_DECREASE_PRIORITY = (Tier.HIGH, Tier.MID, Tier.LOW)
-_INCREASE_PRIORITY = (Tier.LOW, Tier.MID, Tier.HIGH)
-
-
-class Direction(enum.Enum):
-    DECREASE = "decrease"
-    INCREASE = "increase"
-
-
-class FlushTransition(enum.Enum):
-    ENTERED = "entered"
-    EXITED = "exited"
-    NONE = "none"
+# Tier as a level: throttling moves the highest levels first (devices with
+# stronger local models lose server access first); relaxing the lowest first.
+TIER_LEVEL = {tier: level for level, tier in enumerate(Tier)}
 
 
 @dataclass(frozen=True)
@@ -80,27 +69,28 @@ class SchedulerConfig:
                                   f"must be {rule}, got {getattr(self, name)}")
 
 
-@dataclass
-class DeviceState:
-    """Controller-side view of one device: the threshold last commanded to it."""
-
-    device_id: int
-    tier: Tier
-    threshold: Threshold
-
-
 class SchedulerState:
-    """Mutable controller state carried across ticks."""
+    """Controller state carried across ticks, as arrays in device-id order.
 
-    __slots__ = ("recent_batches", "flush_active", "saved_thresholds",
-                 "last_update_tick", "tick_ordinal")
+    ``thresholds`` are the values last commanded, ``levels`` the tier levels,
+    ``last_update`` the ordinal of each device's last fractional update (-1:
+    never) and ``saved`` the thresholds a flush zeroed (None outside a flush).
+    """
 
-    def __init__(self, window: int):
+    __slots__ = ("thresholds", "levels", "last_update", "saved", "recent_batches",
+                 "tick_ordinal")
+
+    def __init__(self, window: int, thresholds, levels):
+        self.thresholds = np.array(thresholds, dtype=np.float64)
+        self.levels = np.array(levels, dtype=np.int64)
+        self.last_update = np.full(self.thresholds.size, -1, dtype=np.int64)
+        self.saved: Optional[np.ndarray] = None
         self.recent_batches: deque[int] = deque(maxlen=window)
-        self.flush_active = False
-        self.saved_thresholds: Optional[dict[int, Threshold]] = None
-        self.last_update_tick: dict[int, int] = {}
         self.tick_ordinal = 0
+
+    @property
+    def flush_active(self) -> bool:
+        return self.saved is not None
 
     @property
     def b_bar(self) -> float:
@@ -111,13 +101,6 @@ class SchedulerState:
 
     def record_batch(self, batch_size: int) -> None:
         self.recent_batches.append(batch_size)
-
-
-@dataclass(frozen=True, slots=True)
-class ThresholdUpdate:
-    device_id: int
-    threshold: Threshold
-    reason: str  # "decrease", "increase", "flush_enter", "flush_exit"
 
 
 def threshold_change(b_bar: float, queue_length: int, capacity: int,
@@ -139,76 +122,49 @@ def threshold_change(b_bar: float, queue_length: int, capacity: int,
     return 0.0
 
 
-def select_update_targets(devices: list[DeviceState], direction: Direction,
-                          cfg: SchedulerConfig,
-                          last_update_tick: Optional[dict[int, int]] = None) -> list[int]:
-    """Pick ceil(update_fraction * fleet size) devices to update this tick.
+def select_update_targets(levels: np.ndarray, last_update: np.ndarray, decrease: bool,
+                          cfg: SchedulerConfig) -> np.ndarray:
+    """Ids of the ceil(update_fraction * fleet size) devices to update this tick.
 
-    Candidates are ordered by tier priority for the direction, then least
-    recently updated first, then ascending device id; the prefix is taken.
+    Devices are ordered by tier level (highest first when decreasing, lowest
+    first when increasing), then least recently updated first, then ascending
+    id (``lexsort`` is stable); the prefix is taken.
     """
-    if not devices:
+    if not len(levels):
         raise ConfigError("devices", "must be a non-empty list")
-    if last_update_tick is None:
-        last_update_tick = {}
-    priority = _DECREASE_PRIORITY if direction is Direction.DECREASE else _INCREASE_PRIORITY
-    rank = {tier: i for i, tier in enumerate(priority)}
     # tiny epsilon so float noise in fraction * count cannot bump the ceiling
-    count = ceil(cfg.update_fraction * len(devices) - 1e-9)
-    ordered = sorted(devices, key=lambda d: (rank[d.tier],
-                                             last_update_tick.get(d.device_id, -1),
-                                             d.device_id))
-    return [d.device_id for d in ordered[:count]]
+    count = ceil(cfg.update_fraction * len(levels) - 1e-9)
+    return np.lexsort((last_update, -levels if decrease else levels))[:count]
 
 
-def flush_check(state: SchedulerState, queue_length: int, capacity: int,
-                cfg: SchedulerConfig, devices: list[DeviceState]) -> FlushTransition:
-    """Enter or exit the emergency flush, mutating thresholds in place.
+def scheduler_tick(state: SchedulerState, queue_length: int, capacity: int,
+                   cfg: SchedulerConfig) -> tuple[np.ndarray, str]:
+    """One control-loop invocation, mutating ``state``.
 
-    Entry: queue beyond flush_factor * capacity; every threshold is saved and
-    zeroed so no device forwards. Exit: queue back at or below beta * capacity;
-    the saved thresholds are restored unchanged.
+    Returns the ids of the devices whose commanded threshold changed, in
+    delivery order (the new values are ``state.thresholds[ids]``), and the
+    tick's reason: "flush_enter", "flush_exit", "decrease", "increase" or
+    "hold". Flush entry: queue beyond flush_factor * capacity; every threshold
+    is saved and zeroed so no device forwards. Exit: queue back at or below
+    beta * capacity; the saved thresholds are restored unchanged. Nothing
+    else moves during a flush.
     """
-    if not state.flush_active and queue_length > cfg.flush_factor * capacity:
-        state.saved_thresholds = {d.device_id: d.threshold for d in devices}
-        for d in devices:
-            d.threshold = Threshold(0.0)
-        state.flush_active = True
-        return FlushTransition.ENTERED
-    if state.flush_active and queue_length <= cfg.beta * capacity:
-        saved = state.saved_thresholds or {}
-        for d in devices:
-            if d.device_id in saved:
-                d.threshold = saved[d.device_id]
-        state.flush_active = False
-        state.saved_thresholds = None
-        return FlushTransition.EXITED
-    return FlushTransition.NONE
-
-
-def scheduler_tick(devices: list[DeviceState], state: SchedulerState,
-                   queue_length: int, capacity: int,
-                   cfg: SchedulerConfig) -> list[ThresholdUpdate]:
-    """One control-loop invocation; returns the threshold updates to deliver."""
     state.tick_ordinal += 1
-    transition = flush_check(state, queue_length, capacity, cfg, devices)
-    if transition is FlushTransition.ENTERED:
-        return [ThresholdUpdate(d.device_id, d.threshold, "flush_enter") for d in devices]
-    if transition is FlushTransition.EXITED:
-        return [ThresholdUpdate(d.device_id, d.threshold, "flush_exit") for d in devices]
-    if state.flush_active:
-        return []
+    if state.saved is None and queue_length > cfg.flush_factor * capacity:
+        state.saved = state.thresholds.copy()
+        state.thresholds[:] = 0.0
+        return np.arange(state.thresholds.size), "flush_enter"
+    if state.saved is not None:
+        if queue_length > cfg.beta * capacity:
+            return np.arange(0), "hold"
+        state.thresholds[:] = state.saved
+        state.saved = None
+        return np.arange(state.thresholds.size), "flush_exit"
 
     tc = threshold_change(state.b_bar, queue_length, capacity, cfg)
     if tc == 0.0:
-        return []
-    direction = Direction.DECREASE if tc < 0 else Direction.INCREASE
-    targets = select_update_targets(devices, direction, cfg, state.last_update_tick)
-    by_id = {d.device_id: d for d in devices}
-    updates = []
-    for device_id in targets:
-        device = by_id[device_id]
-        device.threshold = Threshold(device.threshold.value + tc)
-        state.last_update_tick[device_id] = state.tick_ordinal
-        updates.append(ThresholdUpdate(device_id, device.threshold, direction.value))
-    return updates
+        return np.arange(0), "hold"
+    ids = select_update_targets(state.levels, state.last_update, tc < 0, cfg)
+    state.thresholds[ids] = np.clip(state.thresholds[ids] + tc, 0.0, 1.0)
+    state.last_update[ids] = state.tick_ordinal
+    return ids, "decrease" if tc < 0 else "increase"

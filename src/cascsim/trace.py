@@ -111,12 +111,12 @@ def generate_synthetic_trace(params: SyntheticTraceParams, seed) -> TraceSet:
     return TraceSet(bvsb, light, heavy)
 
 
-def _parse_bool(field: str, raw: str, row: int) -> bool:
+def _parse_bool(field: str, column: str, raw: str, row: int) -> bool:
     if raw == "0":
         return False
     if raw == "1":
         return True
-    raise TraceError(row, f"{field} must be 0 or 1, got {raw!r}")
+    raise TraceError(field, row, f"{column} must be 0 or 1, got {raw!r}")
 
 
 def load_trace_csv(source: Union[str, bytes, io.IOBase], field: str = "csv") -> TraceSet:
@@ -125,7 +125,8 @@ def load_trace_csv(source: Union[str, bytes, io.IOBase], field: str = "csv") -> 
     Accepts a path, raw bytes/str content containing a newline, or a file-like
     object. Format: header `sample_index,bvsb,light_correct,heavy_correct`,
     booleans as 0/1, LF line endings, no quoting. A path that cannot be read
-    raises ConfigError at ``field``; a malformed row raises TraceError.
+    raises ConfigError at ``field``; a malformed row raises TraceError at
+    ``field`` and the row.
     """
     if hasattr(source, "read"):
         data = source.read()
@@ -144,36 +145,37 @@ def load_trace_csv(source: Union[str, bytes, io.IOBase], field: str = "csv") -> 
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise TraceError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
+            row = data.count(b"\n", 0, exc.start) + 1
+            raise TraceError(field, row, "not UTF-8 text") from None
 
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
-        raise TraceError(1, "trace file is empty")
+        raise TraceError(field, 1, "trace file is empty")
     header = lines[0].rstrip("\r")
     if header != TRACE_CSV_HEADER:
-        raise TraceError(1, f"expected header {TRACE_CSV_HEADER!r}, got {header!r}")
+        raise TraceError(field, 1, f"expected header {TRACE_CSV_HEADER!r}, got {header!r}")
     if len(lines) == 1:
-        raise TraceError(2, "trace file has a header but no records")
+        raise TraceError(field, 2, "trace file has a header but no records")
 
     bvsb, light, heavy = [], [], []
     for row_no, line in enumerate(lines[1:], start=2):
         fields = line.rstrip("\r").split(",")
         if len(fields) != 4:
-            raise TraceError(row_no, f"expected 4 fields, got {len(fields)}")
+            raise TraceError(field, row_no, f"expected 4 fields, got {len(fields)}")
         try:
             idx = int(fields[0])
             score = float(fields[1])
         except ValueError as exc:
-            raise TraceError(row_no, str(exc)) from None
+            raise TraceError(field, row_no, str(exc)) from None
         if idx != row_no - 2:
-            raise TraceError(row_no, f"sample_index {idx} is not consecutive from 0")
+            raise TraceError(field, row_no, f"sample_index {idx} is not consecutive from 0")
         if not 0.0 <= score <= 1.0:
-            raise TraceError(row_no, f"bvsb {score} outside [0, 1]")
+            raise TraceError(field, row_no, f"bvsb {score} outside [0, 1]")
         bvsb.append(score)
-        light.append(_parse_bool("light_correct", fields[2], row_no))
-        heavy.append(_parse_bool("heavy_correct", fields[3], row_no))
+        light.append(_parse_bool(field, "light_correct", fields[2], row_no))
+        heavy.append(_parse_bool(field, "heavy_correct", fields[3], row_no))
 
     return TraceSet(bvsb, light, heavy)
 

@@ -23,8 +23,7 @@ from cascsim.config import ExperimentConfig
 from cascsim.engine import classify_server_state, estimate_arrival_rate
 from cascsim.errors import CascSimError, ConfigError
 from cascsim.metrics import MetricsReport, SampleColumns
-from cascsim.scheduler import DeviceState as _ControllerDeviceState
-from cascsim.scheduler import SchedulerState, scheduler_tick
+from cascsim.scheduler import TIER_LEVEL, SchedulerState, Tier, scheduler_tick
 from cascsim.server import compute_capacity_greedy, select_batch_size
 from cascsim.trace import TraceSet
 
@@ -44,19 +43,21 @@ class QueueUnderflowError(CascSimError, RuntimeError):
 class Policy:
     """The control loop bound to one run; the static baseline never moves a threshold."""
 
-    def __init__(self, kind: str, cfg, capacity: int):
+    def __init__(self, kind: str, cfg, capacity: int, thresholds: list, levels: list):
         self.adaptive = kind == "multitasc"
         self.cfg = cfg
         self.capacity = capacity
-        self.state = SchedulerState(cfg.window)
+        self.state = SchedulerState(cfg.window, thresholds, levels)
 
     def record_batch(self, batch_size: int) -> None:
         self.state.record_batch(batch_size)
 
-    def tick(self, devices, queue_length: int, now_ms: float) -> list:
+    def tick(self, queue_length: int, now_ms: float) -> list[tuple[int, float, str]]:
+        """(device id, new threshold, reason) of each update, in delivery order."""
         if not self.adaptive:
             return []
-        return scheduler_tick(devices, self.state, queue_length, self.capacity, self.cfg)
+        ids, reason = scheduler_tick(self.state, queue_length, self.capacity, self.cfg)
+        return [(d, v, reason) for d, v in zip(ids.tolist(), self.state.thresholds[ids].tolist())]
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,9 +89,11 @@ class RequestQueue:
 
 
 @dataclass
-class DeviceState(_ControllerDeviceState):
-    """Controller view plus the per-device counters this engine keeps as it goes."""
+class DeviceState:
+    """A device's identity plus the per-device counters this engine keeps as it goes."""
 
+    device_id: int
+    tier: Tier
     local_latency_ms: float = 0.0
     forward_count: int = 0
     sample_count: int = 0
@@ -108,12 +111,12 @@ class _DeviceRuntime:
     __slots__ = ("state", "trace", "t_inf_ms", "start_offset_ms", "applied_threshold")
 
     def __init__(self, state: DeviceState, trace: TraceSet, t_inf_ms: float,
-                 start_offset_ms: float):
+                 start_offset_ms: float, threshold: float):
         self.state = state
         self.trace = trace
         self.t_inf_ms = t_inf_ms
         self.start_offset_ms = start_offset_ms
-        self.applied_threshold = state.threshold.value
+        self.applied_threshold = threshold
 
     def sample_start(self, index: int) -> float:
         return self.start_offset_ms + index * self.t_inf_ms
@@ -150,12 +153,14 @@ class _Run:
             else:
                 offset = 0.0
             state = DeviceState(device_id=device_id, tier=group.tier,
-                                threshold=initial[gi], local_latency_ms=group.t_inf_ms)
-            self.devices.append(_DeviceRuntime(state, trace, group.t_inf_ms, offset))
+                                local_latency_ms=group.t_inf_ms)
+            self.devices.append(_DeviceRuntime(state, trace, group.t_inf_ms, offset,
+                                               initial[gi].value))
 
         capacity = compute_capacity_greedy(self.table, experiment.scheduler.config.slo_ms)
         self.policy = Policy(experiment.scheduler.kind, experiment.scheduler.config,
-                             capacity.capacity)
+                             capacity.capacity, [d.applied_threshold for d in self.devices],
+                             [TIER_LEVEL[d.state.tier] for d in self.devices])
 
         self.total_samples = sum(len(d.trace) for d in self.devices)
         self.queue = RequestQueue()
@@ -276,14 +281,12 @@ class _Run:
                        "samples": [[r.device_id, r.sample_index] for r in requests]})
 
     def on_scheduler_tick(self, now: float, seq: int) -> None:
-        states = [d.state for d in self.devices]
         queue_len = len(self.queue)
         b_bar = self.policy.state.b_bar
         flush_before = self.policy.state.flush_active
-        updates = self.policy.tick(states, queue_len, now)
+        updates = self.policy.tick(queue_len, now)
         for update in updates:
-            self.schedule(now + self.network.downlink_ms, EVENT_THRESHOLD_APPLIED,
-                          (update.device_id, update.threshold.value, update.reason))
+            self.schedule(now + self.network.downlink_ms, EVENT_THRESHOLD_APPLIED, update)
         if self.log is not None:
             flush_after = self.policy.state.flush_active
             if flush_after and not flush_before:
@@ -297,8 +300,7 @@ class _Run:
             self.emit(now, seq, EVENT_SCHEDULER_TICK,
                       {"queue_len": queue_len, "b_bar": b_bar,
                        "capacity": self.policy.capacity, "flush": flush,
-                       "updates": [[u.device_id, u.threshold.value, u.reason]
-                                   for u in updates]})
+                       "updates": [list(u) for u in updates]})
         if self.finalized < self.total_samples:
             self.schedule(now + self.policy.cfg.tick_period_ms, EVENT_SCHEDULER_TICK, ())
 
@@ -357,7 +359,6 @@ class _Run:
             self.queue_area += len(self.queue) * (span - self.queue_last_change_ms)
             self.queue_last_change_ms = span
 
-        device_tiers = {d.state.device_id: d.state.tier.value for d in self.devices}
         slos = self.experiment.slos_ms
 
         fr = metrics_mod.forward_rate(samples, in_flight)
@@ -366,12 +367,9 @@ class _Run:
                             for slo in slos}
         else:
             satisfaction = {float(slo): 0.0 for slo in slos}
-        in_flight_by_tier: dict[str, int] = {}
-        for device_id, count in self.in_flight_by_device.items():
-            tier = device_tiers[device_id]
-            in_flight_by_tier[tier] = in_flight_by_tier.get(tier, 0) + count
-        per_tier = metrics_mod.aggregate_by_tier(samples, device_tiers,
-                                                 makespan, slos, in_flight_by_tier)
+        per_tier = metrics_mod.aggregate_by_tier(
+            samples, [d.state.tier.value for d in self.devices], makespan, slos,
+            [self.in_flight_by_device.get(d, 0) for d in range(len(self.devices))])
 
         per_device_acc = []
         correct_by_device: dict[int, int] = {}

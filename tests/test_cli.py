@@ -329,6 +329,10 @@ class TestCliInputErrors:
         ("--table.x:", ["capacity", "--table", '{"1": 10, "x": 12}', "--slo", "100"]),
         ("--max-effective:", ["capacity", "--table", '{"1": 10, "2": 12}',
                               "--max-effective", "4", "--slo", "100"]),
+        ("--target:", ["calibrate", "--config", "{config}", "--target", "1.5"]),
+        ("--target:", ["calibrate", "--trace", "{missing}", "--target", "0"]),
+        ("--tolerance:", ["calibrate", "--config", "{config}", "--tolerance", "nan"]),
+        ("--tolerance:", ["calibrate", "--trace", "{missing}", "--tolerance", "-0.1"]),
     ])
     def test_exits_1_with_json_error(self, tmp_path, capsys, message, argv):
         missing = tmp_path / "missing.csv"
@@ -351,4 +355,17 @@ class TestCliInputErrors:
         path.write_bytes(b"sample_index,bvsb,light_correct,heavy_correct\n0,\xff,1,1\n")
         assert main(["calibrate", "--trace", str(path)]) == 1
         err = json.loads(capsys.readouterr().err)
-        assert err == {"error": "TraceError", "message": "row 2: not UTF-8 text"}
+        assert err == {"error": "TraceError", "message": "--trace: row 2: not UTF-8 text"}
+
+    @pytest.mark.parametrize("verb", ["calibrate", "simulate"])
+    def test_trace_error_names_the_group_of_a_multi_group_config(self, tmp_path, capsys,
+                                                                 verb):
+        path = tmp_path / "trace.csv"
+        path.write_text("sample_index,bvsb,light_correct,heavy_correct\n"
+                        "0,0.5,1,1\n1,2.0,1,0\n", encoding="utf-8")
+        doc = json.loads(load_config("heterog_inceptionv3").to_json())
+        doc["fleet"][1]["trace"] = {"csv": str(path)}
+        assert main([verb, "--config", write_config(tmp_path, doc)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "TraceError",
+                       "message": "fleet[1].trace.csv: row 3: bvsb 2.0 outside [0, 1]"}

@@ -74,7 +74,7 @@ class TestTierAggregation:
     def test_single_tier_matches_totals(self):
         lts = columns(40.0, correct=[i % 2 == 0 for i in range(12)],
                       device_id=[i % 3 for i in range(12)])
-        tiers = {0: "mid", 1: "mid", 2: "mid"}
+        tiers = ["mid", "mid", "mid"]
         report = aggregate_by_tier(lts, tiers, makespan_ms=1000.0, slos_ms=[100.0])
         assert set(report) == {"mid"}
         assert report["mid"]["accuracy"] == accuracy(lts)
@@ -83,7 +83,7 @@ class TestTierAggregation:
 
     def test_tier_throughputs_sum_to_total(self):
         rng = np.random.default_rng(2)
-        tiers = {i: ("low", "mid", "high")[i % 3] for i in range(9)}
+        tiers = [("low", "mid", "high")[i % 3] for i in range(9)]
         draws = [(rng.uniform(10, 300), rng.integers(9)) for _ in range(500)]
         lts = columns([d[0] for d in draws], device_id=[d[1] for d in draws])
         report = aggregate_by_tier(lts, tiers, makespan_ms=2000.0, slos_ms=[100.0])
@@ -92,9 +92,18 @@ class TestTierAggregation:
 
     def test_partition_by_tier(self):
         lts = columns(10.0, device_id=[0, 1, 1])
-        report = aggregate_by_tier(lts, {0: "low", 1: "high"}, 1000.0, [50.0])
+        report = aggregate_by_tier(lts, ["low", "high"], 1000.0, [50.0])
         assert report["low"]["samples"] == 1
         assert report["high"]["samples"] == 2
+
+    def test_tier_is_reported_once_a_device_finalized_or_has_one_in_flight(self):
+        lts = columns(10.0, device_id=[0, 0])
+        tiers = ["low", "mid", "high", "high"]
+        report = aggregate_by_tier(lts, tiers, 1000.0, [50.0], [1, 0, 0, 2])
+        assert set(report) == {"low", "high"}  # mid: nothing finalized, nothing in flight
+        assert report["low"]["satisfaction"][50.0] == pytest.approx(2 / 3)
+        assert report["high"]["samples"] == 0
+        assert report["high"]["satisfaction"][50.0] == 0.0
 
 
 class TestSatisfactionFloor:

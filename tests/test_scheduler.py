@@ -1,16 +1,15 @@
+from math import ceil
+
+import numpy as np
 import pytest
 
-from cascsim.cascade import Threshold
 from cascsim.engine import parse_event_log_line, run_simulation
 from cascsim.errors import ConfigError
 from cascsim.scheduler import (
-    DeviceState,
-    Direction,
-    FlushTransition,
+    TIER_LEVEL,
     SchedulerConfig,
     SchedulerState,
     Tier,
-    flush_check,
     scheduler_tick,
     select_update_targets,
     threshold_change,
@@ -25,14 +24,15 @@ def cfg(**overrides) -> SchedulerConfig:
     return c
 
 
-def fleet(low=0, mid=0, high=0, threshold=0.5, t_inf=43.0):
-    devices = []
-    device_id = 0
-    for tier, count in ((Tier.LOW, low), (Tier.MID, mid), (Tier.HIGH, high)):
-        for _ in range(count):
-            devices.append(DeviceState(device_id, tier, Threshold(threshold)))
-            device_id += 1
-    return devices
+def fleet(low=0, mid=0, high=0, threshold=0.5, window=5):
+    """Controller state of a fleet numbered low tier first, then mid, then high."""
+    levels = [TIER_LEVEL[Tier.LOW]] * low + [TIER_LEVEL[Tier.MID]] * mid \
+        + [TIER_LEVEL[Tier.HIGH]] * high
+    return SchedulerState(window, [threshold] * len(levels), levels)
+
+
+def never(n):
+    return np.full(n, -1)
 
 
 class TestConfig:
@@ -94,152 +94,158 @@ class TestThresholdChange:
 
 class TestSelectUpdateTargets:
     def test_decrease_prioritizes_high_tier(self):
-        devices = fleet(low=4, mid=3, high=3)
-        got = select_update_targets(devices, Direction.DECREASE, cfg())
-        high_ids = [d.device_id for d in devices if d.tier is Tier.HIGH]
-        assert got == high_ids[:2]
+        state = fleet(low=4, mid=3, high=3)
+        got = select_update_targets(state.levels, state.last_update, True, cfg())
+        assert got.tolist() == [7, 8]  # ceil(0.2 * 10) of the high ids 7, 8, 9
 
     def test_increase_prioritizes_low_tier(self):
-        devices = fleet(low=4, mid=3, high=3)
-        got = select_update_targets(devices, Direction.INCREASE, cfg())
-        assert got == [0, 1]
+        state = fleet(low=4, mid=3, high=3)
+        got = select_update_targets(state.levels, state.last_update, False, cfg())
+        assert got.tolist() == [0, 1]
 
     def test_singleton_fleet_selects_itself(self):
-        devices = fleet(mid=1)
-        for direction in Direction:
-            assert select_update_targets(devices, direction, cfg()) == [0]
+        state = fleet(mid=1)
+        for decrease in (True, False):
+            assert select_update_targets(state.levels, never(1), decrease, cfg()).tolist() == [0]
 
     def test_count_is_ceiling_of_fraction(self):
         # 0.2 * 15 is 3.0000000000000004 in floats; the ceiling must stay 3
-        devices = fleet(mid=15)
-        got = select_update_targets(devices, Direction.DECREASE, cfg())
-        assert len(got) == 3
+        state = fleet(mid=15)
+        assert len(select_update_targets(state.levels, never(15), True, cfg())) == 3
 
     def test_least_recently_updated_breaks_within_tier(self):
-        devices = fleet(high=4)
-        last = {0: 3, 1: 1, 2: 2, 3: 1}
-        got = select_update_targets(devices, Direction.DECREASE, cfg(update_fraction=0.5), last)
-        assert got == [1, 3]  # stalest first, id ascending on ties
+        state = fleet(high=4)
+        got = select_update_targets(state.levels, np.array([3, 1, 2, 1]), True,
+                                    cfg(update_fraction=0.5))
+        assert got.tolist() == [1, 3]  # stalest first, id ascending on ties
 
     def test_never_updated_devices_go_first(self):
-        devices = fleet(mid=3)
-        got = select_update_targets(devices, Direction.INCREASE,
-                                    cfg(update_fraction=0.4), {0: 5, 2: 1})
-        assert got == [1, 2]
+        state = fleet(mid=3)
+        got = select_update_targets(state.levels, np.array([5, -1, 1]), False,
+                                    cfg(update_fraction=0.4))
+        assert got.tolist() == [1, 2]
 
     def test_empty_fleet_rejected(self):
         with pytest.raises(ConfigError):
-            select_update_targets([], Direction.DECREASE, cfg())
+            select_update_targets(np.array([], dtype=np.int64), never(0), True, cfg())
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_sorted_reference(self, seed):
+        """Randomized fleets against a plain ``sorted`` of (priority, last update, id)."""
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            n = int(rng.integers(1, 61))
+            tiers = [list(Tier)[i] for i in rng.integers(0, 3, n)]
+            last_update = rng.integers(-1, 6, n)
+            decrease = bool(rng.integers(2))
+            fraction = float(rng.choice([0.0, 1.0, rng.random()]))
+            # throttling reaches high-tier devices first, relaxing low-tier ones
+            order = ((Tier.HIGH, Tier.MID, Tier.LOW) if decrease
+                     else (Tier.LOW, Tier.MID, Tier.HIGH))
+            expected = sorted(range(n),
+                              key=lambda d: (order.index(tiers[d]), last_update[d], d))
+            count = ceil(fraction * n - 1e-9)
+            got = select_update_targets(np.array([TIER_LEVEL[t] for t in tiers]), last_update,
+                                        decrease, cfg(update_fraction=fraction))
+            assert got.tolist() == expected[:count]
 
 
 class TestFlush:
     def test_entry_zeroes_and_saves(self):
-        devices = fleet(mid=3, threshold=0.62)
-        state = SchedulerState(window=5)
-        got = flush_check(state, queue_length=80, capacity=36, cfg=cfg(flush_factor=2.0),
-                          devices=devices)
-        assert got is FlushTransition.ENTERED
+        state = fleet(mid=3, threshold=0.62)
+        ids, reason = scheduler_tick(state, queue_length=80, capacity=36,
+                                     cfg=cfg(flush_factor=2.0))
+        assert reason == "flush_enter"
+        assert ids.tolist() == [0, 1, 2]
         assert state.flush_active
-        assert all(d.threshold.value == 0.0 for d in devices)
-        assert state.saved_thresholds == {0: Threshold(0.62), 1: Threshold(0.62),
-                                          2: Threshold(0.62)}
+        assert state.thresholds.tolist() == [0.0, 0.0, 0.0]
+        assert state.saved.tolist() == [0.62, 0.62, 0.62]
 
     def test_exit_restores_saved(self):
-        devices = fleet(mid=2, threshold=0.4)
-        state = SchedulerState(window=5)
-        flush_check(state, 80, 36, cfg(), devices)
-        got = flush_check(state, 4, 36, cfg(), devices)  # beta * 36 = 4.5
-        assert got is FlushTransition.EXITED
+        state = fleet(mid=2, threshold=0.4)
+        scheduler_tick(state, 80, 36, cfg())
+        ids, reason = scheduler_tick(state, 4, 36, cfg())  # beta * 36 = 4.5
+        assert reason == "flush_exit"
+        assert ids.tolist() == [0, 1]
         assert not state.flush_active
-        assert state.saved_thresholds is None
-        assert all(d.threshold.value == 0.4 for d in devices)
+        assert state.saved is None
+        assert state.thresholds.tolist() == [0.4, 0.4]
 
     def test_no_transition_in_between(self):
-        devices = fleet(mid=2)
-        state = SchedulerState(window=5)
-        assert flush_check(state, 30, 36, cfg(), devices) is FlushTransition.NONE
+        state = fleet(mid=2)
+        state.record_batch(10)  # b_bar between the bands: the change rule holds too
+        ids, reason = scheduler_tick(state, 30, 36, cfg())
+        assert (ids.tolist(), reason) == ([], "hold")
+        assert not state.flush_active
 
     def test_round_trip_restores_exact_thresholds(self):
-        import numpy as np
         rng = np.random.default_rng(3)
-        devices = fleet(low=3, mid=3, high=3)
-        values = {}
-        for d in devices:
-            d.threshold = Threshold(float(rng.random()))
-            values[d.device_id] = d.threshold.value
-        state = SchedulerState(window=5)
-        assert flush_check(state, 1000, 36, cfg(), devices) is FlushTransition.ENTERED
-        assert flush_check(state, 0, 36, cfg(), devices) is FlushTransition.EXITED
-        assert {d.device_id: d.threshold.value for d in devices} == values
+        values = rng.random(9).tolist()
+        state = SchedulerState(5, values, [0, 0, 0, 1, 1, 1, 2, 2, 2])
+        assert scheduler_tick(state, 1000, 36, cfg())[1] == "flush_enter"
+        assert scheduler_tick(state, 0, 36, cfg())[1] == "flush_exit"
+        assert state.thresholds.tolist() == values
 
 
 class TestSchedulerTick:
-    def run_tick(self, devices, state, queue_length, b_values, capacity=36, config=None):
+    def run_tick(self, state, queue_length, b_values, capacity=36, config=None):
+        """One tick; returns its updates as (device id, new threshold, reason)."""
         config = config or cfg()
         for b in b_values:
             state.record_batch(b)
-        return scheduler_tick(devices, state, queue_length, capacity, config)
+        ids, reason = scheduler_tick(state, queue_length, capacity, config)
+        return [(d, v, reason) for d, v in zip(ids.tolist(), state.thresholds[ids].tolist())]
 
     def test_hold_branch_returns_no_updates(self):
-        devices = fleet(mid=5)
-        state = SchedulerState(window=5)
-        assert self.run_tick(devices, state, queue_length=3, b_values=[32]) == []
+        state = fleet(mid=5)
+        assert self.run_tick(state, queue_length=3, b_values=[32]) == []
 
     def test_decrease_clamps_at_zero(self):
-        devices = fleet(mid=5, threshold=0.03)
-        state = SchedulerState(window=5)
-        updates = self.run_tick(devices, state, queue_length=40, b_values=[32, 32])
-        assert len(updates) == 1
-        assert updates[0].threshold.value == 0.0
-        assert updates[0].reason == "decrease"
+        state = fleet(mid=5, threshold=0.03)
+        updates = self.run_tick(state, queue_length=40, b_values=[32, 32])
+        assert updates == [(0, 0.0, "decrease")]
 
     def test_increase_moves_by_margin(self):
-        devices = fleet(mid=5, threshold=0.50)
-        state = SchedulerState(window=5)
-        updates = self.run_tick(devices, state, queue_length=0, b_values=[1])
+        state = fleet(mid=5, threshold=0.50)
+        updates = self.run_tick(state, queue_length=0, b_values=[1])
         assert len(updates) == 1
-        assert updates[0].threshold.value == pytest.approx(0.55)
+        assert updates[0][1] == pytest.approx(0.55)
+        assert updates[0][2] == "increase"
 
     def test_exact_fraction_updated_outside_flush(self):
-        devices = fleet(low=4, mid=4, high=2)
-        state = SchedulerState(window=5)
-        updates = self.run_tick(devices, state, queue_length=40, b_values=[32, 32])
+        state = fleet(low=4, mid=4, high=2)
+        updates = self.run_tick(state, queue_length=40, b_values=[32, 32])
         assert len(updates) == 2  # ceil(0.2 * 10)
 
     def test_flush_preempts_threshold_logic(self):
-        devices = fleet(mid=4, threshold=0.8)
-        state = SchedulerState(window=5)
-        updates = self.run_tick(devices, state, queue_length=100, b_values=[32])
-        assert {u.reason for u in updates} == {"flush_enter"}
-        assert len(updates) == 4
-        assert all(u.threshold.value == 0.0 for u in updates)
+        state = fleet(mid=4, threshold=0.8)
+        updates = self.run_tick(state, queue_length=100, b_values=[32])
+        assert updates == [(d, 0.0, "flush_enter") for d in range(4)]
         # while flushed and still congested above the exit band: hold
-        assert self.run_tick(devices, state, queue_length=50, b_values=[32]) == []
+        assert self.run_tick(state, queue_length=50, b_values=[32]) == []
         # decongested: restore
-        updates = self.run_tick(devices, state, queue_length=2, b_values=[1])
-        assert {u.reason for u in updates} == {"flush_exit"}
-        assert all(u.threshold.value == 0.8 for u in updates)
+        updates = self.run_tick(state, queue_length=2, b_values=[1])
+        assert updates == [(d, 0.8, "flush_exit") for d in range(4)]
 
     def test_deterministic_for_fixed_inputs(self):
         def build():
-            devices = fleet(low=3, mid=3, high=3, threshold=0.6)
-            state = SchedulerState(window=5)
+            state = fleet(low=3, mid=3, high=3, threshold=0.6)
             for b in (32, 16, 32):
                 state.record_batch(b)
-            return devices, state
-        d1, s1 = build()
-        d2, s2 = build()
-        u1 = scheduler_tick(d1, s1, 40, 36, cfg())
-        u2 = scheduler_tick(d2, s2, 40, 36, cfg())
+            return state
+        s1, s2 = build(), build()
+        u1 = self.run_tick(s1, 40, [])
+        u2 = self.run_tick(s2, 40, [])
         assert u1 == u2
+        assert s1.last_update.tolist() == s2.last_update.tolist()
 
     def test_updates_recorded_as_last_update_tick(self):
-        devices = fleet(high=4, threshold=0.6)
-        state = SchedulerState(window=5)
-        first = self.run_tick(devices, state, queue_length=40, b_values=[32, 32])
-        second = self.run_tick(devices, state, queue_length=40, b_values=[])
-        assert [u.device_id for u in first] == [0]
-        assert [u.device_id for u in second] == [1]  # least recently updated next
+        state = fleet(high=4, threshold=0.6)
+        first = self.run_tick(state, queue_length=40, b_values=[32, 32])
+        second = self.run_tick(state, queue_length=40, b_values=[])
+        assert [u[0] for u in first] == [0]
+        assert [u[0] for u in second] == [1]  # least recently updated next
+        assert state.last_update.tolist() == [1, 2, -1, -1]
 
 
 class TestBaseline:
@@ -266,7 +272,7 @@ class TestBaseline:
 
 class TestStateAccounting:
     def test_b_bar_is_bounded_window_mean(self):
-        state = SchedulerState(window=3)
+        state = fleet(mid=1, window=3)
         assert state.b_bar == 0.0
         for b in (8, 16, 32, 64):
             state.record_batch(b)

@@ -88,8 +88,9 @@ class TestCsv:
 
     def test_bvsb_out_of_range_names_row(self):
         with pytest.raises(TraceError) as err:
-            load_trace_csv(f"{self.HEADER}\n0,0.2,1,1\n1,1.2,0,0\n")
-        assert err.value.row == 3
+            load_trace_csv(f"{self.HEADER}\n0,0.2,1,1\n1,1.2,0,0\n", "fleet[2].trace.csv")
+        assert (err.value.field, err.value.row) == ("fleet[2].trace.csv", 3)
+        assert str(err.value) == "fleet[2].trace.csv: row 3: bvsb 1.2 outside [0, 1]"
 
     def test_header_only_is_empty_trace(self):
         with pytest.raises(TraceError):
