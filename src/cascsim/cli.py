@@ -21,7 +21,7 @@ from .config import ExperimentConfig, load_config, preset_names, read_batch_tabl
 from .engine import run_simulation
 from .errors import CascSimError, ConfigError
 from .metrics import SWEEP_CSV_HEADER, mean_report, sweep_csv_rows
-from .server import BatchLatencyTable, compute_capacity_exact, compute_capacity_greedy
+from .server import BatchLatencyTable, compute_capacity_greedy
 from .trace import load_trace_csv
 
 
@@ -129,15 +129,14 @@ def _table_from_args(args) -> BatchLatencyTable:
 
 
 def cmd_capacity(args) -> int:
-    table = _table_from_args(args)
-    solver = compute_capacity_exact if args.exact else compute_capacity_greedy
-    result = solver(table, args.slo)
+    if not 0.0 < args.slo < inf:  # NaN fails too
+        raise ConfigError("--slo", f"must be finite and positive, got {args.slo}")
+    result = compute_capacity_greedy(_table_from_args(args), args.slo)
     print(json.dumps({
         "capacity": result.capacity,
         "schedule": [[b, n] for b, n in result.schedule],
         "time_used_ms": result.time_used_ms,
         "slo_ms": args.slo,
-        "solver": "exact" if args.exact else "greedy",
     }, sort_keys=True))
     return 0
 
@@ -164,6 +163,9 @@ def cmd_calibrate(args) -> int:
         raise ConfigError("--trace", "either --config or --trace is required")
     cfg = load_config(args.config)
     calib = cfg.scheduler.calibration
+    if given and calib is None:
+        raise ConfigError("--target" if args.target is not None else "--tolerance",
+                          "nothing to calibrate: the config fixes scheduler.initial_threshold")
     if calib is not None:
         calib = replace(calib, **given)
         cfg = replace(cfg, scheduler=replace(cfg.scheduler, calibration=calib))
@@ -213,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     cap.add_argument("--table", help='batch latency table as JSON, e.g. \'{"1": 10, "2": 12}\'')
     cap.add_argument("--max-effective", type=int, default=None)
     cap.add_argument("--slo", type=float, required=True, help="latency budget in ms")
-    cap.add_argument("--exact", action="store_true", help="use the exact DP solver")
     cap.set_defaults(func=cmd_capacity)
 
     cal = sub.add_parser("calibrate", help="pick static thresholds from a calibration trace")

@@ -182,23 +182,6 @@ class ExperimentConfig:
                 trace, calib.target_forward_rate, calib.accuracy_tolerance))
         return thresholds
 
-    def to_dict(self) -> dict:
-        """The config as a JSON document, laid out as ``config_from_dict`` reads it."""
-        spec = self.scheduler
-        return {
-            **_dump(self, _TOP_KEYS),
-            "fleet": [{**_dump(g, _GROUP_KEYS), "trace": _dump(g, _TRACE_KEYS, skip_none=True)}
-                      for g in self.fleet],
-            "server": {**_dump(self, _SERVER_KEYS),
-                       "batch_latency_table": self.server_table.to_dict(),
-                       "max_effective_batch": self.server_table.max_effective_batch},
-            "scheduler": {**_dump(spec, _SPEC_KEYS, skip_none=True), **_dump(spec.config)},
-            "sim": _dump(self, _SIM_KEYS),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
 
 def _keys(*same: str, **renamed: str) -> dict[str, str]:
     return {**{name: name for name in same}, **renamed}
@@ -307,21 +290,6 @@ def read_batch_table(entries, max_effective_batch, path: str = "server.batch_lat
                              path, max_path)
 
 
-def _dump(obj, keys: Optional[dict[str, str]] = None, skip_none: bool = False) -> dict:
-    """The JSON section of dataclass ``obj``, laid out as ``_read`` reads it."""
-    keys = keys or {name: name for name in _schema(type(obj))}
-    out = {key: _plain(getattr(obj, name)) for key, name in keys.items()}
-    return {k: v for k, v in out.items() if v is not None} if skip_none else out
-
-
-def _plain(value):
-    if is_dataclass(value):
-        return _dump(value)
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    return value.value if isinstance(value, Enum) else value
-
-
 def _fleet_group(raw, path: str) -> FleetGroup:
     group = _read(FleetGroup, raw, path, _GROUP_KEYS, extra=("trace",))
     trace = _read(FleetGroup, raw.get("trace", {}), f"{path}.trace", _TRACE_KEYS)
@@ -367,17 +335,22 @@ def preset_names() -> list[str]:
     return sorted(p.name[:-5] for p in files.iterdir() if p.name.endswith(".json"))
 
 
-def load_config(source: Union[str, Path, dict]) -> ExperimentConfig:
-    """Load a config from a dict, a JSON file path, or a shipped preset name."""
-    if isinstance(source, dict):
-        return config_from_dict(source)
+def load_config(source: Union[str, Path]) -> ExperimentConfig:
+    """Load a config from a JSON file path or a shipped preset name; a relative
+    ``fleet[i].trace.csv`` path in a file resolves against the file's directory
+    (inline CSV text, which holds a newline, is kept as it is)."""
     path = Path(source)
     if path.suffix == ".json" and path.exists():
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(str(path), f"invalid JSON: {exc}") from None
-        return config_from_dict(doc)
+        config = config_from_dict(doc)
+        return replace(config, fleet=tuple(
+            replace(g, trace_csv=str(path.parent / g.trace_csv))
+            if g.trace_csv is not None and "\n" not in g.trace_csv
+            and not Path(g.trace_csv).is_absolute() else g
+            for g in config.fleet))
     preset = resources.files("cascsim").joinpath("presets").joinpath(f"{source}.json")
     if preset.is_file():
         return config_from_dict(json.loads(preset.read_text(encoding="utf-8")))

@@ -190,8 +190,6 @@ class _Run:
         initial = experiment.resolve_initial_thresholds()
         group_of = experiment.device_groups()
         n = len(group_of)
-        if n == 0:
-            raise ConfigError("fleet", "no devices configured")
         self.n_devices = n
 
         self.t_inf = np.empty(n)
@@ -558,11 +556,8 @@ class _Run:
             queue_area=queue_area, queue_waits=queue_waits)
 
         slos = experiment.slos_ms
-        if len(cols) or in_flight:
-            satisfaction = {float(slo): metrics_mod.slo_satisfaction(cols, slo, in_flight)
-                            for slo in slos}
-        else:
-            satisfaction = {float(slo): 0.0 for slo in slos}
+        satisfaction = {float(slo): metrics_mod.slo_satisfaction(cols, slo, in_flight)
+                        for slo in slos}
         tier_names = [tier.value for tier in Tier]  # indexed by tier level
         per_tier = metrics_mod.aggregate_by_tier(
             cols, [tier_names[level] for level in self.sched_state.levels.tolist()],
@@ -583,8 +578,8 @@ class _Run:
             device_count=n,
             seed=self.seed,
             makespan_ms=makespan,
-            total_throughput=metrics_mod.throughput(cols, makespan) if makespan > 0 else 0.0,
-            cascade_accuracy=metrics_mod.accuracy(cols) if len(cols) else 0.0,
+            total_throughput=metrics_mod.throughput(cols, makespan),
+            cascade_accuracy=metrics_mod.accuracy(cols),
             device_mean_accuracy=sum(per_device_acc) / len(per_device_acc)
             if per_device_acc else 0.0,
             slo_satisfaction=satisfaction,

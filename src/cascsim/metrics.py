@@ -10,7 +10,7 @@ forced horizon counted as violations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,7 +21,14 @@ from .errors import ConfigError
 class SampleColumns:
     """Finalized samples of a run as numpy columns, one row per sample in decision
     order: the order of the local completions that kept or forwarded them. No
-    report field depends on the row order."""
+    report field depends on the row order.
+
+    ``latency_ms`` of a locally kept sample is always its full local inference
+    time. A served sample runs from local-inference start to response arrival,
+    less its device's ``t_inf_ms`` when the config sets
+    ``include_local_in_latency`` to false. Both kinds feed the one
+    ``slo_satisfaction`` figure and the per-tier figures.
+    """
 
     __slots__ = ("device_id", "sample_index", "start_ms", "completion_ms", "served",
                  "correct", "latency_ms")
@@ -44,27 +51,29 @@ class SampleColumns:
 
 
 def slo_satisfaction(samples: SampleColumns, slo_ms: float, in_flight: int = 0) -> float:
-    """Fraction of samples finishing within the latency objective.
+    """Fraction of samples finishing within the latency objective; 0 with none.
 
     in_flight samples (cut off by a horizon) count against the rate.
     """
-    if not len(samples) and in_flight == 0:
-        raise ConfigError("samples", "must not be empty")
-    satisfied = int((samples.latency_ms <= slo_ms).sum())
-    return satisfied / (len(samples) + in_flight)
+    decided = len(samples) + in_flight
+    if decided == 0:
+        return 0.0
+    return int((samples.latency_ms <= slo_ms).sum()) / decided
 
 
 def throughput(samples: SampleColumns, makespan_ms: float) -> float:
-    """Finalized samples per second over the run makespan."""
-    if makespan_ms <= 0:
-        raise ConfigError("makespan_ms", f"must be positive, got {makespan_ms}")
+    """Finalized samples per second over the run makespan; 0 over an empty one."""
+    if not makespan_ms >= 0:  # NaN fails too
+        raise ConfigError("makespan_ms", f"must be non-negative, got {makespan_ms}")
+    if makespan_ms == 0:
+        return 0.0
     return len(samples) / (makespan_ms / 1000.0)
 
 
 def accuracy(samples: SampleColumns) -> float:
-    """Fraction of finalized samples answered correctly."""
+    """Fraction of finalized samples answered correctly; 0 with none."""
     if not len(samples):
-        raise ConfigError("samples", "must not be empty")
+        return 0.0
     return int(samples.correct.sum()) / len(samples)
 
 
@@ -99,8 +108,8 @@ def aggregate_by_tier(samples: SampleColumns, device_tiers: Sequence[str],
         stuck = int(in_flight[code])
         report[str(names[code])] = {
             "samples": len(tier_cols),
-            "accuracy": accuracy(tier_cols) if len(tier_cols) else 0.0,
-            "throughput": throughput(tier_cols, makespan_ms) if makespan_ms > 0 else 0.0,
+            "accuracy": accuracy(tier_cols),
+            "throughput": throughput(tier_cols, makespan_ms),
             "satisfaction": {float(slo): slo_satisfaction(tier_cols, slo, stuck)
                              for slo in slos_ms},
         }
@@ -133,26 +142,11 @@ class MetricsReport:
     event_log: Optional[list[str]] = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "scheduler_kind": self.scheduler_kind,
-            "device_count": self.device_count,
-            "seed": self.seed,
-            "makespan_ms": self.makespan_ms,
-            "total_throughput": self.total_throughput,
-            "cascade_accuracy": self.cascade_accuracy,
-            "device_mean_accuracy": self.device_mean_accuracy,
-            "slo_satisfaction": {str(k): v for k, v in self.slo_satisfaction.items()},
-            "per_tier": self.per_tier,
-            "forward_rate": self.forward_rate,
-            "mean_queue_length": self.mean_queue_length,
-            "arrival_rate": self.arrival_rate,
-            "server_throughput": self.server_throughput,
-            "server_state": self.server_state,
-            "samples_finalized": self.samples_finalized,
-            "samples_local": self.samples_local,
-            "samples_served": self.samples_served,
-            "samples_in_flight": self.samples_in_flight,
-        }
+        """Every field but the per-sample columns and the event log."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("samples", "event_log")}
+        out["slo_satisfaction"] = {str(k): v for k, v in self.slo_satisfaction.items()}
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)

@@ -1,23 +1,21 @@
-"""Shared server model: batch-latency profile, batch-size selection, and capacity solvers.
+"""Shared server model: batch-latency profile, batch-size selection, and capacity.
 
 Capacity is the largest number of samples the server can push through within
 one latency budget, choosing batch sizes from its profile. Computing it is an
 unbounded knapsack over batch sizes; a greedy largest-batch-first pass is
-optimal whenever the profile's throughput grows with batch size, and an exact
-dynamic program over a 1 ms time grid serves as the independent check.
+optimal whenever the profile's throughput grows with batch size, as every table
+must; the test suite checks it against an exact dynamic program.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, floor, isfinite
+from math import floor, inf, isfinite
 from typing import Optional
 
 from .errors import ConfigError
 
 BATCH_POOL = (1, 2, 4, 8, 16, 32, 64)
-
-DP_GRID_LIMIT_MS = 60_000
 
 
 class BatchLatencyTable:
@@ -60,21 +58,10 @@ class BatchLatencyTable:
         self.max_effective_batch = max_effective_batch
         self.effective_sizes = sizes
 
-    def latency(self, batch_size: int) -> float:
-        return self.entries[batch_size]
-
     @property
     def peak_throughput(self) -> float:
         """Best attainable service rate in samples/s over the usable sizes."""
         return max(1000.0 * b / self.entries[b] for b in self.effective_sizes)
-
-    def to_dict(self) -> dict:
-        return {str(b): self.entries[b] for b in self.entries}
-
-    def __eq__(self, other):
-        return (isinstance(other, BatchLatencyTable)
-                and self.entries == other.entries
-                and self.max_effective_batch == other.max_effective_batch)
 
     def __repr__(self):
         return f"BatchLatencyTable({self.entries}, max_effective_batch={self.max_effective_batch})"
@@ -108,13 +95,13 @@ def select_batch_size(queue_length: int, table: BatchLatencyTable) -> Optional[i
 def compute_capacity_greedy(table: BatchLatencyTable, slo_ms: float) -> CapacityResult:
     """Greedy capacity: repeat the largest batch size as often as the budget allows,
     then fall through to smaller sizes with whatever time remains."""
-    if slo_ms <= 0:
-        raise ConfigError("slo_ms", f"must be positive, got {slo_ms}")
+    if not 0.0 < slo_ms < inf:  # NaN fails too
+        raise ConfigError("slo_ms", f"must be finite and positive, got {slo_ms}")
     remaining = float(slo_ms)
     schedule = []
     capacity = 0
     for b in reversed(table.effective_sizes):
-        latency = table.latency(b)
+        latency = table.entries[b]
         n = int(floor(remaining / latency))
         # guard against float division landing a hair above an exact multiple
         while n > 0 and n * latency > remaining:
@@ -125,44 +112,3 @@ def compute_capacity_greedy(table: BatchLatencyTable, slo_ms: float) -> Capacity
             remaining -= n * latency
     return CapacityResult(capacity, tuple(schedule), float(slo_ms) - remaining)
 
-
-def compute_capacity_exact(table: BatchLatencyTable, slo_ms: float,
-                           grid_limit_ms: int = DP_GRID_LIMIT_MS) -> CapacityResult:
-    """Exact capacity by unbounded-knapsack dynamic programming.
-
-    Works on a 1 ms grid; latencies are rounded up to the grid, so it is exact
-    whenever the table's latencies are integral. Intended as the independent
-    oracle for the greedy solver.
-    """
-    if slo_ms <= 0:
-        raise ConfigError("slo_ms", f"must be positive, got {slo_ms}")
-    if slo_ms > grid_limit_ms:
-        raise ConfigError("slo_ms", f"{slo_ms} exceeds the exact grid limit {grid_limit_ms} ms")
-
-    horizon = int(floor(slo_ms))
-    costs = {b: int(ceil(table.latency(b))) for b in table.effective_sizes}
-
-    best = [0] * (horizon + 1)
-    choice = [0] * (horizon + 1)
-    for t in range(1, horizon + 1):
-        best[t] = best[t - 1]
-        choice[t] = 0
-        for b in table.effective_sizes:
-            cost = costs[b]
-            if cost <= t and best[t - cost] + b > best[t]:
-                best[t] = best[t - cost] + b
-                choice[t] = b
-
-    counts: dict[int, int] = {}
-    t = horizon
-    time_used = 0
-    while t > 0 and best[t] > 0:
-        b = choice[t]
-        if b == 0:
-            t -= 1
-            continue
-        counts[b] = counts.get(b, 0) + 1
-        time_used += costs[b]
-        t -= costs[b]
-    schedule = tuple(sorted(counts.items(), reverse=True))
-    return CapacityResult(best[horizon], schedule, float(time_used))

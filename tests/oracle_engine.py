@@ -247,7 +247,7 @@ class _Run:
         self._queue_changed(now, old)
         self.policy.record_batch(batch_size)
         self.executor_busy = True
-        done = now + self.table.latency(batch_size)
+        done = now + self.table.entries[batch_size]
         self.schedule(done, EVENT_BATCH_COMPLETE, (requests, batch_size, now))
 
     def on_batch_complete(self, now: float, seq: int, requests: list[QueuedRequest],

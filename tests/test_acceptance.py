@@ -21,10 +21,11 @@ from cascsim.cascade import Threshold, cascade_accuracy
 from cascsim.config import load_config
 from cascsim.engine import parse_event_log_line, run_simulation
 from cascsim.scheduler import SchedulerConfig, threshold_change
-from cascsim.server import compute_capacity_exact, compute_capacity_greedy
+from cascsim.server import compute_capacity_greedy
 from cascsim.trace import SyntheticTraceParams, generate_synthetic_trace
 
 from conftest import random_monotone_table, small_config, make_trace
+from oracle_capacity import compute_capacity_exact
 
 SEEDS = (1, 2, 3)
 SWEEPS = {

@@ -1,4 +1,6 @@
+import io
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -36,6 +38,12 @@ def write_config(tmp_path, doc):
     return str(path)
 
 
+def preset_doc(name):
+    """The JSON document of a shipped preset."""
+    text = resources.files("cascsim").joinpath("presets", f"{name}.json").read_text("utf-8")
+    return json.loads(text)
+
+
 class TestCapacityCommand:
     TABLE = '{"1": 10, "2": 12, "4": 16, "8": 24, "16": 40}'
 
@@ -45,15 +53,19 @@ class TestCapacityCommand:
         assert doc["capacity"] == 36
         assert doc["schedule"] == [[16, 2], [4, 1]]
         assert doc["time_used_ms"] == 96.0
-
-    def test_exact_solver_agrees(self, capsys):
-        assert main(["capacity", "--table", self.TABLE, "--slo", "100", "--exact"]) == 0
-        assert json.loads(capsys.readouterr().out)["capacity"] == 36
+        assert sorted(doc) == ["capacity", "schedule", "slo_ms", "time_used_ms"]
 
     def test_zero_slo_fails_with_error_json(self, capsys):
         assert main(["capacity", "--table", self.TABLE, "--slo", "0"]) == 1
         err = json.loads(capsys.readouterr().err)
         assert "slo" in err["message"]
+
+    @pytest.mark.parametrize("slo", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_slo_fails_with_error_json(self, capsys, slo):
+        assert main(["capacity", "--config", "homog_efflite0_inceptionv3", "--slo", slo]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith("--slo:")
 
     def test_bad_table_json(self, capsys):
         assert main(["capacity", "--table", "{oops", "--slo", "100"]) == 1
@@ -158,7 +170,7 @@ class TestCalibrateCommand:
         assert all(0.0 <= g["threshold"] <= 1.0 for g in doc["thresholds"])
 
     def test_config_target_is_kept_unless_a_flag_is_given(self, tmp_path, capsys):
-        doc = json.loads(load_config("homog_efflite0_inceptionv3").to_json())
+        doc = preset_doc("homog_efflite0_inceptionv3")
         doc["scheduler"]["calibration"]["target_forward_rate"] = 0.5
         cfg_path = write_config(tmp_path, doc)
         simulated = load_config(cfg_path).resolve_initial_thresholds()[0].value
@@ -172,15 +184,55 @@ class TestCalibrateCommand:
         assert out["thresholds"][0]["threshold"] == \
             load_config("homog_efflite0_inceptionv3").resolve_initial_thresholds()[0].value
 
+    def test_fixed_threshold_config_is_printed_and_refuses_calibration_flags(
+            self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, tiny_config_doc())
+        assert main(["calibrate", "--config", cfg_path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["target_forward_rate"] is None
+        assert [g["threshold"] for g in out["thresholds"]] == [0.5]
+        for flag, value in (("--target", "0.3"), ("--tolerance", "0.02")):
+            assert main(["calibrate", "--config", cfg_path, flag, value]) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ConfigError"
+            assert err["message"].startswith(f"{flag}:")
+
     def test_needs_a_source(self, capsys):
         assert main(["calibrate", "--target", "0.3"]) == 1
 
 
-class TestConfigRoundTrip:
-    def test_dict_round_trip_is_stable(self):
-        cfg = load_config("heterog_inceptionv3")
-        again = config_from_dict(cfg.to_dict())
-        assert again.to_dict() == cfg.to_dict()
+class TestLoadConfig:
+    @pytest.mark.parametrize("verb", ["simulate", "calibrate"])
+    def test_relative_csv_path_resolves_against_the_config_file(self, tmp_path, monkeypatch,
+                                                                capsys, verb):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        trace = generate_synthetic_trace(SyntheticTraceParams(0.75, 0.9, 0.4, count=50), 3)
+        with open(sub / "trace.csv", "w", encoding="utf-8") as fh:
+            write_trace_csv(trace, fh)
+        doc = tiny_config_doc()
+        doc["fleet"][0]["trace"] = {"csv": "trace.csv"}
+        calibrated()(doc)
+        cfg_path = write_config(sub, doc)
+        monkeypatch.chdir(tmp_path)
+        assert main([verb, "--config", "sub/config.json"]) == 0
+        assert load_config(cfg_path).fleet[0].trace_csv == str(sub / "trace.csv")
+
+    @pytest.mark.parametrize("verb", ["simulate", "calibrate"])
+    def test_inline_csv_text_is_not_joined_to_the_config_directory(self, tmp_path, monkeypatch,
+                                                                   verb):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        trace = generate_synthetic_trace(SyntheticTraceParams(0.75, 0.9, 0.4, count=50), 3)
+        text = io.StringIO()
+        write_trace_csv(trace, text)
+        doc = tiny_config_doc()
+        doc["fleet"][0]["trace"] = {"csv": text.getvalue()}
+        calibrated()(doc)
+        cfg_path = write_config(sub, doc)
+        monkeypatch.chdir(tmp_path)
+        assert main([verb, "--config", "sub/config.json"]) == 0
+        assert load_config(cfg_path).fleet[0].trace_csv == text.getvalue()
 
     def test_unknown_preset_lists_alternatives(self):
         with pytest.raises(ConfigError) as err:
@@ -363,7 +415,7 @@ class TestCliInputErrors:
         path = tmp_path / "trace.csv"
         path.write_text("sample_index,bvsb,light_correct,heavy_correct\n"
                         "0,0.5,1,1\n1,2.0,1,0\n", encoding="utf-8")
-        doc = json.loads(load_config("heterog_inceptionv3").to_json())
+        doc = preset_doc("heterog_inceptionv3")
         doc["fleet"][1]["trace"] = {"csv": str(path)}
         assert main([verb, "--config", write_config(tmp_path, doc)]) == 1
         err = json.loads(capsys.readouterr().err)

@@ -36,9 +36,8 @@ class TestSloSatisfaction:
     def test_slo_below_every_latency(self):
         assert slo_satisfaction(columns([50.0, 150.0]), 10.0) == 0.0
 
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            slo_satisfaction(columns([]), 100.0)
+    def test_empty_is_zero(self):
+        assert slo_satisfaction(columns([]), 100.0) == 0.0
 
     def test_in_flight_counts_against(self):
         assert slo_satisfaction(columns([50.0]), 100.0, in_flight=1) == 0.5
@@ -54,9 +53,14 @@ class TestThroughputAndAccuracy:
     def test_worked_throughput(self):
         assert throughput(columns([43.0] * 100), 4300.0) == pytest.approx(100 / 4.3)
 
-    def test_positive_makespan_required(self):
-        with pytest.raises(ConfigError):
-            throughput(columns([]), 0.0)
+    def test_empty_denominators_are_zero(self):
+        for value in (throughput(columns([]), 0.0), accuracy(columns([]))):
+            assert type(value) is float and value == 0.0
+
+    @pytest.mark.parametrize("makespan", [-1.0, float("nan")])
+    def test_negative_makespan_rejected(self, makespan):
+        with pytest.raises(ConfigError, match=r"^makespan_ms: "):
+            throughput(columns([]), makespan)
 
     def test_all_correct(self):
         assert accuracy(columns([10.0] * 5, correct=True)) == 1.0
