@@ -118,6 +118,10 @@ def cmd_sweep(args) -> int:
 
 def _table_from_args(args) -> BatchLatencyTable:
     if args.config:
+        for flag, value in (("--table", args.table), ("--max-effective", args.max_effective)):
+            if value is not None:
+                raise ConfigError(flag, "cannot be combined with --config, which names "
+                                        "the batch table")
         return load_config(args.config).server_table
     if not args.table:
         raise ConfigError("--table", "either --config or --table is required")

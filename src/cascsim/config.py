@@ -99,8 +99,6 @@ class ExperimentConfig:
     slos_ms: tuple[float, ...] = (100.0, 200.0)
     seeds: tuple[int, ...] = (1, 2, 3)
     start_phase: str = "staggered"
-    horizon_ms: Optional[float] = None
-    include_local_in_latency: bool = True
     server_model: str = ""
     name: str = ""
 
@@ -118,19 +116,17 @@ class ExperimentConfig:
         if self.start_phase not in START_PHASES:
             raise ConfigError("sim.start_phase",
                               f"must be one of {START_PHASES}, got {self.start_phase!r}")
-        if self.horizon_ms is not None and not (isfinite(self.horizon_ms)
-                                                and self.horizon_ms > 0):
-            raise ConfigError("sim.horizon_ms",
-                              f"must be finite and positive when set, got {self.horizon_ms}")
 
     def with_device_count(self, devices: int) -> "ExperimentConfig":
-        """Rescale the fleet to a total device count, split equally across groups."""
+        """Rescale the fleet to a total device count, split equally across groups.
+
+        Errors name ``--devices``, the CLI flag that sets the count."""
         groups = len(self.fleet)
         if devices < 1:
-            raise ConfigError("devices", f"must be >= 1, got {devices}")
+            raise ConfigError("--devices", f"must be >= 1, got {devices}")
         if devices % groups != 0:
             raise ConfigError(
-                "devices",
+                "--devices",
                 f"count {devices} is not divisible by the {groups} fleet groups")
         per_group = devices // groups
         return replace(self, fleet=tuple(replace(g, count=per_group) for g in self.fleet))
@@ -191,7 +187,7 @@ def _keys(*same: str, **renamed: str) -> dict[str, str]:
 _TOP_KEYS = _keys("name", "network", "slos_ms", "seeds")
 _SECTIONS = ("_notes", "fleet", "server", "scheduler", "sim")
 _SERVER_KEYS = _keys(model="server_model")
-_SIM_KEYS = _keys("start_phase", "horizon_ms", "include_local_in_latency")
+_SIM_KEYS = _keys("start_phase")
 _GROUP_KEYS = _keys("tier", "count", "t_inf_ms", "model")
 _TRACE_KEYS = _keys("synthetic", csv="trace_csv")
 _SPEC_KEYS = _keys("kind", "initial_threshold", "calibration")

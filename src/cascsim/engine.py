@@ -24,9 +24,12 @@ stepping through samples one by one:
   request stream, arriving at ``completion + uplink``.
 - The server's FIFO queue is a range of that stream: a batch completion counts
   the requests that arrived before it with a binary search.
-- Reports are computed from the per-sample columns. The event log, when asked
-  for, is rebuilt after the run from the columns and the per-batch and
-  per-tick records.
+- A run ends when every sample is final: each device works through its whole
+  trace, the server empties its queue, and the last tick is the first one
+  that finds every sample final (its threshold updates still land).
+- Reports are computed from the per-sample columns, one row per sample. The
+  event log, when asked for, is rebuilt after the run from the columns and the
+  per-batch and per-tick records.
 
 Tie rule. Ordering by (time, push sequence) is the same as ordering by time,
 then by the processing order of the event that pushed each one (its parent),
@@ -41,7 +44,7 @@ a heap-driven loop's, byte for byte.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import deque
 from math import inf, isclose
 from typing import NamedTuple, Optional, Sequence
@@ -113,29 +116,32 @@ def classify_server_state(arrival_rate: float, server_throughput: float) -> str:
     return SERVER_OVERLOADED
 
 
-def check_run_invariants(*, finalized: int, local: int, served: int, in_flight: int,
-                         decided: int, batch_sizes: np.ndarray, max_batch: int,
-                         stream_times: Sequence[np.ndarray], queue_area: float,
-                         queue_waits: np.ndarray) -> None:
+def check_run_invariants(*, total: int, decided: int, local: int, served: int,
+                         batch_sizes: np.ndarray, max_batch: int, batch_launch: np.ndarray,
+                         batch_done: np.ndarray, stream_times: Sequence[np.ndarray],
+                         queue_area: float, queue_waits: np.ndarray) -> None:
     """Raise InvariantError unless a finished run is self-consistent.
 
-    Checks sample conservation, a non-negative in-flight count, batch sizes
-    within [1, max_batch], event times that never decrease along each stream
-    of processed events, and Little's identity: the area under the queue
-    length curve equals the summed queue waits of the requests (relative 1e-9).
+    Checks sample conservation (every one of the ``total`` samples decided,
+    then kept or served), batch sizes within [1, max_batch], one batch at a
+    time on the server (each launches no earlier than the previous one
+    completes), event times that never decrease along each stream, no negative
+    queue wait, and Little's identity: the area under the queue length curve
+    equals the summed queue waits of the requests (relative 1e-9).
     """
-    if finalized != local + served or finalized + in_flight != decided:
-        raise InvariantError(f"sample conservation violated: finalized {finalized}, local "
-                             f"{local}, served {served}, in flight {in_flight}, "
-                             f"decided {decided}")
-    if in_flight < 0:
-        raise InvariantError(f"negative in-flight count {in_flight}")
+    if decided != total or local + served != total:
+        raise InvariantError(f"sample conservation violated: total {total}, decided "
+                             f"{decided}, local {local}, served {served}")
     if batch_sizes.size and (batch_sizes.min() < 1 or batch_sizes.max() > max_batch):
         raise InvariantError(f"batch size outside [1, {max_batch}]: "
                              f"{batch_sizes.min()}..{batch_sizes.max()}")
-    for times in stream_times:
+    if (batch_launch[1:] < batch_done[:-1]).any():
+        raise InvariantError("a batch launches before the previous one completes")
+    for times in (*stream_times, batch_launch, batch_done):
         if times.size > 1 and not (times[1:] >= times[:-1]).all():
             raise InvariantError("processed event times decrease")
+    if queue_waits.size and queue_waits.min() < 0:
+        raise InvariantError(f"negative queue wait {queue_waits.min()!r}")
     waits = float(queue_waits.sum())
     if not isclose(queue_area, waits, rel_tol=1e-9, abs_tol=1e-9):
         raise InvariantError(f"queue area {queue_area!r} != summed queue waits {waits!r}")
@@ -184,8 +190,6 @@ class _Run:
         self.uplink = experiment.network.uplink_ms
         self.downlink = experiment.network.downlink_ms
         self.collect_event_log = collect_event_log
-        horizon = experiment.horizon_ms
-        self.limit = inf if horizon is None else horizon
 
         initial = experiment.resolve_initial_thresholds()
         group_of = experiment.device_groups()
@@ -375,10 +379,9 @@ class _Run:
 
     def _advance(self, control: Optional[tuple[int, int]]) -> None:
         """Process every device and server event that precedes ``control``
-        (None: every event up to the horizon)."""
+        (None: every event left)."""
         if control is None:
-            t_x = self.limit
-            end = int(np.searchsorted(self.sd_time, t_x, "right"))
+            t_x, end = inf, self.total_samples
         else:
             t_x = self.time_of(control)
             end = int(np.searchsorted(self.sd_time, t_x, "left"))
@@ -448,7 +451,7 @@ class _Run:
                 candidates.append((TA, self.ta_pending[0][0]))
             if len(candidates) == 2 and self.precedes(candidates[1], candidates[0]):
                 candidates.reverse()
-            if not candidates or self.time_of(candidates[0]) > self.limit:
+            if not candidates:
                 break
             control = candidates[0]
             self._advance(control)
@@ -458,119 +461,71 @@ class _Run:
                 self._apply_thresholds()
         self._advance(None)
 
-        processed = self.processed_counts()
-        pending = (self.decided < self.total_samples or processed[RA] < len(self.ra_time)
-                   or self.busy or processed[RESP] < len(self.resp_time)
-                   or len(self.ticks) < len(self.tick_time) or bool(self.ta_pending))
-        if pending:
-            end_time = self.limit
-        else:
-            end_time = max((self.time_of((s, count - 1)) for s, count in enumerate(processed)
-                            if count), default=0.0)
-        report = self.build_report(end_time)
+        report = self.build_report()
         if self.collect_event_log:
             from .eventlog import rebuild_event_log  # only runs that keep a log need it
-            report.event_log = rebuild_event_log(self, report, max(end_time, report.makespan_ms))
+            report.event_log = rebuild_event_log(self, report)
         return report
-
-    def processed_counts(self) -> list[int]:
-        """Processed event count of each stream (all of them absent a horizon)."""
-        return [self.decided, bisect_right(self.ra_time, self.limit), len(self.bc_qlen),
-                bisect_right(self.resp_time, self.limit), len(self.ticks), self.ta_applied]
 
     # -- results -------------------------------------------------------------
 
-    def _samples(self, n_resp: int) -> SampleColumns:
-        """Finalized samples in decision (local completion) order: the locally kept
-        ones and those served by the first ``n_resp`` batch responses."""
-        decided = self.decided
-        sizes = np.asarray(self.bc_size[:n_resp], dtype=np.int64)
-        served = np.asarray(self.ra_sd[:int(sizes.sum())], dtype=np.int64)
-        finish = self.sd_time[:decided].copy()
-        finish[served] = np.repeat(self.resp_time[:n_resp], sizes)
-        final = ~self.forward[:decided]
-        final[served] = True
-        sd = np.flatnonzero(final)
-        is_served = self.forward[sd]
-        completion = finish[sd]
-        start = self.sd_start[sd]
-        device = self.sd_dev[sd]
-        latency = completion - start
-        if not self.experiment.include_local_in_latency:
-            latency = np.where(is_served, latency - self.t_inf[device], latency)
-        correct = np.where(is_served, self.sd_heavy[sd], self.sd_light[sd])
-        return SampleColumns(device, self.sd_index[sd], start, completion, is_served,
-                             correct, latency)
+    def _samples(self) -> SampleColumns:
+        """Every sample in decision (local completion) order."""
+        completion = self.sd_time.copy()
+        completion[np.asarray(self.ra_sd, dtype=np.int64)] = np.repeat(self.resp_time,
+                                                                      self.bc_size)
+        correct = np.where(self.forward, self.sd_heavy, self.sd_light)
+        return SampleColumns(self.sd_dev, self.sd_index, self.sd_start, completion,
+                             self.forward, correct, completion - self.sd_start)
 
-    def _queue_area(self, n_ra: int, span: float) -> tuple[float, np.ndarray]:
-        """Area under the queue-length curve up to ``span``, summed left to right in
-        event order as a per-event loop would, and every request's queue wait."""
-        ra_time = np.asarray(self.ra_time[:n_ra])
+    def _queue_area(self) -> tuple[float, np.ndarray]:
+        """Area under the queue-length curve, summed left to right in event order as
+        a per-event loop would, and every request's queue wait. The queue is empty
+        at the end of a run, so the area ends at the last launch."""
+        ra_time = np.asarray(self.ra_time)
         launch = np.asarray(self.bc_launch)
         sizes = np.asarray(self.bc_size, dtype=np.int64)
         times = np.concatenate((ra_time, launch))
         change_times, inverse = np.unique(times, return_inverse=True)
         delta = np.zeros(change_times.size, dtype=np.int64)
-        np.add.at(delta, inverse.ravel(), np.concatenate((np.ones(n_ra, dtype=np.int64), -sizes)))
-        length = np.cumsum(delta)
+        np.add.at(delta, inverse.ravel(),
+                  np.concatenate((np.ones(ra_time.size, dtype=np.int64), -sizes)))
         # same-time changes add 0 to the area, so only distinct change times matter
-        steps = length[:-1] * np.diff(change_times)
+        steps = np.cumsum(delta)[:-1] * np.diff(change_times)
         area = float(np.cumsum(steps)[-1]) if steps.size else 0.0
-        last, queued = (float(change_times[-1]), int(length[-1])) if length.size else (0.0, 0)
-        if span > last:
-            area += queued * (span - last)
-        dequeued = np.repeat(launch, sizes)
-        waits = np.concatenate((dequeued - ra_time[:dequeued.size],
-                                span - ra_time[dequeued.size:]))
-        return area, waits
+        return area, np.repeat(launch, sizes) - ra_time
 
-    def build_report(self, end_time: float) -> MetricsReport:
+    def build_report(self) -> MetricsReport:
         experiment = self.experiment
         n = self.n_devices
-        processed = self.processed_counts()
-        cols = self._samples(processed[RESP])
-        local = int(np.count_nonzero(~cols.served))
-        served = len(cols) - local
-        decided_dev = self.sd_dev[:self.decided]
-        forwarded_dev = decided_dev[self.forward[:self.decided]]
-        forwarded_by_device = np.bincount(forwarded_dev, minlength=n)
-        in_flight_by_device = forwarded_by_device - np.bincount(
-            cols.device_id[cols.served], minlength=n)
-        in_flight = int(in_flight_by_device.sum())
+        cols = self._samples()
+        served = int(np.count_nonzero(cols.served))
+        local = len(cols) - served
+        forwarded_by_device = np.bincount(cols.device_id[cols.served], minlength=n)
 
-        makespan = float(cols.completion_ms.max()) if len(cols) else 0.0
-        if experiment.horizon_ms is not None:
-            makespan = min(makespan, experiment.horizon_ms)
-            span = experiment.horizon_ms
-        else:
-            span = makespan
-        queue_area, queue_waits = self._queue_area(processed[RA], span)
+        makespan = float(cols.completion_ms.max())
+        queue_area, queue_waits = self._queue_area()
         check_run_invariants(
-            finalized=len(cols), local=self.local_kept,
-            served=self.resp_served[processed[RESP]], in_flight=in_flight,
-            decided=self.decided, batch_sizes=np.asarray(self.bc_size, dtype=np.int64),
-            max_batch=self.table.max_effective_batch,
-            stream_times=(self.sd_time[:self.decided], np.asarray(self.ra_time),
-                          np.asarray(self.bc_launch), np.asarray(self.bc_time),
-                          np.asarray(self.tick_time)),
+            total=self.total_samples, decided=self.decided, local=self.local_kept,
+            served=self.resp_served[-1], batch_sizes=np.asarray(self.bc_size, dtype=np.int64),
+            max_batch=self.table.max_effective_batch, batch_launch=np.asarray(self.bc_launch),
+            batch_done=np.asarray(self.bc_time),
+            stream_times=(self.sd_time, np.asarray(self.ra_time), np.asarray(self.tick_time)),
             queue_area=queue_area, queue_waits=queue_waits)
 
         slos = experiment.slos_ms
-        satisfaction = {float(slo): metrics_mod.slo_satisfaction(cols, slo, in_flight)
-                        for slo in slos}
+        satisfaction = {float(slo): metrics_mod.slo_satisfaction(cols, slo) for slo in slos}
         tier_names = [tier.value for tier in Tier]  # indexed by tier level
         per_tier = metrics_mod.aggregate_by_tier(
             cols, [tier_names[level] for level in self.sched_state.levels.tolist()],
-            makespan, slos, in_flight_by_device)
+            makespan, slos)
 
         count_by_device = np.bincount(cols.device_id, minlength=n).tolist()
         correct_by_device = np.bincount(cols.device_id[cols.correct], minlength=n).tolist()
-        per_device_acc = [c / total for c, total in zip(correct_by_device, count_by_device)
-                          if total]
-        decided_by_device = np.bincount(decided_dev, minlength=n).tolist()
+        per_device_acc = [c / total for c, total in zip(correct_by_device, count_by_device)]
         arrival = estimate_arrival_rate(
-            [(f / d if d else 0.0, t) for f, d, t in
-             zip(forwarded_by_device.tolist(), decided_by_device, self.t_inf.tolist())])
+            [(f / d, t) for f, d, t in
+             zip(forwarded_by_device.tolist(), count_by_device, self.t_inf.tolist())])
         peak = self.table.peak_throughput
 
         return MetricsReport(
@@ -580,19 +535,18 @@ class _Run:
             makespan_ms=makespan,
             total_throughput=metrics_mod.throughput(cols, makespan),
             cascade_accuracy=metrics_mod.accuracy(cols),
-            device_mean_accuracy=sum(per_device_acc) / len(per_device_acc)
-            if per_device_acc else 0.0,
+            device_mean_accuracy=sum(per_device_acc) / n,
             slo_satisfaction=satisfaction,
             per_tier=per_tier,
-            forward_rate=metrics_mod.forward_rate(cols, in_flight),
-            mean_queue_length=queue_area / span if span > 0 else 0.0,
+            forward_rate=metrics_mod.forward_rate(cols),
+            mean_queue_length=queue_area / makespan,
             arrival_rate=arrival,
             server_throughput=peak,
             server_state=classify_server_state(arrival, peak),
             samples_finalized=len(cols),
             samples_local=local,
             samples_served=served,
-            samples_in_flight=in_flight,
+            samples_in_flight=0,
             samples=cols,
         )
 

@@ -1,11 +1,14 @@
-"""Event-log rebuild: every processed event of a finished run as one line, in processing order.
+"""Event-log rebuild: every event of a finished run as one line, in processing order.
 
 A line is ``time<TAB>sequence<TAB>kind<TAB>payload``, the payload JSON with
 sorted keys. The lines are made after the run from the engine's per-sample
-columns and per-batch and per-tick records. Events of different streams that
-share an instant are merged by the engine's tie rule, and each event's
-sequence number is its push sequence: the initial pushes plus every push made
-before its parent was processed, plus its position among the parent's pushes.
+columns and per-batch and per-tick records, which hold every event: a run ends
+when every sample is final and the control loop has nothing left to deliver.
+Events of different streams that share an instant are merged by the engine's
+tie rule, and each event's sequence number is its push sequence: the initial
+pushes plus every push made before its parent was processed, plus its position
+among the parent's pushes. The closing ``run_end`` line sits at the last
+event's time.
 """
 
 from __future__ import annotations
@@ -23,13 +26,12 @@ from .metrics import MetricsReport
 _CHUNK = 1 << 14  # rows formatted per step, which bounds the temporary Python objects
 
 
-def rebuild_event_log(run, report: MetricsReport, end_ms: float) -> list[str]:
-    """Every processed event of ``run`` as a log line, in processing order, then run_end."""
-    counts = run.processed_counts()
+def rebuild_event_log(run, report: MetricsReport) -> list[str]:
+    """Every event of ``run`` as a log line, in processing order, then run_end."""
+    times = [run.sd_time, run.ra_time, run.bc_time, run.resp_time, run.tick_time,
+             [run.time_of((TA, i)) for i in range(len(run.ta_dev))]]
+    counts = [len(t) for t in times]
     n_sd, n_ra, n_bc, n_resp, n_tick, n_ta = counts
-    times = [run.sd_time[:n_sd], run.ra_time[:n_ra], run.bc_time[:n_bc],
-             run.resp_time[:n_resp], run.tick_time[:n_tick],
-             [run.time_of((TA, i)) for i in range(n_ta)]]
     base = np.concatenate(([0], np.cumsum(counts)))
     layout_time = np.concatenate([np.asarray(t, dtype=np.float64) for t in times])
     layout_stream = np.repeat(np.arange(6), counts)
@@ -54,13 +56,12 @@ def rebuild_event_log(run, report: MetricsReport, end_ms: float) -> list[str]:
     bc_from_ra = np.asarray(run.bc_from_ra, dtype=np.int64)
     bc_size = np.asarray(run.bc_size, dtype=np.int64)
     ra_launch = np.zeros(n_ra, dtype=np.int64)
-    ra_launch[bc_from_ra[(bc_from_ra >= 0) & (bc_from_ra < n_ra)]] = 1
-    bc_relaunch = (bc_from_ra[1:n_bc + 1] < 0).astype(np.int64)
-    bc_relaunch = np.append(bc_relaunch, np.zeros(n_bc - bc_relaunch.size, dtype=np.int64))
+    ra_launch[bc_from_ra[bc_from_ra >= 0]] = 1
+    bc_relaunch = np.append(bc_from_ra[1:] < 0, False).astype(np.int64)[:n_bc]
     tick_updates = np.array([len(t[3]) for t in run.ticks], dtype=np.int64)
-    tick_next = (np.arange(n_tick) + 1 < len(run.tick_time)).astype(np.int64)
-    sd_forward = run.forward[:n_sd].astype(np.int64)
-    pushes = np.concatenate((sd_forward + ~run.sd_last[:n_sd], ra_launch, 1 + bc_relaunch,
+    tick_next = (np.arange(n_tick) + 1 < n_tick).astype(np.int64)
+    sd_forward = run.forward.astype(np.int64)
+    pushes = np.concatenate((sd_forward + ~run.sd_last, ra_launch, 1 + bc_relaunch,
                              np.zeros(n_resp, dtype=np.int64), tick_updates + tick_next,
                              np.zeros(n_ta, dtype=np.int64)))
     ordered = pushes[order]
@@ -70,28 +71,26 @@ def rebuild_event_log(run, report: MetricsReport, end_ms: float) -> list[str]:
     def seq(stream, index, pos):
         return before[base[stream] + np.asarray(index, dtype=np.int64)] + 1 + pos
 
-    sd_parent = run.sd_parent[:n_sd]
-    sd_seq = np.where(sd_parent >= 0,
-                      seq(SD, np.maximum(sd_parent, 0), sd_forward[np.maximum(sd_parent, 0)]),
-                      run.sd_dev[:n_sd] + 1)
-    ra_sd = np.asarray(run.ra_sd[:n_ra], dtype=np.int64)
+    sd_parent = np.maximum(run.sd_parent, 0)
+    sd_seq = np.where(run.sd_parent >= 0, seq(SD, sd_parent, sd_forward[sd_parent]),
+                      run.sd_dev + 1)
+    ra_sd = np.asarray(run.ra_sd, dtype=np.int64)
     ra_seq = seq(SD, ra_sd, 0)
-    from_ra = bc_from_ra[:n_bc]
-    bc_seq = np.where(from_ra >= 0, seq(RA, np.maximum(from_ra, 0), 0),
+    bc_seq = np.where(bc_from_ra >= 0, seq(RA, np.maximum(bc_from_ra, 0), 0),
                       seq(BC, np.maximum(np.arange(n_bc) - 1, 0), 1))
     resp_seq = seq(BC, np.arange(n_resp), 0)
     tick_seq = np.where(np.arange(n_tick) > 0,
                         seq(TICK, np.maximum(np.arange(n_tick) - 1, 0),
                             np.concatenate(([0], tick_updates))[:n_tick]),
                         run.n_devices + 1)
-    ta_seq = seq(TICK, np.asarray(run.ta_tick[:n_ta], dtype=np.int64),
-                 np.asarray(run.ta_pos[:n_ta], dtype=np.int64))
+    ta_seq = seq(TICK, np.asarray(run.ta_tick, dtype=np.int64),
+                 np.asarray(run.ta_pos, dtype=np.int64))
 
     # queue length after each arrival: arrivals so far minus earlier dequeues
     arrivals = (layout_stream == RA).astype(np.int64)
     dequeues = np.zeros_like(arrivals)
     dequeues[base[RA]:base[RA] + n_ra] = ra_launch
-    dequeues[base[BC]:base[BC] + n_bc] = bc_relaunch * np.append(bc_size[1:n_bc + 1], 0)[:n_bc]
+    dequeues[base[BC]:base[BC] + n_bc] = bc_relaunch * np.append(bc_size[1:], 0)[:n_bc]
     queue_after = np.empty_like(arrivals)
     queue_after[order] = np.cumsum(arrivals[order]) - (np.cumsum(dequeues[order])
                                                        - dequeues[order])
@@ -112,16 +111,14 @@ def rebuild_event_log(run, report: MetricsReport, end_ms: float) -> list[str]:
     ra_index = run.sd_index[ra_sd].tolist()
     lines += [f'{t!r}\t{s}\t{EVENT_REQUEST_ARRIVAL}\t{{"device": {d}, "queue_len": {q}, '
               f'"sample": {i}}}'
-              for t, s, d, q, i in zip(run.ra_time[:n_ra], ra_seq.tolist(), ra_dev,
+              for t, s, d, q, i in zip(run.ra_time, ra_seq.tolist(), ra_dev,
                                        queue_after[base[RA]:base[RA + 1]].tolist(),
                                        ra_index)]
-    all_dev = run.sd_dev[np.asarray(run.ra_sd, dtype=np.int64)].tolist()
-    all_index = run.sd_index[np.asarray(run.ra_sd, dtype=np.int64)].tolist()
     first = np.concatenate(([0], np.cumsum(bc_size)))
 
     def batch_samples(b):
-        return [[d, i] for d, i in zip(all_dev[first[b]:first[b + 1]],
-                                       all_index[first[b]:first[b + 1]])]
+        return [[d, i] for d, i in zip(ra_dev[first[b]:first[b + 1]],
+                                       ra_index[first[b]:first[b + 1]])]
 
     for b, s in enumerate(bc_seq.tolist()):
         lines.append(f"{run.bc_time[b]!r}\t{s}\t{EVENT_BATCH_COMPLETE}\t" + json.dumps(
@@ -144,7 +141,8 @@ def rebuild_event_log(run, report: MetricsReport, end_ms: float) -> list[str]:
     for lo in range(0, order.size, _CHUNK):
         log += [lines[i] for i in order[lo:lo + _CHUNK].tolist()]
     del lines
-    log.append(f"{end_ms!r}\t{int(run.n_devices + 2 + pushes.sum())}\t{EVENT_RUN_END}\t"
+    log.append(f"{float(sorted_time[-1])!r}\t{int(run.n_devices + 2 + pushes.sum())}\t"
+               f"{EVENT_RUN_END}\t"
                + json.dumps({"finalized": report.samples_finalized,
                              "local": report.samples_local,
                              "served": report.samples_served,

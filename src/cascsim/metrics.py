@@ -1,10 +1,10 @@
 """Run evaluation: latency-SLO satisfaction, throughput, accuracy, tier rollups.
 
 All functions are pure post-processing over the per-sample results a run
-produces, held as numpy columns (``SampleColumns``). Throughput is
-finalized samples over the run makespan; satisfaction counts samples whose
-end-to-end latency fits the objective, with any samples still in flight at a
-forced horizon counted as violations.
+produces, held as numpy columns (``SampleColumns``). A run ends when every
+sample is final, so the columns hold all of them. Throughput is samples over
+the run makespan; satisfaction is the share of samples whose latency fits the
+objective.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ class SampleColumns:
     order: the order of the local completions that kept or forwarded them. No
     report field depends on the row order.
 
-    ``latency_ms`` of a locally kept sample is always its full local inference
-    time. A served sample runs from local-inference start to response arrival,
-    less its device's ``t_inf_ms`` when the config sets
-    ``include_local_in_latency`` to false. Both kinds feed the one
+    ``latency_ms`` runs from the start of a sample's local inference to its
+    final answer: the local completion for a kept sample, the response arrival
+    on the device for a served one. Both kinds feed the one
     ``slo_satisfaction`` figure and the per-tier figures.
     """
 
@@ -50,15 +49,11 @@ class SampleColumns:
         return SampleColumns(*(getattr(self, name)[mask] for name in self.__slots__))
 
 
-def slo_satisfaction(samples: SampleColumns, slo_ms: float, in_flight: int = 0) -> float:
-    """Fraction of samples finishing within the latency objective; 0 with none.
-
-    in_flight samples (cut off by a horizon) count against the rate.
-    """
-    decided = len(samples) + in_flight
-    if decided == 0:
+def slo_satisfaction(samples: SampleColumns, slo_ms: float) -> float:
+    """Fraction of samples finishing within the latency objective; 0 with none."""
+    if not len(samples):
         return 0.0
-    return int((samples.latency_ms <= slo_ms).sum()) / decided
+    return int((samples.latency_ms <= slo_ms).sum()) / len(samples)
 
 
 def throughput(samples: SampleColumns, makespan_ms: float) -> float:
@@ -77,41 +72,30 @@ def accuracy(samples: SampleColumns) -> float:
     return int(samples.correct.sum()) / len(samples)
 
 
-def forward_rate(samples: SampleColumns, in_flight: int = 0) -> float:
-    """Fraction of decided samples that went to the server."""
-    decided = len(samples) + in_flight
-    if decided == 0:
+def forward_rate(samples: SampleColumns) -> float:
+    """Fraction of samples that went to the server; 0 with none."""
+    if not len(samples):
         return 0.0
-    return (int(samples.served.sum()) + in_flight) / decided
+    return int(samples.served.sum()) / len(samples)
 
 
 def aggregate_by_tier(samples: SampleColumns, device_tiers: Sequence[str],
-                      makespan_ms: float, slos_ms: Sequence[float],
-                      in_flight_by_device: Optional[Sequence[int]] = None) -> dict:
-    """Per-tier accuracy, throughput, and satisfaction.
+                      makespan_ms: float, slos_ms: Sequence[float]) -> dict:
+    """Per-tier accuracy, throughput, and satisfaction of every tier in the fleet.
 
-    ``device_tiers`` and ``in_flight_by_device`` are indexed by device id. A
-    tier is reported once one of its devices finalized a sample or has one in
-    flight; in-flight samples count against its satisfaction. Tier throughputs
-    share the run-wide makespan so they sum to the total.
+    ``device_tiers`` is indexed by device id. Tier throughputs share the
+    run-wide makespan so they sum to the total.
     """
     names, codes = np.unique(np.asarray(device_tiers, dtype=str), return_inverse=True)
     sample_codes = codes[samples.device_id]
-    in_flight = np.zeros(names.size, dtype=np.int64)
-    if in_flight_by_device is not None:
-        np.add.at(in_flight, codes, np.asarray(in_flight_by_device, dtype=np.int64))
-    reported = np.bincount(sample_codes, minlength=names.size).astype(bool) | (in_flight > 0)
-
     report = {}
-    for code in np.flatnonzero(reported).tolist():
+    for code, name in enumerate(names.tolist()):
         tier_cols = samples.select(sample_codes == code)
-        stuck = int(in_flight[code])
-        report[str(names[code])] = {
+        report[name] = {
             "samples": len(tier_cols),
             "accuracy": accuracy(tier_cols),
             "throughput": throughput(tier_cols, makespan_ms),
-            "satisfaction": {float(slo): slo_satisfaction(tier_cols, slo, stuck)
-                             for slo in slos_ms},
+            "satisfaction": {float(slo): slo_satisfaction(tier_cols, slo) for slo in slos_ms},
         }
     return report
 
@@ -137,7 +121,7 @@ class MetricsReport:
     samples_finalized: int
     samples_local: int
     samples_served: int
-    samples_in_flight: int
+    samples_in_flight: int  # always 0, as every run ends with every sample final
     samples: Optional[SampleColumns] = field(default=None, repr=False)
     event_log: Optional[list[str]] = field(default=None, repr=False)
 

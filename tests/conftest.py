@@ -50,7 +50,7 @@ def spec_table() -> BatchLatencyTable:
 
 def small_config(*, groups, table_entries, max_eff=None, kind="static", threshold=0.5,
                  uplink=0.0, downlink=0.0, slos=(100.0, 200.0), sched_overrides=None,
-                 start_phase="aligned", horizon=None, trace_count=100):
+                 start_phase="aligned", trace_count=100):
     """Minimal experiment config for engine tests.
 
     groups is a list of (tier_name, count, t_inf_ms). Traces are usually
@@ -75,5 +75,4 @@ def small_config(*, groups, table_entries, max_eff=None, kind="static", threshol
         slos_ms=tuple(slos),
         seeds=(1,),
         start_phase=start_phase,
-        horizon_ms=horizon,
     )

@@ -4,7 +4,9 @@ This is the engine cascsim shipped before its epoch-stepped engine, kept
 unchanged apart from its imports and four pieces the package no longer has:
 the FIFO request queue, the per-device decision counters, the policy object
 that binds the control loop to a run and the per-sample record type (finalized
-samples go into one list per ``SampleColumns`` column instead).
+samples go into one list per ``SampleColumns`` column instead). It also lost
+the run horizon, the in-flight counts and the option to leave local inference
+out of a served sample's latency: every run ends when every sample is final.
 It is the independent oracle the production engine is compared against, the
 same role ``compute_capacity_exact`` plays for the greedy capacity solver.
 It is slow (one Python call per event) and is never used outside the tests.
@@ -171,7 +173,6 @@ class _Run:
         self.finalized = 0
         self.local_count = 0
         self.served_count = 0
-        self.in_flight_by_device: dict[int, int] = {}
         self.queue_area = 0.0
         self.queue_last_change_ms = 0.0
 
@@ -212,8 +213,6 @@ class _Run:
             self.local_count += 1
         else:
             dev.state.forward_count += 1
-            self.in_flight_by_device[device_id] = \
-                self.in_flight_by_device.get(device_id, 0) + 1
             self.schedule(now + self.network.uplink_ms, EVENT_REQUEST_ARRIVAL,
                           (device_id, index))
         if self.log is not None:
@@ -269,12 +268,9 @@ class _Run:
             start = dev.sample_start(req.sample_index)
             correct = bool(dev.trace.heavy_correct[req.sample_index])
             latency = now - start
-            if not self.experiment.include_local_in_latency:
-                latency -= dev.t_inf_ms
             self.finalize(req.device_id, req.sample_index, start, now, True, correct, latency)
             self.finalized += 1
             self.served_count += 1
-            self.in_flight_by_device[req.device_id] -= 1
         if self.log is not None:
             self.emit(now, seq, EVENT_RESPONSE_ARRIVAL,
                       {"batch_size": batch_size,
@@ -319,13 +315,9 @@ class _Run:
                           EVENT_DEVICE_SAMPLE_DONE, (dev.state.device_id, 0))
         self.schedule(self.policy.cfg.tick_period_ms, EVENT_SCHEDULER_TICK, ())
 
-        horizon = self.experiment.horizon_ms
         end_time = 0.0
         while self.heap:
             time_ms, seq, kind, data = heapq.heappop(self.heap)
-            if horizon is not None and time_ms > horizon:
-                end_time = horizon
-                break
             end_time = time_ms
             if kind == EVENT_DEVICE_SAMPLE_DONE:
                 self.on_sample_done(time_ms, seq, *data)
@@ -343,33 +335,25 @@ class _Run:
         return self.build_report(end_time)
 
     def build_report(self, end_time: float) -> MetricsReport:
-        in_flight = sum(self.in_flight_by_device.values())
         assert self.finalized == self.local_count + self.served_count, \
             "sample conservation violated"
-        assert in_flight >= 0
 
         samples = SampleColumns(**self.columns)
         makespan = max(self.columns["completion_ms"], default=0.0)
-        if self.experiment.horizon_ms is not None:
-            makespan = min(makespan, self.experiment.horizon_ms)
-            span = self.experiment.horizon_ms
-        else:
-            span = makespan
-        if span > self.queue_last_change_ms:
-            self.queue_area += len(self.queue) * (span - self.queue_last_change_ms)
-            self.queue_last_change_ms = span
+        if makespan > self.queue_last_change_ms:
+            self.queue_area += len(self.queue) * (makespan - self.queue_last_change_ms)
+            self.queue_last_change_ms = makespan
 
         slos = self.experiment.slos_ms
 
-        fr = metrics_mod.forward_rate(samples, in_flight)
-        if len(samples) or in_flight:
-            satisfaction = {float(slo): metrics_mod.slo_satisfaction(samples, slo, in_flight)
+        fr = metrics_mod.forward_rate(samples)
+        if len(samples):
+            satisfaction = {float(slo): metrics_mod.slo_satisfaction(samples, slo)
                             for slo in slos}
         else:
             satisfaction = {float(slo): 0.0 for slo in slos}
         per_tier = metrics_mod.aggregate_by_tier(
-            samples, [d.state.tier.value for d in self.devices], makespan, slos,
-            [self.in_flight_by_device.get(d, 0) for d in range(len(self.devices))])
+            samples, [d.state.tier.value for d in self.devices], makespan, slos)
 
         per_device_acc = []
         correct_by_device: dict[int, int] = {}
@@ -386,7 +370,7 @@ class _Run:
         arrival = estimate_arrival_rate(
             [(d.state.forward_probability, d.t_inf_ms) for d in self.devices])
         peak = self.table.peak_throughput
-        mean_queue = self.queue_area / span if span > 0 else 0.0
+        mean_queue = self.queue_area / makespan if makespan > 0 else 0.0
 
         report = MetricsReport(
             scheduler_kind=self.experiment.scheduler.kind,
@@ -408,15 +392,15 @@ class _Run:
             samples_finalized=self.finalized,
             samples_local=self.local_count,
             samples_served=self.served_count,
-            samples_in_flight=in_flight,
+            samples_in_flight=0,
             samples=samples,
             event_log=self.log,
         )
         if self.log is not None:
             self.seq += 1
-            self.emit(max(end_time, makespan), self.seq, EVENT_RUN_END,
+            self.emit(end_time, self.seq, EVENT_RUN_END,
                       {"finalized": self.finalized, "local": self.local_count,
-                       "served": self.served_count, "in_flight": in_flight,
+                       "served": self.served_count, "in_flight": 0,
                        "makespan_ms": makespan})
         return report
 

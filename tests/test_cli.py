@@ -71,6 +71,17 @@ class TestCapacityCommand:
         assert main(["capacity", "--table", "{oops", "--slo", "100"]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("flag, value", [("--max-effective", "4"),
+                                             ("--table", '{"1": 10}')])
+    def test_table_flags_are_refused_with_config(self, capsys, flag, value):
+        assert main(["capacity", "--config", "homog_efflite0_inceptionv3", flag, value,
+                     "--slo", "100"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(f"{flag}:")
+
 
 class TestSimulateCommand:
     def test_reports_per_seed_plus_mean(self, tmp_path, capsys):
@@ -295,15 +306,11 @@ class TestNonFiniteConfig:
         ("scheduler.flush_factor", lambda d: d["scheduler"].update(flush_factor=float("nan"))),
         ("slos_ms", lambda d: d.update(slos_ms=[100.0, float("nan")])),
         ("slos_ms", lambda d: d.update(slos_ms=[float("inf")])),
-        ("sim.horizon_ms", lambda d: d.update(sim={"horizon_ms": float("nan")})),
-        ("sim.horizon_ms", lambda d: d.update(sim={"horizon_ms": float("inf")})),
         ("scheduler.window", lambda d: d["scheduler"].update(window="x")),
         ("fleet[0].count", lambda d: d["fleet"][0].update(count=2.7)),
         ("seeds[0]", lambda d: d.update(seeds=[True])),
         ("fleet[0]", lambda d: d.update(fleet=[3])),
         ("schedular", lambda d: d.update(schedular=d.pop("scheduler"))),
-        ("sim.include_local_in_latency",
-         lambda d: d.update(sim={"include_local_in_latency": "no"})),
         ("scheduler.calibration.target_forward_rate", calibrated(target_forward_rate=1.5)),
         ("scheduler.calibration.accuracy_tolerance",
          calibrated(accuracy_tolerance=float("nan"))),
@@ -325,6 +332,17 @@ class TestNonFiniteConfig:
         with pytest.raises(ConfigError) as info:
             config_from_dict(doc)
         assert info.value.field == field
+
+    @pytest.mark.parametrize("key, value", [("horizon_ms", None), ("horizon_ms", 1000.0),
+                                            ("include_local_in_latency", True)])
+    def test_removed_sim_keys_are_unknown_fields(self, key, value):
+        """Every run ends when every sample is final, and latency always counts
+        local inference: the two keys that changed that are gone."""
+        doc = tiny_config_doc()
+        doc["sim"] = {"start_phase": "staggered", key: value}
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(doc)
+        assert str(info.value) == f"sim.{key}: unknown field"
 
     def test_cli_exits_1_with_json_error(self, tmp_path, capsys):
         doc = tiny_config_doc()
@@ -373,7 +391,9 @@ class TestCliInputErrors:
         ("--seed-list:", ["simulate", "--config", "{config}", "--seed-list", ","]),
         ("--seed-list:", ["sweep", "--config", "{config}", "--devices", "2..4:2",
                           "--seed-list", ","]),
-        ("devices:", ["simulate", "--config", "{config}", "--devices", "0"]),
+        ("--devices:", ["simulate", "--config", "{config}", "--devices", "0"]),
+        ("--devices:", ["simulate", "--config", "heterog_inceptionv3", "--devices", "7"]),
+        ("--devices:", ["sweep", "--config", "{config}", "--devices", "0..3:3"]),
         ("fleet[0].trace.csv:", ["simulate", "--config", "{csv_config}"]),
         ("fleet[0].trace.csv:", ["calibrate", "--config", "{csv_config}"]),
         ("--trace:", ["calibrate", "--trace", "{missing}"]),

@@ -1,12 +1,18 @@
-"""Mutated preset documents either parse to a valid config or raise ConfigError."""
+"""Mutated preset documents either parse to a valid config or raise ConfigError,
+and through the CLI either run or end in exit 1 with a one-line JSON error."""
 
 import copy
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cascsim.cli import main
 from cascsim.config import config_from_dict, preset_names
 from cascsim.errors import ConfigError
 
@@ -29,9 +35,8 @@ def locations(doc, prefix=()):
         yield from locations(value, prefix + (key,))
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
-@given(st.data())
-def test_mutated_presets_parse_or_raise_config_error(data):
+def mutated_preset(data) -> dict:
+    """A shipped preset document with one to three values replaced, deleted or added."""
     doc = copy.deepcopy(data.draw(st.sampled_from(PRESETS)))
     for _ in range(data.draw(st.integers(1, 3))):
         where = data.draw(st.sampled_from(list(locations(doc))))
@@ -45,8 +50,34 @@ def test_mutated_presets_parse_or_raise_config_error(data):
             del parent[where[-1]]
         elif isinstance(parent, dict):
             parent[data.draw(st.text(max_size=8))] = data.draw(JSON_VALUES)
+    return doc
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.data())
+def test_mutated_presets_parse_or_raise_config_error(data):
     try:
-        config = config_from_dict(doc)
+        config = config_from_dict(mutated_preset(data))
     except ConfigError:
         return
     config.validate()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_preset_files_exit_0_or_1_with_json_error(data):
+    """``capacity`` loads and validates the whole config without running it (a
+    valid mutation may ask ``simulate`` for millions of devices)."""
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "config.json"
+        path.write_text(json.dumps(mutated_preset(data)), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            status = main(["capacity", "--config", str(path), "--slo", "100"])
+    if status == 0:
+        assert err.getvalue() == "" and "capacity" in json.loads(out.getvalue())
+        return
+    assert status == 1 and out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] in ("ConfigError", "TraceError")

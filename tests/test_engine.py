@@ -72,14 +72,6 @@ class TestSingleDeviceClosedForms:
         # local inference 43 ms, zero-delay network, batch-of-1 service 15 ms
         assert report.samples.latency_ms == pytest.approx([58.0] * 100)
 
-    def test_local_latency_excluded_when_configured(self):
-        from dataclasses import replace
-        cfg = small_config(groups=[("mid", 1, 43.0)], table_entries={1: 15},
-                           threshold=1.0)
-        cfg = replace(cfg, include_local_in_latency=False)
-        report = run_simulation(cfg, {0: constant_trace(10, 0.5)}, seed=0)
-        assert report.samples.latency_ms == pytest.approx([15.0] * 10)
-
 
 class TestValidation:
     def test_empty_fleet_rejected(self):
@@ -175,20 +167,6 @@ class TestStartPhases:
         dev1 = samples.start_ms[samples.device_id == 1]
         assert min(dev0) == 0.0
         assert min(dev1) == pytest.approx(21.5)
-
-
-class TestHorizon:
-    def test_in_flight_samples_counted_as_violations(self):
-        cfg = small_config(groups=[("mid", 1, 43.0)], table_entries={1: 10_000},
-                           threshold=1.0, horizon=3000.0)
-        report = run_simulation(cfg, {0: constant_trace(100, 0.5)}, seed=0)
-        assert report.samples_in_flight > 0
-        assert report.samples_finalized + report.samples_in_flight <= 100
-        decided = report.samples_finalized + report.samples_in_flight
-        # nothing finalized within any SLO here, so satisfaction is 0
-        assert report.slo_satisfaction[100.0] == 0.0
-        assert report.forward_rate == 1.0
-        assert decided == len(report.samples) + report.samples_in_flight
 
 
 class TestRealizedThresholdOracle:

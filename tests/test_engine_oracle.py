@@ -101,9 +101,6 @@ TIE_CONFIGS = {
                                  uplink=5.0, downlink=200.0),
     "downlink_equals_tick": dict(groups=[("mid", 4, 20.0)], table_entries={1: 10.0, 2: 15.0},
                                  uplink=5.0, downlink=100.0, start_phase="staggered"),
-    "horizon_mid_batch": dict(groups=[("mid", 4, 20.0)],
-                              table_entries={1: 10.0, 2: 15.0, 4: 29.0}, uplink=5.0,
-                              downlink=5.0, threshold=0.9, horizon=1013.0),
 }
 
 
@@ -117,16 +114,6 @@ def test_tie_heavy_configs_match_oracle(name, kind):
     devices = sum(count for _, count, _ in params["groups"])
     rng = np.random.default_rng(sorted(TIE_CONFIGS).index(name))
     assert_identical(cfg, random_traces(rng, devices, 300))
-
-
-@pytest.mark.parametrize("kind", ["static", "multitasc"])
-def test_local_latency_excluded_matches_oracle(kind):
-    cfg = small_config(groups=[("mid", 4, 20.0), ("low", 4, 30.0)],
-                       table_entries={1: 10.0, 2: 15.0, 4: 20.0}, kind=kind, threshold=0.6,
-                       uplink=5.0, downlink=5.0, start_phase="staggered",
-                       sched_overrides=dict(tick_period_ms=100.0))
-    cfg = replace(cfg, include_local_in_latency=False)
-    assert_identical(cfg, random_traces(np.random.default_rng(7), 8, 300))
 
 
 @pytest.mark.parametrize("block", range(4))
@@ -145,12 +132,10 @@ def test_random_integral_configs_match_oracle(block):
             uplink=float(rng.choice([0, 5, 10, groups[0][2]])),
             downlink=float(rng.choice([0, 5, 100, 200, 250])),
             start_phase=str(rng.choice(["aligned", "staggered"])),
-            horizon=None if rng.random() < 0.6 else float(rng.integers(50, 3000)),
             sched_overrides=dict(tick_period_ms=float(rng.choice([50, 100, 200])),
                                  alpha=float(rng.choice([0.5, 0.83])),
                                  flush_factor=float(rng.choice([1.0, 2.0])),
                                  update_fraction=float(rng.choice([0.2, 0.5, 1.0]))))
-        cfg = replace(cfg, include_local_in_latency=bool(rng.random() < 0.7))
         devices = sum(count for _, count, _ in groups)
         assert_identical(cfg, random_traces(rng, devices, int(rng.integers(1, 200)),
                                             quantized=bool(rng.random() < 0.5)))

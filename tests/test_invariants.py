@@ -10,10 +10,11 @@ from conftest import make_trace, small_config
 
 
 def consistent(**changes) -> dict:
-    """Columns of a small consistent run: 12 decided, 6 local, 4 served, 2 in flight."""
+    """Columns of a small consistent run: 10 samples, 6 local, 4 served in 3 batches."""
     columns = dict(
-        finalized=10, local=6, served=4, in_flight=2, decided=12,
+        total=10, decided=10, local=6, served=4,
         batch_sizes=np.array([1, 2, 1], dtype=np.int64), max_batch=2,
+        batch_launch=np.array([0.5, 1.5, 3.5]), batch_done=np.array([1.5, 3.5, 4.5]),
         stream_times=(np.array([1.0, 2.0, 2.0, 3.0]), np.array([2.5, 4.0])),
         queue_area=7.5, queue_waits=np.array([0.5, 3.0, 4.0]),
     )
@@ -26,13 +27,15 @@ def test_consistent_columns_pass():
 
 
 @pytest.mark.parametrize("changes, message", [
-    (dict(finalized=11), "conservation"),
+    (dict(total=11), "conservation"),
     (dict(local=5), "conservation"),
-    (dict(decided=13), "conservation"),
-    (dict(finalized=10, in_flight=-1, decided=9), "in-flight"),
+    (dict(decided=9), "conservation"),
     (dict(batch_sizes=np.array([1, 4], dtype=np.int64)), "batch size"),
     (dict(batch_sizes=np.array([0, 1], dtype=np.int64)), "batch size"),
+    (dict(batch_launch=np.array([0.5, 1.0, 3.5])), "before the previous one completes"),
     (dict(stream_times=(np.array([1.0, 3.0, 2.0]),)), "decrease"),
+    (dict(batch_done=np.array([1.5, 3.5, 3.0])), "decrease"),
+    (dict(queue_waits=np.array([-0.5, 4.0, 4.0])), "negative queue wait"),
     (dict(queue_area=7.5 * (1 + 1e-7)), "queue area"),
     (dict(queue_waits=np.array([0.5, 3.0])), "queue area"),
 ])
@@ -45,11 +48,10 @@ def test_corrupted_columns_raise(changes, message):
 def test_little_identity_holds_on_a_congested_run():
     """A real run whose queue builds up passes its own Little check (within 1e-9)."""
     cfg = small_config(groups=[("mid", 8, 20.0)], table_entries={1: 15.0, 2: 20.0},
-                       threshold=0.8, uplink=5.0, downlink=5.0, start_phase="staggered",
-                       horizon=2500.0)
+                       threshold=0.8, uplink=5.0, downlink=5.0, start_phase="staggered")
     rng = np.random.default_rng(11)
     traces = {i: make_trace(rng.random(300), rng.random(300) < 0.7, rng.random(300) < 0.8)
               for i in range(8)}
     report = run_simulation(cfg, traces, seed=0)
     assert report.mean_queue_length > 1.0
-    assert report.samples_in_flight > 0
+    assert report.samples_finalized == 2400

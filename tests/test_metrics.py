@@ -39,9 +39,6 @@ class TestSloSatisfaction:
     def test_empty_is_zero(self):
         assert slo_satisfaction(columns([]), 100.0) == 0.0
 
-    def test_in_flight_counts_against(self):
-        assert slo_satisfaction(columns([50.0]), 100.0, in_flight=1) == 0.5
-
     def test_monotone_in_slo(self):
         rng = np.random.default_rng(1)
         lts = columns(rng.uniform(10, 500, 200))
@@ -68,10 +65,10 @@ class TestThroughputAndAccuracy:
     def test_fractional(self):
         assert accuracy(columns(10.0, correct=[i % 4 != 0 for i in range(8)])) == 0.75
 
-    def test_forward_rate_counts_server_and_in_flight(self):
-        lts = columns(10.0, served=[False, True])
-        assert forward_rate(lts) == 0.5
-        assert forward_rate(lts, in_flight=2) == 0.75
+    def test_forward_rate_counts_served_samples(self):
+        lts = columns(10.0, served=[False, True, True, True])
+        assert forward_rate(lts) == 0.75
+        assert forward_rate(columns([])) == 0.0
 
 
 class TestTierAggregation:
@@ -100,12 +97,11 @@ class TestTierAggregation:
         assert report["low"]["samples"] == 1
         assert report["high"]["samples"] == 2
 
-    def test_tier_is_reported_once_a_device_finalized_or_has_one_in_flight(self):
+    def test_every_fleet_tier_is_reported(self):
         lts = columns(10.0, device_id=[0, 0])
-        tiers = ["low", "mid", "high", "high"]
-        report = aggregate_by_tier(lts, tiers, 1000.0, [50.0], [1, 0, 0, 2])
-        assert set(report) == {"low", "high"}  # mid: nothing finalized, nothing in flight
-        assert report["low"]["satisfaction"][50.0] == pytest.approx(2 / 3)
+        report = aggregate_by_tier(lts, ["low", "mid", "high", "high"], 1000.0, [50.0])
+        assert set(report) == {"low", "mid", "high"}
+        assert report["low"]["satisfaction"][50.0] == 1.0
         assert report["high"]["samples"] == 0
         assert report["high"]["satisfaction"][50.0] == 0.0
 
