@@ -82,6 +82,7 @@ def cmd_simulate(args) -> int:
             if args.event_log:
                 _write_atomic(out_dir / f"events_seed{seed}.tsv",
                               (line + "\n" for line in report.event_log))
+                report.event_log = None  # the mean needs only the numbers
     mean = mean_report(reports)
     mean_text = json.dumps(mean, sort_keys=True, indent=2)
     if out_dir:

@@ -35,7 +35,9 @@ Tie rule. Ordering by (time, push sequence) is the same as ordering by time,
 then by the processing order of the event that pushed each one (its parent),
 then by push position inside that parent's handler; the initial pushes (each
 device's first completion by device id, then the first tick) have no parent
-and come first. The engine breaks every same-time tie by walking up the two
+and come first. Local completions are ordered once, up front: each run of
+equal times goes by its members' parents' places, which earlier runs have
+already fixed. Every other same-time tie is broken by walking up the two
 parent chains while their times stay equal. Log sequence numbers are the
 cumulative push count along the resulting order, so the output is identical to
 a heap-driven loop's, byte for byte.
@@ -147,34 +149,36 @@ def check_run_invariants(*, total: int, decided: int, local: int, served: int,
         raise InvariantError(f"queue area {queue_area!r} != summed queue waits {waits!r}")
 
 
+def tie_runs(sorted_times: np.ndarray) -> list[tuple[int, int]]:
+    """The ``[lo, hi)`` bounds of every run of two or more equal values in ``sorted_times``."""
+    edge = np.flatnonzero(np.concatenate(([True], sorted_times[1:] != sorted_times[:-1], [True])))
+    long = np.flatnonzero(np.diff(edge) > 1)
+    return list(zip(edge[long].tolist(), edge[long + 1].tolist()))
+
+
 def _completion_order(times: np.ndarray, parent: np.ndarray, device: np.ndarray,
                       n_devices: int) -> np.ndarray:
     """Processing order of all local completions, which never depends on decisions.
 
-    Two completions compare by time, then by their parents' order (the
-    previous completion of the same device), and so on back; a device's first
-    completion has no parent and precedes any non-first one at equal times,
-    first completions ordering by device id. That is, by the sequence
-    (t_i, t_{i-1}, ..., t_0, root_d), ranked here by prefix doubling.
+    Completions go by time; a run of equal times goes by the places of its
+    members' parents (each the previous completion of the same device), with
+    first completions, which have no parent, ahead and by device id. A parent
+    is strictly earlier than its child, so its place is final by the time the
+    child's run is ordered.
     """
     n = times.size
-    null = n + n_devices  # sentinel past every root, smaller than everything
-    rank = np.empty(n + n_devices + 1, dtype=np.int64)
-    rank[:n] = np.unique(times, return_inverse=True)[1].ravel() + n_devices + 1
-    rank[n:null] = np.arange(1, n_devices + 1)
-    rank[null] = 0
-    anc = np.full(n + n_devices + 1, null, dtype=np.int64)
-    anc[:n] = np.where(parent >= 0, parent, n + device)
-    while True:
-        order = np.argsort(rank[:n], kind="stable")
-        ranked = rank[:n][order]
-        if n < 2 or (ranked[1:] != ranked[:-1]).all() or (anc == null).all():
-            return order
-        upper = rank[anc]
-        both = np.lexsort((upper, rank))
-        step = (rank[both][1:] != rank[both][:-1]) | (upper[both][1:] != upper[both][:-1])
-        rank[both] = np.concatenate(([0], np.cumsum(step)))
-        anc = anc[anc]
+    order = np.argsort(times, kind="stable")
+    # a first completion's parent is its device's root, placed ahead of every completion
+    up = np.where(parent >= 0, parent, n + device)
+    place = np.empty(n + n_devices, dtype=np.int64)
+    place[order] = np.arange(n)
+    place[n:] = np.arange(-n_devices, 0)
+    for lo, hi in tie_runs(times[order]):
+        members = order[lo:hi]
+        members = members[np.argsort(place[up[members]])]
+        order[lo:hi] = members
+        place[members] = np.arange(lo, hi)
+    return order
 
 
 class _Run:
@@ -270,29 +274,21 @@ class _Run:
         # control: scheduled tick times, per-tick records, threshold updates
         self.tick_time = [self.sched_cfg.tick_period_ms]
         self.ticks: list[tuple[int, float, str, list]] = []
+        self.ta_time: list[float] = []
         self.ta_tick: list[int] = []
         self.ta_pos: list[int] = []
         self.ta_dev: list[int] = []
         self.ta_value: list[float] = []
         self.ta_reason: list[str] = []
         self.ta_pending: deque[tuple[int, int]] = deque()  # (first update, count)
-        self.ta_applied = 0
+        # every stream's event times, in processing order, indexed by stream
+        self.times = [self.sd_time, self.ra_time, self.bc_time, self.resp_time, self.tick_time,
+                      self.ta_time]
 
     # -- event order ---------------------------------------------------------
 
     def time_of(self, ref: tuple[int, int]) -> float:
-        stream, i = ref
-        if stream == SD:
-            return float(self.sd_time[i])
-        if stream == RA:
-            return self.ra_time[i]
-        if stream == BC:
-            return self.bc_time[i]
-        if stream == RESP:
-            return self.resp_time[i]
-        if stream == TICK:
-            return self.tick_time[i]
-        return self.tick_time[self.ta_tick[i]] + self.downlink
+        return float(self.times[ref[0]][ref[1]])
 
     def _parent(self, ref: tuple[int, int]) -> tuple[Optional[tuple[int, int]], int]:
         """The event that pushed ``ref`` (None for an initial push) and its push position."""
@@ -331,10 +327,9 @@ class _Run:
                 return pa is None
             a, b = pa, pb
 
-    def _count_before(self, times: list[float], lo: int, t: float, ref: tuple[int, int],
-                      stream: int) -> int:
-        """How many ``stream`` events (``times`` sorted, in processing order) precede
-        ``ref``, which happens at time ``t``."""
+    def _count_before(self, stream: int, lo: int, ref: tuple[int, int]) -> int:
+        """How many ``stream`` events precede ``ref``, given that the first ``lo`` do."""
+        times, t = self.times[stream], self.time_of(ref)
         k = bisect_left(times, t, lo)
         while k < len(times) and times[k] == t and self.precedes((stream, k), ref):
             k += 1
@@ -368,7 +363,7 @@ class _Run:
 
     def _complete(self, b: int) -> None:
         now = self.bc_time[b]
-        queue_len = self._count_before(self.ra_time, self.head, now, (BC, b), RA) - self.head
+        queue_len = self._count_before(RA, self.head, (BC, b)) - self.head
         self.bc_qlen.append(queue_len)
         self.resp_time.append(now + self.downlink)
         self.resp_served.append(self.resp_served[-1] + self.bc_size[b])
@@ -384,11 +379,9 @@ class _Run:
             t_x, end = inf, self.total_samples
         else:
             t_x = self.time_of(control)
-            end = int(np.searchsorted(self.sd_time, t_x, "left"))
-            self._decide(end)
-            while (end < self.total_samples and self.sd_time[end] == t_x
-                   and self.precedes((SD, end), control)):
-                end += 1
+            # the tie rule reads the decisions of the tied completions' parents
+            self._decide(int(np.searchsorted(self.sd_time, t_x, "left")))
+            end = self._count_before(SD, self.decided, control)
         self._decide(end)
 
         ra_time, bc_time = self.ra_time, self.bc_time
@@ -411,8 +404,8 @@ class _Run:
 
     def _tick(self, k: int) -> None:
         now = self.tick_time[k]
-        queue_len = self._count_before(self.ra_time, self.head, now, (TICK, k), RA) - self.head
-        responses = self._count_before(self.resp_time, 0, now, (TICK, k), RESP)
+        queue_len = self._count_before(RA, self.head, (TICK, k)) - self.head
+        responses = self._count_before(RESP, 0, (TICK, k))
         finalized = self.local_kept + self.resp_served[responses]
         state = self.sched_state
         b_bar = state.b_bar
@@ -426,6 +419,7 @@ class _Run:
                            [[d, v, reason] for d, v in zip(ids, values)]))
         if ids:
             self.ta_pending.append((len(self.ta_dev), len(ids)))
+            self.ta_time += [now + self.downlink] * len(ids)
             self.ta_tick += [k] * len(ids)
             self.ta_pos += range(len(ids))
             self.ta_dev += ids
@@ -438,7 +432,6 @@ class _Run:
         first, count = self.ta_pending.popleft()
         for i in range(first, first + count):
             self.thresholds[self.ta_dev[i]] = self.ta_value[i]
-        self.ta_applied += count
 
     # -- main loop -----------------------------------------------------------
 
@@ -510,7 +503,7 @@ class _Run:
             served=self.resp_served[-1], batch_sizes=np.asarray(self.bc_size, dtype=np.int64),
             max_batch=self.table.max_effective_batch, batch_launch=np.asarray(self.bc_launch),
             batch_done=np.asarray(self.bc_time),
-            stream_times=(self.sd_time, np.asarray(self.ra_time), np.asarray(self.tick_time)),
+            stream_times=[np.asarray(times) for times in self.times],
             queue_area=queue_area, queue_waits=queue_waits)
 
         slos = experiment.slos_ms

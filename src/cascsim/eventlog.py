@@ -20,7 +20,7 @@ import numpy as np
 
 from .engine import (BC, EVENT_BATCH_COMPLETE, EVENT_DEVICE_SAMPLE_DONE, EVENT_REQUEST_ARRIVAL,
                      EVENT_RESPONSE_ARRIVAL, EVENT_RUN_END, EVENT_SCHEDULER_TICK,
-                     EVENT_THRESHOLD_APPLIED, RA, RESP, SD, TA, TICK)
+                     EVENT_THRESHOLD_APPLIED, RA, RESP, SD, TICK, tie_runs)
 from .metrics import MetricsReport
 
 _CHUNK = 1 << 14  # rows formatted per step, which bounds the temporary Python objects
@@ -28,12 +28,10 @@ _CHUNK = 1 << 14  # rows formatted per step, which bounds the temporary Python o
 
 def rebuild_event_log(run, report: MetricsReport) -> list[str]:
     """Every event of ``run`` as a log line, in processing order, then run_end."""
-    times = [run.sd_time, run.ra_time, run.bc_time, run.resp_time, run.tick_time,
-             [run.time_of((TA, i)) for i in range(len(run.ta_dev))]]
-    counts = [len(t) for t in times]
+    counts = [len(t) for t in run.times]
     n_sd, n_ra, n_bc, n_resp, n_tick, n_ta = counts
     base = np.concatenate(([0], np.cumsum(counts)))
-    layout_time = np.concatenate([np.asarray(t, dtype=np.float64) for t in times])
+    layout_time = np.concatenate([np.asarray(t, dtype=np.float64) for t in run.times])
     layout_stream = np.repeat(np.arange(6), counts)
     layout_index = np.arange(base[-1]) - base[layout_stream]
     order = np.lexsort((layout_index, layout_stream, layout_time))
@@ -41,16 +39,12 @@ def rebuild_event_log(run, report: MetricsReport) -> list[str]:
     # same-time events of different streams: merge them by the tie rule
     sorted_time = layout_time[order]
     sorted_stream = layout_stream[order]
-    tied = sorted_time[1:] == sorted_time[:-1]
-    if (tied & (sorted_stream[1:] != sorted_stream[:-1])).any():
-        group_start = np.flatnonzero(np.concatenate(([True], ~tied)))
-        group_end = np.append(group_start[1:], order.size)
-        by_rule = cmp_to_key(lambda a, b: -1 if run.precedes(a, b) else 1)
-        for lo, hi in zip(group_start.tolist(), group_end.tolist()):
-            if hi - lo > 1 and sorted_stream[lo:hi].min() != sorted_stream[lo:hi].max():
-                refs = sorted(((int(layout_stream[p]), int(layout_index[p]))
-                               for p in order[lo:hi]), key=by_rule)
-                order[lo:hi] = [base[s] + i for s, i in refs]
+    by_rule = cmp_to_key(lambda a, b: -1 if run.precedes(a, b) else 1)
+    for lo, hi in tie_runs(sorted_time):
+        if sorted_stream[lo:hi].min() != sorted_stream[lo:hi].max():
+            refs = sorted(((int(layout_stream[p]), int(layout_index[p]))
+                           for p in order[lo:hi]), key=by_rule)
+            order[lo:hi] = [base[s] + i for s, i in refs]
 
     # pushes of each event, then the push count before each one in processing order
     bc_from_ra = np.asarray(run.bc_from_ra, dtype=np.int64)
@@ -134,7 +128,7 @@ def rebuild_event_log(run, report: MetricsReport) -> list[str]:
              "flush": flush, "updates": updates}, sort_keys=True))
     lines += [f'{t!r}\t{s}\t{EVENT_THRESHOLD_APPLIED}\t{{"device": {d}, "reason": '
               f'"{r}", "threshold": {v!r}}}'
-              for t, s, d, r, v in zip(times[TA], ta_seq.tolist(), run.ta_dev,
+              for t, s, d, r, v in zip(run.ta_time, ta_seq.tolist(), run.ta_dev,
                                        run.ta_reason, run.ta_value)]
 
     log: list[str] = []

@@ -137,44 +137,27 @@ class MetricsReport:
 
 
 def mean_report(reports: Sequence[MetricsReport]) -> dict:
-    """Average the numeric fields of several per-seed reports."""
+    """Average several per-seed reports field by field, nested dicts key by key.
+
+    The run's kind and device count come from the first report, and ``seeds``
+    lists every report's seed; the seed, the server state and the local and
+    served sample counts are left out.
+    """
     if not reports:
         raise ConfigError("reports", "must not be empty")
-    first = reports[0]
-    n = len(reports)
 
-    def avg(get):
-        return sum(get(r) for r in reports) / n
+    def average(values: list):
+        if isinstance(values[0], dict):
+            return {str(key): average([v[key] for v in values]) for key in values[0]}
+        return sum(values) / len(values)
 
-    slos = list(first.slo_satisfaction)
-    tiers = sorted(first.per_tier)
-    return {
-        "scheduler_kind": first.scheduler_kind,
-        "device_count": first.device_count,
-        "seeds": [r.seed for r in reports],
-        "makespan_ms": avg(lambda r: r.makespan_ms),
-        "total_throughput": avg(lambda r: r.total_throughput),
-        "cascade_accuracy": avg(lambda r: r.cascade_accuracy),
-        "device_mean_accuracy": avg(lambda r: r.device_mean_accuracy),
-        "slo_satisfaction": {str(s): avg(lambda r: r.slo_satisfaction[s]) for s in slos},
-        "per_tier": {
-            t: {
-                "samples": avg(lambda r: r.per_tier[t]["samples"]),
-                "accuracy": avg(lambda r: r.per_tier[t]["accuracy"]),
-                "throughput": avg(lambda r: r.per_tier[t]["throughput"]),
-                "satisfaction": {
-                    str(s): avg(lambda r: r.per_tier[t]["satisfaction"][s]) for s in slos
-                },
-            }
-            for t in tiers
-        },
-        "forward_rate": avg(lambda r: r.forward_rate),
-        "mean_queue_length": avg(lambda r: r.mean_queue_length),
-        "arrival_rate": avg(lambda r: r.arrival_rate),
-        "server_throughput": avg(lambda r: r.server_throughput),
-        "samples_finalized": avg(lambda r: r.samples_finalized),
-        "samples_in_flight": avg(lambda r: r.samples_in_flight),
-    }
+    dicts = [r.to_dict() for r in reports]
+    skipped = ("scheduler_kind", "device_count", "seed", "server_state", "samples_local",
+               "samples_served")
+    out = {key: average([d[key] for d in dicts]) for key in dicts[0] if key not in skipped}
+    out.update(scheduler_kind=reports[0].scheduler_kind, device_count=reports[0].device_count,
+               seeds=[r.seed for r in reports])
+    return out
 
 
 SWEEP_CSV_HEADER = "devices,seed,scheduler,slo_ms,satisfaction,throughput,accuracy,forward_rate"

@@ -39,8 +39,9 @@ class SchedulerConfig:
 
     Defaults: a fifth of the fleet moves per tick, by 0.05, judged against a
     5-batch window with pressure weights 0.83 / 0.125, every 2 seconds.
-    update_fraction and margin of exactly 0 are permitted as an explicit
-    degenerate configuration that reduces the loop to the static baseline.
+    update_fraction and margin of exactly 0 stop the fractional updates but not
+    the emergency flush: the run equals the static baseline's only when
+    flush_factor is also above any queue length the run can reach.
     """
 
     update_fraction: float = 0.20

@@ -2,9 +2,12 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascsim.cascade import forwards
 from cascsim.engine import (
+    _completion_order,
     classify_server_state,
     estimate_arrival_rate,
     parse_event_log_line,
@@ -216,7 +219,8 @@ class TestMonotoneLoad:
 
 class TestBaselineEquivalence:
     def test_degenerate_adaptive_matches_static(self):
-        """With zero margin and zero fraction the control loop must be inert."""
+        """With zero margin, zero fraction and a flush factor no queue reaches, the
+        control loop is inert (zero margin and fraction alone still flush)."""
         rng = np.random.default_rng(10)
         traces = {i: make_trace(rng.random(200), rng.random(200) < 0.7,
                                 rng.random(200) < 0.8) for i in range(4)}
@@ -232,3 +236,44 @@ class TestBaselineEquivalence:
             assert np.array_equal(getattr(a.samples, name), getattr(b.samples, name)), name
         assert a.slo_satisfaction == b.slo_satisfaction
         assert a.cascade_accuracy == b.cascade_accuracy
+
+
+@st.composite
+def completion_layouts(draw):
+    """Local-completion columns laid out as the engine lays them out, device-major,
+    with dense ties: small integral latencies (equal-latency devices are common),
+    aligned, staggered or small integral start offsets (so first completions tie
+    with later ones), and short traces."""
+    n = draw(st.integers(1, 6))
+    t_inf = draw(st.lists(st.sampled_from((1.0, 2.0, 3.0, 4.0, 6.0)), min_size=n, max_size=n))
+    phase = draw(st.sampled_from(("aligned", "staggered", "integral")))
+    offsets = {"aligned": [0.0] * n,
+               "staggered": [(d / n) * t for d, t in enumerate(t_inf)],
+               "integral": draw(st.lists(st.sampled_from((0.0, 1.0, 2.0, 3.0)),
+                                         min_size=n, max_size=n))}[phase]
+    lengths = draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))
+    done = [[o + i * t + t for i in range(k)] for o, t, k in zip(offsets, t_inf, lengths)]
+    return n, done
+
+
+class TestCompletionOrder:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(completion_layouts())
+    def test_matches_a_sort_by_the_whole_chain(self, layout):
+        """A completion sorts by its time, then its parent's, and so on back to the
+        device's first; a chain that reaches its root first sorts first, and equal
+        chains go by device id. Python's list order on ``[(0, t_i), ..., (0, t_0),
+        (-1, device)]`` is exactly that rule."""
+        n, done = layout
+        times = np.array([t for ts in done for t in ts])
+        device = np.repeat(np.arange(n), [len(ts) for ts in done])
+        first = np.concatenate(([0], np.cumsum([len(ts) for ts in done])[:-1]))
+        index = np.arange(times.size) - first[device]
+        parent = np.where(index > 0, np.arange(times.size) - 1, -1)
+
+        def chain(j):
+            d, i = int(device[j]), int(index[j])
+            return [(0, t) for t in reversed(done[d][:i + 1])] + [(-1, d)]
+
+        expected = sorted(range(times.size), key=chain)
+        assert _completion_order(times, parent, device, n).tolist() == expected
