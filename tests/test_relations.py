@@ -13,9 +13,6 @@ from cascsim.engine import run_simulation
 from cascsim.metrics import SampleColumns
 from cascsim.server import BatchLatencyTable
 
-INERT = dict(update_fraction=0.0, margin=0.0, flush_factor=1e9)
-
-
 def with_scheduler(cfg, kind, **tuning):
     sched = cfg.scheduler
     return replace(cfg, scheduler=replace(sched, kind=kind,
@@ -54,7 +51,8 @@ def test_inert_controller_runs_as_static(name):
     """No fractional updates and a flush no queue reaches: multitasc gives static's
     report in every field but the scheduler kind, sample for sample."""
     static = run_simulation(preset(name, 4, "static"), seed=1)
-    inert = run_simulation(with_scheduler(preset(name, 4, "multitasc"), "multitasc", **INERT),
+    inert = run_simulation(with_scheduler(preset(name, 4, "multitasc"), "multitasc",
+                                          update_fraction=0.0, margin=0.0, flush_factor=1e9),
                            seed=1)
     a, b = static.to_dict(), inert.to_dict()
     assert (a.pop("scheduler_kind"), b.pop("scheduler_kind")) == ("static", "multitasc")
