@@ -76,13 +76,13 @@ def cmd_simulate(args) -> int:
     reports = []
     for seed in seeds:
         report = run_simulation(cfg, seed=seed, collect_event_log=args.event_log)
-        reports.append(report)
         if out_dir:
             _write_atomic(out_dir / f"report_seed{seed}.json", report.to_json() + "\n")
             if args.event_log:
                 _write_atomic(out_dir / f"events_seed{seed}.tsv",
                               (line + "\n" for line in report.event_log))
-                report.event_log = None  # the mean needs only the numbers
+        report.samples = report.event_log = None  # the mean needs only the numbers
+        reports.append(report)
     mean = mean_report(reports)
     mean_text = json.dumps(mean, sort_keys=True, indent=2)
     if out_dir:

@@ -330,7 +330,7 @@ class _Run:
     def _count_before(self, stream: int, lo: int, ref: tuple[int, int]) -> int:
         """How many ``stream`` events precede ``ref``, given that the first ``lo`` do."""
         times, t = self.times[stream], self.time_of(ref)
-        k = bisect_left(times, t, lo)
+        k = lo if lo == len(times) or times[lo] >= t else bisect_left(times, t, lo)
         while k < len(times) and times[k] == t and self.precedes((stream, k), ref):
             k += 1
         return k
@@ -379,9 +379,9 @@ class _Run:
             t_x, end = inf, self.total_samples
         else:
             t_x = self.time_of(control)
-            # the tie rule reads the decisions of the tied completions' parents
-            self._decide(int(np.searchsorted(self.sd_time, t_x, "left")))
-            end = self._count_before(SD, self.decided, control)
+            start = int(np.searchsorted(self.sd_time, t_x, "left"))
+            self._decide(start)  # the tie rule reads the tied completions' parents' decisions
+            end = self._count_before(SD, start, control)
         self._decide(end)
 
         ra_time, bc_time = self.ra_time, self.bc_time

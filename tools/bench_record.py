@@ -2,21 +2,24 @@
 
 Usage::
 
-    python tools/bench_record.py PARENT_DIR CHANGE_DIR --label L [--pairs N]
+    python tools/bench_record.py PARENT_DIR CHANGE_DIR --label L
 
 For every workload of ``BENCHMARK.json``, each tree runs its own
 ``perfbench/run.py --workload W --seed 1 --seconds T --trace 0`` (``T`` is the
-benchmark's ``run_seconds``) in a fresh process, in parent/change pairs; the
-side that goes first alternates from pair to pair, so a drift in host speed
-falls on both sides alike. The last line a run prints is its JSON result (``correct``,
+benchmark's ``run_seconds``) in a fresh process, in ten parent/change pairs;
+the side that goes first alternates from pair to pair, so a drift in host
+speed falls on both sides alike. The last line a run prints is its JSON result (``correct``,
 ``attempted``, ``failed``, ``metrics``), and every one is kept.
 
 The record is written at the root of this repository. It holds the
 environment, both trees' git revisions and, for each workload and each
 end-to-end metric of ``BENCHMARK.json``: both sides' medians and quartiles,
 how many pairs the change wins (by the metric's ``better``), the relative
-change of the median against the metric's ``bound``, and every pair. Passing
-the same tree twice gives the host's noise floor.
+change of the median and the parent's relative interquartile spread against
+the metric's ``bound``, and every pair. The verdict is ``within_bound`` or
+``worse``, or ``unresolved`` when the parent's spread is wider than the bound
+and the change does not win every pair: such a metric is too noisy here to
+call unchanged. Passing the same tree twice gives the host's noise floor.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 SEED = 1
+PAIRS = 10  # a claimed gain must win nine pairs in ten
 
 
 def revision(tree: Path) -> dict:
@@ -69,16 +73,20 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarize(pairs: list[dict], metric: dict) -> dict:
-    """Medians, quartiles, wins and the median's relative change for one metric."""
+    """Medians, quartiles, wins, the median's relative change and the verdict."""
     name, lower = metric["name"], metric["better"] == "lower"
     values = {side: [p[side]["metrics"][name] for p in pairs] for side in SIDES}
     wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
     stats = {side: quartiles(values[side]) for side in SIDES}
     parent, change = stats["parent"]["median"], stats["change"]["median"]
     worse_by = ((change - parent) if lower else (parent - change)) / parent if parent else 0.0
-    return {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
+    spread = (stats["parent"]["q3"] - stats["parent"]["q1"]) / parent if parent else 0.0
+    bound = metric["bound"]
+    verdict = ("unresolved" if spread > bound and wins < len(pairs)
+               else "within_bound" if worse_by <= bound else "worse")
+    return {"unit": metric["unit"], "better": metric["better"], "bound": bound,
             **stats, "wins": f"{wins}/{len(pairs)}", "worse_by": worse_by,
-            "within_bound": worse_by <= metric["bound"],
+            "parent_spread": spread, "verdict": verdict,
             "pairs": [[p, c] for p, c in zip(values["parent"], values["change"])]}
 
 
@@ -88,7 +96,6 @@ def main(argv: list[str]) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--label", required=True)
-    parser.add_argument("--pairs", type=int, default=5)
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
@@ -102,17 +109,17 @@ def main(argv: list[str]) -> int:
                         "platform": platform.platform(), "machine": platform.machine(),
                         "cpus": os.cpu_count()},
         "revisions": {side: revision(tree) for side, tree in trees.items()},
-        "settings": {"pairs": args.pairs, "seconds": spec["run_seconds"], "seed": SEED},
+        "settings": {"pairs": PAIRS, "seconds": spec["run_seconds"], "seed": SEED},
         "workloads": {},
     }
     for workload in (w["name"] for w in spec["workloads"]):
         pairs = []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"first": order[0]}
             for side in order:
                 pair[side] = run_once(trees[side], workload, spec["run_seconds"])
-                print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
+                print(f"{workload} pair {i + 1}/{PAIRS} {side}: "
                       f"{json.dumps(pair[side]['metrics'])}", file=sys.stderr)
             pairs.append(pair)
         record["workloads"][workload] = {
