@@ -18,8 +18,8 @@ how many pairs the change wins (by the metric's ``better``), the relative
 change of the median and the parent's relative interquartile spread against
 the metric's ``bound``, and every pair. The verdict is ``within_bound`` or
 ``worse``, or ``unresolved`` when the parent's spread is wider than the bound
-and the change does not win every pair: such a metric is too noisy here to
-call unchanged. Passing the same tree twice gives the host's noise floor.
+and not every run of the change reads better than every run of the parent:
+such a metric is too noisy here to call unchanged. Passing the same tree twice gives the host's noise floor.
 """
 
 from __future__ import annotations
@@ -82,7 +82,9 @@ def summarize(pairs: list[dict], metric: dict) -> dict:
     worse_by = ((change - parent) if lower else (parent - change)) / parent if parent else 0.0
     spread = (stats["parent"]["q3"] - stats["parent"]["q1"]) / parent if parent else 0.0
     bound = metric["bound"]
-    verdict = ("unresolved" if spread > bound and wins < len(pairs)
+    clear = (max(values["change"]) < min(values["parent"]) if lower
+             else min(values["change"]) > max(values["parent"]))
+    verdict = ("unresolved" if spread > bound and not clear
                else "within_bound" if worse_by <= bound else "worse")
     return {"unit": metric["unit"], "better": metric["better"], "bound": bound,
             **stats, "wins": f"{wins}/{len(pairs)}", "worse_by": worse_by,
