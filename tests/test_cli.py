@@ -445,9 +445,9 @@ class TestCliInputErrors:
 
 
 def test_logged_simulate_lets_each_seed_log_go(tmp_path, capsys):
-    """Each seed's event log is released once its file is written, so a 3-seed
-    logged simulate peaks at about the traced memory of a 1-seed one (it held
-    every log until the mean, 1.8x). The preset runs on 300-sample traces and a
+    """Each seed's event log and sample columns are released once its files are
+    written, so a 3-seed logged simulate peaks at about the traced memory of a
+    1-seed one (it held every log until the mean, 1.8x). The preset runs on 300-sample traces and a
     1000-sample calibration, which keeps tracemalloc's per-allocation cost low;
     a warm-up run keeps first-call imports out of the 1-seed peak."""
     doc = json.loads(resources.files("cascsim").joinpath(
