@@ -100,6 +100,13 @@ def calibrate_static_threshold(calibration_trace: TraceSet,
     than accuracy_tolerance of cascade accuracy relative to the best grid
     point, falls back to the lowest threshold within the tolerance of the
     maximum.
+
+    Rates and accuracies come from one sweep over the gaps in sorted order:
+    at grid point g, the samples ``forwards`` sends are exactly the gaps
+    sorted before ``searchsorted(sorted_gaps, g, "left")``, those strictly
+    below g. The cascade is right on a sample when the heavy model is and the
+    sample is forwarded, or when the light model is and it is kept, so the
+    count is a prefix sum of heavy bits plus a suffix sum of light bits.
     """
     if len(calibration_trace) == 0:
         raise ConfigError("trace", "must not be empty")
@@ -110,13 +117,12 @@ def calibrate_static_threshold(calibration_trace: TraceSet,
 
     grid = np.asarray(CALIBRATION_GRID)
     n = len(calibration_trace)
-    # forward rate and accuracy at every grid point, vectorized over the grid
-    forwarded = forwards(calibration_trace.bvsb[None, :], grid[:, None])
-    rates = forwarded.sum(axis=1) / n
-    correct = np.where(forwarded,
-                       calibration_trace.heavy_correct[None, :],
-                       calibration_trace.light_correct[None, :])
-    accuracies = correct.sum(axis=1) / n
+    order = np.argsort(calibration_trace.bvsb, kind="stable")
+    forwarded = np.searchsorted(calibration_trace.bvsb[order], grid, "left")
+    heavy_before = np.concatenate(([0], np.cumsum(calibration_trace.heavy_correct[order])))
+    light_before = np.concatenate(([0], np.cumsum(calibration_trace.light_correct[order])))
+    rates = forwarded / n
+    accuracies = (heavy_before[forwarded] + light_before[-1] - light_before[forwarded]) / n
 
     best = int(np.argmin(np.abs(rates - target_forward_rate)))  # argmin → lowest on ties
     max_acc = float(accuracies.max())

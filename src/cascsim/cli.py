@@ -103,7 +103,9 @@ def cmd_sweep(args) -> int:
         for count in counts:
             point_cfg = kind_cfg.with_device_count(count)
             for seed in seeds:
-                reports.append(run_simulation(point_cfg, seed=seed))
+                report = run_simulation(point_cfg, seed=seed)
+                report.samples = None  # the rows need only the numbers
+                reports.append(report)
 
     lines = [SWEEP_CSV_HEADER] + sweep_csv_rows(reports)
     text = "\n".join(lines) + "\n"

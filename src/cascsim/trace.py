@@ -9,16 +9,22 @@ semantics ever look at.
 from __future__ import annotations
 
 import io
+import re
 import sys
 from dataclasses import dataclass
+from functools import partial
+from itertools import compress, count
 from math import isfinite
-from typing import Union
+from operator import ne
+from typing import Optional, Union
 
 import numpy as np
 
 from .errors import ConfigError, TraceError
 
 TRACE_CSV_HEADER = "sample_index,bvsb,light_correct,heavy_correct"
+_BITS = frozenset("01")
+_LINE_END_CR = re.compile(r"\r+$", re.MULTILINE)  # what ``line.rstrip("\r")`` drops
 
 
 class TraceSet:
@@ -111,12 +117,38 @@ def generate_synthetic_trace(params: SyntheticTraceParams, seed) -> TraceSet:
     return TraceSet(bvsb, light, heavy)
 
 
-def _parse_bool(field: str, column: str, raw: str, row: int) -> bool:
-    if raw == "0":
-        return False
-    if raw == "1":
-        return True
-    raise TraceError(field, row, f"{column} must be 0 or 1, got {raw!r}")
+def _first(flags) -> Optional[int]:
+    """Position of the first true item of an iterable, or None."""
+    return next(compress(count(), flags), None)
+
+
+def _first_false(ok: np.ndarray) -> Optional[int]:
+    """Position of the first false entry of a boolean array, or None."""
+    return None if ok.all() else int(np.argmin(ok))
+
+
+def _parse_column(parse, column: list[str], collect=list):
+    """Parse every string of ``column`` and ``collect`` the values into
+    ``(values, None, None)``; at the first string ``parse`` rejects with a
+    ``ValueError``, ``(the values before it, its row, the error's message)``."""
+    try:
+        return collect(map(parse, column)), None, None
+    except ValueError:
+        pass
+    for row, raw in enumerate(column):  # rescan to find the row
+        try:
+            parse(raw)
+        except ValueError as exc:
+            return collect(map(parse, column[:row])), row, str(exc)
+
+
+def _bit_column(name: str, column: list[str]):
+    """The 0/1 strings of ``column`` as booleans: ``(bits, row, message)``, with
+    ``row`` and ``message`` naming the first other string (None when there is none)."""
+    if set(column) <= _BITS:  # one character a record, so the joined text is the column
+        return np.frombuffer("".join(column).encode(), np.uint8) == ord("1"), None, None
+    row = next(row for row, raw in enumerate(column) if raw not in _BITS)
+    return None, row, f"{name} must be 0 or 1, got {column[row]!r}"
 
 
 def load_trace_csv(source: Union[str, bytes, io.IOBase], field: str = "csv") -> TraceSet:
@@ -124,9 +156,15 @@ def load_trace_csv(source: Union[str, bytes, io.IOBase], field: str = "csv") -> 
 
     Accepts a path, raw bytes/str content containing a newline, or a file-like
     object. Format: header `sample_index,bvsb,light_correct,heavy_correct`,
-    booleans as 0/1, LF line endings, no quoting. A path that cannot be read
-    raises ConfigError at ``field``; a malformed row raises TraceError at
-    ``field`` and the row.
+    booleans as 0/1, LF line endings (carriage returns that end a line are
+    dropped), no quoting. A path that cannot be read raises ConfigError at
+    ``field``; a malformed record raises TraceError at ``field`` and the row.
+
+    Records are checked a column at a time. The error raised is at the
+    earliest failing row and, within that row, is the first failing check in
+    the order: field count, ``int`` index, ``float`` gap, consecutive index, gap
+    in [0, 1], light bit, heavy bit. Each check looks only at the rows before
+    the earliest failure found so far, which have passed every earlier check.
     """
     if hasattr(source, "read"):
         data = source.read()
@@ -147,37 +185,64 @@ def load_trace_csv(source: Union[str, bytes, io.IOBase], field: str = "csv") -> 
         except UnicodeDecodeError as exc:
             row = data.count(b"\n", 0, exc.start) + 1
             raise TraceError(field, row, "not UTF-8 text") from None
+    del data  # each copy of the text goes once used: the peak is the split fields
 
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    if not text:
         raise TraceError(field, 1, "trace file is empty")
-    header = lines[0].rstrip("\r")
+    header, newline, body = text.removesuffix("\n").partition("\n")
+    del text
+    header = header.rstrip("\r")
     if header != TRACE_CSV_HEADER:
         raise TraceError(field, 1, f"expected header {TRACE_CSV_HEADER!r}, got {header!r}")
-    if len(lines) == 1:
+    if not newline:
         raise TraceError(field, 2, "trace file has a header but no records")
 
-    bvsb, light, heavy = [], [], []
-    for row_no, line in enumerate(lines[1:], start=2):
-        fields = line.rstrip("\r").split(",")
-        if len(fields) != 4:
-            raise TraceError(field, row_no, f"expected 4 fields, got {len(fields)}")
-        try:
-            idx = int(fields[0])
-            score = float(fields[1])
-        except ValueError as exc:
-            raise TraceError(field, row_no, str(exc)) from None
-        if idx != row_no - 2:
-            raise TraceError(field, row_no, f"sample_index {idx} is not consecutive from 0")
-        if not 0.0 <= score <= 1.0:
-            raise TraceError(field, row_no, f"bvsb {score} outside [0, 1]")
-        bvsb.append(score)
-        light.append(_parse_bool(field, "light_correct", fields[2], row_no))
-        heavy.append(_parse_bool(field, "heavy_correct", fields[3], row_no))
+    # fields per record, from where its commas and its line break sit
+    raw = np.frombuffer(body.encode("utf-8", "surrogatepass"), np.uint8)
+    ends = np.append(np.flatnonzero(raw == ord("\n")), raw.size)
+    field_counts = np.diff(np.searchsorted(np.flatnonzero(raw == ord(",")), ends),
+                           prepend=0) + 1
+    del raw
+    limit, failure = ends.size, None  # every row before ``limit`` passes the checks so far
+    row = _first_false(field_counts == 4)
+    if row is not None:
+        limit, failure = row, f"expected 4 fields, got {field_counts[row]}"
 
-    return TraceSet(bvsb, light, heavy)
+    if "\r" in body:
+        body = _LINE_END_CR.sub("", body)
+    body = body.replace("\n", ",")
+    fields = body.split(",")
+    del body
+    # every record before ``limit`` has 4 fields, so field 4r + k is column k of row r
+    index_col, gap_col, light_col, heavy_col = (fields[k:4 * limit:4] for k in range(4))
+    del fields
+
+    index, row, message = _parse_column(int, index_col)
+    del index_col
+    if row is not None:
+        limit, failure = row, message
+    gaps, row, message = _parse_column(float, gap_col[:limit],
+                                        partial(np.fromiter, dtype=np.float64))
+    del gap_col
+    if row is not None:
+        limit, failure = row, message
+    row = _first(map(ne, index, range(limit)))
+    if row is not None:
+        limit, failure = row, f"sample_index {index[row]} is not consecutive from 0"
+    del index
+    row = _first_false((gaps[:limit] >= 0.0) & (gaps[:limit] <= 1.0))  # NaN fails too
+    if row is not None:
+        limit, failure = row, f"bvsb {float(gaps[row])} outside [0, 1]"
+    light, row, message = _bit_column("light_correct", light_col[:limit])
+    if row is not None:
+        limit, failure = row, message
+    heavy, row, message = _bit_column("heavy_correct", heavy_col[:limit])
+    if row is not None:
+        limit, failure = row, message
+
+    if failure is not None:
+        raise TraceError(field, limit + 2, failure)
+    return TraceSet(gaps, light, heavy)
 
 
 def write_trace_csv(trace: TraceSet, stream) -> None:

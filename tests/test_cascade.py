@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascsim.cascade import (
     CALIBRATION_GRID,
@@ -12,6 +14,7 @@ from cascsim.errors import ConfigError
 from cascsim.trace import generate_synthetic_trace, SyntheticTraceParams
 
 from conftest import make_trace
+from oracle_calibration import calibrate_grid_matrix
 
 
 class TestThreshold:
@@ -168,3 +171,31 @@ class TestCalibration:
     def test_empty_trace_rejected(self):
         with pytest.raises(ConfigError):
             calibrate_static_threshold(make_trace([], [], []), 0.30)
+
+
+# Gaps on grid points (where keep and forward meet), at 0 and 1, and anywhere.
+GAPS = st.one_of(st.sampled_from(CALIBRATION_GRID), st.sampled_from((0.0, 1.0)),
+                 st.floats(0.0, 1.0))
+BITS = st.one_of(st.just("all"), st.just("none"), st.lists(st.booleans(), min_size=1))
+
+
+def bit_column(spec, n: int) -> list[bool]:
+    """``n`` correctness bits: all right, all wrong, or a drawn pattern repeated."""
+    if isinstance(spec, str):
+        return [spec == "all"] * n
+    return (spec * n)[:n]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(distinct=st.lists(GAPS, min_size=1, max_size=12),
+       picks=st.lists(st.integers(0, 11), min_size=1, max_size=80),
+       light=BITS, heavy=BITS,
+       target=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       tolerance=st.one_of(st.just(0.0), st.floats(0.0, 0.5)))
+def test_calibration_matches_grid_matrix(distinct, picks, light, heavy, target, tolerance):
+    """The sorted sweep picks the threshold the grid × n decision matrix picks, on
+    traces of 1 to 80 samples drawn from a few gaps, so most repeat."""
+    gaps = [distinct[i % len(distinct)] for i in picks]
+    trace = make_trace(gaps, bit_column(light, len(gaps)), bit_column(heavy, len(gaps)))
+    assert calibrate_static_threshold(trace, target, tolerance).value == \
+        calibrate_grid_matrix(trace, target, tolerance)

@@ -1,17 +1,21 @@
 """Relations between whole runs. They check the engine without a second
 implementation of its tie rule: an inert controller runs as the static
-baseline, and scaling every time input by a power of two scales every output
-time by exactly that factor and changes nothing else."""
+baseline, scaling every time input by a power of two scales every output
+time by exactly that factor and changes nothing else, and a higher fixed
+threshold forwards no smaller share of samples."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascsim.config import load_config, preset_names
 from cascsim.engine import run_simulation
 from cascsim.metrics import SampleColumns
 from cascsim.server import BatchLatencyTable
+
 
 def with_scheduler(cfg, kind, **tuning):
     sched = cfg.scheduler
@@ -100,3 +104,17 @@ def test_power_of_two_time_scaling(name, kind):
     time, seq, kind = log_columns(scaled.event_log)
     assert np.array_equal(base_time * 4, time)
     assert (seq, kind) == (base_seq, base_kind)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(name=st.sampled_from(preset_names()), thresholds=st.lists(st.floats(0.0, 1.0),
+                                                                  min_size=2, max_size=2),
+       seed=st.integers(0, 1000))
+def test_raising_a_fixed_threshold_never_lowers_forward_rate(name, thresholds, seed):
+    """``forwards`` is monotone in the threshold, and a static run never moves it."""
+    cfg = preset(name, 2, "static", trace_count=300)
+    rates = [run_simulation(replace(cfg, scheduler=replace(cfg.scheduler, initial_threshold=t,
+                                                           calibration=None)),
+                            seed=seed).forward_rate
+             for t in sorted(thresholds)]
+    assert rates[0] <= rates[1]

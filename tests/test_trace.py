@@ -2,8 +2,10 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cascsim.errors import ConfigError, TraceError
+from cascsim.errors import CascSimError, ConfigError, TraceError
 from cascsim.cascade import trace_forward_rate
 from cascsim.trace import (
     SyntheticTraceParams,
@@ -14,6 +16,7 @@ from cascsim.trace import (
 )
 
 from conftest import make_trace
+from oracle_trace import load_trace_csv_rows
 
 
 def params(**overrides) -> SyntheticTraceParams:
@@ -135,6 +138,61 @@ class TestCsv:
     def test_reads_bytes(self):
         trace = load_trace_csv(f"{self.HEADER}\n0,0.25,0,1\n".encode("utf-8"))
         assert trace.bvsb[0] == 0.25
+
+
+HEADER = "sample_index,bvsb,light_correct,heavy_correct"
+# What a record may get wrong, and the values it may get wrong. Some are valid:
+# Python's int and float accept surrounding whitespace, ``_`` between digits
+# and other scripts' digits, and float reads nan and inf.
+FLAWS = ("fields", "index", "gap", "light", "heavy", "line_end")
+BAD_INDEX = [" {i}", "{i} ", "0_{i}", "+{i}", "{j}", "-1", "{i}_", "x", "", "1.0", "１"]
+BAD_GAP = ["0", "1", "1e-1", " 0.5", "0.5 ", "0_5", "1_0", "-0.0", "nan", "inf", "-inf",
+           "1.5", "-0.1", "1e400", "x", "", "0.5.5", "０.5", "1.0000000000000001"]
+BAD_BIT = ["2", "", " 1", "1 ", "true", "01", "-0", "１"]
+BAD_SHAPE = ["three", "five", "one", "blank", "cr"]
+RECORD = st.fixed_dictionaries({
+    "flaws": st.one_of(st.just(()), st.just(()), st.just(()),
+                       st.sets(st.sampled_from(FLAWS), min_size=1, max_size=3)),
+    "index": st.sampled_from(BAD_INDEX), "j": st.integers(0, 20),
+    "gap": st.floats(0.0, 1.0).map(repr), "bad_gap": st.sampled_from(BAD_GAP),
+    "light": st.sampled_from("01"), "bad_light": st.sampled_from(BAD_BIT),
+    "heavy": st.sampled_from("01"), "bad_heavy": st.sampled_from(BAD_BIT),
+    "shape": st.sampled_from(BAD_SHAPE), "line_end": st.sampled_from(["\r\n", "\r\r\n"])})
+
+
+def record_line(i: int, r: dict) -> str:
+    """Record ``i`` with the flaws ``r`` names, and its line ending."""
+    flaws = r["flaws"]
+    fields = [r["index"].format(i=i, j=r["j"]) if "index" in flaws else str(i),
+              r["bad_gap"] if "gap" in flaws else r["gap"],
+              r["bad_light"] if "light" in flaws else r["light"],
+              r["bad_heavy"] if "heavy" in flaws else r["heavy"]]
+    if "fields" in flaws:
+        fields = {"three": fields[:3], "five": fields + ["1"], "one": fields[:1],
+                  "blank": [], "cr": ["\r"]}[r["shape"]]
+    return ",".join(fields) + (r["line_end"] if "line_end" in flaws else "\n")
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(header=st.sampled_from([HEADER] * 6 + [HEADER + "\r"] * 2 + [HEADER + ",x"]),
+       records=st.lists(RECORD, max_size=12),
+       tail=st.sampled_from(["", "", "\n", "\r", "\n\n"]),
+       as_bytes=st.booleans())
+def test_loader_matches_row_by_row_oracle(header, records, tail, as_bytes):
+    """On generated CSV text, the column-wise loader returns the row-by-row
+    loader's columns bit for bit, or raises its error with its message."""
+    text = header + "\n" + "".join(record_line(i, r) for i, r in enumerate(records)) + tail
+    source = text.encode("utf-8") if as_bytes else text
+    outcomes = []
+    for load in (load_trace_csv, load_trace_csv_rows):
+        try:
+            trace = load(source, "fleet[0].trace.csv")
+        except CascSimError as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+        else:
+            outcomes.append((trace.bvsb.tobytes(), trace.light_correct.tobytes(),
+                             trace.heavy_correct.tobytes()))
+    assert outcomes[0] == outcomes[1]
 
 
 class TestForwardRate:

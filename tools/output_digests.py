@@ -12,7 +12,13 @@ the matrix runs
   ``report_mean.json`` and ``events_seed*.tsv``;
 - ``sweep --devices 6..30:12``: ``sweep.csv``;
 
-and, once per preset, ``calibrate --config`` (its stdout). Each line is
+and, once per preset, ``calibrate --config`` (its stdout). Each preset also
+runs on CSV traces: every fleet group's synthetic trace, drawn with
+``CSV_ROWS`` records under seed ``[CSV_SEED, group]``, is written with
+``write_trace_csv`` (``csv/group*.csv``) and bound to a copy of the preset, on
+which the matrix runs ``calibrate --config`` and ``simulate`` with seeds 1 and
+2 at 12 devices (``report_seed*.json``, ``report_mean.json``), and
+``calibrate --trace`` on each file. Each line is
 ``<sha256>  <preset>/<run>/<file>``. Run it on two trees and diff the two
 outputs: a change that keeps every output byte-identical prints the same lines.
 """
@@ -21,15 +27,20 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from contextlib import redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 SEEDS = "1,2"
 SIMULATE_DEVICES = (12, 42)
 SWEEP_DEVICES = "6..30:12"
 SCHEDULERS = ("multitasc", "static")
+CSV_ROWS = 20_000
+CSV_SEED = 7
+CSV_DEVICES = 12
 
 
 def import_cli(src_dir: Path):
@@ -51,6 +62,40 @@ def run(cli, argv: list[str]) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
+def digest(data: bytes, name: str) -> str:
+    """One output line: the SHA-256 of ``data``, then ``name``."""
+    return f"{hashlib.sha256(data).hexdigest()}  {name}"
+
+
+def csv_digests(cli, preset: str, work: Path) -> list[str]:
+    """Write the preset's group traces as CSV files, then calibrate and simulate on them."""
+    import cascsim
+    out = work / preset / "csv"
+    out.mkdir(parents=True)
+    doc = json.loads((Path(cascsim.__file__).parent / "presets" / f"{preset}.json")
+                     .read_text(encoding="utf-8"))
+    lines = []
+    for gi, group in enumerate(cli.load_config(preset).fleet):
+        params = replace(group.synthetic, count=CSV_ROWS)
+        path = out / f"group{gi}.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            cascsim.write_trace_csv(cascsim.generate_synthetic_trace(params, [CSV_SEED, gi]), fh)
+        doc["fleet"][gi]["trace"] = {"csv": path.name}  # relative to the config file
+        lines.append(digest(path.read_bytes(), f"{preset}/csv/{path.name}"))
+        calibrate = run(cli, ["calibrate", "--trace", str(path)])
+        lines.append(digest(calibrate, f"{preset}/calibrate_trace_group{gi}/stdout"))
+    config = out / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    calibrate = run(cli, ["calibrate", "--config", str(config)])
+    lines.append(digest(calibrate, f"{preset}/calibrate_csv/stdout"))
+    name = f"{preset}/simulate_csv_{CSV_DEVICES}"
+    reports = work / name
+    run(cli, ["simulate", "--config", str(config), "--devices", str(CSV_DEVICES),
+              "--seed-list", SEEDS, "--out", str(reports)])
+    lines += [digest(path.read_bytes(), f"{name}/{path.name}") for path in sorted(reports.iterdir())]
+    return lines
+
+
 def digests(cli, work: Path) -> list[str]:
     lines = []
     for preset in cli.preset_names():
@@ -61,13 +106,14 @@ def digests(cli, work: Path) -> list[str]:
                 run(cli, ["simulate", "--config", preset, "--scheduler", kind,
                           "--devices", str(devices), "--seed-list", SEEDS,
                           "--event-log", "--out", str(out)])
-                lines += [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}/{path.name}"
+                lines += [digest(path.read_bytes(), f"{name}/{path.name}")
                           for path in sorted(out.iterdir())]
             sweep = run(cli, ["sweep", "--config", preset, "--scheduler", kind,
                               "--devices", SWEEP_DEVICES, "--seed-list", SEEDS])
-            lines.append(f"{hashlib.sha256(sweep).hexdigest()}  {preset}/sweep_{kind}/sweep.csv")
+            lines.append(digest(sweep, f"{preset}/sweep_{kind}/sweep.csv"))
         calibrate = run(cli, ["calibrate", "--config", preset])
-        lines.append(f"{hashlib.sha256(calibrate).hexdigest()}  {preset}/calibrate/stdout")
+        lines.append(digest(calibrate, f"{preset}/calibrate/stdout"))
+        lines += csv_digests(cli, preset, work)
     return lines
 
 
