@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .cascade import (CalibrationSpec, calibrate_static_threshold, cascade_accuracy,
                       trace_forward_rate)
 from .config import ExperimentConfig, load_config, preset_names, read_batch_table
-from .engine import run_simulation
+from .engine import DeviceLayout, run_simulation
 from .errors import CascSimError, ConfigError
 from .metrics import SWEEP_CSV_HEADER, mean_report, sweep_csv_rows
 from .server import BatchLatencyTable, compute_capacity_greedy
@@ -74,8 +74,10 @@ def cmd_simulate(args) -> int:
         raise ConfigError("--event-log", "requires --out to know where to write")
 
     reports = []
+    memo: dict = {}  # each csv file and calibrated threshold, made once for every seed
     for seed in seeds:
-        report = run_simulation(cfg, seed=seed, collect_event_log=args.event_log)
+        report = run_simulation(cfg, seed=seed, collect_event_log=args.event_log,
+                                layout=DeviceLayout(cfg, cfg.build_traces(seed, memo), memo))
         if out_dir:
             _write_atomic(out_dir / f"report_seed{seed}.json", report.to_json() + "\n")
             if args.event_log:
@@ -97,17 +99,23 @@ def cmd_sweep(args) -> int:
     counts = _parse_device_range(args.devices)
     kinds = ["multitasc", "static"] if args.scheduler == "both" else [args.scheduler]
 
-    reports = []
-    for kind in kinds:
-        kind_cfg = replace(cfg, scheduler=replace(cfg.scheduler, kind=kind))
+    # The schedulers at one (count, seed) share its device layout, and the memo keeps
+    # each trace for the larger counts (common random numbers) and each calibration.
+    reports = {}
+    memo: dict = {}
+    for seed in seeds:
         for count in counts:
-            point_cfg = kind_cfg.with_device_count(count)
-            for seed in seeds:
-                report = run_simulation(point_cfg, seed=seed)
+            point_cfg = cfg.with_device_count(count)
+            layout = DeviceLayout(point_cfg, point_cfg.build_traces(seed, memo), memo)
+            for kind in kinds:
+                kind_cfg = replace(point_cfg, scheduler=replace(point_cfg.scheduler, kind=kind))
+                report = run_simulation(kind_cfg, seed=seed, layout=layout)
                 report.samples = None  # the rows need only the numbers
-                reports.append(report)
+                reports[kind, count, seed] = report
+            layout = None  # released before the next one is built
 
-    lines = [SWEEP_CSV_HEADER] + sweep_csv_rows(reports)
+    lines = [SWEEP_CSV_HEADER] + sweep_csv_rows(
+        [reports[kind, count, seed] for kind in kinds for count in counts for seed in seeds])
     text = "\n".join(lines) + "\n"
     if args.out:
         out_dir = Path(args.out)

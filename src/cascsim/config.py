@@ -138,45 +138,74 @@ class ExperimentConfig:
             out.extend([gi] * group.count)
         return out
 
-    def build_traces(self, seed: int) -> dict[int, TraceSet]:
+    def build_traces(self, seed: int, memo: Optional[dict] = None) -> dict[int, TraceSet]:
         """Bind a trace to every device id for one run seed.
 
         Synthetic groups draw an independent trace per device, keyed by
-        (seed, device id); csv groups share the loaded file."""
+        (seed, device id); csv groups share the loaded file. A caller-owned
+        ``memo`` keeps each trace for later calls: a synthetic one under
+        (params, seed, device id), a csv one under its resolved path."""
         traces: dict[int, TraceSet] = {}
         device_id = 0
         for gi, group in enumerate(self.fleet):
-            csv_trace = (load_trace_csv(group.trace_csv, f"fleet[{gi}].trace.csv")
-                         if group.trace_csv else None)
+            csv_trace = _csv_trace(group, gi, memo) if group.trace_csv else None
             for _ in range(group.count):
                 if csv_trace is not None:
                     traces[device_id] = csv_trace
                 else:
-                    traces[device_id] = generate_synthetic_trace(group.synthetic,
-                                                                 [seed, device_id])
+                    traces[device_id] = _memoized(
+                        memo, (group.synthetic, seed, device_id),
+                        lambda: generate_synthetic_trace(group.synthetic, [seed, device_id]))
                 device_id += 1
         return traces
 
-    def resolve_initial_thresholds(self) -> list[Threshold]:
+    def resolve_initial_thresholds(self, memo: Optional[dict] = None) -> list[Threshold]:
         """Initial threshold for each fleet group.
 
         A fixed value applies to every group; otherwise each group is
         calibrated on its own held-out trace (a synthetic draw from the
-        group's parameters under the calibration seed, or the csv itself)."""
+        group's parameters under the calibration seed, or the csv itself).
+        A caller-owned ``memo`` keeps each group's calibrated threshold, and
+        its csv trace, for later calls."""
         spec = self.scheduler
         if spec.initial_threshold is not None:
             return [Threshold(spec.initial_threshold)] * len(self.fleet)
         calib = spec.calibration
-        thresholds = []
-        for gi, group in enumerate(self.fleet):
+
+        def calibrate(gi: int, group: FleetGroup) -> Threshold:
             if group.trace_csv is not None:
-                trace = load_trace_csv(group.trace_csv, f"fleet[{gi}].trace.csv")
+                trace = _csv_trace(group, gi, memo)
             else:
                 params = replace(group.synthetic, count=calib.count)
                 trace = generate_synthetic_trace(params, [calib.seed, gi])
-            thresholds.append(calibrate_static_threshold(
-                trace, calib.target_forward_rate, calib.accuracy_tolerance))
-        return thresholds
+            return calibrate_static_threshold(trace, calib.target_forward_rate,
+                                              calib.accuracy_tolerance)
+
+        return [_memoized(memo, (calib, group.synthetic, group.trace_csv, gi),
+                          lambda: calibrate(gi, group))
+                for gi, group in enumerate(self.fleet)]
+
+
+def _memoized(memo: Optional[dict], key, make):
+    """``memo[key]``, made by ``make()`` on first use; always ``make()`` without a memo."""
+    if memo is None:
+        return make()
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
+
+
+def _csv_trace(group: FleetGroup, gi: int, memo: Optional[dict]) -> TraceSet:
+    """The group's csv trace, kept in ``memo`` under its resolved path (inline csv
+    text, which holds a newline, under the text itself)."""
+    source = group.trace_csv
+
+    def load() -> TraceSet:
+        return load_trace_csv(source, f"fleet[{gi}].trace.csv")
+
+    if memo is None:
+        return load()
+    return _memoized(memo, source if "\n" in source else str(Path(source).resolve()), load)
 
 
 def _keys(*same: str, **renamed: str) -> dict[str, str]:

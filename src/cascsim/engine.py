@@ -16,7 +16,10 @@ stepping through samples one by one:
   and thresholds change only when a threshold update is applied. Every local
   completion time has a closed form, ``offset + i*t_inf + t_inf`` with
   ``offset = (device_id / n) * t_inf`` when staggered, so all of them are laid
-  out once, in processing order, as numpy columns.
+  out once, in processing order, as numpy columns. They depend on the fleet,
+  its traces and the start phase, never on the scheduler, so they form a
+  read-only ``DeviceLayout`` that runs of every scheduler on the same fleet
+  and seed share.
 - The Python loop steps only over the control events (scheduler ticks and
   threshold applications) and the server's batch launches and completions.
   Before each control event, numpy decides every sample that completes ahead
@@ -181,21 +184,26 @@ def _completion_order(times: np.ndarray, parent: np.ndarray, device: np.ndarray,
     return order
 
 
-class _Run:
-    """Single simulation run: the device columns, the loop state and the records."""
+class DeviceLayout:
+    """The part of a run that no scheduler changes, built once from an experiment
+    and the traces bound to its devices.
+
+    It holds each device's local latency ``t_inf``, initial threshold and tier
+    level, and every local completion as ``sd_*`` columns in processing order
+    (``sd_parent``: the position of the same device's previous completion, -1
+    for a first one). Every column is read-only, so one layout can feed any
+    number of runs. A run reuses it when its experiment has the same fleet,
+    start phase and threshold source (``initial_threshold`` or
+    ``calibration``); the scheduler kind and tuning, the server, the network
+    and the SLOs may differ. ``memo`` is passed to
+    ``resolve_initial_thresholds``.
+    """
 
     def __init__(self, experiment: ExperimentConfig, traces: dict[int, TraceSet],
-                 seed: int, collect_event_log: bool):
+                 memo: Optional[dict] = None):
         experiment.validate()
-        self.experiment = experiment
-        self.seed = seed
-        self.table = experiment.server_table
-        self.latency = self.table.entries
-        self.uplink = experiment.network.uplink_ms
-        self.downlink = experiment.network.downlink_ms
-        self.collect_event_log = collect_event_log
-
-        initial = experiment.resolve_initial_thresholds()
+        self.source = _layout_source(experiment)
+        initial = experiment.resolve_initial_thresholds(memo)
         group_of = experiment.device_groups()
         n = len(group_of)
         self.n_devices = n
@@ -221,6 +229,8 @@ class _Run:
             bvsb.append(trace.bvsb)
             light.append(trace.light_correct)
             heavy.append(trace.heavy_correct)
+        self.initial_thresholds = np.array(commanded, dtype=np.float64)
+        self.levels = np.array(levels, dtype=np.int64)
 
         # device-major columns, then permuted once into processing order
         lengths_arr = np.asarray(lengths)
@@ -245,11 +255,48 @@ class _Run:
         self.sd_last = (index + 1 == lengths_arr[device])[order]
         parent_flat = parent[order]
         self.sd_parent = np.where(parent_flat >= 0, position[np.maximum(parent_flat, 0)], -1)
+        for column in (self.t_inf, self.initial_thresholds, self.levels, self.sd_time,
+                       self.sd_start, self.sd_dev, self.sd_index, self.sd_bvsb, self.sd_light,
+                       self.sd_heavy, self.sd_last, self.sd_parent):
+            column.setflags(write=False)
+
+    def check(self, experiment: ExperimentConfig) -> None:
+        """Raise ConfigError at ``layout`` unless ``experiment`` has what this layout
+        was built from."""
+        differ = [name for name, value in _layout_source(experiment).items()
+                  if value != self.source[name]]
+        if differ:
+            raise ConfigError("layout", f"was built for another {', '.join(differ)}")
+
+
+def _layout_source(experiment: ExperimentConfig) -> dict:
+    """What a device layout is built from, besides the traces."""
+    spec = experiment.scheduler
+    return {"fleet": experiment.fleet, "start_phase": experiment.start_phase,
+            "initial_threshold": spec.initial_threshold, "calibration": spec.calibration}
+
+
+class _Run:
+    """Single simulation run on a device layout: the loop state and the records."""
+
+    def __init__(self, experiment: ExperimentConfig, layout: DeviceLayout, seed: int,
+                 collect_event_log: bool):
+        self.experiment = experiment
+        self.layout = layout
+        self.seed = seed
+        self.table = experiment.server_table
+        self.latency = self.table.entries
+        self.uplink = experiment.network.uplink_ms
+        self.downlink = experiment.network.downlink_ms
+        self.collect_event_log = collect_event_log
+        self.n_devices = layout.n_devices
+        self.total_samples = layout.total_samples
 
         # control loop: the static baseline keeps the state (for b_bar) but never ticks it
         self.sched_cfg = experiment.scheduler.config
         self.adaptive = experiment.scheduler.kind == "multitasc"
-        self.sched_state = SchedulerState(self.sched_cfg.window, commanded, levels)
+        self.sched_state = SchedulerState(self.sched_cfg.window, layout.initial_thresholds,
+                                          layout.levels)
         self.capacity = compute_capacity_greedy(self.table, self.sched_cfg.slo_ms).capacity
 
         # device side: applied thresholds and the decided prefix of the columns
@@ -282,8 +329,8 @@ class _Run:
         self.ta_reason: list[str] = []
         self.ta_pending: deque[tuple[int, int]] = deque()  # (first update, count)
         # every stream's event times, in processing order, indexed by stream
-        self.times = [self.sd_time, self.ra_time, self.bc_time, self.resp_time, self.tick_time,
-                      self.ta_time]
+        self.times = [layout.sd_time, self.ra_time, self.bc_time, self.resp_time,
+                      self.tick_time, self.ta_time]
 
     # -- event order ---------------------------------------------------------
 
@@ -294,9 +341,9 @@ class _Run:
         """The event that pushed ``ref`` (None for an initial push) and its push position."""
         stream, i = ref
         if stream == SD:
-            p = int(self.sd_parent[i])
+            p = int(self.layout.sd_parent[i])
             if p < 0:
-                return None, int(self.sd_dev[i])
+                return None, int(self.layout.sd_dev[i])
             return (SD, p), int(self.forward[p])  # the request, if any, was pushed first
         if stream == RA:
             return (SD, self.ra_sd[i]), 0
@@ -342,13 +389,14 @@ class _Run:
         a = self.decided
         if end <= a:
             return
-        threshold = self.thresholds[self.sd_dev[a:end]]
-        forward = forwards(self.sd_bvsb[a:end], threshold)
+        layout = self.layout
+        threshold = self.thresholds[layout.sd_dev[a:end]]
+        forward = forwards(layout.sd_bvsb[a:end], threshold)
         self.applied[a:end] = threshold
         self.forward[a:end] = forward
         fwd = np.flatnonzero(forward) + a
         self.ra_sd.extend(fwd.tolist())
-        self.ra_time.extend((self.sd_time[fwd] + self.uplink).tolist())
+        self.ra_time.extend((layout.sd_time[fwd] + self.uplink).tolist())
         self.local_kept += (end - a) - fwd.size
         self.decided = end
 
@@ -379,7 +427,7 @@ class _Run:
             t_x, end = inf, self.total_samples
         else:
             t_x = self.time_of(control)
-            start = int(np.searchsorted(self.sd_time, t_x, "left"))
+            start = int(np.searchsorted(self.layout.sd_time, t_x, "left"))
             self._decide(start)  # the tie rule reads the tied completions' parents' decisions
             end = self._count_before(SD, start, control)
         self._decide(end)
@@ -464,12 +512,13 @@ class _Run:
 
     def _samples(self) -> SampleColumns:
         """Every sample in decision (local completion) order."""
-        completion = self.sd_time.copy()
+        layout = self.layout
+        completion = layout.sd_time.copy()
         completion[np.asarray(self.ra_sd, dtype=np.int64)] = np.repeat(self.resp_time,
                                                                       self.bc_size)
-        correct = np.where(self.forward, self.sd_heavy, self.sd_light)
-        return SampleColumns(self.sd_dev, self.sd_index, self.sd_start, completion,
-                             self.forward, correct, completion - self.sd_start)
+        correct = np.where(self.forward, layout.sd_heavy, layout.sd_light)
+        return SampleColumns(layout.sd_dev, layout.sd_index, layout.sd_start, completion,
+                             self.forward, correct, completion - layout.sd_start)
 
     def _queue_area(self) -> tuple[float, np.ndarray]:
         """Area under the queue-length curve, summed left to right in event order as
@@ -518,7 +567,7 @@ class _Run:
         per_device_acc = [c / total for c, total in zip(correct_by_device, count_by_device)]
         arrival = estimate_arrival_rate(
             [(f / d, t) for f, d, t in
-             zip(forwarded_by_device.tolist(), count_by_device, self.t_inf.tolist())])
+             zip(forwarded_by_device.tolist(), count_by_device, self.layout.t_inf.tolist())])
         peak = self.table.peak_throughput
 
         return MetricsReport(
@@ -545,13 +594,24 @@ class _Run:
 
 
 def run_simulation(experiment: ExperimentConfig, traces: Optional[dict[int, TraceSet]] = None,
-                   seed: int = 0, collect_event_log: bool = False) -> MetricsReport:
+                   seed: int = 0, collect_event_log: bool = False,
+                   layout: Optional[DeviceLayout] = None) -> MetricsReport:
     """Simulate one full run and return its metrics report.
 
     traces maps device id to its bound trace; when omitted they are generated
-    from the experiment's fleet definition under the given seed. Identical
-    (experiment, traces, seed) inputs produce bit-identical output.
+    from the experiment's fleet definition under the given seed. A ``layout``
+    built from the same fleet, start phase and threshold source replaces the
+    traces (it already holds them), and ``seed`` then only labels the report.
+    Identical (experiment, traces, seed) inputs produce bit-identical output,
+    with or without a layout.
     """
-    if traces is None:
-        traces = experiment.build_traces(seed)
-    return _Run(experiment, traces, seed, collect_event_log).run()
+    if layout is None:
+        if traces is None:
+            traces = experiment.build_traces(seed)
+        layout = DeviceLayout(experiment, traces)
+    elif traces is not None:
+        raise ConfigError("layout", "cannot be combined with traces, which it already holds")
+    else:
+        experiment.validate()
+        layout.check(experiment)
+    return _Run(experiment, layout, seed, collect_event_log).run()

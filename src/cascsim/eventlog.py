@@ -55,7 +55,7 @@ def rebuild_event_log(run, report: MetricsReport) -> list[str]:
     tick_updates = np.array([len(t[3]) for t in run.ticks], dtype=np.int64)
     tick_next = (np.arange(n_tick) + 1 < n_tick).astype(np.int64)
     sd_forward = run.forward.astype(np.int64)
-    pushes = np.concatenate((sd_forward + ~run.sd_last, ra_launch, 1 + bc_relaunch,
+    pushes = np.concatenate((sd_forward + ~run.layout.sd_last, ra_launch, 1 + bc_relaunch,
                              np.zeros(n_resp, dtype=np.int64), tick_updates + tick_next,
                              np.zeros(n_ta, dtype=np.int64)))
     ordered = pushes[order]
@@ -65,9 +65,9 @@ def rebuild_event_log(run, report: MetricsReport) -> list[str]:
     def seq(stream, index, pos):
         return before[base[stream] + np.asarray(index, dtype=np.int64)] + 1 + pos
 
-    sd_parent = np.maximum(run.sd_parent, 0)
-    sd_seq = np.where(run.sd_parent >= 0, seq(SD, sd_parent, sd_forward[sd_parent]),
-                      run.sd_dev + 1)
+    sd_parent = np.maximum(run.layout.sd_parent, 0)
+    sd_seq = np.where(run.layout.sd_parent >= 0, seq(SD, sd_parent, sd_forward[sd_parent]),
+                      run.layout.sd_dev + 1)
     ra_sd = np.asarray(run.ra_sd, dtype=np.int64)
     ra_seq = seq(SD, ra_sd, 0)
     bc_seq = np.where(bc_from_ra >= 0, seq(RA, np.maximum(bc_from_ra, 0), 0),
@@ -97,12 +97,12 @@ def rebuild_event_log(run, report: MetricsReport) -> list[str]:
             f'"{"forward" if f else "keep_local"}", "device": {d}, "sample": {i}, '
             f'"threshold": {th!r}}}'
             for t, s, b, f, d, i, th in zip(
-                run.sd_time[lo:hi].tolist(), sd_seq[lo:hi].tolist(),
-                run.sd_bvsb[lo:hi].tolist(), sd_forward[lo:hi].tolist(),
-                run.sd_dev[lo:hi].tolist(), run.sd_index[lo:hi].tolist(),
+                run.layout.sd_time[lo:hi].tolist(), sd_seq[lo:hi].tolist(),
+                run.layout.sd_bvsb[lo:hi].tolist(), sd_forward[lo:hi].tolist(),
+                run.layout.sd_dev[lo:hi].tolist(), run.layout.sd_index[lo:hi].tolist(),
                 run.applied[lo:hi].tolist())]
-    ra_dev = run.sd_dev[ra_sd].tolist()
-    ra_index = run.sd_index[ra_sd].tolist()
+    ra_dev = run.layout.sd_dev[ra_sd].tolist()
+    ra_index = run.layout.sd_index[ra_sd].tolist()
     lines += [f'{t!r}\t{s}\t{EVENT_REQUEST_ARRIVAL}\t{{"device": {d}, "queue_len": {q}, '
               f'"sample": {i}}}'
               for t, s, d, q, i in zip(run.ra_time, ra_seq.tolist(), ra_dev,

@@ -76,3 +76,36 @@ def small_config(*, groups, table_entries, max_eff=None, kind="static", threshol
         seeds=(1,),
         start_phase=start_phase,
     )
+
+
+def random_traces(rng: np.random.Generator, devices: int, n: int,
+                  quantized: bool = False) -> dict[int, TraceSet]:
+    """A random trace of ``n`` samples for each device id."""
+    scores = [rng.random(n) for _ in range(devices)]
+    if quantized:  # many identical scores: decisions flip exactly at threshold steps
+        scores = [np.round(s * 4) / 4 for s in scores]
+    return {i: make_trace(scores[i], rng.random(n) < 0.7, rng.random(n) < 0.8)
+            for i in range(devices)}
+
+
+def random_integral_config(rng: np.random.Generator):
+    """A random small fleet on an integral time grid, where same-instant events
+    abound, and its traces: ``(config, traces)``."""
+    groups = [(("low", "mid", "high")[i % 3], int(rng.integers(1, 4)),
+               float(rng.choice([5, 10, 15, 20, 40]))) for i in range(rng.integers(1, 6))]
+    lat1 = float(rng.choice([5, 10, 20]))
+    table = {1: lat1, 2: 2 * lat1 - float(rng.choice([0, 2, 4]))}
+    table[4] = 2 * table[2] - float(rng.choice([0, 4]))
+    cfg = small_config(
+        groups=groups, table_entries=table, kind=str(rng.choice(["static", "multitasc"])),
+        threshold=float(rng.choice([0.3, 0.6, 1.0])),
+        uplink=float(rng.choice([0, 5, 10, groups[0][2]])),
+        downlink=float(rng.choice([0, 5, 100, 200, 250])),
+        start_phase=str(rng.choice(["aligned", "staggered"])),
+        sched_overrides=dict(tick_period_ms=float(rng.choice([50, 100, 200])),
+                             alpha=float(rng.choice([0.5, 0.83])),
+                             flush_factor=float(rng.choice([1.0, 2.0])),
+                             update_fraction=float(rng.choice([0.2, 0.5, 1.0]))))
+    devices = sum(count for _, count, _ in groups)
+    return cfg, random_traces(rng, devices, int(rng.integers(1, 200)),
+                              quantized=bool(rng.random() < 0.5))

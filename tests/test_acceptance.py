@@ -19,7 +19,7 @@ import pytest
 
 from cascsim.cascade import Threshold, cascade_accuracy
 from cascsim.config import load_config
-from cascsim.engine import parse_event_log_line, run_simulation
+from cascsim.engine import DeviceLayout, parse_event_log_line, run_simulation
 from cascsim.scheduler import SchedulerConfig, threshold_change
 from cascsim.server import compute_capacity_greedy
 from cascsim.trace import SyntheticTraceParams, generate_synthetic_trace
@@ -59,32 +59,36 @@ def _with(cfg, kind: str, slo_ms: float):
 
 @pytest.fixture(scope="session")
 def sweep_data():
-    """Run the scenario matrix once: static and adaptive, both fleets."""
+    """Run the scenario matrix once: static and adaptive, both fleets. The runs at
+    one (count, seed) share a device layout, and each fleet's traces are drawn once."""
     t0 = time.monotonic()
     data = {}
     for label, (preset, counts) in SWEEPS.items():
         base = load_config(preset)
         entry = {"counts": counts, "static": {}, "mt100": {}, "mt200": {},
                  "n_star": {}}
-        static_cfg = _with(base, "static", 100.0)
-        mt100_cfg = _with(base, "multitasc", 100.0)
-        mt200_cfg = _with(base, "multitasc", 200.0)
+        configs = {"static": _with(base, "static", 100.0),
+                   "mt100": _with(base, "multitasc", 100.0),
+                   "mt200": _with(base, "multitasc", 200.0)}
+        memo = {}
         for n in counts:
-            entry["static"][n] = [
-                _scalars(run_simulation(static_cfg.with_device_count(n), seed=s))
-                for s in SEEDS]
-            entry["mt100"][n] = [
-                _scalars(run_simulation(mt100_cfg.with_device_count(n), seed=s))
-                for s in SEEDS]
+            point = {key: cfg.with_device_count(n) for key, cfg in configs.items()}
+            layouts = {s: DeviceLayout(point["static"], point["static"].build_traces(s, memo),
+                                       memo) for s in SEEDS}
+
+            def runs(key):
+                return [_scalars(run_simulation(point[key], seed=s, layout=layouts[s]))
+                        for s in SEEDS]
+
+            entry["static"][n] = runs("static")
+            entry["mt100"][n] = runs("mt100")
+            for slo in (100.0, 200.0):
+                if slo not in entry["n_star"] and _mean(entry["static"][n], "sat", slo) < 0.80:
+                    entry["n_star"][slo] = n
+            if entry["n_star"].get(200.0) == n:
+                entry["mt200"][n] = runs("mt200")
         for slo in (100.0, 200.0):
-            n_star = next((n for n in counts
-                           if _mean(entry["static"][n], "sat", slo) < 0.80), None)
-            entry["n_star"][slo] = n_star
-        n200 = entry["n_star"][200.0]
-        if n200 is not None:
-            entry["mt200"][n200] = [
-                _scalars(run_simulation(mt200_cfg.with_device_count(n200), seed=s))
-                for s in SEEDS]
+            entry["n_star"].setdefault(slo, None)
         data[label] = entry
     data["elapsed_s"] = time.monotonic() - t0
     return data

@@ -1,6 +1,7 @@
 import io
 import json
 import tracemalloc
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -442,6 +443,25 @@ class TestCliInputErrors:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "TraceError",
                        "message": "fleet[1].trace.csv: row 3: bvsb 2.0 outside [0, 1]"}
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--devices", "4", "--seed-list", "1,2,3"],
+                                  ["sweep", "--devices", "2..6:2", "--seed-list", "1"]])
+def test_a_csv_fleet_loads_its_file_once_per_command(tmp_path, monkeypatch, capsys, argv):
+    """Calibration and every run of the command share the one parsed file."""
+    import cascsim.config
+    preset = "homog_efflite0_inceptionv3"
+    params = replace(load_config(preset).fleet[0].synthetic, count=300)
+    with open(tmp_path / "group0.csv", "w", encoding="utf-8") as fh:
+        write_trace_csv(generate_synthetic_trace(params, [7, 0]), fh)
+    doc = preset_doc(preset)
+    doc["fleet"][0]["trace"] = {"csv": "group0.csv"}
+    loads = []
+    load = cascsim.config.load_trace_csv
+    monkeypatch.setattr(cascsim.config, "load_trace_csv",
+                        lambda *args: loads.append(args) or load(*args))
+    assert main([argv[0], "--config", write_config(tmp_path, doc), *argv[1:]]) == 0
+    assert len(loads) == 1
 
 
 def test_logged_simulate_lets_each_seed_log_go(tmp_path, capsys):

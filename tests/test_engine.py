@@ -1,4 +1,5 @@
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascsim.cascade import forwards
+from cascsim.config import load_config, preset_names
 from cascsim.engine import (
+    DeviceLayout,
     _completion_order,
     classify_server_state,
     estimate_arrival_rate,
@@ -14,6 +17,7 @@ from cascsim.engine import (
     run_simulation,
 )
 from cascsim.errors import CascSimError, ConfigError
+from cascsim.metrics import SampleColumns
 
 from conftest import make_trace, small_config
 
@@ -277,3 +281,53 @@ class TestCompletionOrder:
 
         expected = sorted(range(times.size), key=chain)
         assert _completion_order(times, parent, device, n).tolist() == expected
+
+
+LAYOUT_COLUMNS = ("t_inf", "initial_thresholds", "levels", "sd_time", "sd_start", "sd_dev",
+                  "sd_index", "sd_bvsb", "sd_light", "sd_heavy", "sd_last", "sd_parent")
+
+
+def saturated_preset(name, devices=48, trace_count=400):
+    """A shipped preset at ``devices`` devices (enough to saturate every preset's
+    server, so the controller acts) with shorter synthetic traces."""
+    cfg = load_config(name).with_device_count(devices)
+    return replace(cfg, fleet=tuple(replace(g, synthetic=replace(g.synthetic, count=trace_count))
+                                    for g in cfg.fleet))
+
+
+def with_kind(cfg, kind):
+    return replace(cfg, scheduler=replace(cfg.scheduler, kind=kind))
+
+
+class TestDeviceLayout:
+    @pytest.mark.parametrize("name", preset_names())
+    def test_one_layout_serves_both_schedulers(self, name):
+        """Runs on one shared layout equal fresh runs, and leave the layout as it was."""
+        cfg = saturated_preset(name)
+        layout = DeviceLayout(cfg, cfg.build_traces(1))
+        before = {column: getattr(layout, column).copy() for column in LAYOUT_COLUMNS}
+        for kind in ("static", "multitasc"):
+            shared = run_simulation(with_kind(cfg, kind), seed=1, layout=layout)
+            fresh = run_simulation(with_kind(cfg, kind), seed=1)
+            assert shared.to_json() == fresh.to_json()
+            for column in SampleColumns.__slots__:
+                assert np.array_equal(getattr(shared.samples, column),
+                                      getattr(fresh.samples, column)), column
+        for column in LAYOUT_COLUMNS:
+            assert np.array_equal(getattr(layout, column), before[column]), column
+            with pytest.raises(ValueError):
+                getattr(layout, column)[0] = 0
+
+    def test_a_layout_from_another_source_is_refused(self):
+        cfg = saturated_preset("heterog_inceptionv3", devices=6, trace_count=50)
+        layout = DeviceLayout(cfg, cfg.build_traces(1))
+        fixed = replace(cfg.scheduler, initial_threshold=0.5, calibration=None)
+        for other, named in ((cfg.with_device_count(9), "fleet"),
+                             (replace(cfg, start_phase="aligned"), "start_phase"),
+                             (replace(cfg, scheduler=fixed), "initial_threshold")):
+            with pytest.raises(ConfigError, match=named) as err:
+                run_simulation(other, seed=1, layout=layout)
+            assert err.value.field == "layout"
+        with pytest.raises(ConfigError) as err:
+            run_simulation(cfg, cfg.build_traces(1), seed=1, layout=layout)
+        assert err.value.field == "layout"

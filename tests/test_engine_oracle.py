@@ -17,7 +17,7 @@ from cascsim.engine import run_simulation
 from cascsim.metrics import SampleColumns
 
 import oracle_engine
-from conftest import make_trace, small_config
+from conftest import make_trace, random_integral_config, random_traces, small_config
 
 SEEDS = (1, 2, 3)
 TRACE_COUNT = 300
@@ -73,14 +73,6 @@ def test_presets_match_oracle_across_saturation(preset, kind):
         assert states == {"underutilized", "overloaded"}
 
 
-def random_traces(rng, devices, n, quantized=False):
-    scores = [rng.random(n) for _ in range(devices)]
-    if quantized:  # many identical scores: decisions flip exactly at threshold steps
-        scores = [np.round(s * 4) / 4 for s in scores]
-    return {i: make_trace(scores[i], rng.random(n) < 0.7, rng.random(n) < 0.8)
-            for i in range(devices)}
-
-
 def test_flush_round_trip_config_matches_oracle():
     cfg = small_config(groups=[("mid", 3, 43.0)], table_entries={1: 40.0}, kind="multitasc",
                        threshold=1.0, uplink=0.0, downlink=0.0, start_phase="aligned",
@@ -120,22 +112,4 @@ def test_tie_heavy_configs_match_oracle(name, kind):
 def test_random_integral_configs_match_oracle(block):
     """Random small fleets on an integral time grid, where same-instant events abound."""
     for trial in range(block * 25, block * 25 + 25):
-        rng = np.random.default_rng(trial)
-        groups = [(("low", "mid", "high")[i % 3], int(rng.integers(1, 4)),
-                   float(rng.choice([5, 10, 15, 20, 40]))) for i in range(rng.integers(1, 6))]
-        lat1 = float(rng.choice([5, 10, 20]))
-        table = {1: lat1, 2: 2 * lat1 - float(rng.choice([0, 2, 4]))}
-        table[4] = 2 * table[2] - float(rng.choice([0, 4]))
-        cfg = small_config(
-            groups=groups, table_entries=table, kind=str(rng.choice(["static", "multitasc"])),
-            threshold=float(rng.choice([0.3, 0.6, 1.0])),
-            uplink=float(rng.choice([0, 5, 10, groups[0][2]])),
-            downlink=float(rng.choice([0, 5, 100, 200, 250])),
-            start_phase=str(rng.choice(["aligned", "staggered"])),
-            sched_overrides=dict(tick_period_ms=float(rng.choice([50, 100, 200])),
-                                 alpha=float(rng.choice([0.5, 0.83])),
-                                 flush_factor=float(rng.choice([1.0, 2.0])),
-                                 update_fraction=float(rng.choice([0.2, 0.5, 1.0]))))
-        devices = sum(count for _, count, _ in groups)
-        assert_identical(cfg, random_traces(rng, devices, int(rng.integers(1, 200)),
-                                            quantized=bool(rng.random() < 0.5)))
+        assert_identical(*random_integral_config(np.random.default_rng(trial)))

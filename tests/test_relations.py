@@ -16,6 +16,8 @@ from cascsim.engine import run_simulation
 from cascsim.metrics import SampleColumns
 from cascsim.server import BatchLatencyTable
 
+from conftest import random_integral_config
+
 
 def with_scheduler(cfg, kind, **tuning):
     sched = cfg.scheduler
@@ -81,15 +83,8 @@ def log_columns(log):
     return np.array(time, dtype=float), seq, kind
 
 
-@pytest.mark.parametrize("kind", ("multitasc", "static"))
-@pytest.mark.parametrize("name", preset_names())
-def test_power_of_two_time_scaling(name, kind):
-    """Times scale by exactly 4 in binary floating point; what they decide does not move.
-    48 devices saturate every preset's server, so the controller acts."""
-    cfg = preset(name, 48 // len(load_config(name).fleet), kind, trace_count=400)
-    base = run_simulation(cfg, seed=1, collect_event_log=True)
-    scaled = run_simulation(time_scaled(cfg, 4.0), seed=1, collect_event_log=True)
-
+def assert_scaled_by_four(base, scaled):
+    """Every output time of ``scaled`` is 4 times ``base``'s; nothing else moves."""
     for column in ("start_ms", "completion_ms", "latency_ms"):
         assert np.array_equal(getattr(base.samples, column) * 4,
                               getattr(scaled.samples, column)), column
@@ -104,6 +99,26 @@ def test_power_of_two_time_scaling(name, kind):
     time, seq, kind = log_columns(scaled.event_log)
     assert np.array_equal(base_time * 4, time)
     assert (seq, kind) == (base_seq, base_kind)
+
+
+@pytest.mark.parametrize("kind", ("multitasc", "static"))
+@pytest.mark.parametrize("name", preset_names())
+def test_power_of_two_time_scaling(name, kind):
+    """Times scale by exactly 4 in binary floating point; what they decide does not move.
+    48 devices saturate every preset's server, so the controller acts."""
+    cfg = preset(name, 48 // len(load_config(name).fleet), kind, trace_count=400)
+    assert_scaled_by_four(run_simulation(cfg, seed=1, collect_event_log=True),
+                          run_simulation(time_scaled(cfg, 4.0), seed=1, collect_event_log=True))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(trial=st.integers(0, 2**32 - 1))
+def test_power_of_two_time_scaling_on_random_integral_configs(trial):
+    """The same relation on the oracle test's random small fleets, whose integral
+    time grid puts many events at one instant: scaling keeps every tie as it was."""
+    cfg, traces = random_integral_config(np.random.default_rng(trial))
+    assert_scaled_by_four(run_simulation(cfg, traces, collect_event_log=True),
+                          run_simulation(time_scaled(cfg, 4.0), traces, collect_event_log=True))
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

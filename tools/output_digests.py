@@ -16,9 +16,10 @@ and, once per preset, ``calibrate --config`` (its stdout). Each preset also
 runs on CSV traces: every fleet group's synthetic trace, drawn with
 ``CSV_ROWS`` records under seed ``[CSV_SEED, group]``, is written with
 ``write_trace_csv`` (``csv/group*.csv``) and bound to a copy of the preset, on
-which the matrix runs ``calibrate --config`` and ``simulate`` with seeds 1 and
-2 at 12 devices (``report_seed*.json``, ``report_mean.json``), and
-``calibrate --trace`` on each file. Each line is
+which the matrix runs ``calibrate --config``, ``simulate`` with seeds 1 and 2
+at 12 devices (``report_seed*.json``, ``report_mean.json``) and ``sweep
+--devices 6..30:12`` with seeds 1 and 2 under both schedulers (``sweep.csv``),
+and ``calibrate --trace`` on each file. Each line is
 ``<sha256>  <preset>/<run>/<file>``. Run it on two trees and diff the two
 outputs: a change that keeps every output byte-identical prints the same lines.
 """
@@ -68,7 +69,8 @@ def digest(data: bytes, name: str) -> str:
 
 
 def csv_digests(cli, preset: str, work: Path) -> list[str]:
-    """Write the preset's group traces as CSV files, then calibrate and simulate on them."""
+    """Write the preset's group traces as CSV files, then calibrate, simulate and sweep
+    on them."""
     import cascsim
     out = work / preset / "csv"
     out.mkdir(parents=True)
@@ -93,6 +95,9 @@ def csv_digests(cli, preset: str, work: Path) -> list[str]:
     run(cli, ["simulate", "--config", str(config), "--devices", str(CSV_DEVICES),
               "--seed-list", SEEDS, "--out", str(reports)])
     lines += [digest(path.read_bytes(), f"{name}/{path.name}") for path in sorted(reports.iterdir())]
+    sweep = run(cli, ["sweep", "--config", str(config), "--devices", SWEEP_DEVICES,
+                      "--seed-list", SEEDS])
+    lines.append(digest(sweep, f"{preset}/sweep_csv/sweep.csv"))
     return lines
 
 
