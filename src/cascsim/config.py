@@ -64,6 +64,8 @@ class FleetGroup:
         if (self.synthetic is None) == (self.trace_csv is None):
             raise ConfigError(f"{path}.trace",
                               "exactly one of synthetic params or a csv path is required")
+        if self.trace_csv is not None and "\0" in self.trace_csv:  # no file name holds one
+            raise ConfigError(f"{path}.trace.csv", "must not contain a NUL character")
         if self.synthetic is not None:
             self.synthetic.validate(f"{path}.trace.synthetic")
 

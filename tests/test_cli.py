@@ -326,6 +326,7 @@ class TestNonFiniteConfig:
         ("fleet[0].trace.synthetic.bvsb_shape_correct",
          lambda d: d["fleet"][0]["trace"]["synthetic"].update(
              bvsb_shape_correct=[float("nan"), 1.0])),
+        ("fleet[0].trace.csv", lambda d: d["fleet"][0].update(trace={"csv": "a\0b.csv"})),
         *BAD_TABLES,
     ])
     def test_rejected_with_field_path(self, field, edit):
@@ -373,6 +374,7 @@ class TestNonFiniteConfig:
         ("scheduler.calibration.seed:", calibrated(seed=-1)),
         ("scheduler.calibration.accuracy_tolerance:",
          calibrated(accuracy_tolerance=float("nan"))),
+        ("fleet[0].trace.csv:", lambda d: d["fleet"][0].update(trace={"csv": "a\0b.csv"})),
         *((f"{field}:", edit) for field, edit in BAD_TABLES),
     ])
     def test_cli_out_of_range_exits_1_with_json_error(self, tmp_path, capsys, message, edit):
