@@ -166,6 +166,9 @@ def cmd_calibrate(args) -> int:
                                              ("accuracy_tolerance", args.tolerance))
              if value is not None}
     if args.trace:
+        if args.config:
+            raise ConfigError("--config", "cannot be combined with --trace, which names "
+                                          "the trace to calibrate")
         trace = load_trace_csv(args.trace, "--trace")
         threshold = calibrate_static_threshold(trace, **given)
         print(json.dumps({

@@ -34,16 +34,17 @@ stepping through samples one by one:
   event log, when asked for, is rebuilt after the run from the columns and the
   per-batch and per-tick records.
 
-Tie rule. Ordering by (time, push sequence) is the same as ordering by time,
-then by the processing order of the event that pushed each one (its parent),
-then by push position inside that parent's handler; the initial pushes (each
-device's first completion by device id, then the first tick) have no parent
-and come first. Local completions are ordered once, up front: each run of
-equal times goes by its members' parents' places, which earlier runs have
-already fixed. Every other same-time tie is broken by walking up the two
-parent chains while their times stay equal. Log sequence numbers are the
-cumulative push count along the resulting order, so the output is identical to
-a heap-driven loop's, byte for byte.
+Tie rule. A heap keyed on (time, push counter) processes a run of equal times
+as follows: the initial pushes (each device's first completion by device id,
+then the first tick) first, by position, and every other event after its
+pusher's processing place, by its position among that pusher's pushes.
+``processing_order`` applies the rule to whole columns: to every local
+completion when the device layout is built, and to every event of a finished
+run, from ``_Run.push_table``, when the event log is rebuilt. Mid-run, the loop
+decides a tie between two events by walking up their pushers while the times
+stay equal (``_Run.precedes``). A log line's sequence number is its event's
+rank in push order, the counter the heap stamps on it, so the log is identical
+to a heap-driven loop's, byte for byte.
 """
 
 from __future__ import annotations
@@ -152,36 +153,49 @@ def check_run_invariants(*, total: int, decided: int, local: int, served: int,
         raise InvariantError(f"queue area {queue_area!r} != summed queue waits {waits!r}")
 
 
-def tie_runs(sorted_times: np.ndarray) -> list[tuple[int, int]]:
-    """The ``[lo, hi)`` bounds of every run of two or more equal values in ``sorted_times``."""
-    edge = np.flatnonzero(np.concatenate(([True], sorted_times[1:] != sorted_times[:-1], [True])))
-    long = np.flatnonzero(np.diff(edge) > 1)
-    return list(zip(edge[long].tolist(), edge[long + 1].tolist()))
+def processing_order(times: np.ndarray, parent: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Indices of events in processing order: the tie rule for whole columns.
 
-
-def _completion_order(times: np.ndarray, parent: np.ndarray, device: np.ndarray,
-                      n_devices: int) -> np.ndarray:
-    """Processing order of all local completions, which never depends on decisions.
-
-    Completions go by time; a run of equal times goes by the places of its
-    members' parents (each the previous completion of the same device), with
-    first completions, which have no parent, ahead and by device id. A parent
-    is strictly earlier than its child, so its place is final by the time the
-    child's run is ordered.
+    ``parent[i]`` is the index of the event that pushed event ``i`` (-1 for an
+    initial push) and ``pos[i]`` its position among that pusher's pushes (among
+    the initial pushes for an initial one); no event is earlier than its pusher.
+    Events go by time. Within a run of equal times the initial pushes come
+    first, by position; every other event follows its pusher's place, then its
+    position. A member whose pusher is in the same run waits until the pusher
+    is placed, which needs a zero delay.
     """
     n = times.size
     order = np.argsort(times, kind="stable")
-    # a first completion's parent is its device's root, placed ahead of every completion
-    up = np.where(parent >= 0, parent, n + device)
-    place = np.empty(n + n_devices, dtype=np.int64)
+    sorted_times = times[order]
+    place = np.empty(n, dtype=np.int64)
     place[order] = np.arange(n)
-    place[n:] = np.arange(-n_devices, 0)
-    for lo, hi in tie_runs(times[order]):
-        members = order[lo:hi]
-        members = members[np.argsort(place[up[members]])]
-        order[lo:hi] = members
-        place[members] = np.arange(lo, hi)
+    edge = np.flatnonzero(np.concatenate(([True], sorted_times[1:] != sorted_times[:-1], [True])))
+    long = np.flatnonzero(np.diff(edge) > 1)
+    for lo, hi in zip(edge[long].tolist(), edge[long + 1].tolist()):
+        left = order[lo:hi].copy()  # a view would change under the writes below
+        place[left] = n  # not placed yet
+        while left.size:
+            up = parent[left]
+            up = np.where(up >= 0, place[up], -1)
+            ready = up < n
+            members, left = left[ready], left[~ready]
+            members = members[np.lexsort((pos[members], up[ready]))]
+            order[lo:lo + members.size] = members
+            place[members] = np.arange(lo, lo + members.size)
+            lo += members.size
     return order
+
+
+def push_rank(order: np.ndarray, parent: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Each event's rank in push order, from 1, given ``processing_order``'s result and
+    arguments: the initial pushes first, by position, then every other event by its
+    pusher's place and its position. It is the counter a heap stamps on each push."""
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size)
+    by_push = np.lexsort((pos, np.where(parent >= 0, place[parent], -1)))
+    rank = np.empty_like(by_push)
+    rank[by_push] = np.arange(1, by_push.size + 1)
+    return rank
 
 
 class DeviceLayout:
@@ -241,7 +255,9 @@ class DeviceLayout:
         done = start + self.t_inf[device]
         parent = np.arange(-1, device.size - 1)
         parent[first] = -1
-        order = _completion_order(done, parent, device, n)
+        # a completion pushes at most one completion, so only a first completion's
+        # position, its device id, ever decides
+        order = processing_order(done, parent, device)
         position = np.empty_like(order)
         position[order] = np.arange(order.size)
         self.total_samples = int(device.size)
@@ -252,12 +268,11 @@ class DeviceLayout:
         self.sd_bvsb = np.concatenate(bvsb)[order]
         self.sd_light = np.concatenate(light)[order]
         self.sd_heavy = np.concatenate(heavy)[order]
-        self.sd_last = (index + 1 == lengths_arr[device])[order]
         parent_flat = parent[order]
         self.sd_parent = np.where(parent_flat >= 0, position[np.maximum(parent_flat, 0)], -1)
         for column in (self.t_inf, self.initial_thresholds, self.levels, self.sd_time,
                        self.sd_start, self.sd_dev, self.sd_index, self.sd_bvsb, self.sd_light,
-                       self.sd_heavy, self.sd_last, self.sd_parent):
+                       self.sd_heavy, self.sd_parent):
             column.setflags(write=False)
 
     def check(self, experiment: ExperimentConfig) -> None:
@@ -357,6 +372,27 @@ class _Run:
                 return None, self.n_devices
             return (TICK, i - 1), len(self.ticks[i - 1][3])  # after its updates
         return (TICK, self.ta_tick[i]), self.ta_pos[i]
+
+    def push_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_parent`` for every event of the finished run, the streams concatenated
+        in stream order: each event's pusher as a flat index (-1 for an initial
+        push) and its push position."""
+        layout, counts = self.layout, [len(times) for times in self.times]
+        base = np.cumsum([0] + counts)
+        n_bc, n_resp, n_tick = counts[BC], counts[RESP], counts[TICK]
+        from_ra = np.asarray(self.bc_from_ra, dtype=np.int64)
+        relaunch = from_ra < 0
+        parent = np.concatenate((
+            layout.sd_parent, base[SD] + np.asarray(self.ra_sd, dtype=np.int64),
+            np.where(relaunch, base[BC] + np.arange(n_bc) - 1, base[RA] + from_ra),
+            base[BC] + np.arange(n_resp), np.append(-1, base[TICK] + np.arange(n_tick - 1)),
+            base[TICK] + np.asarray(self.ta_tick, dtype=np.int64)))
+        pos = np.concatenate((
+            np.where(layout.sd_parent >= 0, self.forward[layout.sd_parent], layout.sd_dev),
+            np.zeros(counts[RA], dtype=np.int64), relaunch, np.zeros(n_resp, dtype=np.int64),
+            [self.n_devices] + [len(tick[3]) for tick in self.ticks[:n_tick - 1]],
+            np.asarray(self.ta_pos, dtype=np.int64)))
+        return parent, pos
 
     def precedes(self, a: tuple[int, int], b: tuple[int, int]) -> bool:
         """Whether event ``a`` is processed before event ``b`` (the tie rule)."""

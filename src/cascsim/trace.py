@@ -8,7 +8,6 @@ semantics ever look at.
 
 from __future__ import annotations
 
-import io
 import re
 import sys
 from dataclasses import dataclass
@@ -151,14 +150,14 @@ def _bit_column(name: str, column: list[str]):
     return None, row, f"{name} must be 0 or 1, got {column[row]!r}"
 
 
-def load_trace_csv(source: Union[str, bytes, io.IOBase], field: str = "csv") -> TraceSet:
+def load_trace_csv(source: Union[str, bytes], field: str = "csv") -> TraceSet:
     """Load a trace from CSV text.
 
-    Accepts a path, raw bytes/str content containing a newline, or a file-like
-    object. Format: header `sample_index,bvsb,light_correct,heavy_correct`,
-    booleans as 0/1, LF line endings (carriage returns that end a line are
-    dropped), no quoting. A path that cannot be read raises ConfigError at
-    ``field``; a malformed record raises TraceError at ``field`` and the row.
+    Accepts a path, or raw bytes/str content containing a newline. Format:
+    header `sample_index,bvsb,light_correct,heavy_correct`, booleans as 0/1, LF
+    line endings (carriage returns that end a line are dropped), no quoting. A
+    path that cannot be read raises ConfigError at ``field``; a malformed record
+    raises TraceError at ``field`` and the row.
 
     Records are checked a column at a time. The error raised is at the
     earliest failing row and, within that row, is the first failing check in
@@ -166,18 +165,13 @@ def load_trace_csv(source: Union[str, bytes, io.IOBase], field: str = "csv") -> 
     in [0, 1], light bit, heavy bit. Each check looks only at the rows before
     the earliest failure found so far, which have passed every earlier check.
     """
-    if hasattr(source, "read"):
-        data = source.read()
-    elif isinstance(source, bytes):
-        data = source
-    elif isinstance(source, str) and "\n" not in source:
+    data = source
+    if isinstance(source, str) and "\n" not in source:
         try:
             with open(source, "rb") as fh:
                 data = fh.read()
         except OSError as exc:
             raise ConfigError(field, f"cannot read {source!r}: {exc.strerror}") from None
-    else:
-        data = source
     text = data
     if isinstance(data, bytes):
         try:

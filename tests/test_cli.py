@@ -84,6 +84,19 @@ class TestCapacityCommand:
         assert err["error"] == "ConfigError"
         assert err["message"].startswith(f"{flag}:")
 
+    @pytest.mark.parametrize("config", ["homog_efflite0_inceptionv3", "no_such_preset"])
+    def test_calibrate_refuses_config_with_trace(self, tmp_path, capsys, config):
+        path = tmp_path / "trace.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            write_trace_csv(generate_synthetic_trace(
+                SyntheticTraceParams(0.75, 0.9, 0.4, count=200), seed=5), fh)
+        assert main(["calibrate", "--trace", str(path), "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith("--config:")
+
 
 class TestSimulateCommand:
     def test_reports_per_seed_plus_mean(self, tmp_path, capsys):

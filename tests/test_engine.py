@@ -1,4 +1,5 @@
 import copy
+import heapq
 from dataclasses import replace
 
 import numpy as np
@@ -9,17 +10,21 @@ from hypothesis import strategies as st
 from cascsim.cascade import forwards
 from cascsim.config import load_config, preset_names
 from cascsim.engine import (
+    SD,
+    TA,
     DeviceLayout,
-    _completion_order,
+    _Run,
     classify_server_state,
     estimate_arrival_rate,
     parse_event_log_line,
+    processing_order,
+    push_rank,
     run_simulation,
 )
 from cascsim.errors import CascSimError, ConfigError
 from cascsim.metrics import SampleColumns
 
-from conftest import make_trace, small_config
+from conftest import make_trace, random_integral_config, small_config
 
 
 def constant_trace(n, bvsb, light=True, heavy=True):
@@ -260,7 +265,63 @@ def completion_layouts(draw):
     return n, done
 
 
-class TestCompletionOrder:
+@st.composite
+def heap_runs(draw):
+    """A literal heap-driven loop keyed on (time, push counter) over a random push
+    forest: initial pushes, then up to three pushes per processed event, each at
+    its pusher's time plus a small integral delay, zero included. Returns the
+    events under a random labelling as ``(times, parent, pos)``, the labels in
+    processing order, and each label's push counter."""
+    times, parent, pos = [], [], []
+    heap = []
+
+    def push(t, up, k):
+        times.append(t)
+        parent.append(up)
+        pos.append(k)
+        heapq.heappush(heap, (t, len(times), len(times) - 1))  # counter = push rank
+
+    for k in range(draw(st.integers(1, 5))):
+        push(draw(st.sampled_from((0, 0, 1, 2))), -1, k)
+    processed = []
+    while heap:
+        t, _, e = heapq.heappop(heap)
+        processed.append(e)
+        for k in range(draw(st.integers(0, 3)) if len(times) < 40 else 0):
+            push(t + draw(st.sampled_from((0, 0, 1, 2, 3))), e, k)
+    label = draw(st.permutations(range(len(times))))
+    at = np.argsort(label)  # event at each label
+    parent = np.array(parent)[at]
+    return ((np.array(times, dtype=np.float64)[at],
+             np.where(parent >= 0, np.array(label)[parent], -1), np.array(pos)[at]),
+            [label[e] for e in processed], (at + 1).tolist())
+
+
+class TestProcessingOrder:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(heap_runs())
+    def test_matches_a_heap_keyed_on_time_and_push_counter(self, run):
+        (times, parent, pos), expected, counters = run
+        order = processing_order(times, parent, pos)
+        assert order.tolist() == expected
+        assert push_rank(order, parent, pos).tolist() == counters
+
+    def test_push_table_is_the_scalar_rule_for_every_event(self):
+        """On random integral configs, ``_Run.push_table`` states for every event of
+        a finished run what ``_Run._parent`` states for it alone."""
+        for trial in range(100):
+            cfg, traces = random_integral_config(np.random.default_rng(trial))
+            run = _Run(cfg, DeviceLayout(cfg, traces), 0, False)
+            run.run()
+            parent, pos = run.push_table()
+            refs = [(stream, i) for stream in range(SD, TA + 1)
+                    for i in range(len(run.times[stream]))]
+            flat = {ref: k for k, ref in enumerate(refs)}
+            assert parent.size == pos.size == len(refs)
+            for k, ref in enumerate(refs):
+                up, at = run._parent(ref)
+                assert (parent[k], pos[k]) == (-1 if up is None else flat[up], at), ref
+
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(completion_layouts())
     def test_matches_a_sort_by_the_whole_chain(self, layout):
@@ -280,11 +341,11 @@ class TestCompletionOrder:
             return [(0, t) for t in reversed(done[d][:i + 1])] + [(-1, d)]
 
         expected = sorted(range(times.size), key=chain)
-        assert _completion_order(times, parent, device, n).tolist() == expected
+        assert processing_order(times, parent, device).tolist() == expected
 
 
 LAYOUT_COLUMNS = ("t_inf", "initial_thresholds", "levels", "sd_time", "sd_start", "sd_dev",
-                  "sd_index", "sd_bvsb", "sd_light", "sd_heavy", "sd_last", "sd_parent")
+                  "sd_index", "sd_bvsb", "sd_light", "sd_heavy", "sd_parent")
 
 
 def saturated_preset(name, devices=48, trace_count=400):

@@ -19,7 +19,11 @@ runs on CSV traces: every fleet group's synthetic trace, drawn with
 which the matrix runs ``calibrate --config``, ``simulate`` with seeds 1 and 2
 at 12 devices (``report_seed*.json``, ``report_mean.json``) and ``sweep
 --devices 6..30:12`` with seeds 1 and 2 under both schedulers (``sweep.csv``),
-and ``calibrate --trace`` on each file. Each line is
+and ``calibrate --trace`` on each file. Each preset also runs as a zero-delay
+copy (``uplink_ms = downlink_ms = 0``, ``start_phase = "aligned"``), where
+requests, responses and threshold updates land at their pusher's own instant:
+``simulate --event-log`` at ``ZERO_DELAY_DEVICES`` devices with seeds 1 and 2
+under both schedulers (``zero_delay_<scheduler>/``). Each line is
 ``<sha256>  <preset>/<run>/<file>``. Run it on two trees and diff the two
 outputs: a change that keeps every output byte-identical prints the same lines.
 """
@@ -42,6 +46,7 @@ SCHEDULERS = ("multitasc", "static")
 CSV_ROWS = 20_000
 CSV_SEED = 7
 CSV_DEVICES = 12
+ZERO_DELAY_DEVICES = 12
 
 
 def import_cli(src_dir: Path):
@@ -68,14 +73,41 @@ def digest(data: bytes, name: str) -> str:
     return f"{hashlib.sha256(data).hexdigest()}  {name}"
 
 
+def preset_doc(preset: str) -> dict:
+    """The shipped preset's JSON document."""
+    import cascsim
+    return json.loads((Path(cascsim.__file__).parent / "presets" / f"{preset}.json")
+                      .read_text(encoding="utf-8"))
+
+
+def zero_delay_digests(cli, preset: str, work: Path) -> list[str]:
+    """Simulate a copy of the preset with no network delay and aligned starts, with
+    the event log."""
+    doc = preset_doc(preset)
+    doc["network"] = {"uplink_ms": 0.0, "downlink_ms": 0.0}
+    doc["sim"]["start_phase"] = "aligned"
+    config = work / preset / "zero_delay.json"
+    config.parent.mkdir(parents=True, exist_ok=True)
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    lines = []
+    for kind in SCHEDULERS:
+        name = f"{preset}/zero_delay_{kind}"
+        out = work / name
+        run(cli, ["simulate", "--config", str(config), "--scheduler", kind,
+                  "--devices", str(ZERO_DELAY_DEVICES), "--seed-list", SEEDS,
+                  "--event-log", "--out", str(out)])
+        lines += [digest(path.read_bytes(), f"{name}/{path.name}")
+                  for path in sorted(out.iterdir())]
+    return lines
+
+
 def csv_digests(cli, preset: str, work: Path) -> list[str]:
     """Write the preset's group traces as CSV files, then calibrate, simulate and sweep
     on them."""
     import cascsim
     out = work / preset / "csv"
     out.mkdir(parents=True)
-    doc = json.loads((Path(cascsim.__file__).parent / "presets" / f"{preset}.json")
-                     .read_text(encoding="utf-8"))
+    doc = preset_doc(preset)
     lines = []
     for gi, group in enumerate(cli.load_config(preset).fleet):
         params = replace(group.synthetic, count=CSV_ROWS)
@@ -119,6 +151,7 @@ def digests(cli, work: Path) -> list[str]:
         calibrate = run(cli, ["calibrate", "--config", preset])
         lines.append(digest(calibrate, f"{preset}/calibrate/stdout"))
         lines += csv_digests(cli, preset, work)
+        lines += zero_delay_digests(cli, preset, work)
     return lines
 
 
