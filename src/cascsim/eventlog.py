@@ -28,7 +28,6 @@ _CHUNK = 1 << 14  # rows formatted per step, which bounds the temporary Python o
 
 def rebuild_event_log(run, report: MetricsReport) -> list[str]:
     """Every event of ``run`` as a log line, in processing order, then run_end."""
-    n_sd = len(run.layout.sd_time)
     base = np.cumsum([0] + [len(t) for t in run.times])
     times = np.concatenate([np.asarray(t, dtype=np.float64) for t in run.times])
     parent, pos = run.push_table()
@@ -48,8 +47,8 @@ def rebuild_event_log(run, report: MetricsReport) -> list[str]:
     ra_sd = np.asarray(run.ra_sd, dtype=np.int64)
 
     lines: list[str] = []
-    for lo in range(0, n_sd, _CHUNK):
-        hi = min(lo + _CHUNK, n_sd)
+    for lo in range(0, run.total_samples, _CHUNK):
+        hi = min(lo + _CHUNK, run.total_samples)
         lines += [
             f'{t!r}\t{s}\t{EVENT_DEVICE_SAMPLE_DONE}\t{{"bvsb": {b!r}, "decision": '
             f'"{"forward" if f else "keep_local"}", "device": {d}, "sample": {i}, '
