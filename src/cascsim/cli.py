@@ -21,6 +21,7 @@ from .config import ExperimentConfig, load_config, preset_names, read_batch_tabl
 from .engine import DeviceLayout, run_simulation
 from .errors import CascSimError, ConfigError
 from .metrics import SWEEP_CSV_HEADER, mean_report, sweep_csv_rows
+from .scheduler import SCHEDULER_KINDS
 from .server import BatchLatencyTable, compute_capacity_greedy
 from .trace import load_trace_csv
 
@@ -43,7 +44,7 @@ def _parse_seed_list(raw: Optional[str], default: Sequence[int]) -> list[int]:
     return [int(s) for s in seeds]
 
 
-def _parse_device_range(raw: str) -> list[int]:
+def _parse_device_range(raw: str) -> range:
     """Parse 'A..B:STEP' into an inclusive device-count series."""
     try:
         span, step_str = raw.split(":")
@@ -53,7 +54,11 @@ def _parse_device_range(raw: str) -> list[int]:
         raise ConfigError("--devices", f"expected A..B:STEP, got {raw!r}") from None
     if step <= 0 or hi < lo:
         raise ConfigError("--devices", f"empty or descending range {raw!r}")
-    return list(range(lo, hi + 1, step))
+    counts = range(lo, hi + 1, step)
+    for count in (counts[0], counts[-1]):  # the ends bound every count between them
+        if not 1 <= count <= sys.maxsize:
+            raise ConfigError("--devices", f"must be in [1, {sys.maxsize}], got {count}")
+    return counts
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
@@ -97,7 +102,7 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     seeds = _parse_seed_list(args.seed_list, cfg.seeds)
     counts = _parse_device_range(args.devices)
-    kinds = ["multitasc", "static"] if args.scheduler == "both" else [args.scheduler]
+    kinds = SCHEDULER_KINDS if args.scheduler == "both" else [args.scheduler]
 
     # The schedulers at one (count, seed) share its device layout, and the memo keeps
     # each trace for the larger counts (common random numbers) and each calibration.
@@ -212,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed-list", help="comma-separated seed override")
     sim.add_argument("--devices", dest="devices_count", type=int,
                      help="override total device count")
-    sim.add_argument("--scheduler", choices=["multitasc", "static"],
+    sim.add_argument("--scheduler", choices=SCHEDULER_KINDS,
                      help="override scheduler kind")
     sim.add_argument("--event-log", action="store_true",
                      help="also write per-seed event logs (requires --out)")
@@ -222,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--config", required=True)
     sweep.add_argument("--devices", required=True, metavar="A..B:STEP",
                        help="device count range, e.g. 5..50:5")
-    sweep.add_argument("--scheduler", choices=["multitasc", "static", "both"],
+    sweep.add_argument("--scheduler", choices=[*SCHEDULER_KINDS, "both"],
                        default="both")
     sweep.add_argument("--seed-list", help="comma-separated seed override")
     sweep.add_argument("--out", help="directory for sweep.csv (stdout when omitted)")

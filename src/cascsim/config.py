@@ -25,7 +25,6 @@ from .scheduler import SchedulerConfig, Tier
 from .server import BATCH_POOL, BatchLatencyTable
 from .trace import SyntheticTraceParams, TraceSet, generate_synthetic_trace, load_trace_csv
 
-SCHEDULER_KINDS = ("multitasc", "static")
 START_PHASES = ("staggered", "aligned")
 
 
@@ -71,32 +70,10 @@ class FleetGroup:
 
 
 @dataclass(frozen=True)
-class SchedulerSpec:
-    kind: str
-    config: SchedulerConfig
-    initial_threshold: Optional[float] = None
-    calibration: Optional[CalibrationSpec] = None
-
-    def validate(self) -> None:
-        if self.kind not in SCHEDULER_KINDS:
-            raise ConfigError("scheduler.kind",
-                              f"must be one of {SCHEDULER_KINDS}, got {self.kind!r}")
-        self.config.validate()
-        if (self.initial_threshold is None) == (self.calibration is None):
-            raise ConfigError("scheduler",
-                              "exactly one of initial_threshold or calibration is required")
-        if self.initial_threshold is not None and not 0.0 <= self.initial_threshold <= 1.0:
-            raise ConfigError("scheduler.initial_threshold",
-                              f"must be in [0, 1], got {self.initial_threshold}")
-        if self.calibration is not None:
-            self.calibration.validate()
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     fleet: tuple[FleetGroup, ...]
     server_table: BatchLatencyTable
-    scheduler: SchedulerSpec
+    scheduler: SchedulerConfig
     network: NetworkModel = NetworkModel()
     slos_ms: tuple[float, ...] = (100.0, 200.0)
     seeds: tuple[int, ...] = (1, 2, 3)
@@ -124,8 +101,8 @@ class ExperimentConfig:
 
         Errors name ``--devices``, the CLI flag that sets the count."""
         groups = len(self.fleet)
-        if devices < 1:
-            raise ConfigError("--devices", f"must be >= 1, got {devices}")
+        if not 1 <= devices <= sys.maxsize:  # no fleet holds more devices
+            raise ConfigError("--devices", f"must be in [1, {sys.maxsize}], got {devices}")
         if devices % groups != 0:
             raise ConfigError(
                 "--devices",
@@ -169,10 +146,9 @@ class ExperimentConfig:
         group's parameters under the calibration seed, or the csv itself).
         A caller-owned ``memo`` keeps each group's calibrated threshold, and
         its csv trace, for later calls."""
-        spec = self.scheduler
-        if spec.initial_threshold is not None:
-            return [Threshold(spec.initial_threshold)] * len(self.fleet)
-        calib = spec.calibration
+        if self.scheduler.initial_threshold is not None:
+            return [Threshold(self.scheduler.initial_threshold)] * len(self.fleet)
+        calib = self.scheduler.calibration
 
         def calibrate(gi: int, group: FleetGroup) -> Threshold:
             if group.trace_csv is not None:
@@ -221,7 +197,6 @@ _SERVER_KEYS = _keys(model="server_model")
 _SIM_KEYS = _keys("start_phase")
 _GROUP_KEYS = _keys("tier", "count", "t_inf_ms", "model")
 _TRACE_KEYS = _keys("synthetic", csv="trace_csv")
-_SPEC_KEYS = _keys("kind", "initial_threshold", "calibration")
 _JSON_TYPES = {float: "number", int: "integer", str: "string", bool: "boolean"}
 # The types a field read from the document may have, by the name its annotation uses.
 _FIELD_TYPES = {t.__name__: t for t in (float, int, str, bool, Tier, NetworkModel,
@@ -342,17 +317,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     table = read_batch_table(_require(server_doc, "batch_latency_table", "server"),
                              server_doc.get("max_effective_batch"))
 
-    sched_doc = _require(doc, "scheduler", "")
-    spec = _read(SchedulerSpec, sched_doc, "scheduler", _SPEC_KEYS,
-                 extra=_schema(SchedulerConfig))
     slos = top.get("slos_ms", ExperimentConfig.slos_ms)
-    tuning = _read(SchedulerConfig, sched_doc, "scheduler", extra=_SPEC_KEYS,
-                   slo_ms=min(slos, default=SchedulerConfig.slo_ms))
+    scheduler = _read(SchedulerConfig, _require(doc, "scheduler", ""), "scheduler",
+                      slo_ms=min(slos, default=SchedulerConfig.slo_ms))
     sim = _read(ExperimentConfig, doc.get("sim", {}), "sim", _SIM_KEYS)
-    config = ExperimentConfig(
-        fleet=fleet, server_table=table,
-        scheduler=SchedulerSpec(config=SchedulerConfig(**tuning), **spec),
-        **top, **server, **sim)
+    config = ExperimentConfig(fleet=fleet, server_table=table,
+                              scheduler=SchedulerConfig(**scheduler), **top, **server, **sim)
     config.validate()
     return config
 

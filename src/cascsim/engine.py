@@ -286,9 +286,9 @@ class DeviceLayout:
 
 def _layout_source(experiment: ExperimentConfig) -> dict:
     """What a device layout is built from, besides the traces."""
-    spec = experiment.scheduler
+    sched = experiment.scheduler
     return {"fleet": experiment.fleet, "start_phase": experiment.start_phase,
-            "initial_threshold": spec.initial_threshold, "calibration": spec.calibration}
+            "initial_threshold": sched.initial_threshold, "calibration": sched.calibration}
 
 
 class _Run:
@@ -308,8 +308,8 @@ class _Run:
         self.total_samples = layout.total_samples
 
         # control loop: the static baseline keeps the state (for b_bar) but never ticks it
-        self.sched_cfg = experiment.scheduler.config
-        self.adaptive = experiment.scheduler.kind == "multitasc"
+        self.sched_cfg = experiment.scheduler
+        self.adaptive = self.sched_cfg.kind == "multitasc"
         self.sched_state = SchedulerState(self.sched_cfg.window, layout.initial_thresholds,
                                           layout.levels)
         self.capacity = compute_capacity_greedy(self.table, self.sched_cfg.slo_ms).capacity
@@ -330,7 +330,6 @@ class _Run:
         self.bc_launch: list[float] = []
         self.bc_size: list[int] = []
         self.bc_from_ra: list[int] = []     # request whose arrival launched it, or -1
-        self.bc_qlen: list[int] = []        # queue length seen at completion
         self.resp_time: list[float] = []    # per completed batch
         self.resp_served = [0]              # samples served by the first k responses
         # control: scheduled tick times, per-tick records, threshold updates
@@ -448,7 +447,6 @@ class _Run:
     def _complete(self, b: int) -> None:
         now = self.bc_time[b]
         queue_len = self._count_before(RA, self.head, (BC, b)) - self.head
-        self.bc_qlen.append(queue_len)
         self.resp_time.append(now + self.downlink)
         self.resp_served.append(self.resp_served[-1] + self.bc_size[b])
         if queue_len:

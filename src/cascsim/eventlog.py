@@ -36,7 +36,8 @@ def rebuild_event_log(run, report: MetricsReport) -> list[str]:
     sd_seq, ra_seq, bc_seq, resp_seq, tick_seq, ta_seq = (
         seq[base[s]:base[s + 1]] for s in range(6))
 
-    # queue length after each arrival: arrivals so far minus earlier dequeues
+    # queue length after each arrival, and at each batch completion before it
+    # relaunches: arrivals so far minus earlier dequeues
     arrivals = np.zeros_like(seq)
     arrivals[base[RA]:base[RA + 1]] = 1
     dequeues = np.zeros_like(seq)
@@ -71,10 +72,11 @@ def rebuild_event_log(run, report: MetricsReport) -> list[str]:
         return [[d, i] for d, i in zip(ra_dev[first[b]:first[b + 1]],
                                        ra_index[first[b]:first[b + 1]])]
 
-    for b, s in enumerate(bc_seq.tolist()):
+    bc_queue = queue_after[base[BC]:base[BC + 1]].tolist()
+    for b, (s, q) in enumerate(zip(bc_seq.tolist(), bc_queue)):
         lines.append(f"{run.bc_time[b]!r}\t{s}\t{EVENT_BATCH_COMPLETE}\t" + json.dumps(
             {"batch_size": run.bc_size[b], "launched_ms": run.bc_launch[b],
-             "queue_len": run.bc_qlen[b], "samples": batch_samples(b)}, sort_keys=True))
+             "queue_len": q, "samples": batch_samples(b)}, sort_keys=True))
     for b, s in enumerate(resp_seq.tolist()):
         lines.append(f"{run.resp_time[b]!r}\t{s}\t{EVENT_RESPONSE_ARRIVAL}\t" + json.dumps(
             {"batch_size": run.bc_size[b], "samples": batch_samples(b)}, sort_keys=True))

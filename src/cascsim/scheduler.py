@@ -19,7 +19,10 @@ from typing import Optional
 
 import numpy as np
 
+from .cascade import CalibrationSpec
 from .errors import ConfigError
+
+SCHEDULER_KINDS = ("multitasc", "static")
 
 
 class Tier(enum.Enum):
@@ -35,7 +38,9 @@ TIER_LEVEL = {tier: level for level, tier in enumerate(Tier)}
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """Control-loop parameters.
+    """The ``scheduler`` section: the kind ("multitasc" runs the control loop, "static"
+    keeps the initial thresholds), exactly one threshold source (a fixed
+    ``initial_threshold`` or a per-group ``calibration``) and the loop's parameters.
 
     Defaults: a fifth of the fleet moves per tick, by 0.05, judged against a
     5-batch window with pressure weights 0.83 / 0.125, every 2 seconds.
@@ -44,6 +49,9 @@ class SchedulerConfig:
     flush_factor is also above any queue length the run can reach.
     """
 
+    kind: str
+    initial_threshold: Optional[float] = None
+    calibration: Optional[CalibrationSpec] = None
     update_fraction: float = 0.20
     margin: float = 0.05
     window: int = 5
@@ -54,8 +62,12 @@ class SchedulerConfig:
     slo_ms: float = 100.0
 
     def validate(self) -> None:
-        """Raise ConfigError at ``scheduler.<field>`` for the first value out of range
-        (NaN fails every comparison, so each rule also rejects it)."""
+        """Raise ConfigError at ``scheduler.<field>`` for the first fault: the kind, a
+        tuning value out of range (NaN fails every comparison, so each rule also
+        rejects it), then the threshold source."""
+        if self.kind not in SCHEDULER_KINDS:
+            raise ConfigError("scheduler.kind",
+                              f"must be one of {SCHEDULER_KINDS}, got {self.kind!r}")
         for name, ok, rule in (
                 ("update_fraction", 0.0 <= self.update_fraction <= 1.0, "in [0, 1]"),
                 ("margin", 0.0 <= self.margin <= 1.0, "in [0, 1]"),
@@ -68,6 +80,14 @@ class SchedulerConfig:
             if not ok:
                 raise ConfigError(f"scheduler.{name}",
                                   f"must be {rule}, got {getattr(self, name)}")
+        if (self.initial_threshold is None) == (self.calibration is None):
+            raise ConfigError("scheduler",
+                              "exactly one of initial_threshold or calibration is required")
+        if self.initial_threshold is not None and not 0.0 <= self.initial_threshold <= 1.0:
+            raise ConfigError("scheduler.initial_threshold",
+                              f"must be in [0, 1], got {self.initial_threshold}")
+        if self.calibration is not None:
+            self.calibration.validate()
 
 
 class SchedulerState:

@@ -102,6 +102,9 @@ def compute_capacity_greedy(table: BatchLatencyTable, slo_ms: float) -> Capacity
     capacity = 0
     for b in reversed(table.effective_sizes):
         latency = table.entries[b]
+        if remaining / latency == inf:  # a latency too small to count within the budget
+            raise ConfigError("slo_ms", f"{slo_ms} ms holds more batches of size {b} at "
+                                        f"{latency} ms than a float can count")
         n = int(floor(remaining / latency))
         # guard against float division landing a hair above an exact multiple
         while n > 0 and n * latency > remaining:

@@ -57,7 +57,7 @@ def small_config(*, groups, table_entries, max_eff=None, kind="static", threshol
     passed to run_simulation explicitly, so the synthetic parameters here are
     placeholders sized by trace_count.
     """
-    from cascsim.config import ExperimentConfig, FleetGroup, NetworkModel, SchedulerSpec
+    from cascsim.config import ExperimentConfig, FleetGroup, NetworkModel
     from cascsim.scheduler import SchedulerConfig, Tier
     from cascsim.trace import SyntheticTraceParams
 
@@ -66,11 +66,11 @@ def small_config(*, groups, table_entries, max_eff=None, kind="static", threshol
                    synthetic=SyntheticTraceParams(0.75, 0.9, 0.4, count=trace_count))
         for tier, count, t_inf in groups
     )
-    sched_cfg = SchedulerConfig(**(sched_overrides or {}))
     return ExperimentConfig(
         fleet=fleet,
         server_table=BatchLatencyTable(table_entries, max_eff),
-        scheduler=SchedulerSpec(kind=kind, config=sched_cfg, initial_threshold=threshold),
+        scheduler=SchedulerConfig(kind=kind, initial_threshold=threshold,
+                                  **(sched_overrides or {})),
         network=NetworkModel(uplink_ms=uplink, downlink_ms=downlink),
         slos_ms=tuple(slos),
         seeds=(1,),

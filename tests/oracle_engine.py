@@ -159,8 +159,8 @@ class _Run:
             self.devices.append(_DeviceRuntime(state, trace, group.t_inf_ms, offset,
                                                initial[gi].value))
 
-        capacity = compute_capacity_greedy(self.table, experiment.scheduler.config.slo_ms)
-        self.policy = Policy(experiment.scheduler.kind, experiment.scheduler.config,
+        capacity = compute_capacity_greedy(self.table, experiment.scheduler.slo_ms)
+        self.policy = Policy(experiment.scheduler.kind, experiment.scheduler,
                              capacity.capacity, [d.applied_threshold for d in self.devices],
                              [TIER_LEVEL[d.state.tier] for d in self.devices])
 

@@ -52,9 +52,7 @@ def _mean(runs: list[dict], key, slo=None) -> float:
 
 
 def _with(cfg, kind: str, slo_ms: float):
-    sched = replace(cfg.scheduler, kind=kind,
-                    config=replace(cfg.scheduler.config, slo_ms=slo_ms))
-    return replace(cfg, scheduler=sched)
+    return replace(cfg, scheduler=replace(cfg.scheduler, kind=kind, slo_ms=slo_ms))
 
 
 @pytest.fixture(scope="session")
@@ -114,13 +112,13 @@ def test_capacity_greedy_matches_exact_dp_on_monotone_tables():
 
 
 def test_threshold_change_branches_and_exclusivity():
-    cfg = SchedulerConfig()  # alpha 0.83, beta 0.125, margin 0.05
+    cfg = SchedulerConfig(kind="multitasc")  # alpha 0.83, beta 0.125, margin 0.05
     # the three branches on the worked capacity value
     assert threshold_change(32, 40, 36, cfg) == -0.05
     assert threshold_change(4, 3, 36, cfg) == 0.05
     assert threshold_change(32, 3, 36, cfg) == 0.0
     # boundary equalities with exactly representable products
-    boundary = SchedulerConfig(alpha=0.75, beta=0.125)
+    boundary = SchedulerConfig(kind="multitasc", alpha=0.75, beta=0.125)
     assert threshold_change(80, 75, 100, boundary) == 0.0     # QL == alpha*C holds
     assert threshold_change(75, 80, 100, boundary) == 0.0     # b_bar == alpha*C holds
     assert threshold_change(12.5, 12, 100, boundary) == 0.05  # b_bar == beta*C raises
@@ -134,7 +132,7 @@ def test_threshold_change_branches_and_exclusivity():
         capacity = int(rng.integers(0, 200))
         b_bar = float(rng.uniform(0, 3 * max(capacity, 1)))
         queue = int(rng.integers(0, 3 * max(capacity, 1) + 1))
-        c = SchedulerConfig(alpha=alpha, beta=beta)
+        c = SchedulerConfig(kind="multitasc", alpha=alpha, beta=beta)
         decrease = b_bar > alpha * capacity and queue > alpha * capacity
         increase = b_bar <= beta * capacity and queue <= beta * capacity
         assert not (decrease and increase), (b_bar, queue, capacity, alpha, beta)
@@ -276,7 +274,7 @@ def test_emergency_flush_round_trip_from_event_log():
     assert all(u[1] == 0.0 and u[2] == "flush_enter"
                for u in first_enter.payload["updates"])
     # the queue drained before the exit transition fired
-    assert first_exit.payload["queue_len"] <= cfg.scheduler.config.beta * 2
+    assert first_exit.payload["queue_len"] <= cfg.scheduler.beta * 2
     # exit restores the pre-flush thresholds exactly
     assert all(u[1] == 1.0 and u[2] == "flush_exit"
                for u in first_exit.payload["updates"])

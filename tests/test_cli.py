@@ -360,6 +360,28 @@ class TestNonFiniteConfig:
             config_from_dict(doc)
         assert str(info.value) == f"sim.{key}: unknown field"
 
+    @pytest.mark.parametrize("message, edit", [
+        ("scheduler.kind: required field missing",
+         lambda s: (s.pop("kind"), s.update(alpha=-1.0))),
+        ("scheduler.initial_threshold: must be a JSON number, got '0.5'",
+         lambda s: s.update(initial_threshold="0.5", window="x")),
+        ("scheduler.beta: must be positive and below alpha (0.83), got nan",
+         lambda s: s.update(calibration={}, beta=float("nan"))),
+        ("scheduler.foo: unknown field", lambda s: s.update(foo=1, kind="fast")),
+        ("scheduler.margin: must be in [0, 1], got 2.0",
+         lambda s: (s.pop("initial_threshold"), s.update(calibration={"count": 0}, margin=2))),
+    ])
+    def test_first_of_several_scheduler_faults(self, message, edit):
+        """A ``scheduler`` section with several faults reports the first: an unknown
+        key, then each field's presence and JSON type in field order (kind, the
+        threshold source, the tuning), then the kind's value, the tuning ranges,
+        the threshold source and the calibration's ranges."""
+        doc = tiny_config_doc()
+        edit(doc["scheduler"])
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(doc)
+        assert str(info.value) == message
+
     def test_cli_exits_1_with_json_error(self, tmp_path, capsys):
         doc = tiny_config_doc()
         doc["network"]["downlink_ms"] = float("inf")
@@ -411,6 +433,12 @@ class TestCliInputErrors:
         ("--devices:", ["simulate", "--config", "{config}", "--devices", "0"]),
         ("--devices:", ["simulate", "--config", "heterog_inceptionv3", "--devices", "7"]),
         ("--devices:", ["sweep", "--config", "{config}", "--devices", "0..3:3"]),
+        ("--devices:", ["sweep", "--config", "{config}", "--devices",
+                        "1..99999999999999999999:1"]),
+        ("slo_ms:", ["capacity", "--table", '{"1": 5e-324}', "--slo", "1"]),
+        ("slo_ms:", ["capacity", "--config", "{tiny_latency}", "--slo", "100"]),
+        ("slo_ms:", ["simulate", "--config", "{tiny_latency}", "--devices", "2",
+                     "--seed-list", "1"]),
         ("fleet[0].trace.csv:", ["simulate", "--config", "{csv_config}"]),
         ("fleet[0].trace.csv:", ["calibrate", "--config", "{csv_config}"]),
         ("--trace:", ["calibrate", "--trace", "{missing}"]),
@@ -429,8 +457,12 @@ class TestCliInputErrors:
         csv_doc["fleet"][0]["trace"] = {"csv": str(missing)}
         calibrated()(csv_doc)
         (tmp_path / "csv").mkdir()
+        tiny_latency = preset_doc("homog_efflite0_inceptionv3")
+        tiny_latency["server"] = {"batch_latency_table": {"1": 5e-324}}
+        (tmp_path / "tiny_latency").mkdir()
         paths = {"{config}": write_config(tmp_path, tiny_config_doc()),
                  "{csv_config}": write_config(tmp_path / "csv", csv_doc),
+                 "{tiny_latency}": write_config(tmp_path / "tiny_latency", tiny_latency),
                  "{missing}": str(missing)}
         assert main([paths.get(arg, arg) for arg in argv]) == 1
         err = json.loads(capsys.readouterr().err)

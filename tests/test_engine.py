@@ -1,5 +1,6 @@
 import copy
 import heapq
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -97,6 +98,12 @@ class TestValidation:
         cfg = small_config(groups=[("mid", 1, 43.0)], table_entries={1: 15})
         with pytest.raises(ConfigError):
             cfg.with_device_count(0)
+
+    def test_device_count_beyond_any_fleet_rejected(self):
+        """A count no fleet can hold fails at the flag, before any trace is drawn."""
+        with pytest.raises(ConfigError) as info:
+            load_config("homog_efflite0_inceptionv3").with_device_count(sys.maxsize + 1)
+        assert info.value.field == "--devices"
 
     def test_missing_trace_rejected(self):
         cfg = small_config(groups=[("mid", 2, 43.0)], table_entries={1: 15})

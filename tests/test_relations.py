@@ -20,9 +20,7 @@ from conftest import random_integral_config
 
 
 def with_scheduler(cfg, kind, **tuning):
-    sched = cfg.scheduler
-    return replace(cfg, scheduler=replace(sched, kind=kind,
-                                          config=replace(sched.config, **tuning)))
+    return replace(cfg, scheduler=replace(cfg.scheduler, kind=kind, **tuning))
 
 
 def preset(name, per_group, kind, trace_count=None):
@@ -38,7 +36,7 @@ def preset(name, per_group, kind, trace_count=None):
 
 def time_scaled(cfg, factor):
     """``cfg`` with every time input multiplied by ``factor``."""
-    table, net, tuning = cfg.server_table, cfg.network, cfg.scheduler.config
+    table, net, sched = cfg.server_table, cfg.network, cfg.scheduler
     return replace(
         cfg,
         fleet=tuple(replace(g, t_inf_ms=g.t_inf_ms * factor) for g in cfg.fleet),
@@ -47,9 +45,8 @@ def time_scaled(cfg, factor):
         network=replace(net, uplink_ms=net.uplink_ms * factor,
                         downlink_ms=net.downlink_ms * factor),
         slos_ms=tuple(s * factor for s in cfg.slos_ms),
-        scheduler=replace(cfg.scheduler, config=replace(
-            tuning, tick_period_ms=tuning.tick_period_ms * factor,
-            slo_ms=tuning.slo_ms * factor)))
+        scheduler=replace(sched, tick_period_ms=sched.tick_period_ms * factor,
+                          slo_ms=sched.slo_ms * factor))
 
 
 @pytest.mark.parametrize("name", preset_names())

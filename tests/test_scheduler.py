@@ -19,7 +19,7 @@ from conftest import small_config
 
 
 def cfg(**overrides) -> SchedulerConfig:
-    c = SchedulerConfig(**overrides)
+    c = SchedulerConfig(kind="multitasc", initial_threshold=0.5, **overrides)
     c.validate()
     return c
 
@@ -37,7 +37,7 @@ def never(n):
 
 class TestConfig:
     def test_defaults(self):
-        c = SchedulerConfig()
+        c = SchedulerConfig(kind="multitasc")
         assert (c.update_fraction, c.margin, c.window, c.alpha, c.beta,
                 c.tick_period_ms) == (0.20, 0.05, 5, 0.83, 0.125, 2000.0)
 

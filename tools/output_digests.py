@@ -24,8 +24,16 @@ copy (``uplink_ms = downlink_ms = 0``, ``start_phase = "aligned"``), where
 requests, responses and threshold updates land at their pusher's own instant:
 ``simulate --event-log`` at ``ZERO_DELAY_DEVICES`` devices with seeds 1 and 2
 under both schedulers (``zero_delay_<scheduler>/``). Each line is
-``<sha256>  <preset>/<run>/<file>``. Run it on two trees and diff the two
-outputs: a change that keeps every output byte-identical prints the same lines.
+``<sha256>  <preset>/<run>/<file>``.
+
+Last come the rejected calls: ``simulate`` on copies of the ``ERROR_PRESET``
+preset whose ``scheduler`` section has a fixed ``initial_threshold`` and then
+one of the ``SCHEDULER_FAULTS`` edits (every field with a bad value, both and
+neither threshold source, and sections with several faults at once). Each
+must exit non-zero; its line, ``<sha256>  errors/<case>/status+stderr``, hashes
+the exit status and the JSON error on stderr. Run the tool on two trees and
+diff the two outputs: a change that keeps every output and every error
+message byte-identical prints the same lines.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ import io
 import json
 import sys
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
@@ -47,6 +55,62 @@ CSV_ROWS = 20_000
 CSV_SEED = 7
 CSV_DEVICES = 12
 ZERO_DELAY_DEVICES = 12
+ERROR_PRESET = "homog_efflite0_inceptionv3"
+
+
+def _drop(key):
+    return lambda section: section.pop(key)
+
+
+def _calibrated(calibration):
+    """An edit that swaps the fixed threshold for a calibration section."""
+    return lambda section: (section.pop("initial_threshold"),
+                            section.update(calibration=calibration))
+
+
+# Edits of a ``scheduler`` section that holds ``kind`` and ``initial_threshold``; each
+# must make the config fail to load.
+SCHEDULER_FAULTS = {
+    "kind_missing": _drop("kind"),
+    "kind_unknown": lambda s: s.update(kind="fast"),
+    "kind_type": lambda s: s.update(kind=1),
+    "initial_threshold_range": lambda s: s.update(initial_threshold=1.5),
+    "initial_threshold_nan": lambda s: s.update(initial_threshold=float("nan")),
+    "initial_threshold_type": lambda s: s.update(initial_threshold="0.5"),
+    "calibration_type": _calibrated(3),
+    "calibration_unknown_key": _calibrated({"size": 10}),
+    "calibration_target": _calibrated({"target_forward_rate": 1.5}),
+    "calibration_tolerance": _calibrated({"accuracy_tolerance": float("nan")}),
+    "calibration_count": _calibrated({"count": 0}),
+    "calibration_seed": _calibrated({"seed": -1}),
+    "update_fraction_range": lambda s: s.update(update_fraction=1.5),
+    "update_fraction_type": lambda s: s.update(update_fraction=True),
+    "margin_range": lambda s: s.update(margin=-0.1),
+    "margin_type": lambda s: s.update(margin="x"),
+    "window_range": lambda s: s.update(window=0),
+    "window_too_large": lambda s: s.update(window=10**20),
+    "window_type": lambda s: s.update(window=2.5),
+    "alpha_range": lambda s: s.update(alpha=0.0),
+    "alpha_nan": lambda s: s.update(alpha=float("nan")),
+    "beta_above_alpha": lambda s: s.update(beta=0.9),
+    "beta_type": lambda s: s.update(beta="x"),
+    "tick_period_ms_range": lambda s: s.update(tick_period_ms=0.0),
+    "tick_period_ms_inf": lambda s: s.update(tick_period_ms=float("inf")),
+    "flush_factor_range": lambda s: s.update(flush_factor=-1.0),
+    "flush_factor_null": lambda s: s.update(flush_factor=None),
+    "slo_ms_range": lambda s: s.update(slo_ms=0.0),
+    "slo_ms_nan": lambda s: s.update(slo_ms=float("nan")),
+    "unknown_key": lambda s: s.update(foo=1),
+    "both_sources": lambda s: s.update(calibration={}),
+    "neither_source": _drop("initial_threshold"),
+    "multi_kind_missing_alpha": lambda s: (s.pop("kind"), s.update(alpha=-1.0)),
+    "multi_initial_type_window_type": lambda s: s.update(initial_threshold="0.5",
+                                                         window="x"),
+    "multi_both_sources_beta_nan": lambda s: s.update(calibration={}, beta=float("nan")),
+    "multi_unknown_key_kind_unknown": lambda s: s.update(foo=1, kind="fast"),
+    "multi_calibration_count_margin": lambda s: (s.pop("initial_threshold"), s.update(
+        calibration={"count": 0}, margin=2)),
+}
 
 
 def import_cli(src_dir: Path):
@@ -66,6 +130,17 @@ def run(cli, argv: list[str]) -> bytes:
     if status != 0:
         raise SystemExit(f"cascsim {' '.join(argv)} exited {status}")
     return out.getvalue().encode("utf-8")
+
+
+def rejected(cli, argv: list[str]) -> bytes:
+    """Run one CLI command in process that must fail; return its exit status and
+    stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = cli.main(argv)
+    if status == 0:
+        raise SystemExit(f"cascsim {' '.join(argv)} exited 0")
+    return f"{status}\n{err.getvalue()}".encode("utf-8")
 
 
 def digest(data: bytes, name: str) -> str:
@@ -133,6 +208,22 @@ def csv_digests(cli, preset: str, work: Path) -> list[str]:
     return lines
 
 
+def error_digests(cli, work: Path) -> list[str]:
+    """Load a copy of ``ERROR_PRESET`` with each bad ``scheduler`` section."""
+    lines = []
+    for name, edit in SCHEDULER_FAULTS.items():
+        doc = preset_doc(ERROR_PRESET)
+        doc["scheduler"] = {"kind": "multitasc", "initial_threshold": 0.5}
+        edit(doc["scheduler"])
+        config = work / "errors" / f"{name}.json"
+        config.parent.mkdir(parents=True, exist_ok=True)
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        result = rejected(cli, ["simulate", "--config", str(config), "--devices", "2",
+                                "--seed-list", "1"])
+        lines.append(digest(result, f"errors/{name}/status+stderr"))
+    return lines
+
+
 def digests(cli, work: Path) -> list[str]:
     lines = []
     for preset in cli.preset_names():
@@ -152,7 +243,7 @@ def digests(cli, work: Path) -> list[str]:
         lines.append(digest(calibrate, f"{preset}/calibrate/stdout"))
         lines += csv_digests(cli, preset, work)
         lines += zero_delay_digests(cli, preset, work)
-    return lines
+    return lines + error_digests(cli, work)
 
 
 def main(argv: list[str]) -> int:
