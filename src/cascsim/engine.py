@@ -26,7 +26,8 @@ stepping through samples one by one:
   of it against the thresholds in force and appends the forwarded ones to the
   request stream, arriving at ``completion + uplink``.
 - The server's FIFO queue is a range of that stream: a batch completion counts
-  the requests that arrived before it with a binary search.
+  the requests that arrived before it with a binary search. The batch size for
+  each queue length is looked up in a table built once per run.
 - A run ends when every sample is final: each device works through its whole
   trace, the server empties its queue, and the last tick is the first one
   that finds every sample final (its threshold updates still land).
@@ -41,8 +42,10 @@ pusher's processing place, by its position among that pusher's pushes.
 ``processing_order`` applies the rule to whole columns: to every local
 completion when the device layout is built, and to every event of a finished
 run, from ``_Run.push_table``, when the event log is rebuilt. Mid-run, the loop
-decides a tie between two events by walking up their pushers while the times
-stay equal (``_Run.precedes``). A log line's sequence number is its event's
+walks the rule only at exactly equal times: when a request arrives at the
+instant a batch completes, or a server event falls at the instant of the next
+control event. It then decides the tie by walking up both events' pushers while
+the times stay equal (``_Run.precedes``). A log line's sequence number is its event's
 rank in push order, the counter the heap stamps on it, so the log is identical
 to a heap-driven loop's, byte for byte.
 """
@@ -307,12 +310,14 @@ class _Run:
         self.n_devices = layout.n_devices
         self.total_samples = layout.total_samples
 
-        # control loop: the static baseline keeps the state (for b_bar) but never ticks it
+        # control loop: the static baseline keeps the state but never ticks it
         self.sched_cfg = experiment.scheduler
         self.adaptive = self.sched_cfg.kind == "multitasc"
-        self.sched_state = SchedulerState(self.sched_cfg.window, layout.initial_thresholds,
-                                          layout.levels)
+        self.sched_state = SchedulerState(layout.initial_thresholds, layout.levels)
         self.capacity = compute_capacity_greedy(self.table, self.sched_cfg.slo_ms).capacity
+        # the batch a queue of each length launches; every longer queue launches the cap's
+        self.batch_size = [select_batch_size(q, self.table)
+                           for q in range(self.table.max_effective_batch + 1)]
 
         # device side: applied thresholds and the decided prefix of the columns
         self.thresholds = self.sched_state.thresholds.copy()
@@ -435,25 +440,6 @@ class _Run:
         self.local_kept += (end - a) - fwd.size
         self.decided = end
 
-    def _launch(self, now: float, size: int, from_ra: int) -> None:
-        self.sched_state.record_batch(size)
-        self.bc_launch.append(now)
-        self.bc_size.append(size)
-        self.bc_from_ra.append(from_ra)
-        self.bc_time.append(now + self.latency[size])
-        self.head += size
-        self.busy = True
-
-    def _complete(self, b: int) -> None:
-        now = self.bc_time[b]
-        queue_len = self._count_before(RA, self.head, (BC, b)) - self.head
-        self.resp_time.append(now + self.downlink)
-        self.resp_served.append(self.resp_served[-1] + self.bc_size[b])
-        if queue_len:
-            self._launch(now, select_batch_size(queue_len, self.table), -1)
-        else:
-            self.busy = False
-
     def _advance(self, control: Optional[tuple[int, int]]) -> None:
         """Process every device and server event that precedes ``control``
         (None: every event left)."""
@@ -466,23 +452,43 @@ class _Run:
             end = self._count_before(SD, start, control)
         self._decide(end)
 
-        ra_time, bc_time = self.ra_time, self.bc_time
+        ra_time, n_ra = self.ra_time, len(self.ra_time)
+        bc_time, bc_launch, bc_size, bc_from_ra = (self.bc_time, self.bc_launch, self.bc_size,
+                                                   self.bc_from_ra)
+        resp_time, resp_served, served = self.resp_time, self.resp_served, self.resp_served[-1]
+        batch_size, cap, latency = self.batch_size, self.table.max_effective_batch, self.latency
+        downlink, precedes = self.downlink, self.precedes
+        head, busy = self.head, self.busy
+        # t_x is inf without a control event, so only a real tie with it walks the rule
         while True:
-            if self.busy:
-                ref = (BC, len(bc_time) - 1)
+            if busy:  # the running batch completes; the queue is ra[head:k]
                 t = bc_time[-1]
-            elif self.head < len(ra_time):
-                ref = (RA, self.head)
-                t = ra_time[self.head]
+                if t >= t_x and (t > t_x or not precedes((BC, len(bc_time) - 1), control)):
+                    break
+                k = bisect_left(ra_time, t, head)
+                if k < n_ra and ra_time[k] == t:  # arrivals at this instant: the tie rule
+                    k = self._count_before(RA, k, (BC, len(bc_time) - 1))
+                resp_time.append(t + downlink)
+                served += bc_size[-1]
+                resp_served.append(served)
+                if k == head:
+                    busy = False
+                    continue
+                size, from_ra = batch_size[k - head if k - head < cap else cap], -1
+            elif head < n_ra:  # an idle server launches the arriving request alone
+                t = ra_time[head]
+                if t >= t_x and (t > t_x or not precedes((RA, head), control)):
+                    break
+                size, from_ra = 1, head
             else:
-                return
-            if t > t_x or (t == t_x and control is not None
-                           and not self.precedes(ref, control)):
-                return
-            if self.busy:
-                self._complete(ref[1])
-            else:
-                self._launch(t, 1, ref[1])  # the queue holds just this request
+                break
+            bc_launch.append(t)
+            bc_size.append(size)
+            bc_from_ra.append(from_ra)
+            bc_time.append(t + latency[size])
+            head += size
+            busy = True
+        self.head, self.busy = head, busy
 
     def _tick(self, k: int) -> None:
         now = self.tick_time[k]
@@ -490,8 +496,9 @@ class _Run:
         responses = self._count_before(RESP, 0, (TICK, k))
         finalized = self.local_kept + self.resp_served[responses]
         state = self.sched_state
-        b_bar = state.b_bar
-        ids, reason = (scheduler_tick(state, queue_len, self.capacity, self.sched_cfg)
+        recent = self.bc_size[-self.sched_cfg.window:]  # every batch launched before the tick
+        b_bar = sum(recent) / len(recent) if recent else 0.0
+        ids, reason = (scheduler_tick(state, b_bar, queue_len, self.capacity, self.sched_cfg)
                        if self.adaptive else (np.arange(0), "hold"))
         values = state.thresholds[ids].tolist()
         ids = ids.tolist()

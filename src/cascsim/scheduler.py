@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import sys
-from collections import deque
 from dataclasses import dataclass
 from math import ceil, inf
 from typing import Optional
@@ -98,30 +97,18 @@ class SchedulerState:
     never) and ``saved`` the thresholds a flush zeroed (None outside a flush).
     """
 
-    __slots__ = ("thresholds", "levels", "last_update", "saved", "recent_batches",
-                 "tick_ordinal")
+    __slots__ = ("thresholds", "levels", "last_update", "saved", "tick_ordinal")
 
-    def __init__(self, window: int, thresholds, levels):
+    def __init__(self, thresholds, levels):
         self.thresholds = np.array(thresholds, dtype=np.float64)
         self.levels = np.array(levels, dtype=np.int64)
         self.last_update = np.full(self.thresholds.size, -1, dtype=np.int64)
         self.saved: Optional[np.ndarray] = None
-        self.recent_batches: deque[int] = deque(maxlen=window)
         self.tick_ordinal = 0
 
     @property
     def flush_active(self) -> bool:
         return self.saved is not None
-
-    @property
-    def b_bar(self) -> float:
-        """Mean of the recorded recent batch sizes; 0 before any batch ran."""
-        if not self.recent_batches:
-            return 0.0
-        return sum(self.recent_batches) / len(self.recent_batches)
-
-    def record_batch(self, batch_size: int) -> None:
-        self.recent_batches.append(batch_size)
 
 
 def threshold_change(b_bar: float, queue_length: int, capacity: int,
@@ -158,9 +145,10 @@ def select_update_targets(levels: np.ndarray, last_update: np.ndarray, decrease:
     return np.lexsort((last_update, -levels if decrease else levels))[:count]
 
 
-def scheduler_tick(state: SchedulerState, queue_length: int, capacity: int,
+def scheduler_tick(state: SchedulerState, b_bar: float, queue_length: int, capacity: int,
                    cfg: SchedulerConfig) -> tuple[np.ndarray, str]:
-    """One control-loop invocation, mutating ``state``.
+    """One control-loop invocation, mutating ``state``. ``b_bar`` is the mean size of
+    the last ``cfg.window`` batches launched (0 before any batch ran).
 
     Returns the ids of the devices whose commanded threshold changed, in
     delivery order (the new values are ``state.thresholds[ids]``), and the
@@ -182,7 +170,7 @@ def scheduler_tick(state: SchedulerState, queue_length: int, capacity: int,
         state.saved = None
         return np.arange(state.thresholds.size), "flush_exit"
 
-    tc = threshold_change(state.b_bar, queue_length, capacity, cfg)
+    tc = threshold_change(b_bar, queue_length, capacity, cfg)
     if tc == 0.0:
         return np.arange(0), "hold"
     ids = select_update_targets(state.levels, state.last_update, tc < 0, cfg)

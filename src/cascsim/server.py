@@ -16,6 +16,8 @@ from typing import Optional
 from .errors import ConfigError
 
 BATCH_POOL = (1, 2, 4, 8, 16, 32, 64)
+# the largest count a float holds exactly: past it, alpha * capacity is not exact
+MAX_EXACT_COUNT = 2 ** 53
 
 
 class BatchLatencyTable:
@@ -94,7 +96,8 @@ def select_batch_size(queue_length: int, table: BatchLatencyTable) -> Optional[i
 
 def compute_capacity_greedy(table: BatchLatencyTable, slo_ms: float) -> CapacityResult:
     """Greedy capacity: repeat the largest batch size as often as the budget allows,
-    then fall through to smaller sizes with whatever time remains."""
+    then fall through to smaller sizes with whatever time remains. A capacity above
+    ``MAX_EXACT_COUNT`` (2**53) is a ConfigError at ``slo_ms``."""
     if not 0.0 < slo_ms < inf:  # NaN fails too
         raise ConfigError("slo_ms", f"must be finite and positive, got {slo_ms}")
     remaining = float(slo_ms)
@@ -102,10 +105,11 @@ def compute_capacity_greedy(table: BatchLatencyTable, slo_ms: float) -> Capacity
     capacity = 0
     for b in reversed(table.effective_sizes):
         latency = table.entries[b]
-        if remaining / latency == inf:  # a latency too small to count within the budget
-            raise ConfigError("slo_ms", f"{slo_ms} ms holds more batches of size {b} at "
-                                        f"{latency} ms than a float can count")
-        n = int(floor(remaining / latency))
+        quotient = remaining / latency
+        if quotient > MAX_EXACT_COUNT:  # inf too: a latency too small to count at all
+            raise ConfigError("slo_ms", f"{slo_ms} ms holds more than 2**53 batches of size "
+                                        f"{b} at {latency} ms, past exact float counting")
+        n = int(floor(quotient))
         # guard against float division landing a hair above an exact multiple
         while n > 0 and n * latency > remaining:
             n -= 1
@@ -113,5 +117,8 @@ def compute_capacity_greedy(table: BatchLatencyTable, slo_ms: float) -> Capacity
             schedule.append((b, n))
             capacity += b * n
             remaining -= n * latency
+    if capacity > MAX_EXACT_COUNT:
+        raise ConfigError("slo_ms", f"{slo_ms} ms holds {capacity} samples, more than 2**53, "
+                                    "past exact float counting")
     return CapacityResult(capacity, tuple(schedule), float(slo_ms) - remaining)
 

@@ -3,7 +3,8 @@
 This is the engine cascsim shipped before its epoch-stepped engine, kept
 unchanged apart from its imports and four pieces the package no longer has:
 the FIFO request queue, the per-device decision counters, the policy object
-that binds the control loop to a run and the per-sample record type (finalized
+that binds the control loop to a run (it keeps the window of recent batch sizes
+the controller reads) and the per-sample record type (finalized
 samples go into one list per ``SampleColumns`` column instead). It also lost
 the run horizon, the in-flight counts and the option to leave local inference
 out of a served sample's latency: every run ends when every sample is final.
@@ -49,16 +50,25 @@ class Policy:
         self.adaptive = kind == "multitasc"
         self.cfg = cfg
         self.capacity = capacity
-        self.state = SchedulerState(cfg.window, thresholds, levels)
+        self.state = SchedulerState(thresholds, levels)
+        self.recent_batches: deque[int] = deque(maxlen=cfg.window)
 
     def record_batch(self, batch_size: int) -> None:
-        self.state.record_batch(batch_size)
+        self.recent_batches.append(batch_size)
+
+    @property
+    def b_bar(self) -> float:
+        """Mean of the recorded recent batch sizes; 0 before any batch ran."""
+        if not self.recent_batches:
+            return 0.0
+        return sum(self.recent_batches) / len(self.recent_batches)
 
     def tick(self, queue_length: int, now_ms: float) -> list[tuple[int, float, str]]:
         """(device id, new threshold, reason) of each update, in delivery order."""
         if not self.adaptive:
             return []
-        ids, reason = scheduler_tick(self.state, queue_length, self.capacity, self.cfg)
+        ids, reason = scheduler_tick(self.state, self.b_bar, queue_length, self.capacity,
+                                     self.cfg)
         return [(d, v, reason) for d, v in zip(ids.tolist(), self.state.thresholds[ids].tolist())]
 
 
@@ -278,7 +288,7 @@ class _Run:
 
     def on_scheduler_tick(self, now: float, seq: int) -> None:
         queue_len = len(self.queue)
-        b_bar = self.policy.state.b_bar
+        b_bar = self.policy.b_bar
         flush_before = self.policy.state.flush_active
         updates = self.policy.tick(queue_len, now)
         for update in updates:

@@ -439,6 +439,9 @@ class TestCliInputErrors:
         ("slo_ms:", ["capacity", "--config", "{tiny_latency}", "--slo", "100"]),
         ("slo_ms:", ["simulate", "--config", "{tiny_latency}", "--devices", "2",
                      "--seed-list", "1"]),
+        ("slo_ms:", ["capacity", "--table", '{"1": 1e-300}', "--slo", "1"]),
+        ("slo_ms:", ["simulate", "--config", "{inexact_capacity}", "--devices", "2",
+                     "--seed-list", "1"]),
         ("fleet[0].trace.csv:", ["simulate", "--config", "{csv_config}"]),
         ("fleet[0].trace.csv:", ["calibrate", "--config", "{csv_config}"]),
         ("--trace:", ["calibrate", "--trace", "{missing}"]),
@@ -460,9 +463,14 @@ class TestCliInputErrors:
         tiny_latency = preset_doc("homog_efflite0_inceptionv3")
         tiny_latency["server"] = {"batch_latency_table": {"1": 5e-324}}
         (tmp_path / "tiny_latency").mkdir()
+        inexact_capacity = preset_doc("homog_efflite0_inceptionv3")
+        inexact_capacity["server"] = {"batch_latency_table": {"1": 1e-300}}
+        (tmp_path / "inexact_capacity").mkdir()
         paths = {"{config}": write_config(tmp_path, tiny_config_doc()),
                  "{csv_config}": write_config(tmp_path / "csv", csv_doc),
                  "{tiny_latency}": write_config(tmp_path / "tiny_latency", tiny_latency),
+                 "{inexact_capacity}": write_config(tmp_path / "inexact_capacity",
+                                                    inexact_capacity),
                  "{missing}": str(missing)}
         assert main([paths.get(arg, arg) for arg in argv]) == 1
         err = json.loads(capsys.readouterr().err)

@@ -108,8 +108,20 @@ def test_tie_heavy_configs_match_oracle(name, kind):
     assert_identical(cfg, random_traces(rng, devices, 300))
 
 
+def times_of(report, kind: str) -> set[str]:
+    return {line.split("\t", 1)[0] for line in report.event_log
+            if line.split("\t", 3)[2] == kind}
+
+
 @pytest.mark.parametrize("block", range(4))
 def test_random_integral_configs_match_oracle(block):
-    """Random small fleets on an integral time grid, where same-instant events abound."""
+    """Random small fleets on an integral time grid, where same-instant events abound.
+
+    Some batch completes at the instant a request arrives, so the match covers the
+    engine's exact-tie path (which requests a completing batch finds queued), not
+    only its binary search."""
+    tied = 0
     for trial in range(block * 25, block * 25 + 25):
-        assert_identical(*random_integral_config(np.random.default_rng(trial)))
+        report = assert_identical(*random_integral_config(np.random.default_rng(trial)))
+        tied += bool(times_of(report, "batch_complete") & times_of(report, "request_arrival"))
+    assert tied

@@ -24,11 +24,11 @@ def cfg(**overrides) -> SchedulerConfig:
     return c
 
 
-def fleet(low=0, mid=0, high=0, threshold=0.5, window=5):
+def fleet(low=0, mid=0, high=0, threshold=0.5):
     """Controller state of a fleet numbered low tier first, then mid, then high."""
     levels = [TIER_LEVEL[Tier.LOW]] * low + [TIER_LEVEL[Tier.MID]] * mid \
         + [TIER_LEVEL[Tier.HIGH]] * high
-    return SchedulerState(window, [threshold] * len(levels), levels)
+    return SchedulerState([threshold] * len(levels), levels)
 
 
 def never(n):
@@ -153,7 +153,7 @@ class TestSelectUpdateTargets:
 class TestFlush:
     def test_entry_zeroes_and_saves(self):
         state = fleet(mid=3, threshold=0.62)
-        ids, reason = scheduler_tick(state, queue_length=80, capacity=36,
+        ids, reason = scheduler_tick(state, b_bar=0.0, queue_length=80, capacity=36,
                                      cfg=cfg(flush_factor=2.0))
         assert reason == "flush_enter"
         assert ids.tolist() == [0, 1, 2]
@@ -163,8 +163,8 @@ class TestFlush:
 
     def test_exit_restores_saved(self):
         state = fleet(mid=2, threshold=0.4)
-        scheduler_tick(state, 80, 36, cfg())
-        ids, reason = scheduler_tick(state, 4, 36, cfg())  # beta * 36 = 4.5
+        scheduler_tick(state, 0.0, 80, 36, cfg())
+        ids, reason = scheduler_tick(state, 0.0, 4, 36, cfg())  # beta * 36 = 4.5
         assert reason == "flush_exit"
         assert ids.tolist() == [0, 1]
         assert not state.flush_active
@@ -173,76 +173,71 @@ class TestFlush:
 
     def test_no_transition_in_between(self):
         state = fleet(mid=2)
-        state.record_batch(10)  # b_bar between the bands: the change rule holds too
-        ids, reason = scheduler_tick(state, 30, 36, cfg())
+        # b_bar between the bands: the change rule holds too
+        ids, reason = scheduler_tick(state, 10.0, 30, 36, cfg())
         assert (ids.tolist(), reason) == ([], "hold")
         assert not state.flush_active
 
     def test_round_trip_restores_exact_thresholds(self):
         rng = np.random.default_rng(3)
         values = rng.random(9).tolist()
-        state = SchedulerState(5, values, [0, 0, 0, 1, 1, 1, 2, 2, 2])
-        assert scheduler_tick(state, 1000, 36, cfg())[1] == "flush_enter"
-        assert scheduler_tick(state, 0, 36, cfg())[1] == "flush_exit"
+        state = SchedulerState(values, [0, 0, 0, 1, 1, 1, 2, 2, 2])
+        assert scheduler_tick(state, 0.0, 1000, 36, cfg())[1] == "flush_enter"
+        assert scheduler_tick(state, 0.0, 0, 36, cfg())[1] == "flush_exit"
         assert state.thresholds.tolist() == values
 
 
 class TestSchedulerTick:
-    def run_tick(self, state, queue_length, b_values, capacity=36, config=None):
+    def run_tick(self, state, queue_length, b_bar, capacity=36, config=None):
         """One tick; returns its updates as (device id, new threshold, reason)."""
         config = config or cfg()
-        for b in b_values:
-            state.record_batch(b)
-        ids, reason = scheduler_tick(state, queue_length, capacity, config)
+        ids, reason = scheduler_tick(state, b_bar, queue_length, capacity, config)
         return [(d, v, reason) for d, v in zip(ids.tolist(), state.thresholds[ids].tolist())]
 
     def test_hold_branch_returns_no_updates(self):
         state = fleet(mid=5)
-        assert self.run_tick(state, queue_length=3, b_values=[32]) == []
+        assert self.run_tick(state, queue_length=3, b_bar=32) == []
 
     def test_decrease_clamps_at_zero(self):
         state = fleet(mid=5, threshold=0.03)
-        updates = self.run_tick(state, queue_length=40, b_values=[32, 32])
+        updates = self.run_tick(state, queue_length=40, b_bar=32)
         assert updates == [(0, 0.0, "decrease")]
 
     def test_increase_moves_by_margin(self):
         state = fleet(mid=5, threshold=0.50)
-        updates = self.run_tick(state, queue_length=0, b_values=[1])
+        updates = self.run_tick(state, queue_length=0, b_bar=1)
         assert len(updates) == 1
         assert updates[0][1] == pytest.approx(0.55)
         assert updates[0][2] == "increase"
 
     def test_exact_fraction_updated_outside_flush(self):
         state = fleet(low=4, mid=4, high=2)
-        updates = self.run_tick(state, queue_length=40, b_values=[32, 32])
+        updates = self.run_tick(state, queue_length=40, b_bar=32)
         assert len(updates) == 2  # ceil(0.2 * 10)
 
     def test_flush_preempts_threshold_logic(self):
         state = fleet(mid=4, threshold=0.8)
-        updates = self.run_tick(state, queue_length=100, b_values=[32])
+        updates = self.run_tick(state, queue_length=100, b_bar=32)
         assert updates == [(d, 0.0, "flush_enter") for d in range(4)]
         # while flushed and still congested above the exit band: hold
-        assert self.run_tick(state, queue_length=50, b_values=[32]) == []
+        assert self.run_tick(state, queue_length=50, b_bar=32) == []
         # decongested: restore
-        updates = self.run_tick(state, queue_length=2, b_values=[1])
+        updates = self.run_tick(state, queue_length=2, b_bar=(32 + 32 + 1) / 3)
         assert updates == [(d, 0.8, "flush_exit") for d in range(4)]
 
     def test_deterministic_for_fixed_inputs(self):
         def build():
-            state = fleet(low=3, mid=3, high=3, threshold=0.6)
-            for b in (32, 16, 32):
-                state.record_batch(b)
-            return state
+            return fleet(low=3, mid=3, high=3, threshold=0.6)
         s1, s2 = build(), build()
-        u1 = self.run_tick(s1, 40, [])
-        u2 = self.run_tick(s2, 40, [])
+        u1 = self.run_tick(s1, 40, (32 + 16 + 32) / 3)
+        u2 = self.run_tick(s2, 40, (32 + 16 + 32) / 3)
         assert u1 == u2
         assert s1.last_update.tolist() == s2.last_update.tolist()
 
     def test_updates_recorded_as_last_update_tick(self):
         state = fleet(high=4, threshold=0.6)
-        first = self.run_tick(state, queue_length=40, b_values=[32, 32])
-        second = self.run_tick(state, queue_length=40, b_values=[])
+        first = self.run_tick(state, queue_length=40, b_bar=32)
+        second = self.run_tick(state, queue_length=40, b_bar=32)
         assert [u[0] for u in first] == [0]
         assert [u[0] for u in second] == [1]  # least recently updated next
         assert state.last_update.tolist() == [1, 2, -1, -1]
@@ -271,10 +266,14 @@ class TestBaseline:
 
 
 class TestStateAccounting:
-    def test_b_bar_is_bounded_window_mean(self):
-        state = fleet(mid=1, window=3)
-        assert state.b_bar == 0.0
-        for b in (8, 16, 32, 64):
-            state.record_batch(b)
-        assert list(state.recent_batches) == [16, 32, 64]
-        assert state.b_bar == pytest.approx((16 + 32 + 64) / 3)
+    def test_change_rule_reads_the_b_bar_argument(self):
+        """Same state and queue, only b_bar differs: the tick follows it."""
+        reasons = {}
+        for b_bar in (0.0, 10.0, 32.0):
+            for queue_length in (0, 40):
+                state = fleet(mid=1)
+                reasons[b_bar, queue_length] = scheduler_tick(state, b_bar, queue_length, 36,
+                                                              cfg())[1]
+        # alpha * 36 = 29.88, beta * 36 = 4.5
+        assert reasons == {(0.0, 0): "increase", (10.0, 0): "hold", (32.0, 0): "hold",
+                           (0.0, 40): "hold", (10.0, 40): "hold", (32.0, 40): "decrease"}

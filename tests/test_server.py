@@ -89,6 +89,13 @@ class TestGreedyCapacity:
         with pytest.raises(ConfigError, match=r"^slo_ms: "):
             compute_capacity_greedy(spec_table, slo)
 
+    def test_capacity_counts_exactly_up_to_2_pow_53(self):
+        assert compute_capacity_greedy(BatchLatencyTable({1: 1.0}), 2.0 ** 53).capacity == 2 ** 53
+        # beyond it: too many batches of one size, then too many samples in total
+        for entries, slo in (({1: 1.0}, 2.0 ** 54), ({1: 1e-15, 64: 1e-15}, 1.0)):
+            with pytest.raises(ConfigError, match=r"^slo_ms: .*2\*\*53"):
+                compute_capacity_greedy(BatchLatencyTable(entries), slo)
+
 
 class TestExactCapacity:
     def test_matches_worked_example(self, spec_table):

@@ -9,7 +9,10 @@ For every workload of ``BENCHMARK.json``, each tree runs its own
 benchmark's ``run_seconds``) in a fresh process, in ten parent/change pairs;
 the side that goes first alternates from pair to pair, so a drift in host
 speed falls on both sides alike. The last line a run prints is its JSON result (``correct``,
-``attempted``, ``failed``, ``metrics``), and every one is kept.
+``attempted``, ``failed``, ``metrics``), and every one is kept. Each run gets its own
+empty ``PYTHONPYCACHEPREFIX`` in a temporary directory, removed afterwards, so a
+tree's ``__pycache__`` (stale after an edit, when bytecode writing is off) never
+decides its side's import time; the trees themselves are left as they are.
 
 The record is written at the root of this repository. It holds the
 environment, both trees' git revisions and, for each workload and each
@@ -31,6 +34,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -53,9 +57,11 @@ def run_once(tree: Path, workload: str, seconds: int) -> dict:
     """One benchmark process in ``tree``; its final JSON line, plus the wall time."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
             "--seconds", str(seconds), "--trace", "0"]
-    t0 = time.perf_counter()
-    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
-    wall = time.perf_counter() - t0
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = os.environ | {"PYTHONPYCACHEPREFIX": cache}
+        t0 = time.perf_counter()
+        done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, env=env)
+        wall = time.perf_counter() - t0
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         raise SystemExit(f"{' '.join(argv)} in {tree} exited {done.returncode}:\n"
@@ -109,7 +115,9 @@ def main(argv: list[str]) -> int:
         "label": args.label,
         "environment": {"python": platform.python_version(), "numpy": numpy.__version__,
                         "platform": platform.platform(), "machine": platform.machine(),
-                        "cpus": os.cpu_count()},
+                        "cpus": os.cpu_count(),
+                        "bytecode": "each run compiles into its own empty PYTHONPYCACHEPREFIX",
+                        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
         "revisions": {side: revision(tree) for side, tree in trees.items()},
         "settings": {"pairs": PAIRS, "seconds": spec["run_seconds"], "seed": SEED},
         "workloads": {},
