@@ -30,7 +30,17 @@ stepping through samples one by one:
   each queue length is looked up in a table built once per run.
 - A run ends when every sample is final: each device works through its whole
   trace, the server empties its queue, and the last tick is the first one
-  that finds every sample final (its threshold updates still land).
+  that finds every sample decided, every request launched and every batch's
+  response in (its threshold updates still land). Before the loop, the run
+  bounds its latest event time from the fleet, network, batch table and tick
+  period; a bound that is not finite, or more than ``sys.maxsize`` tick
+  periods, is a ``ConfigError``.
+- The run records each fact once: the request stream (arrival time, completion
+  position); per batch its launch, size, completion, response time and the
+  request that launched it, if any; per tick its queue length, ``b_bar``, flush
+  state and ``[device, value, reason]`` updates, with one threshold application
+  time per update. Counts are derived where they are read: samples kept are the
+  decided ones less the requests, samples served the summed batch sizes.
 - Reports are computed from the per-sample columns, one row per sample. The
   event log, when asked for, is rebuilt after the run from the columns and the
   per-batch and per-tick records.
@@ -53,9 +63,9 @@ to a heap-driven loop's, byte for byte.
 from __future__ import annotations
 
 import json
+import sys
 from bisect import bisect_left
-from collections import deque
-from math import inf, isclose
+from math import inf, isclose, isfinite
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -238,6 +248,12 @@ class DeviceLayout:
                 offset = (device_id / n) * group.t_inf_ms
             else:
                 offset = 0.0
+            # the last completion as numpy computes it below, first in Python floats,
+            # so an overflow is refused instead of warned about
+            if not isfinite(offset + (len(trace) - 1) * group.t_inf_ms + group.t_inf_ms):
+                raise ConfigError(f"fleet[{gi}].t_inf_ms",
+                                  f"{len(trace)} samples of {group.t_inf_ms} ms end past "
+                                  "the largest float")
             commanded.append(initial[gi].value)
             levels.append(TIER_LEVEL[group.tier])
             self.t_inf[device_id] = group.t_inf_ms
@@ -294,11 +310,43 @@ def _layout_source(experiment: ExperimentConfig) -> dict:
             "initial_threshold": sched.initial_threshold, "calibration": sched.calibration}
 
 
+def _check_time_bound(experiment: ExperimentConfig, layout: DeviceLayout) -> None:
+    """Raise ConfigError unless every event of a run on ``layout`` falls at a finite
+    time within ``sys.maxsize`` tick periods.
+
+    No event is later than the last local completion, plus the uplink, plus the
+    largest usable batch latency once per sample (every batch serves at least
+    one), plus the downlink to the last response, one tick period to the last
+    tick and the downlink again to its threshold applications. An infinite bound
+    is refused at the field of its largest term (the first of equal ones), a
+    longer one at ``scheduler.tick_period_ms``.
+    """
+    table, network = experiment.server_table, experiment.network
+    period = experiment.scheduler.tick_period_ms
+    group = experiment.device_groups()[int(layout.sd_dev[-1])]
+    terms = ((float(layout.sd_time[-1]), f"fleet[{group}].t_inf_ms"),
+             (network.uplink_ms, "network.uplink_ms"),
+             (layout.total_samples * max(table.entries[b] for b in table.effective_sizes),
+              "server.batch_latency_table"),
+             (2 * network.downlink_ms, "network.downlink_ms"),
+             (period, "scheduler.tick_period_ms"))
+    bound = sum(term for term, _ in terms)
+    if not isfinite(bound):
+        term, field = max(terms, key=lambda item: item[0])
+        raise ConfigError(field, f"puts an event past the largest float ({term!r} ms of "
+                                 "the run's event-time bound)")
+    if bound / period > sys.maxsize:
+        raise ConfigError("scheduler.tick_period_ms",
+                          f"{period} ms gives more than sys.maxsize ticks before the run's "
+                          f"event-time bound of {bound!r} ms")
+
+
 class _Run:
     """Single simulation run on a device layout: the loop state and the records."""
 
     def __init__(self, experiment: ExperimentConfig, layout: DeviceLayout, seed: int,
                  collect_event_log: bool):
+        _check_time_bound(experiment, layout)
         self.experiment = experiment
         self.layout = layout
         self.seed = seed
@@ -322,7 +370,6 @@ class _Run:
         # device side: applied thresholds and the decided prefix of the columns
         self.thresholds = self.sched_state.thresholds.copy()
         self.decided = 0
-        self.local_kept = 0
         self.forward = np.zeros(self.total_samples, dtype=bool)
         self.applied = np.zeros(self.total_samples)
         # request stream: arrival time and completion position, in processing order
@@ -336,17 +383,13 @@ class _Run:
         self.bc_size: list[int] = []
         self.bc_from_ra: list[int] = []     # request whose arrival launched it, or -1
         self.resp_time: list[float] = []    # per completed batch
-        self.resp_served = [0]              # samples served by the first k responses
-        # control: scheduled tick times, per-tick records, threshold updates
+        # control: tick times and records (queue length, b_bar, flush state, updates);
+        # one threshold application per [device, value, reason] update
         self.tick_time = [self.sched_cfg.tick_period_ms]
         self.ticks: list[tuple[int, float, str, list]] = []
         self.ta_time: list[float] = []
         self.ta_tick: list[int] = []
-        self.ta_pos: list[int] = []
-        self.ta_dev: list[int] = []
-        self.ta_value: list[float] = []
-        self.ta_reason: list[str] = []
-        self.ta_pending: deque[tuple[int, int]] = deque()  # (first update, count)
+        self.ta_applied = 0                 # threshold applications processed
         # every stream's event times, in processing order, indexed by stream
         self.times = [layout.sd_time, self.ra_time, self.bc_time, self.resp_time,
                       self.tick_time, self.ta_time]
@@ -375,7 +418,8 @@ class _Run:
             if i == 0:
                 return None, self.n_devices
             return (TICK, i - 1), len(self.ticks[i - 1][3])  # after its updates
-        return (TICK, self.ta_tick[i]), self.ta_pos[i]
+        k = self.ta_tick[i]
+        return (TICK, k), i - bisect_left(self.ta_tick, k)
 
     def push_table(self) -> tuple[np.ndarray, np.ndarray]:
         """``_parent`` for every event of the finished run, the streams concatenated
@@ -386,16 +430,17 @@ class _Run:
         n_bc, n_resp, n_tick = counts[BC], counts[RESP], counts[TICK]
         from_ra = np.asarray(self.bc_from_ra, dtype=np.int64)
         relaunch = from_ra < 0
+        ta_tick = np.asarray(self.ta_tick, dtype=np.int64)
         parent = np.concatenate((
             layout.sd_parent, base[SD] + np.asarray(self.ra_sd, dtype=np.int64),
             np.where(relaunch, base[BC] + np.arange(n_bc) - 1, base[RA] + from_ra),
             base[BC] + np.arange(n_resp), np.append(-1, base[TICK] + np.arange(n_tick - 1)),
-            base[TICK] + np.asarray(self.ta_tick, dtype=np.int64)))
+            base[TICK] + ta_tick))
         pos = np.concatenate((
             np.where(layout.sd_parent >= 0, self.forward[layout.sd_parent], layout.sd_dev),
             np.zeros(counts[RA], dtype=np.int64), relaunch, np.zeros(n_resp, dtype=np.int64),
             [self.n_devices] + [len(tick[3]) for tick in self.ticks[:n_tick - 1]],
-            np.asarray(self.ta_pos, dtype=np.int64)))
+            np.arange(ta_tick.size) - np.searchsorted(ta_tick, ta_tick)))
         return parent, pos
 
     def precedes(self, a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -437,7 +482,6 @@ class _Run:
         fwd = np.flatnonzero(forward) + a
         self.ra_sd.extend(fwd.tolist())
         self.ra_time.extend((layout.sd_time[fwd] + self.uplink).tolist())
-        self.local_kept += (end - a) - fwd.size
         self.decided = end
 
     def _advance(self, control: Optional[tuple[int, int]]) -> None:
@@ -455,7 +499,7 @@ class _Run:
         ra_time, n_ra = self.ra_time, len(self.ra_time)
         bc_time, bc_launch, bc_size, bc_from_ra = (self.bc_time, self.bc_launch, self.bc_size,
                                                    self.bc_from_ra)
-        resp_time, resp_served, served = self.resp_time, self.resp_served, self.resp_served[-1]
+        resp_time = self.resp_time
         batch_size, cap, latency = self.batch_size, self.table.max_effective_batch, self.latency
         downlink, precedes = self.downlink, self.precedes
         head, busy = self.head, self.busy
@@ -469,8 +513,6 @@ class _Run:
                 if k < n_ra and ra_time[k] == t:  # arrivals at this instant: the tie rule
                     k = self._count_before(RA, k, (BC, len(bc_time) - 1))
                 resp_time.append(t + downlink)
-                served += bc_size[-1]
-                resp_served.append(served)
                 if k == head:
                     busy = False
                     continue
@@ -493,8 +535,6 @@ class _Run:
     def _tick(self, k: int) -> None:
         now = self.tick_time[k]
         queue_len = self._count_before(RA, self.head, (TICK, k)) - self.head
-        responses = self._count_before(RESP, 0, (TICK, k))
-        finalized = self.local_kept + self.resp_served[responses]
         state = self.sched_state
         recent = self.bc_size[-self.sched_cfg.window:]  # every batch launched before the tick
         b_bar = sum(recent) / len(recent) if recent else 0.0
@@ -506,21 +546,20 @@ class _Run:
             reason, "active" if state.flush_active else "off")
         self.ticks.append((queue_len, b_bar, flush,
                            [[d, v, reason] for d, v in zip(ids, values)]))
-        if ids:
-            self.ta_pending.append((len(self.ta_dev), len(ids)))
-            self.ta_time += [now + self.downlink] * len(ids)
-            self.ta_tick += [k] * len(ids)
-            self.ta_pos += range(len(ids))
-            self.ta_dev += ids
-            self.ta_value += values
-            self.ta_reason += [reason] * len(ids)
-        if finalized < self.total_samples:
+        self.ta_time += [now + self.downlink] * len(ids)
+        self.ta_tick += [k] * len(ids)
+        # the last tick is the first that finds every sample final: all decided, every
+        # request launched, and every batch's response (each holds >= 1 sample) in
+        if (self.decided < self.total_samples or self.head < len(self.ra_sd)
+                or self._count_before(RESP, 0, (TICK, k)) < len(self.bc_size)):
             self.tick_time.append(now + self.sched_cfg.tick_period_ms)
 
     def _apply_thresholds(self) -> None:
-        first, count = self.ta_pending.popleft()
-        for i in range(first, first + count):
-            self.thresholds[self.ta_dev[i]] = self.ta_value[i]
+        """Apply the updates of the tick whose first threshold application is next."""
+        updates = self.ticks[self.ta_tick[self.ta_applied]][3]
+        for device, value, _ in updates:
+            self.thresholds[device] = value
+        self.ta_applied += len(updates)
 
     # -- main loop -----------------------------------------------------------
 
@@ -529,8 +568,8 @@ class _Run:
             candidates = []
             if len(self.ticks) < len(self.tick_time):
                 candidates.append((TICK, len(self.ticks)))
-            if self.ta_pending:
-                candidates.append((TA, self.ta_pending[0][0]))
+            if self.ta_applied < len(self.ta_time):
+                candidates.append((TA, self.ta_applied))
             if len(candidates) == 2 and self.precedes(candidates[1], candidates[0]):
                 candidates.reverse()
             if not candidates:
@@ -551,23 +590,21 @@ class _Run:
 
     # -- results -------------------------------------------------------------
 
-    def _samples(self) -> SampleColumns:
+    def _samples(self, resp_time: np.ndarray, sizes: np.ndarray) -> SampleColumns:
         """Every sample in decision (local completion) order."""
         layout = self.layout
         completion = layout.sd_time.copy()
-        completion[np.asarray(self.ra_sd, dtype=np.int64)] = np.repeat(self.resp_time,
-                                                                      self.bc_size)
+        completion[np.asarray(self.ra_sd, dtype=np.int64)] = np.repeat(resp_time, sizes)
         correct = np.where(self.forward, layout.sd_heavy, layout.sd_light)
         return SampleColumns(layout.sd_dev, layout.sd_index, layout.sd_start, completion,
                              self.forward, correct, completion - layout.sd_start)
 
-    def _queue_area(self) -> tuple[float, np.ndarray]:
+    @staticmethod
+    def _queue_area(ra_time: np.ndarray, launch: np.ndarray,
+                    sizes: np.ndarray) -> tuple[float, np.ndarray]:
         """Area under the queue-length curve, summed left to right in event order as
         a per-event loop would, and every request's queue wait. The queue is empty
         at the end of a run, so the area ends at the last launch."""
-        ra_time = np.asarray(self.ra_time)
-        launch = np.asarray(self.bc_launch)
-        sizes = np.asarray(self.bc_size, dtype=np.int64)
         times = np.concatenate((ra_time, launch))
         change_times, inverse = np.unique(times, return_inverse=True)
         delta = np.zeros(change_times.size, dtype=np.int64)
@@ -581,19 +618,22 @@ class _Run:
     def build_report(self) -> MetricsReport:
         experiment = self.experiment
         n = self.n_devices
-        cols = self._samples()
+        # each record as an array, once: every stream's times, batch launches and sizes
+        times = [np.asarray(t) for t in self.times]
+        launch = np.asarray(self.bc_launch)
+        sizes = np.asarray(self.bc_size, dtype=np.int64)
+        cols = self._samples(times[RESP], sizes)
         served = int(np.count_nonzero(cols.served))
         local = len(cols) - served
         forwarded_by_device = np.bincount(cols.device_id[cols.served], minlength=n)
 
         makespan = float(cols.completion_ms.max())
-        queue_area, queue_waits = self._queue_area()
+        queue_area, queue_waits = self._queue_area(times[RA], launch, sizes)
         check_run_invariants(
-            total=self.total_samples, decided=self.decided, local=self.local_kept,
-            served=self.resp_served[-1], batch_sizes=np.asarray(self.bc_size, dtype=np.int64),
-            max_batch=self.table.max_effective_batch, batch_launch=np.asarray(self.bc_launch),
-            batch_done=np.asarray(self.bc_time),
-            stream_times=[np.asarray(times) for times in self.times],
+            total=self.total_samples, decided=self.decided,
+            local=self.decided - len(self.ra_sd), served=int(sizes.sum()), batch_sizes=sizes,
+            max_batch=self.table.max_effective_batch, batch_launch=launch,
+            batch_done=times[BC], stream_times=times,
             queue_area=queue_area, queue_waits=queue_waits)
 
         slos = experiment.slos_ms

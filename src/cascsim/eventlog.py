@@ -66,29 +66,28 @@ def rebuild_event_log(run, report: MetricsReport) -> list[str]:
               for t, s, d, q, i in zip(run.ra_time, ra_seq.tolist(), ra_dev,
                                        queue_after[base[RA]:base[RA + 1]].tolist(),
                                        ra_index)]
-    first = np.cumsum([0] + run.bc_size)
-
-    def batch_samples(b):
-        return [[d, i] for d, i in zip(ra_dev[first[b]:first[b + 1]],
-                                       ra_index[first[b]:first[b + 1]])]
-
-    bc_queue = queue_after[base[BC]:base[BC + 1]].tolist()
-    for b, (s, q) in enumerate(zip(bc_seq.tolist(), bc_queue)):
-        lines.append(f"{run.bc_time[b]!r}\t{s}\t{EVENT_BATCH_COMPLETE}\t" + json.dumps(
-            {"batch_size": run.bc_size[b], "launched_ms": run.bc_launch[b],
-             "queue_len": q, "samples": batch_samples(b)}, sort_keys=True))
-    for b, s in enumerate(resp_seq.tolist()):
-        lines.append(f"{run.resp_time[b]!r}\t{s}\t{EVENT_RESPONSE_ARRIVAL}\t" + json.dumps(
-            {"batch_size": run.bc_size[b], "samples": batch_samples(b)}, sort_keys=True))
+    # each batch's samples as JSON text, once for its completion and its response
+    first = np.cumsum([0] + run.bc_size).tolist()
+    samples = [json.dumps([[d, i] for d, i in zip(ra_dev[lo:hi], ra_index[lo:hi])])
+               for lo, hi in zip(first[:-1], first[1:])]
+    lines += [f'{t!r}\t{s}\t{EVENT_BATCH_COMPLETE}\t{{"batch_size": {size}, '
+              f'"launched_ms": {launched!r}, "queue_len": {q}, "samples": {text}}}'
+              for t, s, size, launched, q, text in zip(
+                  run.bc_time, bc_seq.tolist(), run.bc_size, run.bc_launch,
+                  queue_after[base[BC]:base[BC + 1]].tolist(), samples)]
+    lines += [f'{t!r}\t{s}\t{EVENT_RESPONSE_ARRIVAL}\t{{"batch_size": {size}, '
+              f'"samples": {text}}}'
+              for t, s, size, text in zip(run.resp_time, resp_seq.tolist(), run.bc_size,
+                                          samples)]
     for k, s in enumerate(tick_seq.tolist()):
         queue_len, b_bar, flush, updates = run.ticks[k]
         lines.append(f"{run.tick_time[k]!r}\t{s}\t{EVENT_SCHEDULER_TICK}\t" + json.dumps(
             {"queue_len": queue_len, "b_bar": b_bar, "capacity": run.capacity,
              "flush": flush, "updates": updates}, sort_keys=True))
+    updates = [update for tick in run.ticks for update in tick[3]]  # one per application
     lines += [f'{t!r}\t{s}\t{EVENT_THRESHOLD_APPLIED}\t{{"device": {d}, "reason": '
               f'"{r}", "threshold": {v!r}}}'
-              for t, s, d, r, v in zip(run.ta_time, ta_seq.tolist(), run.ta_dev,
-                                       run.ta_reason, run.ta_value)]
+              for t, s, (d, v, r) in zip(run.ta_time, ta_seq.tolist(), updates)]
 
     log: list[str] = []
     for lo in range(0, order.size, _CHUNK):

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from importlib import resources
@@ -7,6 +10,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+import cascsim
 from cascsim.cli import main
 from cascsim.config import config_from_dict, load_config
 from cascsim.errors import ConfigError
@@ -498,6 +502,51 @@ class TestCliInputErrors:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "TraceError",
                        "message": "fleet[1].trace.csv: row 3: bvsb 2.0 outside [0, 1]"}
+
+
+def two_device_preset(edit=None):
+    """The homog preset at 2 devices of 200 samples, with ``edit`` applied."""
+    doc = preset_doc("homog_efflite0_inceptionv3")
+    doc["fleet"][0]["count"] = 2
+    doc["fleet"][0]["trace"]["synthetic"]["count"] = 200
+    if edit:
+        edit(doc)
+    return doc
+
+
+class TestRunawayRuns:
+    """A run whose events would fall past the largest float, or more than
+    sys.maxsize tick periods in, is refused at a field before it starts. Each
+    case runs ``cascsim.cli`` in a child process with a timeout, so a run that
+    never ends fails the test instead of hanging the suite."""
+
+    @pytest.mark.parametrize("field, edit", [
+        ("network.downlink_ms:",
+         lambda doc: doc["network"].update(uplink_ms=1e308, downlink_ms=1e308)),
+        ("fleet[0].t_inf_ms:", lambda doc: doc["fleet"][0].update(t_inf_ms=1e306)),
+        ("scheduler.tick_period_ms:", lambda doc: doc["network"].update(uplink_ms=1e308)),
+        ("scheduler.tick_period_ms:",
+         lambda doc: doc["scheduler"].update(tick_period_ms=1e-300)),
+    ], ids=["infinite_links", "infinite_local_time", "huge_uplink", "tiny_tick_period"])
+    def test_exits_1_with_one_json_error(self, tmp_path, field, edit):
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(cascsim.__file__)))
+        path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-m", "cascsim.cli", "simulate", "--config",
+             write_config(tmp_path, two_device_preset(edit)), "--seed-list", "1"],
+            capture_output=True, text=True, timeout=30, env=dict(os.environ, PYTHONPATH=path))
+        assert (done.returncode, done.stdout) == (1, "")
+        [line] = done.stderr.splitlines()  # no overflow warning either
+        err = json.loads(line)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(field)
+
+    def test_finite_but_slow_runs_are_allowed(self, tmp_path, capsys):
+        doc = two_device_preset(lambda doc: doc["network"].update(uplink_ms=1e7,
+                                                                  downlink_ms=1e7))
+        assert main(["simulate", "--config", write_config(tmp_path, doc),
+                     "--seed-list", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["makespan_ms"] > 2e7
 
 
 @pytest.mark.parametrize("argv", [["simulate", "--devices", "4", "--seed-list", "1,2,3"],

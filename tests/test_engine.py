@@ -1,6 +1,8 @@
 import copy
 import heapq
+import signal
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -399,3 +401,72 @@ class TestDeviceLayout:
         with pytest.raises(ConfigError) as err:
             run_simulation(cfg, cfg.build_traces(1), seed=1, layout=layout)
         assert err.value.field == "layout"
+
+
+@st.composite
+def extreme_configs(draw):
+    """A 1-3 device fleet whose local latency, links and batch latency each take a
+    magnitude from 1 ms up to the largest floats, with a tick period of 1, 1/10 or
+    1/100 of the largest of them (so a run that starts has a few hundred ticks at
+    most), and its traces."""
+    magnitude = st.sampled_from((1.0, 1e150, 1e306, 1e307, 8e307, 1e308))
+    devices, count = draw(st.integers(1, 3)), draw(st.integers(1, 20))
+    t_inf, uplink, downlink, latency = (draw(magnitude) for _ in range(4))
+    uplink, downlink = (draw(st.sampled_from((0.0, link))) for link in (uplink, downlink))
+    largest = max(t_inf * count, uplink, downlink, latency * count * devices)
+    cfg = small_config(groups=[("mid", devices, t_inf)], table_entries={1: latency},
+                       kind=draw(st.sampled_from(("static", "multitasc"))),
+                       threshold=draw(st.sampled_from((0.0, 0.5, 1.0))), uplink=uplink,
+                       downlink=downlink, start_phase=draw(st.sampled_from(("aligned",
+                                                                            "staggered"))),
+                       sched_overrides=dict(tick_period_ms=min(largest, sys.float_info.max)
+                                            / draw(st.sampled_from((1, 10, 100)))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return cfg, {d: make_trace(rng.random(count), rng.random(count) < 0.5,
+                               rng.random(count) < 0.5) for d in range(devices)}
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the main thread after ``seconds``, so a run that
+    never ends fails the test instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestEventTimeBound:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(extreme_configs())
+    def test_a_run_is_refused_or_all_its_times_are_finite(self, case):
+        cfg, traces = case
+        try:
+            with time_limit(5):
+                report = run_simulation(cfg, traces, seed=0, collect_event_log=True)
+        except ConfigError as err:
+            assert err.field in ("fleet[0].t_inf_ms", "network.uplink_ms",
+                                 "server.batch_latency_table", "network.downlink_ms",
+                                 "scheduler.tick_period_ms"), err
+            return
+        times = [parse_event_log_line(line).time_ms for line in report.event_log]
+        assert np.isfinite(times).all()
+        assert np.isfinite(report.samples.completion_ms).all()
+        assert np.isfinite(report.makespan_ms)
+
+    def test_the_last_ticks_updates_count_in_the_bound(self):
+        """The one response lands at 6.1e307 ms; the tick after it, at 1.2e308 ms,
+        raises a threshold, and that update lands a downlink later, past the
+        largest float. The bound counts the downlink twice, so the run is refused."""
+        cfg = small_config(groups=[("mid", 1, 1.0)], table_entries={1: 1.0},
+                           kind="multitasc", downlink=6.1e307,
+                           sched_overrides=dict(tick_period_ms=6e307))
+        with pytest.raises(ConfigError) as err:
+            run_simulation(cfg, {0: constant_trace(1, 0.1)}, seed=0)
+        assert err.value.field == "network.downlink_ms"

@@ -125,3 +125,18 @@ def test_random_integral_configs_match_oracle(block):
         report = assert_identical(*random_integral_config(np.random.default_rng(trial)))
         tied += bool(times_of(report, "batch_complete") & times_of(report, "request_arrival"))
     assert tied
+
+
+@pytest.mark.parametrize("trial, response_first", [(3, True), (37, False)])
+def test_the_last_tick_follows_the_last_response(trial, response_first):
+    """A run ends at the first tick that every response precedes. In these trials
+    the last response and a tick fall at the same instant: in trial 3 the
+    response goes first, so that tick is the last; in trial 37 the tick goes
+    first, so one more tick follows."""
+    report = assert_identical(*random_integral_config(np.random.default_rng(trial)))
+    rows = [line.split("\t", 3) for line in report.event_log]
+    last_response = max(i for i, row in enumerate(rows) if row[2] == "response_arrival")
+    ticks = [i for i, row in enumerate(rows) if row[2] == "scheduler_tick"]
+    [tied] = [i for i in ticks if rows[i][0] == rows[last_response][0]]
+    assert (last_response < tied) == response_first
+    assert len(ticks) - 1 - ticks.index(tied) == (0 if response_first else 1)
