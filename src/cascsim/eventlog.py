@@ -84,10 +84,10 @@ def rebuild_event_log(run, report: MetricsReport) -> list[str]:
         lines.append(f"{run.tick_time[k]!r}\t{s}\t{EVENT_SCHEDULER_TICK}\t" + json.dumps(
             {"queue_len": queue_len, "b_bar": b_bar, "capacity": run.capacity,
              "flush": flush, "updates": updates}, sort_keys=True))
-    updates = [update for tick in run.ticks for update in tick[3]]  # one per application
+    applied = [update for tick in run.ticks for update in tick[3]]  # one per application
     lines += [f'{t!r}\t{s}\t{EVENT_THRESHOLD_APPLIED}\t{{"device": {d}, "reason": '
               f'"{r}", "threshold": {v!r}}}'
-              for t, s, (d, v, r) in zip(run.ta_time, ta_seq.tolist(), updates)]
+              for t, s, (d, v, r) in zip(run.ta_time, ta_seq.tolist(), applied)]
 
     log: list[str] = []
     for lo in range(0, order.size, _CHUNK):
