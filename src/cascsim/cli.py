@@ -83,6 +83,7 @@ def cmd_simulate(args) -> int:
     for seed in seeds:
         report = run_simulation(cfg, seed=seed, collect_event_log=args.event_log,
                                 layout=DeviceLayout(cfg, cfg.build_traces(seed, memo), memo))
+        del memo[seed]  # this seed's synthetic traces: no later seed reads them
         if out_dir:
             _write_atomic(out_dir / f"report_seed{seed}.json", report.to_json() + "\n")
             if args.event_log:

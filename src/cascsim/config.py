@@ -122,9 +122,10 @@ class ExperimentConfig:
 
         Synthetic groups draw an independent trace per device, keyed by
         (seed, device id); csv groups share the loaded file. A caller-owned
-        ``memo`` keeps each trace for later calls: a synthetic one under
-        (params, seed, device id), a csv one under its resolved path."""
+        ``memo`` keeps each trace for later calls: a synthetic one in
+        ``memo[seed]`` under (params, device id), a csv one under its resolved path."""
         traces: dict[int, TraceSet] = {}
+        drawn = None if memo is None else memo.setdefault(seed, {})
         device_id = 0
         for gi, group in enumerate(self.fleet):
             csv_trace = _csv_trace(group, gi, memo) if group.trace_csv else None
@@ -133,7 +134,7 @@ class ExperimentConfig:
                     traces[device_id] = csv_trace
                 else:
                     traces[device_id] = _memoized(
-                        memo, (group.synthetic, seed, device_id),
+                        drawn, (group.synthetic, device_id),
                         lambda: generate_synthetic_trace(group.synthetic, [seed, device_id]))
                 device_id += 1
         return traces

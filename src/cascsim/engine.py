@@ -42,8 +42,8 @@ stepping through samples one by one:
   time per update. Counts are derived where they are read: samples kept are the
   decided ones less the requests, samples served the summed batch sizes.
 - Reports are computed from the per-sample columns, one row per sample. The
-  event log, when asked for, is rebuilt after the run from the columns and the
-  per-batch and per-tick records.
+  event log, when asked for, is streamed after the run from the columns and the
+  per-batch and per-tick records, formatted chunk by chunk as it is read.
 
 Tie rule. A heap keyed on (time, push counter) processes a run of equal times
 as follows: the initial pushes (each device's first completion by device id,
@@ -51,7 +51,7 @@ then the first tick) first, by position, and every other event after its
 pusher's processing place, by its position among that pusher's pushes.
 ``processing_order`` applies the rule to whole columns: to every local
 completion when the device layout is built, and to every event of a finished
-run, from ``_Run.push_table``, when the event log is rebuilt. Mid-run, the loop
+run, from ``_Run.push_table``, when the event log is streamed. Mid-run, the loop
 walks the rule only at exactly equal times: when a request arrives at the
 instant a batch completes, or a server event falls at the instant of the next
 control event. It then decides the tie by walking up both events' pushers while
@@ -180,11 +180,12 @@ def processing_order(times: np.ndarray, parent: np.ndarray, pos: np.ndarray) -> 
     n = times.size
     order = np.argsort(times, kind="stable")
     sorted_times = times[order]
+    tied = np.flatnonzero(sorted_times[1:] == sorted_times[:-1])  # i ties with i + 1
+    del sorted_times  # the temporaries stay small, as the event log orders every event
     place = np.empty(n, dtype=np.int64)
     place[order] = np.arange(n)
-    edge = np.flatnonzero(np.concatenate(([True], sorted_times[1:] != sorted_times[:-1], [True])))
-    long = np.flatnonzero(np.diff(edge) > 1)
-    for lo, hi in zip(edge[long].tolist(), edge[long + 1].tolist()):
+    starts, ends = tied[np.diff(tied, prepend=-2) > 1], tied[np.diff(tied, append=n) > 1] + 2
+    for lo, hi in zip(starts.tolist(), ends.tolist()):
         left = order[lo:hi].copy()  # a view would change under the writes below
         place[left] = n  # not placed yet
         while left.size:
@@ -205,7 +206,10 @@ def push_rank(order: np.ndarray, parent: np.ndarray, pos: np.ndarray) -> np.ndar
     pusher's place and its position. It is the counter a heap stamps on each push."""
     place = np.empty_like(order)
     place[order] = np.arange(order.size)
-    by_push = np.lexsort((pos, np.where(parent >= 0, place[parent], -1)))
+    pusher_place = np.where(parent >= 0, place[parent], -1)
+    del place  # the temporaries stay small, as the event log ranks every event
+    by_push = np.lexsort((pos, pusher_place))
+    del pusher_place
     rank = np.empty_like(by_push)
     rank[by_push] = np.arange(1, by_push.size + 1)
     return rank
@@ -312,14 +316,17 @@ def _layout_source(experiment: ExperimentConfig) -> dict:
 
 def _check_time_bound(experiment: ExperimentConfig, layout: DeviceLayout) -> None:
     """Raise ConfigError unless every event of a run on ``layout`` falls at a finite
-    time within ``sys.maxsize`` tick periods.
+    time within ``sys.maxsize`` tick periods, and the queue area stays finite.
 
     No event is later than the last local completion, plus the uplink, plus the
     largest usable batch latency once per sample (every batch serves at least
     one), plus the downlink to the last response, one tick period to the last
-    tick and the downlink again to its threshold applications. An infinite bound
-    is refused at the field of its largest term (the first of equal ones), a
-    longer one at ``scheduler.tick_period_ms``.
+    tick and the downlink again to its threshold applications. The queue area is
+    the summed queue waits, each shorter than that bound, of at most one request
+    per sample. A finite bound of more than ``sys.maxsize`` tick periods is refused
+    at ``scheduler.tick_period_ms``; else a bound that is infinite, or infinite
+    once multiplied by the sample count, at the field of its largest term (the
+    first of equal ones).
     """
     table, network = experiment.server_table, experiment.network
     period = experiment.scheduler.tick_period_ms
@@ -331,14 +338,15 @@ def _check_time_bound(experiment: ExperimentConfig, layout: DeviceLayout) -> Non
              (2 * network.downlink_ms, "network.downlink_ms"),
              (period, "scheduler.tick_period_ms"))
     bound = sum(term for term, _ in terms)
-    if not isfinite(bound):
-        term, field = max(terms, key=lambda item: item[0])
-        raise ConfigError(field, f"puts an event past the largest float ({term!r} ms of "
-                                 "the run's event-time bound)")
-    if bound / period > sys.maxsize:
+    if isfinite(bound) and bound / period > sys.maxsize:
         raise ConfigError("scheduler.tick_period_ms",
                           f"{period} ms gives more than sys.maxsize ticks before the run's "
                           f"event-time bound of {bound!r} ms")
+    if not isfinite(bound * layout.total_samples):
+        term, field = max(terms, key=lambda item: item[0])
+        raise ConfigError(field, f"puts an event, or the summed queue waits of "
+                                 f"{layout.total_samples} samples, past the largest float "
+                                 f"({term!r} ms of the run's event-time bound)")
 
 
 class _Run:
@@ -585,7 +593,7 @@ class _Run:
         report = self.build_report()
         if self.collect_event_log:
             from .eventlog import rebuild_event_log  # only runs that keep a log need it
-            report.event_log = rebuild_event_log(self, report)
+            report.event_log = rebuild_event_log(self, report)  # formatted as it is read
         return report
 
     # -- results -------------------------------------------------------------

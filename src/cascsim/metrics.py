@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -123,7 +123,7 @@ class MetricsReport:
     samples_served: int
     samples_in_flight: int  # always 0, as every run ends with every sample final
     samples: Optional[SampleColumns] = field(default=None, repr=False)
-    event_log: Optional[list[str]] = field(default=None, repr=False)
+    event_log: Optional[Iterator[str]] = field(default=None, repr=False)  # read once
 
     def to_dict(self) -> dict:
         """Every field but the per-sample columns and the event log."""

@@ -1,9 +1,11 @@
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from importlib import resources
 
@@ -11,10 +13,12 @@ import numpy as np
 import pytest
 
 import cascsim
+from cascsim import eventlog
 from cascsim.cli import main
 from cascsim.config import config_from_dict, load_config
 from cascsim.errors import ConfigError
-from cascsim.trace import generate_synthetic_trace, SyntheticTraceParams, write_trace_csv
+from cascsim.trace import (generate_synthetic_trace, SyntheticTraceParams, TraceSet,
+                           write_trace_csv)
 from cascsim.cascade import CALIBRATION_GRID, trace_forward_rate
 
 
@@ -597,3 +601,68 @@ def test_logged_simulate_lets_each_seed_log_go(tmp_path, capsys):
     run("9")
     one = peak("1")
     assert peak("1,2,3") < 1.3 * one
+
+
+def test_simulate_holds_no_earlier_seeds_synthetic_traces(tmp_path, monkeypatch, capsys):
+    """When a seed's run starts, no synthetic trace of an earlier seed is held:
+    only the csv files and calibrations stay in the command's memo."""
+    import cascsim.config
+
+    class Referable(TraceSet):  # TraceSet's slots leave out weak references
+        pass
+
+    drawn = []  # (seed, weak reference) of every synthetic trace
+    draw = cascsim.config.generate_synthetic_trace
+
+    def drawing(params, key):
+        trace = draw(params, key)
+        trace = Referable(trace.bvsb, trace.light_correct, trace.heavy_correct)
+        drawn.append((key[0], weakref.ref(trace)))
+        return trace
+
+    started = []
+    run = cascsim.cli.run_simulation
+
+    def checked_run(cfg, seed, **kwargs):
+        gc.collect()
+        assert [s for s, trace in drawn if s in started and trace() is not None] == []
+        started.append(seed)
+        return run(cfg, seed=seed, **kwargs)
+
+    monkeypatch.setattr(cascsim.config, "generate_synthetic_trace", drawing)
+    monkeypatch.setattr(cascsim.cli, "run_simulation", checked_run)
+    assert main(["simulate", "--config", write_config(tmp_path, tiny_config_doc(count=3)),
+                 "--seed-list", "1,2,3"]) == 0
+    assert started == [1, 2, 3] and len(drawn) == 9
+
+
+def test_logged_simulate_streams_its_event_log(tmp_path, monkeypatch, capsys):
+    """The event log is formatted as it is written, one chunk of events at a time,
+    so a logged run's traced peak stays within ``allowance`` of the same run
+    unlogged, though the log is more than 4x that (built whole, then written, it
+    peaked about 2x the log above the unlogged run). 12 heterogeneous devices on
+    1000-sample traces, a 1000-sample calibration and 256-event chunks keep
+    tracemalloc's cost low; a warm-up run keeps first-call imports out of the peaks."""
+    allowance = 600_000
+    monkeypatch.setattr(eventlog, "_CHUNK", 256)
+    doc = preset_doc("heterog_inceptionv3")
+    for group in doc["fleet"]:
+        group["trace"]["synthetic"]["count"] = 1000
+    doc["scheduler"]["calibration"]["count"] = 1000
+    config = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+
+    def peak(*flags):
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", config, "--devices", "12", "--seed-list", "1",
+                         "--out", str(out), *flags]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    peak("--event-log")
+    unlogged, logged = peak(), peak("--event-log")
+    assert (out / "events_seed1.tsv").stat().st_size >= 4 * allowance
+    assert logged - unlogged < allowance, (logged, unlogged)

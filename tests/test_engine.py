@@ -7,9 +7,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cascsim import eventlog
 from cascsim.cascade import forwards
 from cascsim.config import load_config, preset_names
 from cascsim.engine import (
@@ -165,7 +166,7 @@ class TestDeterminism:
                                 rng.random(300) < 0.8) for i in range(3)}
         a = run_simulation(cfg, traces, seed=9, collect_event_log=True)
         b = run_simulation(cfg, traces, seed=9, collect_event_log=True)
-        assert a.event_log == b.event_log
+        assert list(a.event_log) == list(b.event_log)
         assert a.to_json() == b.to_json()
 
 
@@ -403,6 +404,39 @@ class TestDeviceLayout:
         assert err.value.field == "layout"
 
 
+class TestEventLogChunks:
+    """The log is formatted one chunk of processing order at a time. Chunks of 1
+    and 7 events give the default chunk's lines, line for line: on every preset
+    under both schedulers and on random integral-time fleets, where many events
+    tie. Among the cases, a chunk holds a batch's completion but not its
+    response, and a chunk holds no row of a stream that has rows."""
+
+    SIZES = (1, 7)
+
+    def test_chunk_edges_change_no_line(self, monkeypatch):
+        cases = [(with_kind(saturated_preset(name, trace_count=40), kind), None)
+                 for name in preset_names() for kind in ("static", "multitasc")]
+        rng = np.random.default_rng(18)
+        cases += [random_integral_config(rng) for _ in range(6)]
+        batch_split = stream_missed = False
+        for cfg, traces in cases:
+            logs = {}
+            for size in (eventlog._CHUNK, *self.SIZES):
+                with monkeypatch.context() as patch:
+                    patch.setattr(eventlog, "_CHUNK", size)
+                    logs[size] = list(run_simulation(cfg, traces, seed=1,
+                                                     collect_event_log=True).event_log)
+            for size in self.SIZES:
+                assert logs[size] == logs[eventlog._CHUNK], size
+            kinds = [line.split("\t", 3)[2] for line in logs[7][:-1]]  # run_end stands apart
+            chunks = [set(kinds[lo:lo + 7]) for lo in range(0, len(kinds), 7)]
+            stream_missed |= any(chunk < set(kinds) for chunk in chunks)
+            completions, responses = ([p // 7 for p, kind in enumerate(kinds) if kind == name]
+                                      for name in ("batch_complete", "response_arrival"))
+            batch_split |= any(c != r for c, r in zip(completions, responses))
+        assert batch_split and stream_missed
+
+
 @st.composite
 def extreme_configs(draw):
     """A 1-3 device fleet whose local latency, links and batch latency each take a
@@ -442,9 +476,19 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+def queue_area_overflow():
+    """Every event of this run lands by 4.2e307 ms, but its 21 queue waits of up to
+    that much would sum past the largest float (the report read a mean queue length
+    of inf). The bound's largest terms tie: the batch table's comes first."""
+    return (small_config(groups=[("mid", 3, 1.0)], table_entries={1: 1e306}, kind="static",
+                         sched_overrides=dict(tick_period_ms=2.1e307)),
+            {d: constant_trace(7, 0.1) for d in range(3)})
+
+
 class TestEventTimeBound:
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(extreme_configs())
+    @example(queue_area_overflow())
     def test_a_run_is_refused_or_all_its_times_are_finite(self, case):
         cfg, traces = case
         try:
@@ -459,6 +503,7 @@ class TestEventTimeBound:
         assert np.isfinite(times).all()
         assert np.isfinite(report.samples.completion_ms).all()
         assert np.isfinite(report.makespan_ms)
+        assert np.isfinite(report.mean_queue_length)
 
     def test_the_last_ticks_updates_count_in_the_bound(self):
         """The one response lands at 6.1e307 ms; the tick after it, at 1.2e308 ms,
@@ -470,3 +515,9 @@ class TestEventTimeBound:
         with pytest.raises(ConfigError) as err:
             run_simulation(cfg, {0: constant_trace(1, 0.1)}, seed=0)
         assert err.value.field == "network.downlink_ms"
+
+    def test_the_queue_area_counts_in_the_bound(self):
+        cfg, traces = queue_area_overflow()
+        with pytest.raises(ConfigError) as err:
+            run_simulation(cfg, traces, seed=0)
+        assert err.value.field == "server.batch_latency_table"
