@@ -180,12 +180,12 @@ def processing_order(times: np.ndarray, parent: np.ndarray, pos: np.ndarray) -> 
     n = times.size
     order = np.argsort(times, kind="stable")
     sorted_times = times[order]
-    tied = np.flatnonzero(sorted_times[1:] == sorted_times[:-1])  # i ties with i + 1
+    tied = np.concatenate(([False], sorted_times[1:] == sorted_times[:-1], [False]))
     del sorted_times  # the temporaries stay small, as the event log orders every event
+    edge = np.flatnonzero(tied[1:] != tied[:-1])  # each run of equal times: lo, then hi - 1
     place = np.empty(n, dtype=np.int64)
     place[order] = np.arange(n)
-    starts, ends = tied[np.diff(tied, prepend=-2) > 1], tied[np.diff(tied, append=n) > 1] + 2
-    for lo, hi in zip(starts.tolist(), ends.tolist()):
+    for lo, hi in zip(edge[0::2].tolist(), (edge[1::2] + 1).tolist()):
         left = order[lo:hi].copy()  # a view would change under the writes below
         place[left] = n  # not placed yet
         while left.size:
