@@ -101,12 +101,13 @@ def calibrate_static_threshold(calibration_trace: TraceSet,
     point, falls back to the lowest threshold within the tolerance of the
     maximum.
 
-    Rates and accuracies come from one sweep over the gaps in sorted order:
-    at grid point g, the samples ``forwards`` sends are exactly the gaps
-    sorted before ``searchsorted(sorted_gaps, g, "left")``, those strictly
-    below g. The cascade is right on a sample when the heavy model is and the
-    sample is forwarded, or when the light model is and it is kept, so the
-    count is a prefix sum of heavy bits plus a suffix sum of light bits.
+    Rates and accuracies come from counts of the gaps in each grid bin: a gap's
+    bin is ``searchsorted(grid, gap, "right")``, the number of grid points at or
+    below it, so grid point j forwards (``forwards``: gap strictly below it)
+    exactly the samples in bins 0..j. The cascade is right on a sample when the
+    heavy model is and the sample is forwarded, or when the light model is and
+    it is kept, so the count at j is the heavy-correct samples in bins 0..j
+    plus the light-correct ones in the later bins.
     """
     if len(calibration_trace) == 0:
         raise ConfigError("trace", "must not be empty")
@@ -117,12 +118,14 @@ def calibrate_static_threshold(calibration_trace: TraceSet,
 
     grid = np.asarray(CALIBRATION_GRID)
     n = len(calibration_trace)
-    order = np.argsort(calibration_trace.bvsb, kind="stable")
-    forwarded = np.searchsorted(calibration_trace.bvsb[order], grid, "left")
-    heavy_before = np.concatenate(([0], np.cumsum(calibration_trace.heavy_correct[order])))
-    light_before = np.concatenate(([0], np.cumsum(calibration_trace.light_correct[order])))
+    bins = np.searchsorted(grid, calibration_trace.bvsb, "right")
+    forwarded, heavy_forwarded, light_forwarded = (
+        np.cumsum(np.bincount(in_bins, minlength=grid.size + 1)[:grid.size])
+        for in_bins in (bins, bins[calibration_trace.heavy_correct],
+                        bins[calibration_trace.light_correct]))
+    light_total = int(np.count_nonzero(calibration_trace.light_correct))
     rates = forwarded / n
-    accuracies = (heavy_before[forwarded] + light_before[-1] - light_before[forwarded]) / n
+    accuracies = (heavy_forwarded + light_total - light_forwarded) / n
 
     best = int(np.argmin(np.abs(rates - target_forward_rate)))  # argmin → lowest on ties
     max_acc = float(accuracies.max())

@@ -119,6 +119,7 @@ def cmd_sweep(args) -> int:
                 report.samples = None  # the rows need only the numbers
                 reports[kind, count, seed] = report
             layout = None  # released before the next one is built
+        del memo[seed]  # this seed's synthetic traces: no later seed reads them
 
     lines = [SWEEP_CSV_HEADER] + sweep_csv_rows(
         [reports[kind, count, seed] for kind in kinds for count in counts for seed in seeds])

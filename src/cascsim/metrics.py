@@ -45,31 +45,34 @@ class SampleColumns:
     def __len__(self) -> int:
         return int(self.device_id.size)
 
-    def select(self, mask) -> "SampleColumns":
-        return SampleColumns(*(getattr(self, name)[mask] for name in self.__slots__))
+
+def _share(count: int, total: int) -> float:
+    """``count`` out of ``total`` samples as a fraction; 0 with none."""
+    return count / total if total else 0.0
 
 
-def slo_satisfaction(samples: SampleColumns, slo_ms: float) -> float:
-    """Fraction of samples finishing within the latency objective; 0 with none."""
-    if not len(samples):
-        return 0.0
-    return int((samples.latency_ms <= slo_ms).sum()) / len(samples)
-
-
-def throughput(samples: SampleColumns, makespan_ms: float) -> float:
-    """Finalized samples per second over the run makespan; 0 over an empty one."""
+def _per_second(count: int, makespan_ms: float) -> float:
+    """``count`` samples per second over the run makespan; 0 over an empty one."""
     if not makespan_ms >= 0:  # NaN fails too
         raise ConfigError("makespan_ms", f"must be non-negative, got {makespan_ms}")
     if makespan_ms == 0:
         return 0.0
-    return len(samples) / (makespan_ms / 1000.0)
+    return count / (makespan_ms / 1000.0)
+
+
+def slo_satisfaction(samples: SampleColumns, slo_ms: float) -> float:
+    """Fraction of samples finishing within the latency objective; 0 with none."""
+    return _share(int((samples.latency_ms <= slo_ms).sum()), len(samples))
+
+
+def throughput(samples: SampleColumns, makespan_ms: float) -> float:
+    """Finalized samples per second over the run makespan; 0 over an empty one."""
+    return _per_second(len(samples), makespan_ms)
 
 
 def accuracy(samples: SampleColumns) -> float:
     """Fraction of finalized samples answered correctly; 0 with none."""
-    if not len(samples):
-        return 0.0
-    return int(samples.correct.sum()) / len(samples)
+    return _share(int(samples.correct.sum()), len(samples))
 
 
 def forward_rate(samples: SampleColumns) -> float:
@@ -88,16 +91,21 @@ def aggregate_by_tier(samples: SampleColumns, device_tiers: Sequence[str],
     """
     names, codes = np.unique(np.asarray(device_tiers, dtype=str), return_inverse=True)
     sample_codes = codes[samples.device_id]
-    report = {}
-    for code, name in enumerate(names.tolist()):
-        tier_cols = samples.select(sample_codes == code)
-        report[name] = {
-            "samples": len(tier_cols),
-            "accuracy": accuracy(tier_cols),
-            "throughput": throughput(tier_cols, makespan_ms),
-            "satisfaction": {float(slo): slo_satisfaction(tier_cols, slo) for slo in slos_ms},
-        }
-    return report
+
+    def by_tier(holds=None) -> list[int]:
+        """How many samples of each tier there are, or of those for which ``holds``."""
+        chosen = sample_codes if holds is None else sample_codes[holds]
+        return np.bincount(chosen, minlength=names.size).tolist()
+
+    counts, correct = by_tier(), by_tier(samples.correct)
+    satisfied = {float(slo): by_tier(samples.latency_ms <= slo) for slo in slos_ms}
+    return {name: {
+        "samples": counts[code],
+        "accuracy": _share(correct[code], counts[code]),
+        "throughput": _per_second(counts[code], makespan_ms),
+        "satisfaction": {slo: _share(within[code], counts[code])
+                         for slo, within in satisfied.items()},
+    } for code, name in enumerate(names.tolist())}
 
 
 @dataclass

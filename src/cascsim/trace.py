@@ -11,10 +11,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from functools import partial
-from itertools import compress, count
 from math import isfinite
-from operator import ne
 from typing import Optional, Union
 
 import numpy as np
@@ -22,7 +19,9 @@ import numpy as np
 from .errors import ConfigError, TraceError
 
 TRACE_CSV_HEADER = "sample_index,bvsb,light_correct,heavy_correct"
-_BITS = frozenset("01")
+_BLOCK = 1 << 14  # records checked and converted at a time: the gap strings held at once
+_NL, _COMMA, _ZERO, _ONE = b"\n,01"
+_GAP_FIELD = np.array([False, True, False, False])  # which of a record's fields is the gap
 _LINE_END_CR = re.compile(r"\r+$", re.MULTILINE)  # what ``line.rstrip("\r")`` drops
 
 
@@ -116,38 +115,100 @@ def generate_synthetic_trace(params: SyntheticTraceParams, seed) -> TraceSet:
     return TraceSet(bvsb, light, heavy)
 
 
-def _first(flags) -> Optional[int]:
-    """Position of the first true item of an iterable, or None."""
-    return next(compress(count(), flags), None)
-
-
 def _first_false(ok: np.ndarray) -> Optional[int]:
     """Position of the first false entry of a boolean array, or None."""
     return None if ok.all() else int(np.argmin(ok))
 
 
-def _parse_column(parse, column: list[str], collect=list):
-    """Parse every string of ``column`` and ``collect`` the values into
-    ``(values, None, None)``; at the first string ``parse`` rejects with a
-    ``ValueError``, ``(the values before it, its row, the error's message)``."""
+def _text(chars: np.ndarray) -> str:
+    """The text whose UTF-8 bytes ``chars`` holds."""
+    return chars.tobytes().decode("utf-8", "surrogatepass")
+
+
+def _own_numerals(block: np.ndarray, starts: np.ndarray, widths: np.ndarray,
+                  first: int) -> np.ndarray:
+    """Whether the field at each of ``starts`` is ASCII digits that spell its row,
+    ``first`` on: a field ``int`` reads as its row."""
+    rows = np.arange(first, first + starts.size)
+    widest = len(str(first + starts.size - 1))  # below 18 for a trace that fits in memory,
+    own = (widths >= 1) & (widths <= widest)    # so ``value`` cannot overflow int64
+    value = np.zeros(starts.size, np.int64)
+    for place in range(widest):
+        inside = place < widths
+        digit = block[np.minimum(starts + place, block.size - 1)] - _ZERO  # uint8: others wrap
+        own &= ~inside | (digit <= 9)
+        value = np.where(inside, value * 10 + digit, value)
+    return own & (value == rows)
+
+
+def _parse_floats(strings: list[str], out: np.ndarray):
+    """Write ``float`` of every string into ``out``: ``(None, None)``, or at the
+    first string ``float`` rejects, ``(its row, the error's message)``."""
     try:
-        return collect(map(parse, column)), None, None
+        out[:] = np.fromiter(map(float, strings), np.float64, len(strings))
+        return None, None
     except ValueError:
         pass
-    for row, raw in enumerate(column):  # rescan to find the row
+    for row, raw in enumerate(strings):  # rescan to find the row
         try:
-            parse(raw)
+            float(raw)
         except ValueError as exc:
-            return collect(map(parse, column[:row])), row, str(exc)
+            return row, str(exc)
 
 
-def _bit_column(name: str, column: list[str]):
-    """The 0/1 strings of ``column`` as booleans: ``(bits, row, message)``, with
-    ``row`` and ``message`` naming the first other string (None when there is none)."""
-    if set(column) <= _BITS:  # one character a record, so the joined text is the column
-        return np.frombuffer("".join(column).encode(), np.uint8) == ord("1"), None, None
-    row = next(row for row, raw in enumerate(column) if raw not in _BITS)
-    return None, row, f"{name} must be 0 or 1, got {column[row]!r}"
+def _load_block(block: np.ndarray, first: int, gaps: np.ndarray, light: np.ndarray,
+                heavy: np.ndarray):
+    """Check the records whose bytes ``block`` holds, one a line and rows ``first``
+    on, and write their columns into ``gaps``, ``light`` and ``heavy``.
+
+    Returns ``(row, message)`` for the block's earliest failing row and its first
+    failing check, or ``(rows, None)``. Each check looks only at the rows before
+    the earliest failure found so far, which have passed every earlier check.
+    """
+    delims = np.flatnonzero((block == _COMMA) | (block == _NL))
+    line_ends = np.append(delims[block[delims] == _NL], block.size)
+    # fields per record: its commas plus one, from the delimiters before each line end
+    counts = np.diff(np.searchsorted(delims, line_ends), prepend=-1)
+    limit, failure = gaps.size, None  # every row before ``limit`` passes the checks so far
+    row = _first_false(counts == 4)
+    if row is not None:
+        limit, failure = row, f"expected 4 fields, got {counts[row]}"
+    # every record before ``limit`` has 4 fields, so field 4r + k is column k of row r
+    edges = np.concatenate(([-1], delims, [block.size]))[:4 * limit + 1]
+    starts = (edges[:-1] + 1).reshape(limit, 4).T
+    stops = edges[1:].reshape(limit, 4).T
+    widths = stops - starts
+
+    nonconsecutive = None  # the first (row, index) read as another row's
+    for row in np.flatnonzero(~_own_numerals(block, starts[0], widths[0], first)).tolist():
+        try:
+            index = int(_text(block[starts[0, row]:stops[0, row]]))
+        except ValueError as exc:
+            limit, failure = row, str(exc)
+            break
+        if index != first + row and nonconsecutive is None:
+            nonconsecutive = row, index
+    # every gap field with the comma after it, as one text: one string a field
+    lengths = np.diff(edges[:4 * limit])  # each field with its delimiter, up to the last heavy
+    in_gap = np.repeat(np.tile(_GAP_FIELD, limit)[:-1], lengths)
+    row, message = _parse_floats(_text(block[:in_gap.size][in_gap]).split(",")[:-1],
+                                 gaps[:limit])
+    if row is not None:
+        limit, failure = row, message
+    if nonconsecutive is not None and nonconsecutive[0] < limit:
+        limit, failure = nonconsecutive[0], \
+            f"sample_index {nonconsecutive[1]} is not consecutive from 0"
+    row = _first_false((gaps[:limit] >= 0.0) & (gaps[:limit] <= 1.0))  # NaN fails too
+    if row is not None:
+        limit, failure = row, f"bvsb {float(gaps[row])} outside [0, 1]"
+    for name, k, bits in (("light_correct", 2, light), ("heavy_correct", 3, heavy)):
+        byte = block[np.minimum(starts[k, :limit], block.size - 1)]
+        row = _first_false((widths[k, :limit] == 1) & ((byte == _ZERO) | (byte == _ONE)))
+        if row is not None:
+            limit, failure = row, \
+                f"{name} must be 0 or 1, got {_text(block[starts[k, row]:stops[k, row]])!r}"
+        bits[:limit] = byte[:limit] == _ONE
+    return limit, failure
 
 
 def load_trace_csv(source: Union[str, bytes], field: str = "csv") -> TraceSet:
@@ -159,11 +220,12 @@ def load_trace_csv(source: Union[str, bytes], field: str = "csv") -> TraceSet:
     path that cannot be read raises ConfigError at ``field``; a malformed record
     raises TraceError at ``field`` and the row.
 
-    Records are checked a column at a time. The error raised is at the
-    earliest failing row and, within that row, is the first failing check in
-    the order: field count, ``int`` index, ``float`` gap, consecutive index, gap
-    in [0, 1], light bit, heavy bit. Each check looks only at the rows before
-    the earliest failure found so far, which have passed every earlier check.
+    Records are checked and converted ``_BLOCK`` rows at a time, from the bytes
+    of the text: only the gap fields become strings, for ``float``, and an index
+    goes through ``int`` only when it is not the plain numeral of its row. The
+    error raised is at the earliest failing row and, within that row, is the
+    first failing check in the order: field count, ``int`` index, ``float``
+    gap, consecutive index, gap in [0, 1], light bit, heavy bit.
     """
     data = source
     if isinstance(source, str) and "\n" not in source:
@@ -179,7 +241,7 @@ def load_trace_csv(source: Union[str, bytes], field: str = "csv") -> TraceSet:
         except UnicodeDecodeError as exc:
             row = data.count(b"\n", 0, exc.start) + 1
             raise TraceError(field, row, "not UTF-8 text") from None
-    del data  # each copy of the text goes once used: the peak is the split fields
+    del data  # each copy of the text goes once used
 
     if not text:
         raise TraceError(field, 1, "trace file is empty")
@@ -191,51 +253,21 @@ def load_trace_csv(source: Union[str, bytes], field: str = "csv") -> TraceSet:
     if not newline:
         raise TraceError(field, 2, "trace file has a header but no records")
 
-    # fields per record, from where its commas and its line break sit
-    raw = np.frombuffer(body.encode("utf-8", "surrogatepass"), np.uint8)
-    ends = np.append(np.flatnonzero(raw == ord("\n")), raw.size)
-    field_counts = np.diff(np.searchsorted(np.flatnonzero(raw == ord(",")), ends),
-                           prepend=0) + 1
-    del raw
-    limit, failure = ends.size, None  # every row before ``limit`` passes the checks so far
-    row = _first_false(field_counts == 4)
-    if row is not None:
-        limit, failure = row, f"expected 4 fields, got {field_counts[row]}"
-
     if "\r" in body:
         body = _LINE_END_CR.sub("", body)
-    body = body.replace("\n", ",")
-    fields = body.split(",")
+    raw = np.frombuffer(body.encode("utf-8", "surrogatepass"), np.uint8)
     del body
-    # every record before ``limit`` has 4 fields, so field 4r + k is column k of row r
-    index_col, gap_col, light_col, heavy_col = (fields[k:4 * limit:4] for k in range(4))
-    del fields
-
-    index, row, message = _parse_column(int, index_col)
-    del index_col
-    if row is not None:
-        limit, failure = row, message
-    gaps, row, message = _parse_column(float, gap_col[:limit],
-                                        partial(np.fromiter, dtype=np.float64))
-    del gap_col
-    if row is not None:
-        limit, failure = row, message
-    row = _first(map(ne, index, range(limit)))
-    if row is not None:
-        limit, failure = row, f"sample_index {index[row]} is not consecutive from 0"
-    del index
-    row = _first_false((gaps[:limit] >= 0.0) & (gaps[:limit] <= 1.0))  # NaN fails too
-    if row is not None:
-        limit, failure = row, f"bvsb {float(gaps[row])} outside [0, 1]"
-    light, row, message = _bit_column("light_correct", light_col[:limit])
-    if row is not None:
-        limit, failure = row, message
-    heavy, row, message = _bit_column("heavy_correct", heavy_col[:limit])
-    if row is not None:
-        limit, failure = row, message
-
-    if failure is not None:
-        raise TraceError(field, limit + 2, failure)
+    ends = np.append(np.flatnonzero(raw == _NL), raw.size)  # where each record's line ends
+    gaps = np.empty(ends.size)
+    light = np.empty(ends.size, bool)
+    heavy = np.empty(ends.size, bool)
+    for first in range(0, ends.size, _BLOCK):
+        rows = slice(first, first + _BLOCK)
+        start = ends[first - 1] + 1 if first else 0
+        row, failure = _load_block(raw[start:ends[rows][-1]], first, gaps[rows], light[rows],
+                                   heavy[rows])
+        if failure is not None:
+            raise TraceError(field, first + row + 2, failure)
     return TraceSet(gaps, light, heavy)
 
 

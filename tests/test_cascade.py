@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cascsim.cascade import (
@@ -186,15 +186,29 @@ def bit_column(spec, n: int) -> list[bool]:
     return (spec * n)[:n]
 
 
+ON_GRID = [CALIBRATION_GRID[j] for j in (1, 37, 60, 100, 199)]
+# one ulp below and above a few grid points
+BESIDE_GRID = [float(np.nextafter(g, side)) for g in ON_GRID for side in (0.0, 1.0)]
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(distinct=st.lists(GAPS, min_size=1, max_size=12),
        picks=st.lists(st.integers(0, 11), min_size=1, max_size=80),
        light=BITS, heavy=BITS,
        target=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
        tolerance=st.one_of(st.just(0.0), st.floats(0.0, 0.5)))
+@example(distinct=ON_GRID, picks=[0, 1, 2, 3, 4, 2, 1, 3, 2], light=[True, False, False],
+         heavy="all", target=0.4, tolerance=0.0)
+@example(distinct=[0.0, 1.0], picks=[0, 1, 1, 0, 1, 1, 1], light=[False, True],
+         heavy=[True, False, True], target=0.3, tolerance=0.0)
+@example(distinct=BESIDE_GRID, picks=list(range(10)) * 3, light=[True, True, False],
+         heavy=[True, False], target=0.5, tolerance=0.0)
+@example(distinct=[0.3], picks=[0] * 9, light=[True, False, False], heavy="all",
+         target=0.3, tolerance=0.0)
 def test_calibration_matches_grid_matrix(distinct, picks, light, heavy, target, tolerance):
-    """The sorted sweep picks the threshold the grid × n decision matrix picks, on
-    traces of 1 to 80 samples drawn from a few gaps, so most repeat."""
+    """The grid-bin counts pick the threshold the grid × n decision matrix picks, on
+    traces of 1 to 80 samples drawn from a few gaps, so most repeat; pinned: gaps
+    on grid points, at 0 and 1, one ulp either side of grid points, all equal."""
     gaps = [distinct[i % len(distinct)] for i in picks]
     trace = make_trace(gaps, bit_column(light, len(gaps)), bit_column(heavy, len(gaps)))
     assert calibrate_static_threshold(trace, target, tolerance).value == \

@@ -636,6 +636,40 @@ def test_simulate_holds_no_earlier_seeds_synthetic_traces(tmp_path, monkeypatch,
     assert started == [1, 2, 3] and len(drawn) == 9
 
 
+def test_sweep_holds_no_earlier_seeds_synthetic_traces(tmp_path, monkeypatch, capsys):
+    """When a seed's first run starts, no synthetic trace of an earlier seed is
+    held: only the csv files and calibrations stay in the command's memo."""
+    import cascsim.config
+
+    class Referable(TraceSet):  # TraceSet's slots leave out weak references
+        pass
+
+    drawn = []  # (seed, weak reference) of every synthetic trace
+    draw = cascsim.config.generate_synthetic_trace
+
+    def drawing(params, key):
+        trace = draw(params, key)
+        trace = Referable(trace.bvsb, trace.light_correct, trace.heavy_correct)
+        drawn.append((key[0], weakref.ref(trace)))
+        return trace
+
+    started = []
+    run = cascsim.cli.run_simulation
+
+    def checked_run(cfg, seed, **kwargs):
+        if seed not in started:
+            gc.collect()
+            assert [s for s, trace in drawn if s in started and trace() is not None] == []
+            started.append(seed)
+        return run(cfg, seed=seed, **kwargs)
+
+    monkeypatch.setattr(cascsim.config, "generate_synthetic_trace", drawing)
+    monkeypatch.setattr(cascsim.cli, "run_simulation", checked_run)
+    assert main(["sweep", "--config", write_config(tmp_path, tiny_config_doc()),
+                 "--devices", "1..3:2", "--seed-list", "1,2,3"]) == 0
+    assert started == [1, 2, 3] and len(drawn) == 9
+
+
 def test_logged_simulate_streams_its_event_log(tmp_path, monkeypatch, capsys):
     """The event log is formatted as it is written, one chunk of events at a time,
     so a logged run's traced peak stays within ``allowance`` of the same run

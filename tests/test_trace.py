@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cascsim.trace
 from cascsim.errors import CascSimError, ConfigError, TraceError
 from cascsim.cascade import trace_forward_rate
 from cascsim.trace import (
@@ -193,6 +194,61 @@ def test_loader_matches_row_by_row_oracle(header, records, tail, as_bytes):
             outcomes.append((trace.bvsb.tobytes(), trace.light_correct.tobytes(),
                              trace.heavy_correct.tobytes()))
     assert outcomes[0] == outcomes[1]
+
+
+def load_outcome(load, source):
+    """The columns ``load`` reads from ``source``, as bytes, or its error's type and message."""
+    try:
+        trace = load(source, "fleet[0].trace.csv")
+    except CascSimError as exc:
+        return type(exc).__name__, str(exc)
+    return trace.bvsb.tobytes(), trace.light_correct.tobytes(), trace.heavy_correct.tobytes()
+
+
+def block_outcomes(source) -> list:
+    """The loader's outcome on ``source`` with blocks of 1, 3 and 7 records, then
+    with its default block."""
+    outcomes = []
+    for block in (1, 3, 7):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cascsim.trace, "_BLOCK", block)
+            outcomes.append(load_outcome(load_trace_csv, source))
+    return outcomes + [load_outcome(load_trace_csv, source)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(header=st.sampled_from([HEADER] * 6 + [HEADER + "\r"] * 2 + [HEADER + ",x"]),
+       records=st.lists(RECORD, max_size=20),
+       tail=st.sampled_from(["", "", "\n", "\r", "\n\n"]),
+       as_bytes=st.booleans())
+def test_small_blocks_match_row_by_row_oracle(header, records, tail, as_bytes):
+    """On the CSV text the oracle property draws, loading a few records at a
+    time returns the row-by-row loader's columns or raises its error."""
+    text = header + "\n" + "".join(record_line(i, r) for i, r in enumerate(records)) + tail
+    source = text.encode("utf-8") if as_bytes else text
+    assert block_outcomes(source) == [load_outcome(load_trace_csv_rows, source)] * 4
+
+
+# indexes ``int`` reads though they are not the plain numeral of a row
+INDEXES = ["+{i}", "0{i}", " {i}", "{wide}", "99999999999999999999", ""]
+FLAWED = [None, (0, "-8"), (0, "0:"), (1, "x"), (1, "1.5"), (2, "2"), (3, ""), (4, "1")]
+
+
+@pytest.mark.parametrize("index", INDEXES)
+@pytest.mark.parametrize("row", [0, 1, 8])
+@pytest.mark.parametrize("flaw", FLAWED)
+def test_blocks_read_other_numerals_and_later_flaws_as_the_oracle(index, row, flaw):
+    """An index read by ``int`` (a sign, a leading zero, a space, a fullwidth digit,
+    a numeral wider than int64, an empty field) in the first or second block, and a
+    flaw at row 10: every block size gives the row-by-row loader's columns or error."""
+    lines = [[str(i), repr(i / 16), str(i % 2), str(i // 2 % 2)] for i in range(12)]
+    wide = str(row).translate(str.maketrans("0123456789", "０１２３４５６７８９"))
+    lines[row][0] = index.format(i=row, wide=wide)
+    if flaw is not None:
+        column, value = flaw
+        lines[10][column:column + 1] = [value]  # column 4 adds a fifth field
+    source = HEADER + "\n" + "".join(",".join(line) + "\n" for line in lines)
+    assert block_outcomes(source) == [load_outcome(load_trace_csv_rows, source)] * 4
 
 
 class TestForwardRate:
