@@ -91,21 +91,19 @@ def aggregate_by_tier(samples: SampleColumns, device_tiers: Sequence[str],
     """
     names, codes = np.unique(np.asarray(device_tiers, dtype=str), return_inverse=True)
     sample_codes = codes[samples.device_id]
-
-    def by_tier(holds=None) -> list[int]:
-        """How many samples of each tier there are, or of those for which ``holds``."""
-        chosen = sample_codes if holds is None else sample_codes[holds]
-        return np.bincount(chosen, minlength=names.size).tolist()
-
-    counts, correct = by_tier(), by_tier(samples.correct)
-    satisfied = {float(slo): by_tier(samples.latency_ms <= slo) for slo in slos_ms}
-    return {name: {
-        "samples": counts[code],
-        "accuracy": _share(correct[code], counts[code]),
-        "throughput": _per_second(counts[code], makespan_ms),
-        "satisfaction": {slo: _share(within[code], counts[code])
-                         for slo, within in satisfied.items()},
-    } for code, name in enumerate(names.tolist())}
+    within = [(float(slo), samples.latency_ms <= slo) for slo in slos_ms]
+    report = {}
+    for code, name in enumerate(names.tolist()):
+        in_tier = sample_codes == code
+        count = int(np.count_nonzero(in_tier))
+        report[name] = {
+            "samples": count,
+            "accuracy": _share(int(np.count_nonzero(in_tier & samples.correct)), count),
+            "throughput": _per_second(count, makespan_ms),
+            "satisfaction": {slo: _share(int(np.count_nonzero(in_tier & ok)), count)
+                             for slo, ok in within},
+        }
+    return report
 
 
 @dataclass
