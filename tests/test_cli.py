@@ -603,48 +603,16 @@ def test_logged_simulate_lets_each_seed_log_go(tmp_path, capsys):
     assert peak("1,2,3") < 1.3 * one
 
 
-def test_simulate_holds_no_earlier_seeds_synthetic_traces(tmp_path, monkeypatch, capsys):
-    """When a seed's run starts, no synthetic trace of an earlier seed is held:
-    only the csv files and calibrations stay in the command's memo."""
+def run_watching_seeds(monkeypatch, argv: list[str]) -> tuple[list, list]:
+    """Run ``main(argv)``, checking when each seed's first run starts that no
+    synthetic trace of an earlier seed is held. Returns the seeds in the order
+    they started and the (seed, weak reference) of every synthetic trace drawn."""
     import cascsim.config
 
     class Referable(TraceSet):  # TraceSet's slots leave out weak references
         pass
 
-    drawn = []  # (seed, weak reference) of every synthetic trace
-    draw = cascsim.config.generate_synthetic_trace
-
-    def drawing(params, key):
-        trace = draw(params, key)
-        trace = Referable(trace.bvsb, trace.light_correct, trace.heavy_correct)
-        drawn.append((key[0], weakref.ref(trace)))
-        return trace
-
-    started = []
-    run = cascsim.cli.run_simulation
-
-    def checked_run(cfg, seed, **kwargs):
-        gc.collect()
-        assert [s for s, trace in drawn if s in started and trace() is not None] == []
-        started.append(seed)
-        return run(cfg, seed=seed, **kwargs)
-
-    monkeypatch.setattr(cascsim.config, "generate_synthetic_trace", drawing)
-    monkeypatch.setattr(cascsim.cli, "run_simulation", checked_run)
-    assert main(["simulate", "--config", write_config(tmp_path, tiny_config_doc(count=3)),
-                 "--seed-list", "1,2,3"]) == 0
-    assert started == [1, 2, 3] and len(drawn) == 9
-
-
-def test_sweep_holds_no_earlier_seeds_synthetic_traces(tmp_path, monkeypatch, capsys):
-    """When a seed's first run starts, no synthetic trace of an earlier seed is
-    held: only the csv files and calibrations stay in the command's memo."""
-    import cascsim.config
-
-    class Referable(TraceSet):  # TraceSet's slots leave out weak references
-        pass
-
-    drawn = []  # (seed, weak reference) of every synthetic trace
+    drawn = []
     draw = cascsim.config.generate_synthetic_trace
 
     def drawing(params, key):
@@ -665,8 +633,25 @@ def test_sweep_holds_no_earlier_seeds_synthetic_traces(tmp_path, monkeypatch, ca
 
     monkeypatch.setattr(cascsim.config, "generate_synthetic_trace", drawing)
     monkeypatch.setattr(cascsim.cli, "run_simulation", checked_run)
-    assert main(["sweep", "--config", write_config(tmp_path, tiny_config_doc()),
-                 "--devices", "1..3:2", "--seed-list", "1,2,3"]) == 0
+    assert main(argv) == 0
+    return started, drawn
+
+
+def test_simulate_holds_no_earlier_seeds_synthetic_traces(tmp_path, monkeypatch, capsys):
+    """When a seed's run starts, no synthetic trace of an earlier seed is held:
+    only the csv files and calibrations stay in the command's memo."""
+    started, drawn = run_watching_seeds(monkeypatch, [
+        "simulate", "--config", write_config(tmp_path, tiny_config_doc(count=3)),
+        "--seed-list", "1,2,3"])
+    assert started == [1, 2, 3] and len(drawn) == 9
+
+
+def test_sweep_holds_no_earlier_seeds_synthetic_traces(tmp_path, monkeypatch, capsys):
+    """When a seed's first run starts, no synthetic trace of an earlier seed is
+    held, though each seed runs at several device counts."""
+    started, drawn = run_watching_seeds(monkeypatch, [
+        "sweep", "--config", write_config(tmp_path, tiny_config_doc()),
+        "--devices", "1..3:2", "--seed-list", "1,2,3"])
     assert started == [1, 2, 3] and len(drawn) == 9
 
 
