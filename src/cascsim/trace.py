@@ -19,9 +19,17 @@ import numpy as np
 from .errors import ConfigError, TraceError
 
 TRACE_CSV_HEADER = "sample_index,bvsb,light_correct,heavy_correct"
-_BLOCK = 1 << 14  # records checked and converted at a time: the gap strings held at once
-_NL, _COMMA, _ZERO, _ONE = b"\n,01"
-_GAP_FIELD = np.array([False, True, False, False])  # which of a record's fields is the gap
+_BLOCK = 1 << 14  # records checked and converted at a time: the memory held beyond the text
+_NL, _COMMA, _POINT, _ZERO, _ONE = b"\n,.01"
+_PLACES = 18  # digits after the point in a gap read from its bytes: its numeral stays below 10**19
+_POW10 = 10 ** np.arange(_PLACES + 1, dtype=np.uint64)
+# The bytes of each digit count 0..8 at the top of a little-endian word, and '0' below them.
+_TOP_BYTES = np.array([~((1 << 64 - 8 * m) - 1) & (1 << 64) - 1 for m in range(9)], np.uint64)
+_ZERO_FILL = np.array([0x3030303030303030 & (1 << 64 - 8 * m) - 1 for m in range(9)], np.uint64)
+# Gaps are divided in x87 extended precision, whose 64-bit significand is the first 8 of a
+# long double's 16 bytes; where long doubles are other, every gap goes through ``float``.
+_EXTENDED = (np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
+             and np.longdouble(1.5).tobytes()[:8] == (3 << 62).to_bytes(8, "little"))
 _LINE_END_CR = re.compile(r"\r+$", re.MULTILINE)  # what ``line.rstrip("\r")`` drops
 
 
@@ -143,7 +151,8 @@ def _own_numerals(block: np.ndarray, starts: np.ndarray, widths: np.ndarray,
 
 def _parse_floats(strings: list[str], out: np.ndarray):
     """Write ``float`` of every string into ``out``: ``(None, None)``, or at the
-    first string ``float`` rejects, ``(its row, the error's message)``."""
+    first string ``float`` rejects, ``(its row, the error's message)`` with every
+    earlier row written."""
     try:
         out[:] = np.fromiter(map(float, strings), np.float64, len(strings))
         return None, None
@@ -151,9 +160,69 @@ def _parse_floats(strings: list[str], out: np.ndarray):
         pass
     for row, raw in enumerate(strings):  # rescan to find the row
         try:
-            float(raw)
+            out[row] = float(raw)
         except ValueError as exc:
             return row, str(exc)
+
+
+def _digits(words: np.ndarray, counts: np.ndarray):
+    """The value of the last ``counts`` bytes of each 8-byte little-endian word read
+    as decimal digits, and whether they all are ASCII digits."""
+    word = words & _TOP_BYTES[counts]
+    word |= _ZERO_FILL[counts]
+    ok = (((word + 0x4646464646464646) | (word - 0x3030303030303030)) & 0x8080808080808080) == 0
+    for mask, scale, shift in ((0x0F0F0F0F0F0F0F0F, 2561, 8),  # pairs of digits, then
+                               (0x00FF00FF00FF00FF, 6553601, 16),  # fours, then eights
+                               (0x0000FFFF0000FFFF, 42949672960001, 32)):
+        word &= mask
+        word *= scale  # wraps modulo 2**64; the shift keeps only the wanted digits
+        word >>= shift
+    return word, ok
+
+
+def _read_plain_gaps(block: np.ndarray, starts: np.ndarray, stops: np.ndarray,
+                     out: np.ndarray) -> np.ndarray:
+    """Write the value ``float`` gives each field that is a digit, a point and 1 to
+    18 digits (how ``repr`` writes a gap of at least 1e-4) into ``out``, and return
+    which fields those are.
+
+    The numeral w without its point is below 10**19, so w and 10**places are exact
+    in the 64-bit significand, and one division rounds w / 10**places to it. Rounding
+    that to a double gives the correctly rounded double, as ``float`` does, unless the
+    first rounding landed on a tie between two doubles: such a field is left out.
+    """
+    if not _EXTENDED:
+        return np.zeros(starts.size, bool)
+    pad = 24  # the digit words below end at a field's end and reach 24 bytes before it
+    padded = np.concatenate((np.zeros(pad, np.uint8), block))
+    words = np.ndarray((padded.size - 7,), "<u8", padded, 0, (1,))  # 8 bytes from each byte
+    places = stops - starts - 2
+    plain = (places >= 1) & (places <= _PLACES)
+    places = np.where(plain, places, 0)
+    lead = padded[starts + pad] - _ZERO  # uint8: others wrap
+    plain &= (lead <= 9) & (padded[starts + pad + 1] == _POINT)
+    numeral = lead * _POW10[places]
+    for k in range(3):  # the last 8 digits, the 8 before them, the 2 before those
+        value, ok = _digits(words[stops + pad - 8 * (k + 1)], np.clip(places - 8 * k, 0, 8))
+        plain &= ok
+        value *= _POW10[8 * k]
+        numeral += value
+    quotient = numeral.astype(np.longdouble) / _POW10.astype(np.longdouble)[places]
+    plain &= (quotient.view(np.uint64)[::2] & 0x7FF) != 0x400  # the 11 bits below a double's
+    np.copyto(out, quotient, "same_kind", plain)
+    return plain
+
+
+def _parse_gaps(block: np.ndarray, starts: np.ndarray, stops: np.ndarray, out: np.ndarray):
+    """Write ``float`` of the field at each of ``starts`` into ``out``: as
+    ``_parse_floats``, which reads the fields ``_read_plain_gaps`` does not."""
+    rest = np.flatnonzero(~_read_plain_gaps(block, starts, stops, out))
+    strings = [_text(block[start:stop]) for start, stop in
+               zip(starts[rest].tolist(), stops[rest].tolist())]
+    values = np.empty(rest.size)
+    row, message = _parse_floats(strings, values)
+    out[rest[:row]] = values[:row]
+    return (None, None) if row is None else (int(rest[row]), message)
 
 
 def _load_block(block: np.ndarray, first: int, gaps: np.ndarray, light: np.ndarray,
@@ -188,11 +257,7 @@ def _load_block(block: np.ndarray, first: int, gaps: np.ndarray, light: np.ndarr
             break
         if index != first + row and nonconsecutive is None:
             nonconsecutive = row, index
-    # every gap field with the comma after it, as one text: one string a field
-    lengths = np.diff(edges[:4 * limit])  # each field with its delimiter, up to the last heavy
-    in_gap = np.repeat(np.tile(_GAP_FIELD, limit)[:-1], lengths)
-    row, message = _parse_floats(_text(block[:in_gap.size][in_gap]).split(",")[:-1],
-                                 gaps[:limit])
+    row, message = _parse_gaps(block, starts[1, :limit], stops[1, :limit], gaps[:limit])
     if row is not None:
         limit, failure = row, message
     if nonconsecutive is not None and nonconsecutive[0] < limit:
@@ -221,8 +286,9 @@ def load_trace_csv(source: Union[str, bytes], field: str = "csv") -> TraceSet:
     raises TraceError at ``field`` and the row.
 
     Records are checked and converted ``_BLOCK`` rows at a time, from the bytes
-    of the text: only the gap fields become strings, for ``float``, and an index
-    goes through ``int`` only when it is not the plain numeral of its row. The
+    of the text: a gap goes through ``float`` only when ``_read_plain_gaps``
+    cannot read it, and an index goes through ``int`` only when it is not the
+    plain numeral of its row. The
     error raised is at the earliest failing row and, within that row, is the
     first failing check in the order: field count, ``int`` index, ``float``
     gap, consecutive index, gap in [0, 1], light bit, heavy bit.

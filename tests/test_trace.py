@@ -251,6 +251,59 @@ def test_blocks_read_other_numerals_and_later_flaws_as_the_oracle(index, row, fl
     assert block_outcomes(source) == [load_outcome(load_trace_csv_rows, source)] * 4
 
 
+def gap_csv(gaps: list[str]) -> str:
+    return HEADER + "\n" + "".join(f"{i},{gap},1,0\n" for i, gap in enumerate(gaps))
+
+
+class TestGapsFromBytes:
+    def test_decimals_of_every_length_read_as_float_reads_them(self):
+        """'0.' and 1 to 18 digits, and 19 or 20, which go through ``float``: each
+        length 4,000 times, enough for the quotients that round onto a tie
+        between two doubles (about 1 in 2,048), which ``float`` must settle."""
+        rng = np.random.default_rng(5)
+        gaps = ["1.0", "1.000000000000000001", "0.000000000000000001", "0.999999999999999999"]
+        for places in range(1, 21):
+            digits = rng.integers(0, 10, (4000, places)) + ord("0")
+            gaps += ["0." + bytes(row).decode() for row in digits.astype(np.uint8)]
+        trace = load_trace_csv(gap_csv(gaps))
+        assert trace.bvsb.tobytes() == np.array([float(gap) for gap in gaps]).tobytes()
+
+    def test_repr_of_doubles_reads_back(self):
+        values = np.concatenate((np.random.default_rng(6).random(20000),
+                                 np.random.default_rng(7).beta(1.2, 3.0, 20000), [0.0, 1.0]))
+        trace = load_trace_csv(gap_csv([repr(v) for v in values.tolist()]))
+        assert trace.bvsb.tobytes() == values.tobytes()
+
+    def test_most_gaps_do_not_become_strings(self):
+        """Where long doubles are x87 extended, ``float`` reads only the gaps that
+        are not a digit, a point and 1 to 18 digits, and a tie."""
+        if not cascsim.trace._EXTENDED:
+            pytest.skip("long doubles are not x87 extended here")
+        gaps = [repr(v) for v in np.random.default_rng(8).random(4096).tolist()]
+        other = ["1e-05", "0.5 ", ".5", "+.5", "-.5", "x.5", "0..5", "0.1234567890123456789"]
+        gaps[:len(other)] = other
+        source = np.frombuffer(",".join(gaps).encode() + b",", np.uint8)
+        stops = np.flatnonzero(source == ord(","))
+        starts = np.append(0, stops[:-1] + 1)
+        out = np.zeros(len(gaps))
+        plain = cascsim.trace._read_plain_gaps(source, starts, stops, out)
+        assert not plain[:len(other)].any() and plain[len(other):].mean() > 0.99
+        assert out[plain].tobytes() == np.array(gaps)[plain].astype(float).tobytes()
+
+    def test_a_bad_gap_is_not_hidden_by_the_memory_before_it(self):
+        """The gaps before a field ``float`` rejects, read from their bytes or by
+        ``float``, are written before the range check reads them, whatever the
+        freed memory the column reuses held."""
+        gaps = ["0.5", "5e-1"] * 20
+        gaps[30] = "x"
+        source = gap_csv(gaps)
+        expected = load_outcome(load_trace_csv_rows, source)
+        for size in range(30, 50):
+            junk = [np.full(size, -1.0) for _ in range(20)]
+            del junk
+            assert load_outcome(load_trace_csv, source) == expected
+
+
 class TestForwardRate:
     def test_threshold_zero_forwards_nothing(self):
         trace = make_trace([0.0, 0.5, 1.0], [1, 0, 1], [1, 1, 0])
