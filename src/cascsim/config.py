@@ -341,6 +341,10 @@ def load_config(source: Union[str, Path]) -> ExperimentConfig:
     if path.suffix == ".json" and path.exists():
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ConfigError(str(path), f"cannot read: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise ConfigError(str(path), "not UTF-8 text") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(str(path), f"invalid JSON: {exc}") from None
         config = config_from_dict(doc)

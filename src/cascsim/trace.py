@@ -21,6 +21,7 @@ from .errors import ConfigError, TraceError
 TRACE_CSV_HEADER = "sample_index,bvsb,light_correct,heavy_correct"
 _BLOCK = 1 << 14  # records checked and converted at a time: the memory held beyond the text
 _NL, _COMMA, _POINT, _ZERO, _ONE = b"\n,.01"
+_PAD = 24  # zero bytes before a block's words: one ends at a field's end and reaches 24 before it
 _PLACES = 18  # digits after the point in a gap read from its bytes: its numeral stays below 10**19
 _POW10 = 10 ** np.arange(_PLACES + 1, dtype=np.uint64)
 # The bytes of each digit count 0..8 at the top of a little-endian word, and '0' below them.
@@ -133,38 +134,6 @@ def _text(chars: np.ndarray) -> str:
     return chars.tobytes().decode("utf-8", "surrogatepass")
 
 
-def _own_numerals(block: np.ndarray, starts: np.ndarray, widths: np.ndarray,
-                  first: int) -> np.ndarray:
-    """Whether the field at each of ``starts`` is ASCII digits that spell its row,
-    ``first`` on: a field ``int`` reads as its row."""
-    rows = np.arange(first, first + starts.size)
-    widest = len(str(first + starts.size - 1))  # below 18 for a trace that fits in memory,
-    own = (widths >= 1) & (widths <= widest)    # so ``value`` cannot overflow int64
-    value = np.zeros(starts.size, np.int64)
-    for place in range(widest):
-        inside = place < widths
-        digit = block[np.minimum(starts + place, block.size - 1)] - _ZERO  # uint8: others wrap
-        own &= ~inside | (digit <= 9)
-        value = np.where(inside, value * 10 + digit, value)
-    return own & (value == rows)
-
-
-def _parse_floats(strings: list[str], out: np.ndarray):
-    """Write ``float`` of every string into ``out``: ``(None, None)``, or at the
-    first string ``float`` rejects, ``(its row, the error's message)`` with every
-    earlier row written."""
-    try:
-        out[:] = np.fromiter(map(float, strings), np.float64, len(strings))
-        return None, None
-    except ValueError:
-        pass
-    for row, raw in enumerate(strings):  # rescan to find the row
-        try:
-            out[row] = float(raw)
-        except ValueError as exc:
-            return row, str(exc)
-
-
 def _digits(words: np.ndarray, counts: np.ndarray):
     """The value of the last ``counts`` bytes of each 8-byte little-endian word read
     as decimal digits, and whether they all are ASCII digits."""
@@ -180,11 +149,12 @@ def _digits(words: np.ndarray, counts: np.ndarray):
     return word, ok
 
 
-def _read_plain_gaps(block: np.ndarray, starts: np.ndarray, stops: np.ndarray,
+def _read_plain_gaps(words: np.ndarray, starts: np.ndarray, stops: np.ndarray,
                      out: np.ndarray) -> np.ndarray:
     """Write the value ``float`` gives each field that is a digit, a point and 1 to
     18 digits (how ``repr`` writes a gap of at least 1e-4) into ``out``, and return
-    which fields those are.
+    which fields those are. ``words[i + _PAD]`` holds the 8 bytes from byte i of
+    the fields' text on.
 
     The numeral w without its point is below 10**19, so w and 10**places are exact
     in the 64-bit significand, and one division rounds w / 10**places to it. Rounding
@@ -193,17 +163,15 @@ def _read_plain_gaps(block: np.ndarray, starts: np.ndarray, stops: np.ndarray,
     """
     if not _EXTENDED:
         return np.zeros(starts.size, bool)
-    pad = 24  # the digit words below end at a field's end and reach 24 bytes before it
-    padded = np.concatenate((np.zeros(pad, np.uint8), block))
-    words = np.ndarray((padded.size - 7,), "<u8", padded, 0, (1,))  # 8 bytes from each byte
     places = stops - starts - 2
     plain = (places >= 1) & (places <= _PLACES)
     places = np.where(plain, places, 0)
-    lead = padded[starts + pad] - _ZERO  # uint8: others wrap
-    plain &= (lead <= 9) & (padded[starts + pad + 1] == _POINT)
+    head = words[starts + _PAD - 6] >> 48  # the lead digit and the point, a word's top 2 bytes
+    lead = (head & 0xFF) - _ZERO  # others wrap
+    plain &= (lead <= 9) & (head >> 8 == _POINT)
     numeral = lead * _POW10[places]
     for k in range(3):  # the last 8 digits, the 8 before them, the 2 before those
-        value, ok = _digits(words[stops + pad - 8 * (k + 1)], np.clip(places - 8 * k, 0, 8))
+        value, ok = _digits(words[stops + _PAD - 8 * (k + 1)], np.clip(places - 8 * k, 0, 8))
         plain &= ok
         value *= _POW10[8 * k]
         numeral += value
@@ -211,18 +179,6 @@ def _read_plain_gaps(block: np.ndarray, starts: np.ndarray, stops: np.ndarray,
     plain &= (quotient.view(np.uint64)[::2] & 0x7FF) != 0x400  # the 11 bits below a double's
     np.copyto(out, quotient, "same_kind", plain)
     return plain
-
-
-def _parse_gaps(block: np.ndarray, starts: np.ndarray, stops: np.ndarray, out: np.ndarray):
-    """Write ``float`` of the field at each of ``starts`` into ``out``: as
-    ``_parse_floats``, which reads the fields ``_read_plain_gaps`` does not."""
-    rest = np.flatnonzero(~_read_plain_gaps(block, starts, stops, out))
-    strings = [_text(block[start:stop]) for start, stop in
-               zip(starts[rest].tolist(), stops[rest].tolist())]
-    values = np.empty(rest.size)
-    row, message = _parse_floats(strings, values)
-    out[rest[:row]] = values[:row]
-    return (None, None) if row is None else (int(rest[row]), message)
 
 
 def _load_block(block: np.ndarray, first: int, gaps: np.ndarray, light: np.ndarray,
@@ -235,9 +191,8 @@ def _load_block(block: np.ndarray, first: int, gaps: np.ndarray, light: np.ndarr
     the earliest failure found so far, which have passed every earlier check.
     """
     delims = np.flatnonzero((block == _COMMA) | (block == _NL))
-    line_ends = np.append(delims[block[delims] == _NL], block.size)
-    # fields per record: its commas plus one, from the delimiters before each line end
-    counts = np.diff(np.searchsorted(delims, line_ends), prepend=-1)
+    # fields per record: its commas plus one, from where its line end sits among the delimiters
+    counts = np.diff(np.append(np.flatnonzero(block[delims] == _NL), delims.size), prepend=-1)
     limit, failure = gaps.size, None  # every row before ``limit`` passes the checks so far
     row = _first_false(counts == 4)
     if row is not None:
@@ -247,9 +202,15 @@ def _load_block(block: np.ndarray, first: int, gaps: np.ndarray, light: np.ndarr
     starts = (edges[:-1] + 1).reshape(limit, 4).T
     stops = edges[1:].reshape(limit, 4).T
     widths = stops - starts
+    padded = np.concatenate((np.zeros(_PAD, np.uint8), block))
+    words = np.ndarray((padded.size - 7,), "<u8", padded, 0, (1,))  # 8 bytes from each byte
 
+    # an index of 1 to 8 ASCII digits that spell its row is what ``int`` reads it as
+    value, digits = _digits(words[stops[0] + _PAD - 8], np.minimum(widths[0], 8))
+    own = (widths[0] >= 1) & (widths[0] <= 8) & digits & \
+        (value == np.arange(first, first + limit, dtype=np.uint64))
     nonconsecutive = None  # the first (row, index) read as another row's
-    for row in np.flatnonzero(~_own_numerals(block, starts[0], widths[0], first)).tolist():
+    for row in np.flatnonzero(~own).tolist():
         try:
             index = int(_text(block[starts[0, row]:stops[0, row]]))
         except ValueError as exc:
@@ -257,9 +218,13 @@ def _load_block(block: np.ndarray, first: int, gaps: np.ndarray, light: np.ndarr
             break
         if index != first + row and nonconsecutive is None:
             nonconsecutive = row, index
-    row, message = _parse_gaps(block, starts[1, :limit], stops[1, :limit], gaps[:limit])
-    if row is not None:
-        limit, failure = row, message
+    for row in np.flatnonzero(~_read_plain_gaps(words, starts[1, :limit], stops[1, :limit],
+                                                gaps[:limit])).tolist():
+        try:
+            gaps[row] = float(_text(block[starts[1, row]:stops[1, row]]))
+        except ValueError as exc:
+            limit, failure = row, str(exc)
+            break
     if nonconsecutive is not None and nonconsecutive[0] < limit:
         limit, failure = nonconsecutive[0], \
             f"sample_index {nonconsecutive[1]} is not consecutive from 0"
@@ -282,19 +247,21 @@ def load_trace_csv(source: Union[str, bytes], field: str = "csv") -> TraceSet:
     Accepts a path, or raw bytes/str content containing a newline. Format:
     header `sample_index,bvsb,light_correct,heavy_correct`, booleans as 0/1, LF
     line endings (carriage returns that end a line are dropped), no quoting. A
-    path that cannot be read raises ConfigError at ``field``; a malformed record
-    raises TraceError at ``field`` and the row.
+    path that holds a NUL or cannot be read raises ConfigError at ``field``; a
+    malformed record raises TraceError at ``field`` and the row.
 
     Records are checked and converted ``_BLOCK`` rows at a time, from the bytes
     of the text: a gap goes through ``float`` only when ``_read_plain_gaps``
-    cannot read it, and an index goes through ``int`` only when it is not the
-    plain numeral of its row. The
-    error raised is at the earliest failing row and, within that row, is the
-    first failing check in the order: field count, ``int`` index, ``float``
-    gap, consecutive index, gap in [0, 1], light bit, heavy bit.
+    cannot read it, and an index goes through ``int`` only when it is not 1 to 8
+    ASCII digits spelling its row. The error raised is at the earliest failing
+    row and, within that row, is the first failing check in the order: field
+    count, ``int`` index, ``float`` gap, consecutive index, gap in [0, 1], light
+    bit, heavy bit.
     """
     data = source
     if isinstance(source, str) and "\n" not in source:
+        if "\0" in source:  # no file name holds one
+            raise ConfigError(field, f"must not contain a NUL character, got {source!r}")
         try:
             with open(source, "rb") as fh:
                 data = fh.read()

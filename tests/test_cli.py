@@ -453,6 +453,7 @@ class TestCliInputErrors:
         ("fleet[0].trace.csv:", ["simulate", "--config", "{csv_config}"]),
         ("fleet[0].trace.csv:", ["calibrate", "--config", "{csv_config}"]),
         ("--trace:", ["calibrate", "--trace", "{missing}"]),
+        ("--trace:", ["calibrate", "--trace", "{nul}"]),
         ("--table.2:", ["capacity", "--table", '{"1": 10, "2": "12"}', "--slo", "100"]),
         ("--table.x:", ["capacity", "--table", '{"1": 10, "x": 12}', "--slo", "100"]),
         ("--max-effective:", ["capacity", "--table", '{"1": 10, "2": 12}',
@@ -479,13 +480,28 @@ class TestCliInputErrors:
                  "{tiny_latency}": write_config(tmp_path / "tiny_latency", tiny_latency),
                  "{inexact_capacity}": write_config(tmp_path / "inexact_capacity",
                                                     inexact_capacity),
-                 "{missing}": str(missing)}
+                 "{missing}": str(missing), "{nul}": f"{missing}\0"}
         assert main([paths.get(arg, arg) for arg in argv]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert err["message"].startswith(message)
         if "trace.csv" in message or "--trace" in message:
             assert str(missing) in err["message"]
+
+    @pytest.mark.parametrize("argv", [["simulate"], ["sweep", "--devices", "2..4:2"],
+                                      ["capacity", "--slo", "100"], ["calibrate"]])
+    @pytest.mark.parametrize("fault, message", [("directory", "cannot read: Is a directory"),
+                                                ("latin-1", "not UTF-8 text")])
+    def test_unreadable_config_file_is_a_config_error(self, tmp_path, capsys, argv, fault,
+                                                      message):
+        path = tmp_path / "config.json"
+        if fault == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+        assert main([argv[0], "--config", str(path), *argv[1:]]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError", "message": f"{path}: {message}"}
 
     def test_malformed_trace_file_is_a_trace_error(self, tmp_path, capsys):
         path = tmp_path / "trace.csv"

@@ -230,7 +230,7 @@ def test_small_blocks_match_row_by_row_oracle(header, records, tail, as_bytes):
 
 
 # indexes ``int`` reads though they are not the plain numeral of a row
-INDEXES = ["+{i}", "0{i}", " {i}", "{wide}", "99999999999999999999", ""]
+INDEXES = ["+{i}", "0{i}", " {i}", "{wide}", "99999999999999999999", "", "1{i:08d}"]
 FLAWED = [None, (0, "-8"), (0, "0:"), (1, "x"), (1, "1.5"), (2, "2"), (3, ""), (4, "1")]
 
 
@@ -249,6 +249,34 @@ def test_blocks_read_other_numerals_and_later_flaws_as_the_oracle(index, row, fl
         lines[10][column:column + 1] = [value]  # column 4 adds a fifth field
     source = HEADER + "\n" + "".join(",".join(line) + "\n" for line in lines)
     assert block_outcomes(source) == [load_outcome(load_trace_csv_rows, source)] * 4
+
+
+def test_a_block_reads_eight_digit_indexes_without_int_and_wider_ones_with_it():
+    """Rows 99,999,998 on: an 8-digit index that spells its row passes without
+    ``int``, a 9-digit one goes through ``int``, and a wrong 9-digit index fails
+    with the oracle's message."""
+    first, rows = 99_999_998, 5
+    read = []
+
+    def spy(value):
+        if isinstance(value, str):
+            read.append(value)
+        return int(value)
+
+    def load(indexes):
+        text = "\n".join(f"{index},0.5,1,0" for index in indexes)
+        gaps, light, heavy = np.empty(rows), np.empty(rows, bool), np.empty(rows, bool)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cascsim.trace, "int", spy, raising=False)
+            outcome = cascsim.trace._load_block(np.frombuffer(text.encode(), np.uint8), first,
+                                                gaps, light, heavy)
+        return outcome, gaps.tolist(), light.tolist(), heavy.tolist()
+
+    indexes = list(range(first, first + rows))
+    assert load(indexes) == ((rows, None), [0.5] * rows, [True] * rows, [False] * rows)
+    assert read == ["100000000", "100000001", "100000002"]
+    indexes[3] = 100_000_007
+    assert load(indexes)[0] == (3, "sample_index 100000007 is not consecutive from 0")
 
 
 def gap_csv(gaps: list[str]) -> str:
@@ -286,7 +314,9 @@ class TestGapsFromBytes:
         stops = np.flatnonzero(source == ord(","))
         starts = np.append(0, stops[:-1] + 1)
         out = np.zeros(len(gaps))
-        plain = cascsim.trace._read_plain_gaps(source, starts, stops, out)
+        padded = np.concatenate((np.zeros(cascsim.trace._PAD, np.uint8), source))
+        words = np.ndarray((padded.size - 7,), "<u8", padded, 0, (1,))
+        plain = cascsim.trace._read_plain_gaps(words, starts, stops, out)
         assert not plain[:len(other)].any() and plain[len(other):].mean() > 0.99
         assert out[plain].tobytes() == np.array(gaps)[plain].astype(float).tobytes()
 

@@ -31,9 +31,16 @@ preset whose ``scheduler`` section has a fixed ``initial_threshold`` and then
 one of the ``SCHEDULER_FAULTS`` edits (every field with a bad value, both and
 neither threshold source, and sections with several faults at once). Each
 must exit non-zero; its line, ``<sha256>  errors/<case>/status+stderr``, hashes
-the exit status and the JSON error on stderr. Run the tool on two trees and
-diff the two outputs: a change that keeps every output and every error
-message byte-identical prints the same lines.
+the exit status and the JSON error on stderr. Then ``calibrate --trace`` runs
+on edited copies of the ``ERROR_PRESET`` preset's first CSV trace: the
+``CSV_FAULTS`` copies (a bad gap in the second block of 16,384 records, a
+9-digit index, a fifth field on the second block's first record, a bit ``2`` on
+the last row, one ``0xFF`` byte, a wrong header) must each be rejected, with a
+line ``<sha256>  errors/csv_<case>/status+stderr``; the ``CSV_VARIANTS`` copies
+(CRLF line ends, ``+3`` and ``03`` as indexes) must each be accepted, with a
+line ``<sha256>  csv_edits/<case>/stdout``. Run the tool on two trees and diff
+the two outputs: a change that keeps every output and every error message
+byte-identical prints the same lines.
 """
 
 from __future__ import annotations
@@ -110,6 +117,35 @@ SCHEDULER_FAULTS = {
     "multi_unknown_key_kind_unknown": lambda s: s.update(foo=1, kind="fast"),
     "multi_calibration_count_margin": lambda s: (s.pop("initial_threshold"), s.update(
         calibration={"count": 0}, margin=2)),
+}
+
+
+def _field(record: int, column: int, value: bytes):
+    """An edit of a CSV trace's bytes that sets one field of a record (column 4 adds
+    a fifth field)."""
+    def edit(data: bytes) -> bytes:
+        lines = data.split(b"\n")
+        fields = lines[record + 1].split(b",")
+        fields[column:column + 1] = [value]
+        lines[record + 1] = b",".join(fields)
+        return b"\n".join(lines)
+    return edit
+
+
+# Edits of a written CSV trace that ``calibrate --trace`` must reject, then edits
+# it must accept. Records 0 to 16,383 make the loader's first block.
+CSV_FAULTS = {
+    "gap_second_block": _field(16_400, 1, b"0.5x"),
+    "index_nine_digits": _field(100, 0, b"100000100"),
+    "fifth_field_second_block": _field(16_384, 4, b"1"),
+    "bit_two_last_row": _field(CSV_ROWS - 1, 3, b"2"),
+    "byte_ff": _field(5_000, 1, b"0.\xff5"),
+    "header": lambda data: data.replace(b"sample_index", b"index", 1),
+}
+CSV_VARIANTS = {
+    "crlf": lambda data: data.replace(b"\n", b"\r\n"),
+    "index_plus": _field(3, 0, b"+3"),
+    "index_zero": _field(3, 0, b"03"),
 }
 
 
@@ -224,6 +260,23 @@ def error_digests(cli, work: Path) -> list[str]:
     return lines
 
 
+def csv_edit_digests(cli, trace: Path, work: Path) -> list[str]:
+    """Calibrate on edited copies of a written CSV trace: each ``CSV_FAULTS`` copy
+    must be rejected, each ``CSV_VARIANTS`` copy accepted."""
+    out = work / "csv_edits"
+    out.mkdir()
+    lines = []
+    for name, edit in {**CSV_FAULTS, **CSV_VARIANTS}.items():
+        path = out / f"{name}.csv"
+        path.write_bytes(edit(trace.read_bytes()))
+        argv = ["calibrate", "--trace", str(path)]
+        if name in CSV_FAULTS:
+            lines.append(digest(rejected(cli, argv), f"errors/csv_{name}/status+stderr"))
+        else:
+            lines.append(digest(run(cli, argv), f"csv_edits/{name}/stdout"))
+    return lines
+
+
 def digests(cli, work: Path) -> list[str]:
     lines = []
     for preset in cli.preset_names():
@@ -243,7 +296,8 @@ def digests(cli, work: Path) -> list[str]:
         lines.append(digest(calibrate, f"{preset}/calibrate/stdout"))
         lines += csv_digests(cli, preset, work)
         lines += zero_delay_digests(cli, preset, work)
-    return lines + error_digests(cli, work)
+    return lines + error_digests(cli, work) + csv_edit_digests(
+        cli, work / ERROR_PRESET / "csv" / "group0.csv", work)
 
 
 def main(argv: list[str]) -> int:
