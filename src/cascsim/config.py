@@ -347,6 +347,8 @@ def load_config(source: Union[str, Path]) -> ExperimentConfig:
             raise ConfigError(str(path), "not UTF-8 text") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(str(path), f"invalid JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ConfigError(str(path), f"must be a JSON object, got {doc!r}")
         config = config_from_dict(doc)
         return replace(config, fleet=tuple(
             replace(g, trace_csv=str(path.parent / g.trace_csv))

@@ -166,8 +166,9 @@ def check_run_invariants(*, total: int, decided: int, local: int, served: int,
         raise InvariantError(f"queue area {queue_area!r} != summed queue waits {waits!r}")
 
 
-def processing_order(times: np.ndarray, parent: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Indices of events in processing order: the tie rule for whole columns.
+def processing_order(times: np.ndarray, parent: np.ndarray, pos: np.ndarray):
+    """Indices of events in processing order, and each event's place in it (the
+    inverse permutation): the tie rule for whole columns.
 
     ``parent[i]`` is the index of the event that pushed event ``i`` (-1 for an
     initial push) and ``pos[i]`` its position among that pusher's pushes (among
@@ -197,19 +198,16 @@ def processing_order(times: np.ndarray, parent: np.ndarray, pos: np.ndarray) -> 
             order[lo:lo + members.size] = members
             place[members] = np.arange(lo, lo + members.size)
             lo += members.size
-    return order
+    return order, place
 
 
-def push_rank(order: np.ndarray, parent: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Each event's rank in push order, from 1, given ``processing_order``'s result and
+def push_rank(place: np.ndarray, parent: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Each event's rank in push order, from 1, given ``processing_order``'s places and
     arguments: the initial pushes first, by position, then every other event by its
     pusher's place and its position. It is the counter a heap stamps on each push."""
-    place = np.empty_like(order)
-    place[order] = np.arange(order.size)
     pusher_place = np.where(parent >= 0, place[parent], -1)
-    del place  # the temporaries stay small, as the event log ranks every event
     by_push = np.lexsort((pos, pusher_place))
-    del pusher_place
+    del pusher_place  # the temporaries stay small, as the event log ranks every event
     rank = np.empty_like(by_push)
     rank[by_push] = np.arange(1, by_push.size + 1)
     return rank
@@ -280,9 +278,7 @@ class DeviceLayout:
         parent[first] = -1
         # a completion pushes at most one completion, so only a first completion's
         # position, its device id, ever decides
-        order = processing_order(done, parent, device)
-        position = np.empty_like(order)
-        position[order] = np.arange(order.size)
+        order, position = processing_order(done, parent, device)
         self.total_samples = int(device.size)
         self.sd_time = done[order]
         self.sd_start = start[order]

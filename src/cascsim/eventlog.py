@@ -37,14 +37,12 @@ def rebuild_event_log(run, report: MetricsReport) -> Iterator[str]:
     base = np.cumsum([0] + [len(t) for t in run.times])
     times = np.concatenate([np.asarray(t, dtype=np.float64) for t in run.times])
     parent, pos = run.push_table()
-    order = processing_order(times, parent, pos)
+    order, place = processing_order(times, parent, pos)
     end_time = float(times[order[-1]])
     del times  # each array goes once read, which keeps the peak near the run's own
-    seq = push_rank(order, parent, pos)
+    seq = push_rank(place, parent, pos)
     # queue length after each arrival, and at each batch completion before it
     # relaunches: arrivals so far less the batches launched by an earlier event
-    place = np.empty_like(order)
-    place[order] = np.arange(order.size)
     launch = place[parent[base[BC]:base[BC + 1]]]  # each batch's pusher's place, increasing
     del parent, pos
     ra_place, bc_place = place[base[RA]:base[RA + 1]], place[base[BC]:base[BC + 1]]

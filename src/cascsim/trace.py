@@ -8,7 +8,6 @@ semantics ever look at.
 
 from __future__ import annotations
 
-import re
 import sys
 from dataclasses import dataclass
 from math import isfinite
@@ -31,7 +30,6 @@ _ZERO_FILL = np.array([0x3030303030303030 & (1 << 64 - 8 * m) - 1 for m in range
 # long double's 16 bytes; where long doubles are other, every gap goes through ``float``.
 _EXTENDED = (np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
              and np.longdouble(1.5).tobytes()[:8] == (3 << 62).to_bytes(8, "little"))
-_LINE_END_CR = re.compile(r"\r+$", re.MULTILINE)  # what ``line.rstrip("\r")`` drops
 
 
 class TraceSet:
@@ -250,13 +248,13 @@ def load_trace_csv(source: Union[str, bytes], field: str = "csv") -> TraceSet:
     path that holds a NUL or cannot be read raises ConfigError at ``field``; a
     malformed record raises TraceError at ``field`` and the row.
 
-    Records are checked and converted ``_BLOCK`` rows at a time, from the bytes
-    of the text: a gap goes through ``float`` only when ``_read_plain_gaps``
-    cannot read it, and an index goes through ``int`` only when it is not 1 to 8
-    ASCII digits spelling its row. The error raised is at the earliest failing
-    row and, within that row, is the first failing check in the order: field
-    count, ``int`` index, ``float`` gap, consecutive index, gap in [0, 1], light
-    bit, heavy bit.
+    Records are read from a view of the file's or bytes source's own bytes (copied
+    only to drop carriage returns; only inline str text is encoded), ``_BLOCK`` rows
+    at a time: a gap goes through ``float`` only when ``_read_plain_gaps`` cannot
+    read it, and an index goes through ``int`` only when it is not 1 to 8 ASCII
+    digits spelling its row. The error raised is at the earliest failing row and,
+    within that row, is the first failing check in the order: field count, ``int``
+    index, ``float`` gap, consecutive index, gap in [0, 1], light bit, heavy bit.
     """
     data = source
     if isinstance(source, str) and "\n" not in source:
@@ -267,29 +265,30 @@ def load_trace_csv(source: Union[str, bytes], field: str = "csv") -> TraceSet:
                 data = fh.read()
         except OSError as exc:
             raise ConfigError(field, f"cannot read {source!r}: {exc.strerror}") from None
-    text = data
-    if isinstance(data, bytes):
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    elif not data.isascii():
         try:
-            text = data.decode("utf-8")
+            data.decode("utf-8")  # a check only: the records are read from the bytes
         except UnicodeDecodeError as exc:
             row = data.count(b"\n", 0, exc.start) + 1
             raise TraceError(field, row, "not UTF-8 text") from None
-    del data  # each copy of the text goes once used
-
-    if not text:
+    if not data:
         raise TraceError(field, 1, "trace file is empty")
-    header, newline, body = text.removesuffix("\n").partition("\n")
-    del text
-    header = header.rstrip("\r")
+    final = data.endswith(b"\n")  # a line end after the last record, which ends no record
+    if b"\r" in data:  # each run of carriage returns that ends a line is dropped
+        data = data.rstrip(b"\r").replace(b"\r\n", b"\n")
+        if b"\r\n" in data:  # some line ended in several CRs: rare, so line by line
+            data = b"\n".join(line.rstrip(b"\r") for line in data.split(b"\n"))
+    stop = len(data) - final
+    newline = data.find(b"\n", 0, stop)
+    header = data[:stop if newline < 0 else newline].decode("utf-8", "surrogatepass")
     if header != TRACE_CSV_HEADER:
         raise TraceError(field, 1, f"expected header {TRACE_CSV_HEADER!r}, got {header!r}")
-    if not newline:
+    if newline < 0:
         raise TraceError(field, 2, "trace file has a header but no records")
 
-    if "\r" in body:
-        body = _LINE_END_CR.sub("", body)
-    raw = np.frombuffer(body.encode("utf-8", "surrogatepass"), np.uint8)
-    del body
+    raw = np.frombuffer(data, np.uint8, stop - newline - 1, newline + 1)
     ends = np.append(np.flatnonzero(raw == _NL), raw.size)  # where each record's line ends
     gaps = np.empty(ends.size)
     light = np.empty(ends.size, bool)

@@ -348,6 +348,13 @@ class TestNonFiniteConfig:
          lambda d: d["fleet"][0]["trace"]["synthetic"].update(
              bvsb_shape_correct=[float("nan"), 1.0])),
         ("fleet[0].trace.csv", lambda d: d["fleet"][0].update(trace={"csv": "a\0b.csv"})),
+        ("sim.start_phase", lambda d: d.update(sim={"start_phase": "random"})),
+        ("seeds", lambda d: d.update(seeds=[])),
+        ("seeds", lambda d: d.update(seeds=[-1])),
+        ("fleet[0].trace", lambda d: d["fleet"][0]["trace"].update(csv="trace.csv")),
+        ("fleet[0].trace", lambda d: d["fleet"][0].update(trace={})),
+        ("scheduler.kind", lambda d: d["scheduler"].update(kind="fast")),
+        ("scheduler.initial_threshold", lambda d: d["scheduler"].update(initial_threshold=1.5)),
         *BAD_TABLES,
     ])
     def test_rejected_with_field_path(self, field, edit):
@@ -462,6 +469,8 @@ class TestCliInputErrors:
         ("--target:", ["calibrate", "--trace", "{missing}", "--target", "0"]),
         ("--tolerance:", ["calibrate", "--config", "{config}", "--tolerance", "nan"]),
         ("--tolerance:", ["calibrate", "--trace", "{missing}", "--tolerance", "-0.1"]),
+        ("--table:", ["capacity", "--slo", "100"]),
+        ("--trace:", ["calibrate"]),
     ])
     def test_exits_1_with_json_error(self, tmp_path, capsys, message, argv):
         missing = tmp_path / "missing.csv"
@@ -485,20 +494,26 @@ class TestCliInputErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert err["message"].startswith(message)
-        if "trace.csv" in message or "--trace" in message:
-            assert str(missing) in err["message"]
+        if ("trace.csv" in message or "--trace" in message) and argv != ["calibrate"]:
+            assert str(missing) in err["message"]  # the path that could not be read
 
     @pytest.mark.parametrize("argv", [["simulate"], ["sweep", "--devices", "2..4:2"],
                                       ["capacity", "--slo", "100"], ["calibrate"]])
     @pytest.mark.parametrize("fault, message", [("directory", "cannot read: Is a directory"),
-                                                ("latin-1", "not UTF-8 text")])
+                                                ("latin-1", "not UTF-8 text"),
+                                                ("[]", "must be a JSON object, got []"),
+                                                ('"x"', "must be a JSON object, got 'x'")])
     def test_unreadable_config_file_is_a_config_error(self, tmp_path, capsys, argv, fault,
                                                       message):
+        """A config file that cannot be read, is not UTF-8 or holds no JSON object is
+        refused at the file's path."""
         path = tmp_path / "config.json"
         if fault == "directory":
             path.mkdir()
-        else:
+        elif fault == "latin-1":
             path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+        else:
+            path.write_text(fault, encoding="utf-8")
         assert main([argv[0], "--config", str(path), *argv[1:]]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ConfigError", "message": f"{path}: {message}"}

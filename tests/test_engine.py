@@ -312,9 +312,10 @@ class TestProcessingOrder:
     @given(heap_runs())
     def test_matches_a_heap_keyed_on_time_and_push_counter(self, run):
         (times, parent, pos), expected, counters = run
-        order = processing_order(times, parent, pos)
+        order, place = processing_order(times, parent, pos)
         assert order.tolist() == expected
-        assert push_rank(order, parent, pos).tolist() == counters
+        assert place[order].tolist() == list(range(order.size))
+        assert push_rank(place, parent, pos).tolist() == counters
 
     def test_push_table_is_the_scalar_rule_for_every_event(self):
         """On random integral configs, ``_Run.push_table`` states for every event of
@@ -351,7 +352,7 @@ class TestProcessingOrder:
             return [(0, t) for t in reversed(done[d][:i + 1])] + [(-1, d)]
 
         expected = sorted(range(times.size), key=chain)
-        assert processing_order(times, parent, device).tolist() == expected
+        assert processing_order(times, parent, device)[0].tolist() == expected
 
 
 LAYOUT_COLUMNS = ("t_inf", "initial_thresholds", "levels", "sd_time", "sd_start", "sd_dev",

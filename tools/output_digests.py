@@ -35,12 +35,14 @@ the exit status and the JSON error on stderr. Then ``calibrate --trace`` runs
 on edited copies of the ``ERROR_PRESET`` preset's first CSV trace: the
 ``CSV_FAULTS`` copies (a bad gap in the second block of 16,384 records, a
 9-digit index, a fifth field on the second block's first record, a bit ``2`` on
-the last row, one ``0xFF`` byte, a wrong header) must each be rejected, with a
-line ``<sha256>  errors/csv_<case>/status+stderr``; the ``CSV_VARIANTS`` copies
-(CRLF line ends, ``+3`` and ``03`` as indexes) must each be accepted, with a
-line ``<sha256>  csv_edits/<case>/stdout``. Run the tool on two trees and diff
-the two outputs: a change that keeps every output and every error message
-byte-identical prints the same lines.
+the last row, one ``0xFF`` byte, a wrong header, an empty file, a header-only
+CRLF file, a truncated UTF-8 character late in the file) must each be rejected,
+with a line ``<sha256>  errors/csv_<case>/status+stderr``; the ``CSV_VARIANTS``
+copies (CRLF line ends, ``+3`` and ``03`` as indexes, ``\\r\\r\\n`` line ends, a
+final CR in place of the final newline, no final newline, a fullwidth-digit
+index) must each be accepted, with a line ``<sha256>  csv_edits/<case>/stdout``.
+Run the tool on two trees and diff the two outputs: a change that keeps every
+output and every error message byte-identical prints the same lines.
 """
 
 from __future__ import annotations
@@ -141,11 +143,18 @@ CSV_FAULTS = {
     "bit_two_last_row": _field(CSV_ROWS - 1, 3, b"2"),
     "byte_ff": _field(5_000, 1, b"0.\xff5"),
     "header": lambda data: data.replace(b"sample_index", b"index", 1),
+    "empty": lambda data: b"",
+    "header_only_crlf": lambda data: data[:data.index(b"\n")] + b"\r\n",
+    "utf8_truncated_late": _field(CSV_ROWS - 10, 1, b"0.5\xe2\x82"),
 }
 CSV_VARIANTS = {
     "crlf": lambda data: data.replace(b"\n", b"\r\n"),
     "index_plus": _field(3, 0, b"+3"),
     "index_zero": _field(3, 0, b"03"),
+    "cr_crlf": lambda data: data.replace(b"\n", b"\r\r\n"),
+    "final_cr": lambda data: data.removesuffix(b"\n") + b"\r",
+    "no_final_newline": lambda data: data.removesuffix(b"\n"),
+    "index_fullwidth": _field(3, 0, "\uff13".encode("utf-8")),
 }
 
 
