@@ -208,8 +208,8 @@ def push_rank(place: np.ndarray, parent: np.ndarray, pos: np.ndarray) -> np.ndar
     pusher_place = np.where(parent >= 0, place[parent], -1)
     by_push = np.lexsort((pos, pusher_place))
     del pusher_place  # the temporaries stay small, as the event log ranks every event
-    rank = np.empty_like(by_push)
-    rank[by_push] = np.arange(1, by_push.size + 1)
+    rank = np.argsort(by_push)  # the inverse permutation, built with no temporary beside it
+    rank += 1
     return rank
 
 
