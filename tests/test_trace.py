@@ -336,8 +336,8 @@ class TestGapsFromBytes:
 
 
 class TestSourceBytes:
-    """A file or bytes source is read as a view of its own bytes: only inline str
-    text is encoded, and only the header is decoded."""
+    """A file or bytes source is read as a view of its own bytes (only inline str
+    text is encoded), and only its header line is kept as text."""
 
     @pytest.fixture(params=["file", "bytes"])
     def as_source(self, request, tmp_path):
