@@ -29,9 +29,12 @@ from .trace import load_trace_csv
 def _write_atomic(path: Path, text: Union[str, Iterable[str]]) -> None:
     """Write text, or the concatenation of an iterable of strings, then rename into place."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as out:
-        out.writelines([text] if isinstance(text, str) else text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as out:
+            out.writelines([text] if isinstance(text, str) else text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # left only by a failed write
 
 
 def _parse_seed_list(raw: Optional[str], default: Sequence[int]) -> list[int]:
@@ -87,8 +90,7 @@ def cmd_simulate(args) -> int:
         if out_dir:
             _write_atomic(out_dir / f"report_seed{seed}.json", report.to_json() + "\n")
             if args.event_log:
-                _write_atomic(out_dir / f"events_seed{seed}.tsv",
-                              (line + "\n" for line in report.event_log))
+                _write_atomic(out_dir / f"events_seed{seed}.tsv", report.event_log)
         report.samples = report.event_log = None  # the mean needs only the numbers
         reports.append(report)
     mean = mean_report(reports)

@@ -135,7 +135,8 @@ class ExperimentConfig:
                 else:
                     traces[device_id] = _memoized(
                         drawn, (group.synthetic, device_id),
-                        lambda: generate_synthetic_trace(group.synthetic, [seed, device_id]))
+                        lambda: _draw(group.synthetic, [seed, device_id],
+                                      f"fleet[{gi}].trace.synthetic.count"))
                 device_id += 1
         return traces
 
@@ -156,13 +157,21 @@ class ExperimentConfig:
                 trace = _csv_trace(group, gi, memo)
             else:
                 params = replace(group.synthetic, count=calib.count)
-                trace = generate_synthetic_trace(params, [calib.seed, gi])
+                trace = _draw(params, [calib.seed, gi], "scheduler.calibration.count")
             return calibrate_static_threshold(trace, calib.target_forward_rate,
                                               calib.accuracy_tolerance)
 
         return [_memoized(memo, (calib, group.synthetic, group.trace_csv, gi),
                           lambda: calibrate(gi, group))
                 for gi, group in enumerate(self.fleet)]
+
+
+def _draw(params: SyntheticTraceParams, seed: list[int], field: str) -> TraceSet:
+    """A synthetic trace, or a ConfigError at ``field`` when its columns cannot be allocated."""
+    try:
+        return generate_synthetic_trace(params, seed)
+    except MemoryError:
+        raise ConfigError(field, f"{params.count} samples are too many to allocate") from None
 
 
 def _memoized(memo: Optional[dict], key, make):

@@ -11,14 +11,24 @@ processing place and its position among that pusher's pushes, which is the
 counter a heap-driven loop stamps on each push. The closing ``run_end`` line
 sits at the last event's time and takes the next number.
 
-The lines are formatted as they are read, one ``_CHUNK`` of processing order at
-a time. Within a stream, index order is processing order, so a chunk holds one
-index range of each stream: only those rows are formatted, then merged.
+The log is yielded as newline-terminated pieces of whole lines, formatted as
+they are read, one ``_CHUNK`` of processing order at a time. Within a stream,
+index order is processing order, so a chunk holds one index range of each
+stream: only those rows are formatted, then merged. Any range of processing
+order can be formatted on its own, from each stream's row count before it.
+When the process may use two CPUs and the log has two chunks or more, one
+forked child formats the second half into an anonymous temporary file while
+this process formats the first; after the first half, the file is read back in
+pieces of whole lines. Both halves run the same formatter, so the text is the
+same as one process's.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import signal
+import tempfile
 from typing import Iterator
 
 import numpy as np
@@ -32,81 +42,166 @@ from .metrics import MetricsReport
 _CHUNK = 1 << 12  # events formatted per step, which bounds the temporary Python objects
 
 
-def rebuild_event_log(run, report: MetricsReport) -> Iterator[str]:
-    """Every event of ``run`` as a log line, in processing order, then run_end: one pass."""
-    base = np.cumsum([0] + [len(t) for t in run.times])
-    times = np.concatenate([np.asarray(t, dtype=np.float64) for t in run.times])
-    parent, pos = run.push_table()
-    order, place = processing_order(times, parent, pos)
-    end_time = float(times[order[-1]])
-    del times  # each array goes once read, which keeps the peak near the run's own
-    seq = push_rank(place, parent, pos)
-    # queue length after each arrival, and at each batch completion before it
-    # relaunches: arrivals so far less the batches launched by an earlier event
-    launch = place[parent[base[BC]:base[BC + 1]]]  # each batch's pusher's place, increasing
-    del parent, pos
-    ra_place, bc_place = place[base[RA]:base[RA + 1]], place[base[BC]:base[BC + 1]]
-    first = np.cumsum([0] + run.bc_size)  # each batch's first request
-    ra_queue = np.arange(1, ra_place.size + 1) - first[np.searchsorted(launch, ra_place)]
-    bc_queue = np.searchsorted(ra_place, bc_place) - first[np.searchsorted(launch, bc_place)]
-    del place, ra_place, bc_place, launch
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    layout, ra_sd = run.layout, np.asarray(run.ra_sd, dtype=np.int64)
-    seqs = [seq[base[s]:base[s + 1]] for s in range(6)]
-    updates = [update for tick in run.ticks for update in tick[3]]  # one per application
-    samples: dict[int, str] = {}  # each batch's samples as JSON text, completion to response
-    start = np.zeros(6, dtype=np.int64)  # each stream's first row not yet formatted
-    for lo in range(0, order.size, _CHUNK):
-        flat = order[lo:lo + _CHUNK]
-        stream = np.searchsorted(base, flat, "right") - 1
-        count = np.bincount(stream, minlength=6)
-        a, b = start.tolist(), (start + count).tolist()
-        sd, ra, bc, resp, tick, ta = (slice(x, y) for x, y in zip(a, b))
-        codes, th = np.unique(run.applied[sd].view(np.int64), return_inverse=True)
-        text = [repr(v) for v in codes.view(np.float64).tolist()]  # each distinct threshold
-        lines = [
-            f'{t!r}\t{s}\t{EVENT_DEVICE_SAMPLE_DONE}\t{{"bvsb": {v!r}, "decision": '
-            f'"{"forward" if f else "keep_local"}", "device": {d}, "sample": {i}, '
-            f'"threshold": {text[k]}}}'
-            for t, s, v, f, d, i, k in zip(
-                layout.sd_time[sd].tolist(), seqs[SD][sd].tolist(), layout.sd_bvsb[sd].tolist(),
-                run.forward[sd].tolist(), layout.sd_dev[sd].tolist(),
-                layout.sd_index[sd].tolist(), th.tolist())]
-        lines += [f'{t!r}\t{s}\t{EVENT_REQUEST_ARRIVAL}\t{{"device": {d}, "queue_len": {q}, '
-                  f'"sample": {i}}}'
-                  for t, s, d, q, i in zip(
-                      run.ra_time[ra], seqs[RA][ra].tolist(), layout.sd_dev[ra_sd[ra]].tolist(),
-                      ra_queue[ra].tolist(), layout.sd_index[ra_sd[ra]].tolist())]
-        rows = ra_sd[first[bc.start]:first[bc.stop]]
-        pairs = list(zip(layout.sd_dev[rows].tolist(), layout.sd_index[rows].tolist()))
-        ends = (first[bc.start:bc.stop + 1] - first[bc.start]).tolist()
-        for k, i, j in zip(range(bc.start, bc.stop), ends, ends[1:]):
-            samples[k] = json.dumps(pairs[i:j])
-        lines += [f'{t!r}\t{s}\t{EVENT_BATCH_COMPLETE}\t{{"batch_size": {size}, '
-                  f'"launched_ms": {launched!r}, "queue_len": {q}, "samples": {samples[k]}}}'
-                  for k, t, s, size, launched, q in zip(
-                      range(bc.start, bc.stop), run.bc_time[bc], seqs[BC][bc].tolist(),
-                      run.bc_size[bc], run.bc_launch[bc], bc_queue[bc].tolist())]
-        lines += [f'{t!r}\t{s}\t{EVENT_RESPONSE_ARRIVAL}\t{{"batch_size": {size}, '
-                  f'"samples": {samples.pop(k)}}}'
-                  for k, t, s, size in zip(range(resp.start, resp.stop), run.resp_time[resp],
-                                           seqs[RESP][resp].tolist(), run.bc_size[resp])]
-        for k, s in zip(range(tick.start, tick.stop), seqs[TICK][tick].tolist()):
-            queue_len, b_bar, flush, tick_updates = run.ticks[k]
-            lines.append(f"{run.tick_time[k]!r}\t{s}\t{EVENT_SCHEDULER_TICK}\t" + json.dumps(
-                {"queue_len": queue_len, "b_bar": b_bar, "capacity": run.capacity,
-                 "flush": flush, "updates": tick_updates}, sort_keys=True))
-        lines += [f'{t!r}\t{s}\t{EVENT_THRESHOLD_APPLIED}\t{{"device": {d}, "reason": '
-                  f'"{r}", "threshold": {v!r}}}'
-                  for t, s, (d, v, r) in zip(run.ta_time[ta], seqs[TA][ta].tolist(), updates[ta])]
-        # an event's line sits at its index less its stream's first row, plus the
-        # lines of the streams before it
-        shift = base[:-1] + start - (np.cumsum(count) - count)
-        yield from map(lines.__getitem__, (flat - shift[stream]).tolist())
-        start += count
-    yield (f"{end_time!r}\t{seq.size + 1}\t{EVENT_RUN_END}\t"
-           + json.dumps({"finalized": report.samples_finalized,
+
+def rebuild_event_log(run, report: MetricsReport) -> Iterator[str]:
+    """Every event of ``run`` as a log line, in processing order, then run_end: one pass,
+    in newline-terminated pieces of whole lines."""
+    # the run_end payload: the iterator holds no report, so a report that holds the
+    # iterator is freed, and its helper stopped, as soon as it is dropped
+    return _stream(run, {"finalized": report.samples_finalized,
                          "local": report.samples_local,
                          "served": report.samples_served,
                          "in_flight": report.samples_in_flight,
-                         "makespan_ms": report.makespan_ms}, sort_keys=True))
+                         "makespan_ms": report.makespan_ms})
+
+
+def _stream(run, end: dict) -> Iterator[str]:
+    log = _Log(run, end)
+    n = log.order.size
+    chunks = -(-n // _CHUNK)
+    if chunks < 2 or not hasattr(os, "fork") or _usable_cpus() < 2:
+        yield from log.pieces(0, n)
+    else:
+        yield from _forked(log, chunks // 2 * _CHUNK, n)
+    yield log.end_line
+
+
+def _forked(log: _Log, mid: int, n: int) -> Iterator[str]:
+    """Lines ``[0, n)``: ``[0, mid)`` formatted here, ``[mid, n)`` by a forked child."""
+    spill = tempfile.TemporaryFile()
+    pid = None  # the child, until it is reaped
+    try:
+        pid = os.fork()
+        if pid == 0:  # the child leaves only here, and flushes nothing it inherited
+            status = 1
+            try:
+                with open(spill.fileno(), "w", encoding="utf-8", closefd=False) as out:
+                    out.writelines(log.pieces(mid, n))
+                status = 0
+            finally:
+                os._exit(status)
+        yield from log.pieces(0, mid)
+        _, status = os.waitpid(pid, 0)
+        pid = None
+        if status:
+            raise ChildProcessError("the event-log helper process failed with exit code "
+                                    f"{os.waitstatus_to_exitcode(status)}")
+        spill.seek(0)
+        limit, rest = _CHUNK * 128, b""  # characters per piece; the log is ASCII
+        # a piece holds at most ``limit`` characters, unless one line is longer
+        while block := spill.read(limit - len(rest) if len(rest) < limit else len(rest)):
+            piece = rest + block
+            cut = piece.rfind(b"\n") + 1
+            rest = piece[cut:]
+            if cut:
+                yield piece[:cut].decode()
+    finally:
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        spill.close()
+
+
+class _Log:
+    """The columns a finished run's event log is formatted from, in processing order."""
+
+    def __init__(self, run, end: dict):
+        self.run = run
+        base = np.cumsum([0] + [len(t) for t in run.times])
+        times = np.concatenate([np.asarray(t, dtype=np.float64) for t in run.times])
+        parent, pos = run.push_table()
+        order, place = processing_order(times, parent, pos)
+        end_time = float(times[order[-1]])
+        del times  # each array goes once read, which keeps the peak near the run's own
+        seq = push_rank(place, parent, pos)
+        # queue length after each arrival, and at each batch completion before it
+        # relaunches: arrivals so far less the batches launched by an earlier event
+        launch = place[parent[base[BC]:base[BC + 1]]]  # each batch's pusher's place, increasing
+        del parent, pos
+        ra_place, bc_place = place[base[RA]:base[RA + 1]], place[base[BC]:base[BC + 1]]
+        first = np.cumsum([0] + run.bc_size)  # each batch's first request
+        self.ra_queue = (np.arange(1, ra_place.size + 1)
+                         - first[np.searchsorted(launch, ra_place)])
+        self.bc_queue = (np.searchsorted(ra_place, bc_place)
+                         - first[np.searchsorted(launch, bc_place)])
+        del place, ra_place, bc_place, launch
+
+        self.base, self.order, self.first = base, order, first
+        self.ra_sd = np.asarray(run.ra_sd, dtype=np.int64)
+        self.seqs = [seq[base[s]:base[s + 1]] for s in range(6)]
+        self.updates = [update for tick in run.ticks for update in tick[3]]  # one per application
+        self.end_line = (f"{end_time!r}\t{seq.size + 1}\t{EVENT_RUN_END}\t"
+                         + json.dumps(end, sort_keys=True) + "\n")
+
+    def batch_samples(self, start: int, stop: int) -> list[str]:
+        """Each batch's samples in ``[start, stop)`` as JSON text of (device, sample) pairs."""
+        layout, first = self.run.layout, self.first
+        rows = self.ra_sd[first[start]:first[stop]]
+        pairs = list(zip(layout.sd_dev[rows].tolist(), layout.sd_index[rows].tolist()))
+        ends = (first[start:stop + 1] - first[start]).tolist()
+        return [json.dumps(pairs[i:j]) for i, j in zip(ends, ends[1:])]
+
+    def pieces(self, lo: int, hi: int) -> Iterator[str]:
+        """Lines ``[lo, hi)`` of processing order, one newline-terminated piece per chunk."""
+        run, layout, ra_sd, seqs, updates = (self.run, self.run.layout, self.ra_sd, self.seqs,
+                                             self.updates)
+        base, order = self.base, self.order
+        start = np.bincount(np.searchsorted(base, order[:lo], "right") - 1, minlength=6)
+        # each batch's samples as JSON text, completion to response: those in flight
+        # at lo are made here
+        in_flight = range(*start[[RESP, BC]].tolist())
+        samples = dict(zip(in_flight, self.batch_samples(in_flight.start, in_flight.stop)))
+        for at in range(lo, hi, _CHUNK):
+            flat = order[at:min(at + _CHUNK, hi)]
+            stream = np.searchsorted(base, flat, "right") - 1
+            count = np.bincount(stream, minlength=6)
+            a, b = start.tolist(), (start + count).tolist()
+            sd, ra, bc, resp, tick, ta = (slice(x, y) for x, y in zip(a, b))
+            codes, th = np.unique(run.applied[sd].view(np.int64), return_inverse=True)
+            text = [repr(v) for v in codes.view(np.float64).tolist()]  # each distinct threshold
+            lines = [
+                f'{t!r}\t{s}\t{EVENT_DEVICE_SAMPLE_DONE}\t{{"bvsb": {v!r}, "decision": '
+                f'"{"forward" if f else "keep_local"}", "device": {d}, "sample": {i}, '
+                f'"threshold": {text[k]}}}\n'
+                for t, s, v, f, d, i, k in zip(
+                    layout.sd_time[sd].tolist(), seqs[SD][sd].tolist(),
+                    layout.sd_bvsb[sd].tolist(), run.forward[sd].tolist(),
+                    layout.sd_dev[sd].tolist(), layout.sd_index[sd].tolist(), th.tolist())]
+            lines += [f'{t!r}\t{s}\t{EVENT_REQUEST_ARRIVAL}\t{{"device": {d}, "queue_len": {q}, '
+                      f'"sample": {i}}}\n'
+                      for t, s, d, q, i in zip(
+                          run.ra_time[ra], seqs[RA][ra].tolist(),
+                          layout.sd_dev[ra_sd[ra]].tolist(), self.ra_queue[ra].tolist(),
+                          layout.sd_index[ra_sd[ra]].tolist())]
+            samples.update(zip(range(bc.start, bc.stop), self.batch_samples(bc.start, bc.stop)))
+            lines += [f'{t!r}\t{s}\t{EVENT_BATCH_COMPLETE}\t{{"batch_size": {size}, '
+                      f'"launched_ms": {launched!r}, "queue_len": {q}, '
+                      f'"samples": {samples[k]}}}\n'
+                      for k, t, s, size, launched, q in zip(
+                          range(bc.start, bc.stop), run.bc_time[bc], seqs[BC][bc].tolist(),
+                          run.bc_size[bc], run.bc_launch[bc], self.bc_queue[bc].tolist())]
+            lines += [f'{t!r}\t{s}\t{EVENT_RESPONSE_ARRIVAL}\t{{"batch_size": {size}, '
+                      f'"samples": {samples.pop(k)}}}\n'
+                      for k, t, s, size in zip(range(resp.start, resp.stop),
+                                               run.resp_time[resp], seqs[RESP][resp].tolist(),
+                                               run.bc_size[resp])]
+            for k, s in zip(range(tick.start, tick.stop), seqs[TICK][tick].tolist()):
+                queue_len, b_bar, flush, tick_updates = run.ticks[k]
+                lines.append(f"{run.tick_time[k]!r}\t{s}\t{EVENT_SCHEDULER_TICK}\t" + json.dumps(
+                    {"queue_len": queue_len, "b_bar": b_bar, "capacity": run.capacity,
+                     "flush": flush, "updates": tick_updates}, sort_keys=True) + "\n")
+            lines += [f'{t!r}\t{s}\t{EVENT_THRESHOLD_APPLIED}\t{{"device": {d}, "reason": '
+                      f'"{r}", "threshold": {v!r}}}\n'
+                      for t, s, (d, v, r) in zip(run.ta_time[ta], seqs[TA][ta].tolist(),
+                                                 updates[ta])]
+            # an event's line sits at its index less its stream's first row, plus the
+            # lines of the streams before it
+            shift = base[:-1] + start - (np.cumsum(count) - count)
+            yield "".join(map(lines.__getitem__, (flat - shift[stream]).tolist()))
+            start += count

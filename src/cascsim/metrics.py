@@ -129,7 +129,8 @@ class MetricsReport:
     samples_served: int
     samples_in_flight: int  # always 0, as every run ends with every sample final
     samples: Optional[SampleColumns] = field(default=None, repr=False)
-    event_log: Optional[Iterator[str]] = field(default=None, repr=False)  # read once
+    # read once: newline-terminated pieces of whole lines, which join to the events file
+    event_log: Optional[Iterator[str]] = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         """Every field but the per-sample columns and the event log."""

@@ -9,6 +9,11 @@ from cascsim.server import BATCH_POOL, BatchLatencyTable
 from cascsim.trace import TraceSet
 
 
+def log_lines(report) -> list[str]:
+    """A report's event log, read once, as lines without their newlines."""
+    return "".join(report.event_log).splitlines()
+
+
 def make_trace(bvsb, light, heavy) -> TraceSet:
     return TraceSet(np.asarray(bvsb, dtype=float),
                     np.asarray(light, dtype=bool),

@@ -24,7 +24,7 @@ from cascsim.scheduler import SchedulerConfig, threshold_change
 from cascsim.server import compute_capacity_greedy
 from cascsim.trace import SyntheticTraceParams, generate_synthetic_trace
 
-from conftest import random_monotone_table, small_config, make_trace
+from conftest import log_lines, random_monotone_table, small_config, make_trace
 from oracle_capacity import compute_capacity_exact
 
 SEEDS = (1, 2, 3)
@@ -174,7 +174,7 @@ def test_deterministic_event_logs_and_reports():
         report = run_simulation(cfg, seed=7, collect_event_log=True)
         elapsed = time.monotonic() - t0
         assert elapsed < 30.0, f"run took {elapsed:.1f}s"
-        runs.append(("\n".join(report.event_log), report.to_json()))
+        runs.append(("".join(report.event_log), report.to_json()))
     assert runs[0][0] == runs[1][0], "event logs differ between identical runs"
     assert runs[0][1] == runs[1][1], "reports differ between identical runs"
     print("\nACCEPTANCE PASS: 30-device heterogeneous runs (seed 7) are "
@@ -261,7 +261,7 @@ def test_emergency_flush_round_trip_from_event_log():
               for i in range(3)}
     report = run_simulation(cfg, traces, seed=0, collect_event_log=True)
 
-    ticks = [parse_event_log_line(line) for line in report.event_log
+    ticks = [parse_event_log_line(line) for line in log_lines(report)
              if "\tscheduler_tick\t" in line]
     enters = [t for t in ticks if t.payload["flush"] == "entered"]
     exits = [t for t in ticks if t.payload["flush"] == "exited"]

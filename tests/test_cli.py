@@ -421,6 +421,11 @@ class TestNonFiniteConfig:
         ("fleet[0].trace.synthetic.count:",
          lambda d: d["fleet"][0]["trace"]["synthetic"].update(count=10**20)),
         ("scheduler.calibration.count:", calibrated(count=10**20)),
+        # within range, but more samples than numpy can allocate
+        ("fleet[0].trace.synthetic.count: 1000000000000000 samples are too many",
+         lambda d: d["fleet"][0]["trace"]["synthetic"].update(count=10**15)),
+        ("scheduler.calibration.count: 1000000000000000 samples are too many",
+         calibrated(count=10**15)),
         ("scheduler.calibration.seed:", calibrated(seed=-1)),
         ("scheduler.calibration.accuracy_tolerance:",
          calibrated(accuracy_tolerance=float("nan"))),
@@ -716,3 +721,18 @@ def test_logged_simulate_streams_its_event_log(tmp_path, monkeypatch, capsys):
     unlogged, logged = peak(), peak("--event-log")
     assert (out / "events_seed1.tsv").stat().st_size >= 4 * allowance
     assert logged - unlogged < allowance, (logged, unlogged)
+
+
+def test_a_failed_event_log_leaves_no_file(tmp_path, monkeypatch, capsys):
+    """A log that fails after its first piece (say, on a full disk) leaves neither
+    the events file nor its temporary file."""
+    def failing_log(run, report):
+        yield "first\n"
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(eventlog, "rebuild_event_log", failing_log)
+    out = tmp_path / "out"
+    with pytest.raises(OSError, match="No space"):
+        main(["simulate", "--config", write_config(tmp_path, tiny_config_doc()),
+              "--seed-list", "1", "--out", str(out), "--event-log"])
+    assert sorted(p.name for p in out.iterdir()) == ["report_seed1.json"]

@@ -28,7 +28,7 @@ from cascsim.engine import (
 from cascsim.errors import CascSimError, ConfigError
 from cascsim.metrics import SampleColumns
 
-from conftest import make_trace, random_integral_config, small_config
+from conftest import log_lines, make_trace, random_integral_config, small_config
 
 
 def constant_trace(n, bvsb, light=True, heavy=True):
@@ -142,7 +142,7 @@ class TestConservationAndCausality:
         traces = {i: make_trace(rng.random(100), rng.random(100) < 0.7,
                                 rng.random(100) < 0.8) for i in range(2)}
         report = run_simulation(cfg, traces, seed=0, collect_event_log=True)
-        events = [parse_event_log_line(line) for line in report.event_log]
+        events = [parse_event_log_line(line) for line in log_lines(report)]
         times = [e.time_ms for e in events]
         seqs = [e.sequence for e in events]
         assert times == sorted(times)
@@ -166,7 +166,7 @@ class TestDeterminism:
                                 rng.random(300) < 0.8) for i in range(3)}
         a = run_simulation(cfg, traces, seed=9, collect_event_log=True)
         b = run_simulation(cfg, traces, seed=9, collect_event_log=True)
-        assert list(a.event_log) == list(b.event_log)
+        assert log_lines(a) == log_lines(b)
         assert a.to_json() == b.to_json()
 
 
@@ -204,7 +204,7 @@ class TestRealizedThresholdOracle:
 
         correct = 0
         decisions = 0
-        for line in report.event_log:
+        for line in log_lines(report):
             event = parse_event_log_line(line)
             if event.kind != "device_sample_done":
                 continue
@@ -425,8 +425,8 @@ class TestEventLogChunks:
             for size in (eventlog._CHUNK, *self.SIZES):
                 with monkeypatch.context() as patch:
                     patch.setattr(eventlog, "_CHUNK", size)
-                    logs[size] = list(run_simulation(cfg, traces, seed=1,
-                                                     collect_event_log=True).event_log)
+                    logs[size] = log_lines(run_simulation(cfg, traces, seed=1,
+                                                          collect_event_log=True))
             for size in self.SIZES:
                 assert logs[size] == logs[eventlog._CHUNK], size
             kinds = [line.split("\t", 3)[2] for line in logs[7][:-1]]  # run_end stands apart
@@ -500,7 +500,7 @@ class TestEventTimeBound:
                                  "server.batch_latency_table", "network.downlink_ms",
                                  "scheduler.tick_period_ms"), err
             return
-        times = [parse_event_log_line(line).time_ms for line in report.event_log]
+        times = [parse_event_log_line(line).time_ms for line in log_lines(report)]
         assert np.isfinite(times).all()
         assert np.isfinite(report.samples.completion_ms).all()
         assert np.isfinite(report.makespan_ms)

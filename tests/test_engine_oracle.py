@@ -47,8 +47,9 @@ def assert_identical(cfg, traces=None, seed=0):
         e = getattr(expected.samples, name)[e_rows]
         a = getattr(actual.samples, name)[a_rows]
         assert a.dtype == e.dtype and np.array_equal(a, e), name
-    actual.event_log = list(actual.event_log)  # a one-pass iterator; callers read it again
-    assert actual.event_log == expected.event_log
+    text = "".join(actual.event_log)
+    assert text == "".join(line + "\n" for line in expected.event_log)
+    actual.event_log = text.splitlines()  # callers read the lines again
     return actual
 
 

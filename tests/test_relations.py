@@ -16,7 +16,7 @@ from cascsim.engine import run_simulation
 from cascsim.metrics import SampleColumns
 from cascsim.server import BatchLatencyTable
 
-from conftest import random_integral_config
+from conftest import log_lines, random_integral_config
 
 
 def with_scheduler(cfg, kind, **tuning):
@@ -74,9 +74,9 @@ def test_zero_fraction_and_margin_alone_do_not_make_it_static():
     assert zeroed.slo_satisfaction != static.slo_satisfaction
 
 
-def log_columns(log):
+def log_columns(report):
     """Time, sequence and kind of every event-log line."""
-    time, seq, kind = zip(*(line.split("\t", 3)[:3] for line in log))
+    time, seq, kind = zip(*(line.split("\t", 3)[:3] for line in log_lines(report)))
     return np.array(time, dtype=float), seq, kind
 
 
@@ -92,8 +92,8 @@ def assert_scaled_by_four(base, scaled):
     assert list(scaled.slo_satisfaction.values()) == list(base.slo_satisfaction.values())
     assert scaled.samples_served == base.samples_served
 
-    base_time, base_seq, base_kind = log_columns(base.event_log)
-    time, seq, kind = log_columns(scaled.event_log)
+    base_time, base_seq, base_kind = log_columns(base)
+    time, seq, kind = log_columns(scaled)
     assert np.array_equal(base_time * 4, time)
     assert (seq, kind) == (base_seq, base_kind)
 

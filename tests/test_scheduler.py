@@ -15,7 +15,7 @@ from cascsim.scheduler import (
     threshold_change,
 )
 
-from conftest import small_config
+from conftest import log_lines, small_config
 
 
 def cfg(**overrides) -> SchedulerConfig:
@@ -254,7 +254,7 @@ class TestBaseline:
                                   kind=kind, threshold=0.62, trace_count=300,
                                   sched_overrides=dict(tick_period_ms=100.0))
             report = run_simulation(config, seed=1, collect_event_log=True)
-            logs[kind] = [parse_event_log_line(line) for line in report.event_log]
+            logs[kind] = [parse_event_log_line(line) for line in log_lines(report)]
         assert any(e.kind == "threshold_applied" for e in logs["multitasc"])
         static = logs["static"]
         ticks = [e for e in static if e.kind == "scheduler_tick"]
