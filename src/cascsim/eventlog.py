@@ -14,13 +14,15 @@ sits at the last event's time and takes the next number.
 The log is yielded as newline-terminated pieces of whole lines, formatted as
 they are read, one ``_CHUNK`` of processing order at a time. Within a stream,
 index order is processing order, so a chunk holds one index range of each
-stream: only those rows are formatted, then merged. Any range of processing
-order can be formatted on its own, from each stream's row count before it.
-When the process may use two CPUs and the log has two chunks or more, one
-forked child formats the second half into an anonymous temporary file while
-this process formats the first; after the first half, the file is read back in
-pieces of whole lines. Both halves run the same formatter, so the text is the
-same as one process's.
+stream: only those rows are formatted, then merged. A chunk is formatted from
+the run's records alone, given each stream's row count before it, so any range
+of processing order can be formatted on its own. When the process may use two
+CPUs and the log has two chunks or more, one forked child formats the second
+half into an anonymous temporary file while this process formats the first;
+after the first half, the file is read back in fixed-size pieces, each
+completed to the end of its last line. Both halves run the same formatter, so
+the text is the same as one process's. A helper that fails leaves its error's
+repr in the file, and the log fails with it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import sys
 import tempfile
 from typing import Iterator
 
@@ -85,22 +88,24 @@ def _forked(log: _Log, mid: int, n: int) -> Iterator[str]:
                     out.writelines(log.pieces(mid, n))
                 status = 0
             finally:
-                os._exit(status)
+                try:
+                    if status:  # the spill holds the cause instead of the lines
+                        os.ftruncate(spill.fileno(), 0)
+                        os.pwrite(spill.fileno(), repr(sys.exc_info()[1]).encode(), 0)
+                finally:
+                    os._exit(status)
         yield from log.pieces(0, mid)
         _, status = os.waitpid(pid, 0)
         pid = None
-        if status:
-            raise ChildProcessError("the event-log helper process failed with exit code "
-                                    f"{os.waitstatus_to_exitcode(status)}")
         spill.seek(0)
-        limit, rest = _CHUNK * 128, b""  # characters per piece; the log is ASCII
-        # a piece holds at most ``limit`` characters, unless one line is longer
-        while block := spill.read(limit - len(rest) if len(rest) < limit else len(rest)):
-            piece = rest + block
-            cut = piece.rfind(b"\n") + 1
-            rest = piece[cut:]
-            if cut:
-                yield piece[:cut].decode()
+        if status:
+            code = os.waitstatus_to_exitcode(status)  # a signal's is negative, and wrote nothing
+            raise ChildProcessError(f"the event-log helper process failed with exit code {code}"
+                                    + (f": {spill.read().decode()}" if code == 1 else ""))
+        # pieces of ``_CHUNK * 128`` bytes (the log is ASCII), each completed to the end
+        # of the line it stops in
+        while piece := spill.read(_CHUNK * 128):
+            yield (piece + spill.readline()).decode()
     finally:
         if pid is not None:
             os.kill(pid, signal.SIGKILL)
@@ -153,10 +158,6 @@ class _Log:
                                              self.updates)
         base, order = self.base, self.order
         start = np.bincount(np.searchsorted(base, order[:lo], "right") - 1, minlength=6)
-        # each batch's samples as JSON text, completion to response: those in flight
-        # at lo are made here
-        in_flight = range(*start[[RESP, BC]].tolist())
-        samples = dict(zip(in_flight, self.batch_samples(in_flight.start, in_flight.stop)))
         for at in range(lo, hi, _CHUNK):
             flat = order[at:min(at + _CHUNK, hi)]
             stream = np.searchsorted(base, flat, "right") - 1
@@ -179,18 +180,20 @@ class _Log:
                           run.ra_time[ra], seqs[RA][ra].tolist(),
                           layout.sd_dev[ra_sd[ra]].tolist(), self.ra_queue[ra].tolist(),
                           layout.sd_index[ra_sd[ra]].tolist())]
-            samples.update(zip(range(bc.start, bc.stop), self.batch_samples(bc.start, bc.stop)))
+            # batches respond in the order they complete, each after its completion, so
+            # one range holds the samples of every batch that completes or responds here
+            samples = self.batch_samples(resp.start, bc.stop)
             lines += [f'{t!r}\t{s}\t{EVENT_BATCH_COMPLETE}\t{{"batch_size": {size}, '
                       f'"launched_ms": {launched!r}, "queue_len": {q}, '
-                      f'"samples": {samples[k]}}}\n'
-                      for k, t, s, size, launched, q in zip(
-                          range(bc.start, bc.stop), run.bc_time[bc], seqs[BC][bc].tolist(),
-                          run.bc_size[bc], run.bc_launch[bc], self.bc_queue[bc].tolist())]
+                      f'"samples": {batch}}}\n'
+                      for batch, t, s, size, launched, q in zip(
+                          samples[bc.start - resp.start:], run.bc_time[bc],
+                          seqs[BC][bc].tolist(), run.bc_size[bc], run.bc_launch[bc],
+                          self.bc_queue[bc].tolist())]
             lines += [f'{t!r}\t{s}\t{EVENT_RESPONSE_ARRIVAL}\t{{"batch_size": {size}, '
-                      f'"samples": {samples.pop(k)}}}\n'
-                      for k, t, s, size in zip(range(resp.start, resp.stop),
-                                               run.resp_time[resp], seqs[RESP][resp].tolist(),
-                                               run.bc_size[resp])]
+                      f'"samples": {batch}}}\n'
+                      for t, s, size, batch in zip(run.resp_time[resp], seqs[RESP][resp].tolist(),
+                                                  run.bc_size[resp], samples)]
             for k, s in zip(range(tick.start, tick.stop), seqs[TICK][tick].tolist()):
                 queue_len, b_bar, flush, tick_updates = run.ticks[k]
                 lines.append(f"{run.tick_time[k]!r}\t{s}\t{EVENT_SCHEDULER_TICK}\t" + json.dumps(

@@ -77,9 +77,7 @@ def accuracy(samples: SampleColumns) -> float:
 
 def forward_rate(samples: SampleColumns) -> float:
     """Fraction of samples that went to the server; 0 with none."""
-    if not len(samples):
-        return 0.0
-    return int(samples.served.sum()) / len(samples)
+    return _share(int(samples.served.sum()), len(samples))
 
 
 def aggregate_by_tier(samples: SampleColumns, device_tiers: Sequence[str],

@@ -9,6 +9,7 @@ must; the test suite checks it against an exact dynamic program.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import floor, inf, isfinite
 from typing import Optional
@@ -85,13 +86,8 @@ class CapacityResult:
 
 def select_batch_size(queue_length: int, table: BatchLatencyTable) -> Optional[int]:
     """Largest usable batch size covered by the current queue; None when empty."""
-    best = None
-    for b in table.effective_sizes:
-        if b <= queue_length:
-            best = b
-        else:
-            break
-    return best
+    k = bisect_right(table.effective_sizes, queue_length)
+    return table.effective_sizes[k - 1] if k else None
 
 
 def compute_capacity_greedy(table: BatchLatencyTable, slo_ms: float) -> CapacityResult:

@@ -507,11 +507,13 @@ class TestCliInputErrors:
     @pytest.mark.parametrize("fault, message", [("directory", "cannot read: Is a directory"),
                                                 ("latin-1", "not UTF-8 text"),
                                                 ("[]", "must be a JSON object, got []"),
+                                                ("nothing", "invalid JSON: Expecting value: "
+                                                 "line 1 column 1 (char 0)"),
                                                 ('"x"', "must be a JSON object, got 'x'")])
     def test_unreadable_config_file_is_a_config_error(self, tmp_path, capsys, argv, fault,
                                                       message):
-        """A config file that cannot be read, is not UTF-8 or holds no JSON object is
-        refused at the file's path."""
+        """A config file that cannot be read, is not UTF-8, is not JSON or holds no JSON
+        object is refused at the file's path."""
         path = tmp_path / "config.json"
         if fault == "directory":
             path.mkdir()
@@ -724,15 +726,29 @@ def test_logged_simulate_streams_its_event_log(tmp_path, monkeypatch, capsys):
 
 
 def test_a_failed_event_log_leaves_no_file(tmp_path, monkeypatch, capsys):
-    """A log that fails after its first piece (say, on a full disk) leaves neither
-    the events file nor its temporary file."""
+    """A log that fails after its first piece (say, on a full disk) exits 1 with the
+    JSON error and leaves neither the events file nor its temporary file."""
     def failing_log(run, report):
         yield "first\n"
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(eventlog, "rebuild_event_log", failing_log)
     out = tmp_path / "out"
-    with pytest.raises(OSError, match="No space"):
-        main(["simulate", "--config", write_config(tmp_path, tiny_config_doc()),
-              "--seed-list", "1", "--out", str(out), "--event-log"])
+    assert main(["simulate", "--config", write_config(tmp_path, tiny_config_doc()),
+                 "--seed-list", "1", "--out", str(out), "--event-log"]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "OSError", "message": "[Errno 28] No space left on device"}
     assert sorted(p.name for p in out.iterdir()) == ["report_seed1.json"]
+
+
+def test_an_out_that_names_a_file_is_a_json_error(tmp_path, capsys):
+    """``--out`` naming a file, not a directory, exits 1 with one JSON line on stderr."""
+    out = tmp_path / "out"
+    out.write_text("not a directory\n", encoding="utf-8")
+    assert main(["simulate", "--config", write_config(tmp_path, tiny_config_doc()),
+                 "--seed-list", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "FileExistsError",
+                               "message": f"[Errno 17] File exists: '{out}'"}
+    assert out.read_text(encoding="utf-8") == "not a directory\n"

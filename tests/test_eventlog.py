@@ -58,8 +58,8 @@ def assert_no_child_left():
 
 @pytest.mark.parametrize("zero_delay", [False, True])
 def test_the_helper_changes_no_byte(monkeypatch, forks, zero_delay):
-    """With the helper and without it (one usable CPU), the same text: at 256-event
-    chunks, and at chunks that make the log exactly one chunk (no fork) or two, one
+    """With the helper and without it (one usable CPU), the same text, in pieces that
+    each end a line: at 256-event chunks, and at chunks that make the log exactly one chunk (no fork) or two, one
     of them split between a batch's completion and its response."""
     cfg = config_from_dict(heterog_doc(zero_delay)).with_device_count(12)
 
@@ -67,7 +67,9 @@ def test_the_helper_changes_no_byte(monkeypatch, forks, zero_delay):
         with monkeypatch.context() as patch:
             patch.setattr(eventlog, "_CHUNK", chunk)
             patch.setattr(eventlog, "_usable_cpus", lambda: cpus)
-            return "".join(run_simulation(cfg, seed=1, collect_event_log=True).event_log)
+            pieces = list(run_simulation(cfg, seed=1, collect_event_log=True).event_log)
+        assert all(piece.endswith("\n") for piece in pieces)
+        return "".join(pieces)
 
     alone = text(256, 1)
     kinds = [line.split("\t", 3)[2] for line in alone.splitlines()[:-1]]  # run_end aside
@@ -102,13 +104,15 @@ def test_an_unfinished_log_leaves_no_process_or_file(monkeypatch, forks, finish)
 
 
 def failing_in_child(monkeypatch):
-    """Make the range formatter raise in any process but this one."""
+    """Make the range formatter raise in any process but this one, after its first
+    piece, whose lines the spill must not keep."""
     parent, pieces = os.getpid(), eventlog._Log.pieces
 
     def failing(self, lo, hi):
-        if os.getpid() != parent:
-            raise RuntimeError("the helper fails")
-        yield from pieces(self, lo, hi)
+        for piece in pieces(self, lo, hi):
+            yield piece
+            if os.getpid() != parent:
+                raise RuntimeError("the helper fails")
 
     monkeypatch.setattr(eventlog._Log, "pieces", failing)
     monkeypatch.setattr(eventlog, "_CHUNK", 256)
@@ -119,20 +123,25 @@ def test_a_failed_helper_fails_the_log(monkeypatch, forks):
     failing_in_child(monkeypatch)
     cfg = config_from_dict(heterog_doc()).with_device_count(12)
     log = run_simulation(cfg, seed=1, collect_event_log=True).event_log
-    with pytest.raises(ChildProcessError, match="exit code 1"):
+    with pytest.raises(ChildProcessError,
+                       match=r"exit code 1: RuntimeError\('the helper fails'\)$"):
         for _ in log:
             pass
     assert len(forks) == 1
     assert_no_child_left()
 
 
-def test_a_failed_helper_writes_no_events_file(tmp_path, monkeypatch, forks):
+def test_a_failed_helper_writes_no_events_file(tmp_path, monkeypatch, capsys, forks):
+    """``simulate --event-log`` exits 1 with the helper's JSON error, and leaves the
+    report but neither the events file nor its temporary file."""
     failing_in_child(monkeypatch)
     config, out = tmp_path / "config.json", tmp_path / "out"
     config.write_text(json.dumps(heterog_doc()), encoding="utf-8")
-    with pytest.raises(ChildProcessError):
-        main(["simulate", "--config", str(config), "--devices", "12", "--seed-list", "1",
-              "--out", str(out), "--event-log"])
+    assert main(["simulate", "--config", str(config), "--devices", "12", "--seed-list", "1",
+                 "--out", str(out), "--event-log"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ChildProcessError"
+    assert err["message"].endswith("exit code 1: RuntimeError('the helper fails')")
     assert sorted(p.name for p in out.iterdir()) == ["report_seed1.json"]
     assert json.loads((out / "report_seed1.json").read_text())["seed"] == 1
     assert_no_child_left()

@@ -334,6 +334,22 @@ class TestGapsFromBytes:
             del junk
             assert load_outcome(load_trace_csv, source) == expected
 
+    def test_without_x87_long_doubles_every_gap_goes_through_float(self, monkeypatch):
+        """Where long doubles are not x87 extended, no gap is read from its bytes: a
+        written 50,000-record trace loads bit for bit as the trace it was written
+        from, and a bad gap fails as it does where they are."""
+        trace = generate_synthetic_trace(params(count=50_000), seed=13)
+        buf = io.StringIO()
+        write_trace_csv(trace, buf)
+        gaps = ["0.5", "5e-1"] * 20
+        gaps[30] = "x"
+        bad = load_outcome(load_trace_csv, gap_csv(gaps))
+        monkeypatch.setattr(cascsim.trace, "_EXTENDED", False)
+        assert load_outcome(load_trace_csv, buf.getvalue()) == (
+            trace.bvsb.tobytes(), trace.light_correct.tobytes(), trace.heavy_correct.tobytes())
+        assert load_outcome(load_trace_csv, gap_csv(gaps)) == bad
+        assert bad[0] == "TraceError"
+
 
 class TestSourceBytes:
     """A file or bytes source is read as a view of its own bytes (only inline str
