@@ -21,6 +21,7 @@ from .trace import TraceSet
 # Resolution of the calibration scan; 201 uniform points over [0, 1].
 CALIBRATION_GRID_STEP = 0.005
 CALIBRATION_GRID = tuple(round(i * CALIBRATION_GRID_STEP, 3) for i in range(201))
+_GRID_EDGES = np.array(CALIBRATION_GRID + (np.inf,))  # grid point 201 lies above every gap
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,12 +103,14 @@ def calibrate_static_threshold(calibration_trace: TraceSet,
     maximum.
 
     Rates and accuracies come from counts of the gaps in each grid bin: a gap's
-    bin is ``searchsorted(grid, gap, "right")``, the number of grid points at or
-    below it, so grid point j forwards (``forwards``: gap strictly below it)
-    exactly the samples in bins 0..j. The cascade is right on a sample when the
-    heavy model is and the sample is forwarded, or when the light model is and
-    it is kept, so the count at j is the heavy-correct samples in bins 0..j
-    plus the light-correct ones in the later bins.
+    bin is the number of grid points at or below it, so grid point j forwards
+    (``forwards``: gap strictly below it) exactly the samples in bins 0..j. The
+    bin is ``floor(gap * 200) + 1``, set right by comparing the gap with the grid
+    points on either side, as the product may round across one. One count per
+    bin and pair of correctness bits gives the rest: the cascade is right on a
+    sample when the heavy model is and the sample is forwarded, or when the
+    light model is and it is kept, so the count at j is the heavy-correct
+    samples in bins 0..j plus the light-correct ones in the later bins.
     """
     if len(calibration_trace) == 0:
         raise ConfigError("trace", "must not be empty")
@@ -116,13 +119,19 @@ def calibrate_static_threshold(calibration_trace: TraceSet,
     if not accuracy_tolerance >= 0.0:  # NaN fails too
         raise ConfigError("accuracy_tolerance", f"must be non-negative, got {accuracy_tolerance}")
 
-    grid = np.asarray(CALIBRATION_GRID)
+    grid = _GRID_EDGES[:-1]
     n = len(calibration_trace)
-    bins = np.searchsorted(grid, calibration_trace.bvsb, "right")
-    forwarded, heavy_forwarded, light_forwarded = (
-        np.cumsum(np.bincount(in_bins, minlength=grid.size + 1)[:grid.size])
-        for in_bins in (bins, bins[calibration_trace.heavy_correct],
-                        bins[calibration_trace.light_correct]))
+    gaps = calibration_trace.bvsb
+    bins = (gaps * (grid.size - 1)).astype(np.intp) + 1  # floor(gap * 200) + 1, one off at most
+    bins -= _GRID_EDGES[bins - 1] > gaps
+    bins += _GRID_EDGES[bins] <= gaps
+    # the samples per bin and pair of bits, at 4 * bin + 2 * heavy + light
+    counts = np.bincount(4 * bins + 2 * calibration_trace.heavy_correct
+                         + calibration_trace.light_correct, minlength=4 * (grid.size + 1))
+    in_bins = np.cumsum(counts.reshape(-1, 4)[:grid.size], axis=0)  # row j: in bins 0..j
+    forwarded = in_bins.sum(axis=1)
+    heavy_forwarded = in_bins[:, 2] + in_bins[:, 3]
+    light_forwarded = in_bins[:, 1] + in_bins[:, 3]
     light_total = int(np.count_nonzero(calibration_trace.light_correct))
     rates = forwarded / n
     accuracies = (heavy_forwarded + light_total - light_forwarded) / n

@@ -8,6 +8,7 @@ semantics ever look at.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from math import isfinite
@@ -19,7 +20,11 @@ from .errors import ConfigError, TraceError
 
 TRACE_CSV_HEADER = "sample_index,bvsb,light_correct,heavy_correct"
 _BLOCK = 1 << 14  # records checked and converted at a time: the memory held beyond the text
+_PIECE = 1 << 16  # the fewest bytes a piece stripped of line-ending CR runs holds
+_CR_RUN = re.compile(rb"\r+\n")
 _NL, _COMMA, _POINT, _ZERO, _ONE = b"\n,.01"
+# a template record's last 4 bytes ``,L,H`` with its bits L and H set, and those bits
+_TAIL, _TAIL_BITS = (int.from_bytes(tail, "little") for tail in (b",1,1", b"\0\1\0\1"))
 _PAD = 24  # zero bytes before a block's words: one ends at a field's end and reaches 24 before it
 _PLACES = 18  # digits after the point in a gap read from its bytes: its numeral stays below 10**19
 _POW10 = 10 ** np.arange(_PLACES + 1, dtype=np.uint64)
@@ -179,36 +184,62 @@ def _read_plain_gaps(words: np.ndarray, starts: np.ndarray, stops: np.ndarray,
     return plain
 
 
-def _load_block(block: np.ndarray, first: int, gaps: np.ndarray, light: np.ndarray,
-                heavy: np.ndarray):
-    """Check the records whose bytes ``block`` holds, one a line and rows ``first``
-    on, and write their columns into ``gaps``, ``light`` and ``heavy``.
+def _load_block(block: np.ndarray, ends: np.ndarray, first: int, gaps: np.ndarray,
+                light: np.ndarray, heavy: np.ndarray):
+    """Check the records whose bytes ``block`` holds, one a line ending where ``ends``
+    says and rows ``first`` on, and write their columns into ``gaps``, ``light``
+    and ``heavy``.
 
-    Returns ``(row, message)`` for the block's earliest failing row and its first
-    failing check, or ``(rows, None)``. Each check looks only at the rows before
-    the earliest failure found so far, which have passed every earlier check.
+    A record that fits the template, its row's numeral of 1 to 8 digits, a comma,
+    the gap and ``,L,H`` with bits L and H, has its fields where its line's start
+    and end put them; any other record is split on its commas. Returns ``(row,
+    message)`` for the block's earliest failing row and its first failing check,
+    or ``(rows, None)``. Each check looks only at the rows before the earliest
+    failure found so far, which have passed every earlier check.
     """
-    delims = np.flatnonzero((block == _COMMA) | (block == _NL))
-    # fields per record: its commas plus one, from where its line end sits among the delimiters
-    counts = np.diff(np.append(np.flatnonzero(block[delims] == _NL), delims.size), prepend=-1)
-    limit, failure = gaps.size, None  # every row before ``limit`` passes the checks so far
-    row = _first_false(counts == 4)
-    if row is not None:
-        limit, failure = row, f"expected 4 fields, got {counts[row]}"
-    # every record before ``limit`` has 4 fields, so field 4r + k is column k of row r
-    edges = np.concatenate(([-1], delims, [block.size]))[:4 * limit + 1]
-    starts = (edges[:-1] + 1).reshape(limit, 4).T
-    stops = edges[1:].reshape(limit, 4).T
-    widths = stops - starts
+    begins = np.append(0, ends[:-1] + 1)
+    rows = np.arange(first, first + ends.size, dtype=np.uint64)
+    width = np.full(ends.size, len(str(first)))  # the digits of each row's numeral
+    for places in range(len(str(first)), len(str(first + ends.size - 1))):
+        width[10 ** places - first:] += 1
+    comma = begins + width  # where the template puts the first comma
     padded = np.concatenate((np.zeros(_PAD, np.uint8), block))
     words = np.ndarray((padded.size - 7,), "<u8", padded, 0, (1,))  # 8 bytes from each byte
+    value, digits = _digits(words[np.minimum(comma, block.size) + _PAD - 8],
+                            np.minimum(width, 8))
+    tail = words[ends + _PAD - 8] >> 32  # each line's last 4 bytes
+    # the template: the row's numeral, a comma, a gap of one byte or more, then ``,L,H``
+    fit = (width <= 8) & digits & (value == rows) & \
+        (padded[np.minimum(comma, block.size - 1) + _PAD] == _COMMA) & \
+        (ends - comma >= 6) & ((tail | _TAIL_BITS) == _TAIL)
+    starts = np.stack((begins, comma + 1, ends - 3, ends - 1))  # each field's bounds, as
+    stops = np.stack((comma, ends - 4, ends - 2, ends))  # the template puts them
+    limit, failure = gaps.size, None  # every row before ``limit`` passes the checks so far
+    for row in np.flatnonzero(~fit).tolist():
+        at = int(begins[row])
+        fields = block[at:ends[row]].tobytes().split(b",")
+        if len(fields) != 4:
+            limit, failure = row, f"expected 4 fields, got {len(fields)}"
+            break
+        for k, text in enumerate(fields):
+            starts[k, row] = at
+            at += len(text)
+            stops[k, row] = at
+            at += 1
+    widths = stops - starts
+    plain = _read_plain_gaps(words, starts[1, :limit], stops[1, :limit], gaps[:limit])
+    # a template row holds 3 commas when its gap is plain; any other gap may hide more
+    others = []  # each row whose gap goes through ``float``, with the gap's text
+    for row in np.flatnonzero(~plain).tolist():
+        text = _text(block[starts[1, row]:stops[1, row]])
+        if "," in text:
+            limit, failure = row, f"expected 4 fields, got {4 + text.count(',')}"
+            break
+        others.append((row, text))
 
-    # an index of 1 to 8 ASCII digits that spell its row is what ``int`` reads it as
-    value, digits = _digits(words[stops[0] + _PAD - 8], np.minimum(widths[0], 8))
-    own = (widths[0] >= 1) & (widths[0] <= 8) & digits & \
-        (value == np.arange(first, first + limit, dtype=np.uint64))
+    # a template row's index spells its row, which is what ``int`` reads it as
     nonconsecutive = None  # the first (row, index) read as another row's
-    for row in np.flatnonzero(~own).tolist():
+    for row in np.flatnonzero(~fit[:limit]).tolist():
         try:
             index = int(_text(block[starts[0, row]:stops[0, row]]))
         except ValueError as exc:
@@ -216,10 +247,11 @@ def _load_block(block: np.ndarray, first: int, gaps: np.ndarray, light: np.ndarr
             break
         if index != first + row and nonconsecutive is None:
             nonconsecutive = row, index
-    for row in np.flatnonzero(~_read_plain_gaps(words, starts[1, :limit], stops[1, :limit],
-                                                gaps[:limit])).tolist():
+    for row, text in others:
+        if row >= limit:
+            break
         try:
-            gaps[row] = float(_text(block[starts[1, row]:stops[1, row]]))
+            gaps[row] = float(text)
         except ValueError as exc:
             limit, failure = row, str(exc)
             break
@@ -250,9 +282,12 @@ def load_trace_csv(source: Union[str, bytes], field: str = "csv") -> TraceSet:
 
     Records are read from a view of the file's or bytes source's own bytes (copied
     only to drop carriage returns; only inline str text is encoded), ``_BLOCK`` rows
-    at a time: a gap goes through ``float`` only when ``_read_plain_gaps`` cannot
-    read it, and an index goes through ``int`` only when it is not 1 to 8 ASCII
-    digits spelling its row. The error raised is at the earliest failing row and,
+    at a time. A record's fields are found from its line's start and end: its row's
+    numeral in 1 to 8 ASCII digits, a comma, a gap of one byte or more, then
+    ``,L,H`` with L and H each 0 or 1. A record that does not fit this template is
+    split on its commas, and its index goes through ``int``. A gap goes through
+    ``float`` only when ``_read_plain_gaps`` cannot read it, and a template record's
+    gap is first checked for a comma. The error raised is at the earliest failing row and,
     within that row, is the first failing check in the order: field count, ``int``
     index, ``float`` gap, consecutive index, gap in [0, 1], light bit, heavy bit.
     """
@@ -278,8 +313,13 @@ def load_trace_csv(source: Union[str, bytes], field: str = "csv") -> TraceSet:
     final = data.endswith(b"\n")  # a line end after the last record, which ends no record
     if b"\r" in data:  # each run of carriage returns that ends a line is dropped
         data = data.rstrip(b"\r").replace(b"\r\n", b"\n")
-        if b"\r\n" in data:  # some line ended in several CRs: rare, so line by line
-            data = b"\n".join(line.rstrip(b"\r") for line in data.split(b"\n"))
+        if b"\r\n" in data:  # some line ended in several CRs: as ``sub`` makes an
+            rest, data, at = data, bytearray(), 0  # object of each line, it takes a piece
+            while at < len(rest):  # of whole lines at a time
+                cut = rest.find(b"\n", at + _PIECE) + 1 or len(rest)
+                data += _CR_RUN.sub(b"\n", rest[at:cut])
+                at = cut
+            del rest
     stop = len(data) - final
     newline = data.find(b"\n", 0, stop)
     header = data[:stop if newline < 0 else newline].decode("utf-8", "surrogatepass")
@@ -296,8 +336,8 @@ def load_trace_csv(source: Union[str, bytes], field: str = "csv") -> TraceSet:
     for first in range(0, ends.size, _BLOCK):
         rows = slice(first, first + _BLOCK)
         start = ends[first - 1] + 1 if first else 0
-        row, failure = _load_block(raw[start:ends[rows][-1]], first, gaps[rows], light[rows],
-                                   heavy[rows])
+        row, failure = _load_block(raw[start:ends[rows][-1]], ends[rows] - start, first,
+                                   gaps[rows], light[rows], heavy[rows])
         if failure is not None:
             raise TraceError(field, first + row + 2, failure)
     return TraceSet(gaps, light, heavy)

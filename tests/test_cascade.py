@@ -189,6 +189,10 @@ def bit_column(spec, n: int) -> list[bool]:
 ON_GRID = [CALIBRATION_GRID[j] for j in (1, 37, 60, 100, 199)]
 # one ulp below and above a few grid points
 BESIDE_GRID = [float(np.nextafter(g, side)) for g in ON_GRID for side in (0.0, 1.0)]
+# every grid point, and one ulp below and above each that lies in [0, 1]
+AROUND_GRID = [v for g in CALIBRATION_GRID
+               for v in (float(np.nextafter(g, -1.0)), g, float(np.nextafter(g, 2.0)))
+               if 0.0 <= v <= 1.0]
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -205,11 +209,26 @@ BESIDE_GRID = [float(np.nextafter(g, side)) for g in ON_GRID for side in (0.0, 1
          heavy=[True, False], target=0.5, tolerance=0.0)
 @example(distinct=[0.3], picks=[0] * 9, light=[True, False, False], heavy="all",
          target=0.3, tolerance=0.0)
+@example(distinct=AROUND_GRID, picks=list(range(len(AROUND_GRID))),
+         light=[True, False, True, True, False], heavy=[False, True, True], target=0.3,
+         tolerance=0.0)
 def test_calibration_matches_grid_matrix(distinct, picks, light, heavy, target, tolerance):
     """The grid-bin counts pick the threshold the grid × n decision matrix picks, on
     traces of 1 to 80 samples drawn from a few gaps, so most repeat; pinned: gaps
-    on grid points, at 0 and 1, one ulp either side of grid points, all equal."""
+    on grid points, at 0 and 1, one ulp either side of grid points (of a few, and
+    of all 201), all equal."""
     gaps = [distinct[i % len(distinct)] for i in picks]
     trace = make_trace(gaps, bit_column(light, len(gaps)), bit_column(heavy, len(gaps)))
     assert calibrate_static_threshold(trace, target, tolerance).value == \
         calibrate_grid_matrix(trace, target, tolerance)
+
+
+def test_each_gap_around_a_grid_point_is_binned_as_the_rule_keeps_it():
+    """A lone sample that only the heavy model gets right is forwarded from the
+    lowest grid point above its gap on, and there the cascade is most accurate, so
+    calibration with no tolerance picks that point (0 when none lies above): at
+    every grid point and one ulp either side of it."""
+    for gap in AROUND_GRID:
+        above = [g for g in CALIBRATION_GRID if forwards(gap, g)]
+        picked = calibrate_static_threshold(make_trace([gap], [False], [True]), 0.5, 0.0)
+        assert picked.value == (above[0] if above else 0.0), gap

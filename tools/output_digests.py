@@ -36,7 +36,8 @@ on edited copies of the ``ERROR_PRESET`` preset's first CSV trace: the
 ``CSV_FAULTS`` copies (a bad gap in the second block of 16,384 records, a
 9-digit index, a fifth field on the second block's first record, a bit ``2`` on
 the last row, one ``0xFF`` byte, a wrong header, an empty file, a header-only
-CRLF file, a truncated UTF-8 character late in the file) must each be rejected,
+CRLF file, a truncated UTF-8 character late in the file, an empty gap, a
+heavy bit ``11`` on the last row but one) must each be rejected,
 with a line ``<sha256>  errors/csv_<case>/status+stderr``; the ``CSV_VARIANTS``
 copies (CRLF line ends, ``+3`` and ``03`` as indexes, ``\\r\\r\\n`` line ends, a
 final CR in place of the final newline, no final newline, a fullwidth-digit
@@ -146,6 +147,8 @@ CSV_FAULTS = {
     "empty": lambda data: b"",
     "header_only_crlf": lambda data: data[:data.index(b"\n")] + b"\r\n",
     "utf8_truncated_late": _field(CSV_ROWS - 10, 1, b"0.5\xe2\x82"),
+    "gap_empty": _field(100, 1, b""),
+    "heavy_two_bytes": _field(CSV_ROWS - 2, 3, b"11"),
 }
 CSV_VARIANTS = {
     "crlf": lambda data: data.replace(b"\n", b"\r\n"),
