@@ -12,6 +12,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from math import isfinite
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,25 +23,6 @@ from .trace import TraceSet
 CALIBRATION_GRID_STEP = 0.005
 CALIBRATION_GRID = tuple(round(i * CALIBRATION_GRID_STEP, 3) for i in range(201))
 _GRID_EDGES = np.array(CALIBRATION_GRID + (np.inf,))  # grid point 201 lies above every gap
-
-
-@dataclass(frozen=True, slots=True)
-class Threshold:
-    """A forwarding decision threshold, always clamped to [0, 1].
-
-    0 never forwards; 1 forwards everything except samples with a confidence
-    gap of exactly 1.
-    """
-
-    value: float
-
-    def __post_init__(self):
-        v = float(self.value)
-        if v < 0.0:
-            v = 0.0
-        elif v > 1.0:
-            v = 1.0
-        object.__setattr__(self, "value", v)
 
 
 @dataclass(frozen=True)
@@ -71,36 +53,28 @@ def forwards(bvsb, threshold):
     return bvsb < threshold
 
 
-def trace_forward_rate(trace: TraceSet, threshold: float) -> float:
-    """Fraction of records a device holding this trace forwards at this
-    threshold; an empty trace yields 0."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigError("threshold", f"must be in [0, 1], got {threshold}")
-    if len(trace) == 0:
-        return 0.0
-    return float(forwards(trace.bvsb, threshold).mean())
+class Calibration(NamedTuple):
+    """A threshold picked from the calibration grid, with the forward rate and the
+    cascade accuracy it gives on the calibration trace."""
 
-
-def cascade_accuracy(trace: TraceSet, threshold: Threshold) -> float:
-    """Fraction of trace samples the cascade answers correctly at this threshold."""
-    if len(trace) == 0:
-        raise ConfigError("trace", "must not be empty")
-    correct = np.where(forwards(trace.bvsb, threshold.value),
-                       trace.heavy_correct, trace.light_correct)
-    return float(correct.mean())
+    value: float
+    forward_rate: float
+    cascade_accuracy: float
 
 
 def calibrate_static_threshold(calibration_trace: TraceSet,
                                target_forward_rate: float = CalibrationSpec.target_forward_rate,
                                accuracy_tolerance: float = CalibrationSpec.accuracy_tolerance,
-                               ) -> Threshold:
+                               ) -> Calibration:
     """Pick a fixed threshold from the calibration grid.
 
     Scans the 201-point grid for the threshold whose forward rate is closest
     to the target (ties go to the lower threshold). If that choice costs more
     than accuracy_tolerance of cascade accuracy relative to the best grid
     point, falls back to the lowest threshold within the tolerance of the
-    maximum.
+    maximum. Returns the pick with its forward rate and cascade accuracy on the
+    trace. The callers check the inputs: a trace holds at least one record, the
+    target lies in (0, 1) and the tolerance is finite and non-negative.
 
     Rates and accuracies come from counts of the gaps in each grid bin: a gap's
     bin is the number of grid points at or below it, so grid point j forwards
@@ -112,13 +86,6 @@ def calibrate_static_threshold(calibration_trace: TraceSet,
     light model is and it is kept, so the count at j is the heavy-correct
     samples in bins 0..j plus the light-correct ones in the later bins.
     """
-    if len(calibration_trace) == 0:
-        raise ConfigError("trace", "must not be empty")
-    if not 0.0 < target_forward_rate < 1.0:
-        raise ConfigError("target_forward_rate", f"must be in (0, 1), got {target_forward_rate}")
-    if not accuracy_tolerance >= 0.0:  # NaN fails too
-        raise ConfigError("accuracy_tolerance", f"must be non-negative, got {accuracy_tolerance}")
-
     grid = _GRID_EDGES[:-1]
     n = len(calibration_trace)
     gaps = calibration_trace.bvsb
@@ -141,4 +108,4 @@ def calibrate_static_threshold(calibration_trace: TraceSet,
     if accuracies[best] < max_acc - accuracy_tolerance:
         within = np.nonzero(accuracies >= max_acc - accuracy_tolerance)[0]
         best = int(within[0])
-    return Threshold(float(grid[best]))
+    return Calibration(float(grid[best]), float(rates[best]), float(accuracies[best]))

@@ -15,8 +15,7 @@ from math import inf
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-from .cascade import (CalibrationSpec, calibrate_static_threshold, cascade_accuracy,
-                      trace_forward_rate)
+from .cascade import CalibrationSpec, calibrate_static_threshold
 from .config import ExperimentConfig, load_config, preset_names, read_batch_table
 from .engine import DeviceLayout, run_simulation
 from .errors import CascSimError, ConfigError
@@ -179,12 +178,9 @@ def cmd_calibrate(args) -> int:
             raise ConfigError("--config", "cannot be combined with --trace, which names "
                                           "the trace to calibrate")
         trace = load_trace_csv(args.trace, "--trace")
-        threshold = calibrate_static_threshold(trace, **given)
-        print(json.dumps({
-            "threshold": threshold.value,
-            "forward_rate": trace_forward_rate(trace, threshold.value),
-            "cascade_accuracy": cascade_accuracy(trace, threshold),
-        }, sort_keys=True))
+        pick = calibrate_static_threshold(trace, **given)
+        print(json.dumps({"threshold": pick.value, "forward_rate": pick.forward_rate,
+                          "cascade_accuracy": pick.cascade_accuracy}, sort_keys=True))
         return 0
     if not args.config:
         raise ConfigError("--trace", "either --config or --trace is required")
@@ -199,7 +195,7 @@ def cmd_calibrate(args) -> int:
     thresholds = cfg.resolve_initial_thresholds()
     print(json.dumps({
         "thresholds": [
-            {"group": i, "tier": g.tier.value, "model": g.model, "threshold": t.value}
+            {"group": i, "tier": g.tier.value, "model": g.model, "threshold": t}
             for i, (g, t) in enumerate(zip(cfg.fleet, thresholds))
         ],
         "target_forward_rate": calib.target_forward_rate if calib else None,

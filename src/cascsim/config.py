@@ -19,7 +19,7 @@ from math import isfinite
 from pathlib import Path
 from typing import Optional, Union
 
-from .cascade import CalibrationSpec, Threshold, calibrate_static_threshold
+from .cascade import CalibrationSpec, calibrate_static_threshold
 from .errors import ConfigError
 from .scheduler import SchedulerConfig, Tier
 from .server import BATCH_POOL, BatchLatencyTable
@@ -140,7 +140,7 @@ class ExperimentConfig:
                 device_id += 1
         return traces
 
-    def resolve_initial_thresholds(self, memo: Optional[dict] = None) -> list[Threshold]:
+    def resolve_initial_thresholds(self, memo: Optional[dict] = None) -> list[float]:
         """Initial threshold for each fleet group.
 
         A fixed value applies to every group; otherwise each group is
@@ -149,17 +149,17 @@ class ExperimentConfig:
         A caller-owned ``memo`` keeps each group's calibrated threshold, and
         its csv trace, for later calls."""
         if self.scheduler.initial_threshold is not None:
-            return [Threshold(self.scheduler.initial_threshold)] * len(self.fleet)
+            return [float(self.scheduler.initial_threshold)] * len(self.fleet)
         calib = self.scheduler.calibration
 
-        def calibrate(gi: int, group: FleetGroup) -> Threshold:
+        def calibrate(gi: int, group: FleetGroup) -> float:
             if group.trace_csv is not None:
                 trace = _csv_trace(group, gi, memo)
             else:
                 params = replace(group.synthetic, count=calib.count)
                 trace = _draw(params, [calib.seed, gi], "scheduler.calibration.count")
             return calibrate_static_threshold(trace, calib.target_forward_rate,
-                                              calib.accuracy_tolerance)
+                                              calib.accuracy_tolerance).value
 
         return [_memoized(memo, (calib, group.synthetic, group.trace_csv, gi),
                           lambda: calibrate(gi, group))

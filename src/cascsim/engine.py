@@ -41,9 +41,11 @@ stepping through samples one by one:
   state and ``[device, value, reason]`` updates, with one threshold application
   time per update. Counts are derived where they are read: samples kept are the
   decided ones less the requests, samples served the summed batch sizes.
-- Reports are computed from the per-sample columns, one row per sample. The
-  event log, when asked for, is streamed after the run from the columns and the
-  per-batch and per-tick records, formatted chunk by chunk as it is read.
+- Reports are computed from the per-sample columns, one row per sample,
+  counted once per device: the run's and each tier's figures come from those
+  counts. The event log, when asked for, is streamed after the run from the
+  columns and the per-batch and per-tick records, formatted chunk by chunk as
+  it is read.
 
 Tie rule. A heap keyed on (time, push counter) processes a run of equal times
 as follows: the initial pushes (each device's first completion by device id,
@@ -75,7 +77,7 @@ from .cascade import forwards
 from .config import ExperimentConfig
 from .errors import ConfigError, InvariantError
 from .metrics import MetricsReport, SampleColumns
-from .scheduler import TIER_LEVEL, SchedulerState, Tier, scheduler_tick
+from .scheduler import TIER_LEVEL, SchedulerState, scheduler_tick
 from .server import compute_capacity_greedy, select_batch_size
 from .trace import TraceSet
 
@@ -118,16 +120,12 @@ def estimate_arrival_rate(devices: Sequence[tuple[float, float]]) -> float:
     inference per local-latency interval."""
     total = 0.0
     for p, t_inf_ms in devices:
-        if t_inf_ms <= 0:
-            raise ConfigError("t_inf_ms", f"must be positive, got {t_inf_ms}")
         total += p / (t_inf_ms / 1000.0)
     return total
 
 
 def classify_server_state(arrival_rate: float, server_throughput: float) -> str:
     """Compare arrival rate against attainable throughput (1e-9 relative tolerance)."""
-    if server_throughput <= 0:
-        raise ConfigError("server_throughput", "must be positive")
     if isclose(arrival_rate, server_throughput, rel_tol=1e-9):
         return SERVER_EQUILIBRIUM
     if arrival_rate < server_throughput:
@@ -256,7 +254,7 @@ class DeviceLayout:
                 raise ConfigError(f"fleet[{gi}].t_inf_ms",
                                   f"{len(trace)} samples of {group.t_inf_ms} ms end past "
                                   "the largest float")
-            commanded.append(initial[gi].value)
+            commanded.append(initial[gi])
             levels.append(TIER_LEVEL[group.tier])
             self.t_inf[device_id] = group.t_inf_ms
             lengths.append(len(trace))
@@ -629,7 +627,6 @@ class _Run:
         cols = self._samples(times[RESP], sizes)
         served = int(np.count_nonzero(cols.served))
         local = len(cols) - served
-        forwarded_by_device = np.bincount(cols.device_id[cols.served], minlength=n)
 
         makespan = float(cols.completion_ms.max())
         queue_area, queue_waits = self._queue_area(times[RA], launch, sizes)
@@ -640,19 +637,24 @@ class _Run:
             batch_done=times[BC], stream_times=times,
             queue_area=queue_area, queue_waits=queue_waits)
 
-        slos = experiment.slos_ms
-        satisfaction = {float(slo): metrics_mod.slo_satisfaction(cols, slo) for slo in slos}
-        tier_names = [tier.value for tier in Tier]  # indexed by tier level
-        per_tier = metrics_mod.aggregate_by_tier(
-            cols, [tier_names[level] for level in self.sched_state.levels.tolist()],
-            makespan, slos)
+        # every figure below comes from these per-device counts
+        device = cols.device_id
+        count = np.bincount(device, minlength=n)
+        correct = np.bincount(device[cols.correct], minlength=n)
+        forwarded = np.bincount(device[cols.served], minlength=n)
+        within = {float(slo): np.bincount(device[cols.latency_ms <= slo], minlength=n)
+                  for slo in experiment.slos_ms}
+        totals = metrics_mod.rollup(slice(None), count, correct, within, makespan)
+        levels = self.layout.levels
+        per_tier = {tier.value: metrics_mod.rollup(levels == level, count, correct, within,
+                                                   makespan)
+                    for tier, level in TIER_LEVEL.items() if (levels == level).any()}
 
-        count_by_device = np.bincount(cols.device_id, minlength=n).tolist()
-        correct_by_device = np.bincount(cols.device_id[cols.correct], minlength=n).tolist()
-        per_device_acc = [c / total for c, total in zip(correct_by_device, count_by_device)]
+        count_by_device = count.tolist()
+        per_device_acc = [c / total for c, total in zip(correct.tolist(), count_by_device)]
         arrival = estimate_arrival_rate(
             [(f / d, t) for f, d, t in
-             zip(forwarded_by_device.tolist(), count_by_device, self.layout.t_inf.tolist())])
+             zip(forwarded.tolist(), count_by_device, self.layout.t_inf.tolist())])
         peak = self.table.peak_throughput
 
         return MetricsReport(
@@ -660,12 +662,12 @@ class _Run:
             device_count=n,
             seed=self.seed,
             makespan_ms=makespan,
-            total_throughput=metrics_mod.throughput(cols, makespan),
-            cascade_accuracy=metrics_mod.accuracy(cols),
+            total_throughput=totals["throughput"],
+            cascade_accuracy=totals["accuracy"],
             device_mean_accuracy=sum(per_device_acc) / n,
-            slo_satisfaction=satisfaction,
+            slo_satisfaction=totals["satisfaction"],
             per_tier=per_tier,
-            forward_rate=metrics_mod.forward_rate(cols),
+            forward_rate=served / len(cols),
             mean_queue_length=queue_area / makespan,
             arrival_rate=arrival,
             server_throughput=peak,

@@ -1,10 +1,11 @@
 """Run evaluation: latency-SLO satisfaction, throughput, accuracy, tier rollups.
 
-All functions are pure post-processing over the per-sample results a run
-produces, held as numpy columns (``SampleColumns``). A run ends when every
-sample is final, so the columns hold all of them. Throughput is samples over
-the run makespan; satisfaction is the share of samples whose latency fits the
-objective.
+A run's per-sample results are held as numpy columns (``SampleColumns``). A run
+ends when every sample is final, so the columns hold all of them. The report
+counts them per device once, and ``rollup`` turns the counts of a set of
+devices (the whole fleet, or one tier) into its figures. Throughput is samples
+over the run makespan; satisfaction is the share of samples whose latency fits
+the objective.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
-
-from .errors import ConfigError
 
 
 class SampleColumns:
@@ -46,62 +45,23 @@ class SampleColumns:
         return int(self.device_id.size)
 
 
-def _share(count: int, total: int) -> float:
-    """``count`` out of ``total`` samples as a fraction; 0 with none."""
-    return count / total if total else 0.0
+def rollup(devices, count: np.ndarray, correct: np.ndarray, within: dict[float, np.ndarray],
+           makespan_ms: float) -> dict:
+    """Samples, accuracy, throughput and satisfaction of the devices that the numpy
+    index ``devices`` selects, from per-device counts: ``count`` samples, ``correct``
+    of them answered right and ``within[slo]`` finished within each objective.
 
-
-def _per_second(count: int, makespan_ms: float) -> float:
-    """``count`` samples per second over the run makespan; 0 over an empty one."""
-    if not makespan_ms >= 0:  # NaN fails too
-        raise ConfigError("makespan_ms", f"must be non-negative, got {makespan_ms}")
-    if makespan_ms == 0:
-        return 0.0
-    return count / (makespan_ms / 1000.0)
-
-
-def slo_satisfaction(samples: SampleColumns, slo_ms: float) -> float:
-    """Fraction of samples finishing within the latency objective; 0 with none."""
-    return _share(int((samples.latency_ms <= slo_ms).sum()), len(samples))
-
-
-def throughput(samples: SampleColumns, makespan_ms: float) -> float:
-    """Finalized samples per second over the run makespan; 0 over an empty one."""
-    return _per_second(len(samples), makespan_ms)
-
-
-def accuracy(samples: SampleColumns) -> float:
-    """Fraction of finalized samples answered correctly; 0 with none."""
-    return _share(int(samples.correct.sum()), len(samples))
-
-
-def forward_rate(samples: SampleColumns) -> float:
-    """Fraction of samples that went to the server; 0 with none."""
-    return _share(int(samples.served.sum()), len(samples))
-
-
-def aggregate_by_tier(samples: SampleColumns, device_tiers: Sequence[str],
-                      makespan_ms: float, slos_ms: Sequence[float]) -> dict:
-    """Per-tier accuracy, throughput, and satisfaction of every tier in the fleet.
-
-    ``device_tiers`` is indexed by device id. Tier throughputs share the
-    run-wide makespan so they sum to the total.
+    Every device holds a sample and every makespan is positive, so no share divides
+    by zero. Throughput is over the run-wide makespan, so the throughputs of the
+    tiers sum to the fleet's.
     """
-    names, codes = np.unique(np.asarray(device_tiers, dtype=str), return_inverse=True)
-    sample_codes = codes[samples.device_id]
-    within = [(float(slo), samples.latency_ms <= slo) for slo in slos_ms]
-    report = {}
-    for code, name in enumerate(names.tolist()):
-        in_tier = sample_codes == code
-        count = int(np.count_nonzero(in_tier))
-        report[name] = {
-            "samples": count,
-            "accuracy": _share(int(np.count_nonzero(in_tier & samples.correct)), count),
-            "throughput": _per_second(count, makespan_ms),
-            "satisfaction": {slo: _share(int(np.count_nonzero(in_tier & ok)), count)
-                             for slo, ok in within},
-        }
-    return report
+    samples = int(count[devices].sum())
+    return {
+        "samples": samples,
+        "accuracy": int(correct[devices].sum()) / samples,
+        "throughput": samples / (makespan_ms / 1000.0),
+        "satisfaction": {slo: int(ok[devices].sum()) / samples for slo, ok in within.items()},
+    }
 
 
 @dataclass
@@ -146,11 +106,9 @@ def mean_report(reports: Sequence[MetricsReport]) -> dict:
 
     The run's kind and device count come from the first report, and ``seeds``
     lists every report's seed; the seed, the server state and the local and
-    served sample counts are left out.
+    served sample counts are left out. A seed list is never empty, so neither is
+    ``reports``.
     """
-    if not reports:
-        raise ConfigError("reports", "must not be empty")
-
     def average(values: list):
         if isinstance(values[0], dict):
             return {str(key): average([v[key] for v in values]) for key in values[0]}

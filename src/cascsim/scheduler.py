@@ -119,8 +119,6 @@ def threshold_change(b_bar: float, queue_length: int, capacity: int,
     length exceed alpha * capacity; raises them only when both sit at or below
     beta * capacity. Anything in between holds steady.
     """
-    if capacity < 0:
-        raise ConfigError("capacity", f"must be non-negative, got {capacity}")
     high = cfg.alpha * capacity
     low = cfg.beta * capacity
     if b_bar > high and queue_length > high:
@@ -138,8 +136,6 @@ def select_update_targets(levels: np.ndarray, last_update: np.ndarray, decrease:
     first when increasing), then least recently updated first, then ascending
     id (``lexsort`` is stable); the prefix is taken.
     """
-    if not len(levels):
-        raise ConfigError("devices", "must be a non-empty list")
     # tiny epsilon so float noise in fraction * count cannot bump the ceiling
     count = ceil(cfg.update_fraction * len(levels) - 1e-9)
     return np.lexsort((last_update, -levels if decrease else levels))[:count]

@@ -96,15 +96,6 @@ class SyntheticTraceParams:
                                   f"must be a pair of finite positive reals, got {shape}")
         if not 1 <= self.count <= sys.maxsize:
             raise ConfigError(f"{path}.count", f"must be in [1, {sys.maxsize}], got {self.count}")
-        if not 0.0 <= self.marginal_heavy_accuracy <= 1.0:
-            raise ConfigError(path, f"marginal heavy accuracy {self.marginal_heavy_accuracy} "
-                              "outside [0, 1]")
-
-    @property
-    def marginal_heavy_accuracy(self) -> float:
-        la = self.light_accuracy
-        return la * self.heavy_accuracy_given_light_correct + \
-            (1.0 - la) * self.heavy_accuracy_given_light_wrong
 
 
 def generate_synthetic_trace(params: SyntheticTraceParams, seed) -> TraceSet:

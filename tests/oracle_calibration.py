@@ -15,8 +15,9 @@ from cascsim.trace import TraceSet
 
 
 def calibrate_grid_matrix(trace: TraceSet, target_forward_rate: float,
-                          accuracy_tolerance: float) -> float:
-    """The grid point calibration picks, from the full grid × n decision matrix."""
+                          accuracy_tolerance: float) -> tuple[float, float, float]:
+    """The grid point calibration picks, its forward rate and its cascade accuracy,
+    from the full grid × n decision matrix."""
     grid = np.asarray(CALIBRATION_GRID)
     n = len(trace)
     forwarded = forwards(trace.bvsb[None, :], grid[:, None])
@@ -28,4 +29,4 @@ def calibrate_grid_matrix(trace: TraceSet, target_forward_rate: float,
     max_acc = float(accuracies.max())
     if accuracies[best] < max_acc - accuracy_tolerance:
         best = int(np.nonzero(accuracies >= max_acc - accuracy_tolerance)[0][0])
-    return float(grid[best])
+    return float(grid[best]), float(rates[best]), float(accuracies[best])

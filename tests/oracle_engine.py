@@ -5,9 +5,11 @@ unchanged apart from its imports and four pieces the package no longer has:
 the FIFO request queue, the per-device decision counters, the policy object
 that binds the control loop to a run (it keeps the window of recent batch sizes
 the controller reads) and the per-sample record type (finalized
-samples go into one list per ``SampleColumns`` column instead). It also lost
-the run horizon, the in-flight counts and the option to leave local inference
-out of a served sample's latency: every run ends when every sample is final.
+samples go into one list per ``SampleColumns`` column instead). Its report
+counts the run's and each tier's figures one sample at a time, where the
+package rolls them up from per-device counts. It also lost the run horizon,
+the in-flight counts and the option to leave local inference out of a served
+sample's latency: every run ends when every sample is final.
 It is the independent oracle the production engine is compared against, the
 same role ``compute_capacity_exact`` plays for the greedy capacity solver.
 It is slow (one Python call per event) and is never used outside the tests.
@@ -21,7 +23,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from cascsim import metrics as metrics_mod
 from cascsim.config import ExperimentConfig
 from cascsim.engine import classify_server_state, estimate_arrival_rate
 from cascsim.errors import CascSimError, ConfigError
@@ -167,7 +168,7 @@ class _Run:
             state = DeviceState(device_id=device_id, tier=group.tier,
                                 local_latency_ms=group.t_inf_ms)
             self.devices.append(_DeviceRuntime(state, trace, group.t_inf_ms, offset,
-                                               initial[gi].value))
+                                               initial[gi]))
 
         capacity = compute_capacity_greedy(self.table, experiment.scheduler.slo_ms)
         self.policy = Policy(experiment.scheduler.kind, experiment.scheduler,
@@ -355,15 +356,26 @@ class _Run:
             self.queue_last_change_ms = makespan
 
         slos = self.experiment.slos_ms
+        cols = self.columns
 
-        fr = metrics_mod.forward_rate(samples)
-        if len(samples):
-            satisfaction = {float(slo): metrics_mod.slo_satisfaction(samples, slo)
-                            for slo in slos}
-        else:
-            satisfaction = {float(slo): 0.0 for slo in slos}
-        per_tier = metrics_mod.aggregate_by_tier(
-            samples, [d.state.tier.value for d in self.devices], makespan, slos)
+        def figures(devices) -> dict:
+            """Samples, accuracy, throughput and satisfaction of the samples of
+            ``devices``, counted one sample at a time."""
+            rows = [i for i, d in enumerate(cols["device_id"]) if d in devices]
+            count = len(rows)
+            return {
+                "samples": count,
+                "accuracy": sum(1 for i in rows if cols["correct"][i]) / count,
+                "throughput": count / (makespan / 1000.0),
+                "satisfaction": {float(slo): sum(1 for i in rows if cols["latency_ms"][i] <= slo)
+                                 / count for slo in slos},
+            }
+
+        totals = figures({d.state.device_id for d in self.devices})
+        per_tier = {tier: figures({d.state.device_id for d in self.devices
+                                   if d.state.tier.value == tier})
+                    for tier in sorted({d.state.tier.value for d in self.devices})}
+        fr = sum(1 for served in cols["served"] if served) / len(samples)
 
         per_device_acc = []
         correct_by_device: dict[int, int] = {}
@@ -387,12 +399,11 @@ class _Run:
             device_count=len(self.devices),
             seed=self.seed,
             makespan_ms=makespan,
-            total_throughput=metrics_mod.throughput(samples, makespan)
-            if makespan > 0 else 0.0,
-            cascade_accuracy=metrics_mod.accuracy(samples) if len(samples) else 0.0,
+            total_throughput=totals["throughput"],
+            cascade_accuracy=totals["accuracy"],
             device_mean_accuracy=sum(per_device_acc) / len(per_device_acc)
             if per_device_acc else 0.0,
-            slo_satisfaction=satisfaction,
+            slo_satisfaction=totals["satisfaction"],
             per_tier=per_tier,
             forward_rate=fr,
             mean_queue_length=mean_queue,

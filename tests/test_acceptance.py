@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cascsim.cascade import Threshold, cascade_accuracy
+from cascsim.cascade import calibrate_static_threshold
 from cascsim.config import load_config
 from cascsim.engine import DeviceLayout, parse_event_log_line, run_simulation
 from cascsim.scheduler import SchedulerConfig, threshold_change
@@ -143,9 +143,12 @@ def test_threshold_change_branches_and_exclusivity():
 
 
 def test_cascade_accuracy_matches_brute_force_enumeration():
+    """Calibration's forward rate and cascade accuracy at its pick equal a count of
+    the records, for targets and tolerances that pick by the closest forward rate
+    and by the accuracy fallback."""
     rng = np.random.default_rng(99)
-    thresholds = [i / 20 for i in range(21)]
-    checked = 0
+    settings = [(target, tolerance) for target in (0.05, 0.3, 0.9) for tolerance in (0.0, 1.0)]
+    checked, fallbacks = 0, 0
     for _ in range(50):
         params = SyntheticTraceParams(
             light_accuracy=float(rng.uniform(0.5, 0.95)),
@@ -158,12 +161,18 @@ def test_cascade_accuracy_matches_brute_force_enumeration():
         trace = generate_synthetic_trace(params, seed=int(rng.integers(2**31)))
         cols = list(zip(trace.bvsb.tolist(), trace.light_correct.tolist(),
                         trace.heavy_correct.tolist()))
-        for t in thresholds:
-            brute = sum(l if b >= t else h for b, l, h in cols) / len(cols)
-            assert cascade_accuracy(trace, Threshold(t)) == brute
+        for target, tolerance in settings:
+            pick = calibrate_static_threshold(trace, target, tolerance)
+            t = pick.value
+            assert pick.forward_rate == sum(b < t for b, _, _ in cols) / len(cols)
+            assert pick.cascade_accuracy == sum(l if b >= t else h for b, l, h in cols) / len(cols)
+            # a tolerance of 1 never falls back, so a different pick is the fallback's
+            fallbacks += t != calibrate_static_threshold(trace, target, 1.0).value
             checked += 1
-    print(f"\nACCEPTANCE PASS: cascade accuracy equals brute-force enumeration "
-          f"on {checked} trace/threshold pairs")
+    assert 0 < fallbacks < checked
+    print(f"\nACCEPTANCE PASS: calibration's forward rate and cascade accuracy equal "
+          f"brute-force enumeration on {checked} trace/target/tolerance picks "
+          f"({fallbacks} by the accuracy fallback)")
 
 
 def test_deterministic_event_logs_and_reports():

@@ -5,27 +5,14 @@ from hypothesis import strategies as st
 
 from cascsim.cascade import (
     CALIBRATION_GRID,
-    Threshold,
+    Calibration,
     calibrate_static_threshold,
-    cascade_accuracy,
     forwards,
 )
-from cascsim.errors import ConfigError
 from cascsim.trace import generate_synthetic_trace, SyntheticTraceParams
 
 from conftest import make_trace
 from oracle_calibration import calibrate_grid_matrix
-
-
-class TestThreshold:
-    def test_clamped_high(self):
-        assert Threshold(1.3).value == 1.0
-
-    def test_clamped_low(self):
-        assert Threshold(-0.2).value == 0.0
-
-    def test_in_range_untouched(self):
-        assert Threshold(0.62).value == 0.62
 
 
 class TestDecide:
@@ -47,20 +34,27 @@ class TestDecide:
         assert (grid[:, 1:] >= grid[:, :-1]).all()
 
 
+def closest_rate(trace, target: float) -> Calibration:
+    """Calibration with a tolerance of 1, which never falls back: the pick is the
+    lowest grid point whose forward rate is closest to ``target``."""
+    return calibrate_static_threshold(trace, target, 1.0)
+
+
 class TestCascadeOutcome:
-    """Which model answers a one-record trace, read from its cascade accuracy."""
+    """Which model answers a one-record trace, read from the cascade accuracy at the pick."""
 
     def test_local_branch(self):
         trace = make_trace([0.9], [True], [False])
-        assert cascade_accuracy(trace, Threshold(0.5)) == 1.0
+        assert closest_rate(trace, 0.3) == (0.0, 0.0, 1.0)
 
     def test_server_branch(self):
         trace = make_trace([0.1], [True], [False])
-        assert cascade_accuracy(trace, Threshold(0.5)) == 0.0
+        assert closest_rate(trace, 0.9) == (0.105, 1.0, 0.0)
 
     def test_boundary_keeps_local_even_when_wrong(self):
+        # a gap of exactly 1 stays local at every grid point, 1 included
         trace = make_trace([1.0], [False], [True])
-        assert cascade_accuracy(trace, Threshold(1.0)) == 0.0
+        assert closest_rate(trace, 0.9) == (0.0, 0.0, 0.0)
 
 
 def rows(trace):
@@ -80,36 +74,41 @@ def enumeration_accuracy(trace, threshold: float) -> float:
     return correct / len(trace)
 
 
+def enumeration_rate(trace, threshold: float) -> float:
+    """Independent per-record oracle for the forward rate."""
+    return sum(bvsb < threshold for bvsb, _, _ in rows(trace)) / len(trace)
+
+
 class TestCascadeAccuracy:
     def test_threshold_zero_equals_light_accuracy(self):
         trace = make_trace([0.2, 0.8, 0.5, 0.9], [1, 0, 1, 1], [0, 0, 0, 0])
-        assert cascade_accuracy(trace, Threshold(0.0)) == trace.light_correct.mean()
+        assert closest_rate(trace, 0.01) == (0.0, 0.0, trace.light_correct.mean())
 
     def test_hand_enumerated_mix(self):
         trace = make_trace([0.9, 0.4, 0.4, 0.8],
                            [True, False, False, True],
                            [True, True, False, False])
         # local T, server T, server F, local T
-        assert cascade_accuracy(trace, Threshold(0.5)) == 0.75
+        assert closest_rate(trace, 0.5) == (0.405, 0.5, 0.75)
 
     def test_all_heavy_correct_bounds_from_below(self):
         rng = np.random.default_rng(2)
         trace = make_trace(rng.random(200), rng.random(200) < 0.6, np.ones(200, dtype=bool))
-        # everything except exact-1 scores is forwarded to an always-right model
-        assert cascade_accuracy(trace, Threshold(1.0)) >= trace.heavy_correct.mean() - 1e-12
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ConfigError):
-            cascade_accuracy(make_trace([], [], []), Threshold(0.5))
+        # every gap lies below 1, so the highest grid points forward everything to an
+        # always-right model
+        pick = closest_rate(trace, 0.999)
+        assert (pick.forward_rate, pick.cascade_accuracy) == (1.0, 1.0)
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(9)
         for _ in range(5):
             trace = make_trace(rng.random(1000), rng.random(1000) < 0.7,
                                rng.random(1000) < 0.8)
-            for t in np.linspace(0, 1, 21):
-                assert cascade_accuracy(trace, Threshold(float(t))) == \
-                    enumeration_accuracy(trace, float(t))
+            for target in np.linspace(0.05, 0.95, 19):
+                for tolerance in (0.0, 1.0):
+                    pick = calibrate_static_threshold(trace, float(target), tolerance)
+                    assert pick.forward_rate == enumeration_rate(trace, pick.value)
+                    assert pick.cascade_accuracy == enumeration_accuracy(trace, pick.value)
 
 
 def calibration_oracle(trace, target: float, tolerance: float) -> float:
@@ -144,12 +143,6 @@ class TestCalibration:
         # fallback never fires and the tie resolves to the lowest threshold
         assert threshold.value == 0.0
 
-    def test_invalid_target_rejected(self):
-        trace = make_trace([0.5], [1], [1])
-        for target in (0.0, 1.0, -0.2):
-            with pytest.raises(ConfigError):
-                calibrate_static_threshold(trace, target)
-
     def test_accuracy_fallback_matches_oracle(self):
         # heavy model much worse than light: chasing the forward-rate target
         # costs accuracy, so calibration must fall back
@@ -167,10 +160,6 @@ class TestCalibration:
                 SyntheticTraceParams(0.75, 0.9, 0.4, count=500), seed=int(rng.integers(1e6)))
             got = calibrate_static_threshold(trace, 0.30, 0.01).value
             assert got == pytest.approx(calibration_oracle(trace, 0.30, 0.01))
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ConfigError):
-            calibrate_static_threshold(make_trace([], [], []), 0.30)
 
 
 # Gaps on grid points (where keep and forward meet), at 0 and 1, and anywhere.
@@ -212,14 +201,17 @@ AROUND_GRID = [v for g in CALIBRATION_GRID
 @example(distinct=AROUND_GRID, picks=list(range(len(AROUND_GRID))),
          light=[True, False, True, True, False], heavy=[False, True, True], target=0.3,
          tolerance=0.0)
+@example(distinct=[0.2, 0.7], picks=[0, 1, 0, 1, 1], light="all", heavy="none",
+         target=0.5, tolerance=0.0)
 def test_calibration_matches_grid_matrix(distinct, picks, light, heavy, target, tolerance):
-    """The grid-bin counts pick the threshold the grid × n decision matrix picks, on
-    traces of 1 to 80 samples drawn from a few gaps, so most repeat; pinned: gaps
-    on grid points, at 0 and 1, one ulp either side of grid points (of a few, and
-    of all 201), all equal."""
+    """The grid-bin counts pick the threshold the grid × n decision matrix picks, with
+    the same forward rate and cascade accuracy, on traces of 1 to 80 samples drawn
+    from a few gaps, so most repeat; pinned: gaps on grid points, at 0 and 1, one
+    ulp either side of grid points (of a few, and of all 201), all equal, and a
+    pick by the accuracy fallback."""
     gaps = [distinct[i % len(distinct)] for i in picks]
     trace = make_trace(gaps, bit_column(light, len(gaps)), bit_column(heavy, len(gaps)))
-    assert calibrate_static_threshold(trace, target, tolerance).value == \
+    assert calibrate_static_threshold(trace, target, tolerance) == \
         calibrate_grid_matrix(trace, target, tolerance)
 
 

@@ -19,7 +19,9 @@ from cascsim.config import config_from_dict, load_config
 from cascsim.errors import ConfigError
 from cascsim.trace import (generate_synthetic_trace, SyntheticTraceParams, TraceSet,
                            write_trace_csv)
-from cascsim.cascade import CALIBRATION_GRID, trace_forward_rate
+from cascsim.cascade import forwards
+
+from oracle_calibration import calibrate_grid_matrix
 
 
 def tiny_config_doc(count=2, kind="static"):
@@ -64,6 +66,13 @@ class TestCapacityCommand:
         assert doc["schedule"] == [[16, 2], [4, 1]]
         assert doc["time_used_ms"] == 96.0
         assert sorted(doc) == ["capacity", "schedule", "slo_ms", "time_used_ms"]
+
+    def test_a_quotient_rounded_up_to_a_whole_count_is_stepped_back(self, capsys):
+        """53.4 / 17.8 rounds to 3.0, but 3 * 17.8 is 53.400000000000006, over the
+        budget, so only two batches fit."""
+        assert main(["capacity", "--table", '{"1": 17.8}', "--slo", "53.4"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["capacity"], doc["schedule"], doc["time_used_ms"]) == (2, [[1, 2]], 35.6)
 
     def test_zero_slo_fails_with_error_json(self, capsys):
         assert main(["capacity", "--table", self.TABLE, "--slo", "0"]) == 1
@@ -149,7 +158,7 @@ class TestSimulateCommand:
         cfg = load_config("homog_efflite0_inceptionv3")
         threshold = cfg.resolve_initial_thresholds()[0]
         traces = cfg.build_traces(seed=1)
-        rates = [trace_forward_rate(traces[d], threshold.value) for d in traces]
+        rates = [forwards(traces[d].bvsb, threshold).mean() for d in traces]
         assert report["forward_rate"] == pytest.approx(float(np.mean(rates)))
 
 
@@ -192,10 +201,8 @@ class TestCalibrateCommand:
             write_trace_csv(trace, fh)
         assert main(["calibrate", "--trace", str(path), "--target", "0.3"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        best = min(CALIBRATION_GRID,
-                   key=lambda t: (abs(trace_forward_rate(trace, t) - 0.3), t))
-        assert doc["forward_rate"] == pytest.approx(
-            trace_forward_rate(trace, best), abs=0.005)
+        assert (doc["threshold"], doc["forward_rate"], doc["cascade_accuracy"]) == \
+            calibrate_grid_matrix(trace, 0.3, 0.01)
 
     def test_config_calibration_lists_groups(self, capsys):
         assert main(["calibrate", "--config", "heterog_inceptionv3"]) == 0
@@ -207,7 +214,7 @@ class TestCalibrateCommand:
         doc = preset_doc("homog_efflite0_inceptionv3")
         doc["scheduler"]["calibration"]["target_forward_rate"] = 0.5
         cfg_path = write_config(tmp_path, doc)
-        simulated = load_config(cfg_path).resolve_initial_thresholds()[0].value
+        simulated = load_config(cfg_path).resolve_initial_thresholds()[0]
         assert main(["calibrate", "--config", cfg_path]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["target_forward_rate"] == 0.5
@@ -216,7 +223,7 @@ class TestCalibrateCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["target_forward_rate"] == 0.3
         assert out["thresholds"][0]["threshold"] == \
-            load_config("homog_efflite0_inceptionv3").resolve_initial_thresholds()[0].value
+            load_config("homog_efflite0_inceptionv3").resolve_initial_thresholds()[0]
 
     def test_fixed_threshold_config_is_printed_and_refuses_calibration_flags(
             self, tmp_path, capsys):

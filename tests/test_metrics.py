@@ -2,17 +2,12 @@ import numpy as np
 import pytest
 
 from cascsim.engine import run_simulation
-from cascsim.errors import ConfigError
 from cascsim.metrics import (
     SWEEP_CSV_HEADER,
     SampleColumns,
-    accuracy,
-    aggregate_by_tier,
-    forward_rate,
     mean_report,
-    slo_satisfaction,
+    rollup,
     sweep_csv_rows,
-    throughput,
 )
 
 from conftest import make_trace, small_config
@@ -26,84 +21,96 @@ def columns(latency, correct=True, device_id=0, served=False):
                          latency, served, correct, latency)
 
 
+def rolled_up(cols, devices=slice(None), slos=(100.0,), makespan_ms=1000.0):
+    """``rollup`` of the selected devices, from per-device counts of ``cols``."""
+    n = int(cols.device_id.max()) + 1
+    count = np.bincount(cols.device_id, minlength=n)
+    correct = np.bincount(cols.device_id[cols.correct], minlength=n)
+    within = {slo: np.bincount(cols.device_id[cols.latency_ms <= slo], minlength=n)
+              for slo in slos}
+    return rollup(devices, count, correct, within, makespan_ms)
+
+
+def satisfaction(cols, slo: float) -> float:
+    return rolled_up(cols, slos=(slo,))["satisfaction"][slo]
+
+
 class TestSloSatisfaction:
     def test_all_within(self):
-        assert slo_satisfaction(columns([43.0] * 10), 100.0) == 1.0
+        assert satisfaction(columns([43.0] * 10), 100.0) == 1.0
 
     def test_counted_by_enumeration(self):
-        assert slo_satisfaction(columns([50.0, 150.0, 250.0]), 200.0) == pytest.approx(2 / 3)
+        assert satisfaction(columns([50.0, 150.0, 250.0]), 200.0) == pytest.approx(2 / 3)
 
     def test_slo_below_every_latency(self):
-        assert slo_satisfaction(columns([50.0, 150.0]), 10.0) == 0.0
-
-    def test_empty_is_zero(self):
-        assert slo_satisfaction(columns([]), 100.0) == 0.0
+        assert satisfaction(columns([50.0, 150.0]), 10.0) == 0.0
 
     def test_monotone_in_slo(self):
         rng = np.random.default_rng(1)
         lts = columns(rng.uniform(10, 500, 200))
-        sats = [slo_satisfaction(lts, s) for s in range(10, 510, 25)]
+        sats = [satisfaction(lts, s) for s in range(10, 510, 25)]
         assert all(a <= b for a, b in zip(sats, sats[1:]))
+
+    def test_satisfaction_follows_the_slo_order(self):
+        lts = columns([50.0, 150.0, 250.0])
+        assert list(rolled_up(lts, slos=(200.0, 100.0, 300.0))["satisfaction"]) == \
+            [200.0, 100.0, 300.0]
 
 
 class TestThroughputAndAccuracy:
     def test_worked_throughput(self):
-        assert throughput(columns([43.0] * 100), 4300.0) == pytest.approx(100 / 4.3)
-
-    def test_empty_denominators_are_zero(self):
-        for value in (throughput(columns([]), 0.0), accuracy(columns([]))):
-            assert type(value) is float and value == 0.0
-
-    @pytest.mark.parametrize("makespan", [-1.0, float("nan")])
-    def test_negative_makespan_rejected(self, makespan):
-        with pytest.raises(ConfigError, match=r"^makespan_ms: "):
-            throughput(columns([]), makespan)
+        assert rolled_up(columns([43.0] * 100), makespan_ms=4300.0)["throughput"] == \
+            pytest.approx(100 / 4.3)
 
     def test_all_correct(self):
-        assert accuracy(columns([10.0] * 5, correct=True)) == 1.0
+        assert rolled_up(columns([10.0] * 5, correct=True))["accuracy"] == 1.0
 
     def test_fractional(self):
-        assert accuracy(columns(10.0, correct=[i % 4 != 0 for i in range(8)])) == 0.75
+        cols = columns(10.0, correct=[i % 4 != 0 for i in range(8)])
+        assert rolled_up(cols)["accuracy"] == 0.75
 
     def test_forward_rate_counts_served_samples(self):
-        lts = columns(10.0, served=[False, True, True, True])
-        assert forward_rate(lts) == 0.75
-        assert forward_rate(columns([])) == 0.0
+        cfg = small_config(groups=[("mid", 3, 20.0)], table_entries={1: 15}, threshold=0.5)
+        rng = np.random.default_rng(5)
+        traces = {i: make_trace(rng.random(40), rng.random(40) < 0.7, rng.random(40) < 0.8)
+                  for i in range(3)}
+        report = run_simulation(cfg, traces, seed=0)
+        served = sum(int((t.bvsb < 0.5).sum()) for t in traces.values())
+        assert report.samples_served == served
+        assert report.forward_rate == served / 120
 
 
 class TestTierAggregation:
     def test_single_tier_matches_totals(self):
         lts = columns(40.0, correct=[i % 2 == 0 for i in range(12)],
                       device_id=[i % 3 for i in range(12)])
-        tiers = ["mid", "mid", "mid"]
-        report = aggregate_by_tier(lts, tiers, makespan_ms=1000.0, slos_ms=[100.0])
-        assert set(report) == {"mid"}
-        assert report["mid"]["accuracy"] == accuracy(lts)
-        assert report["mid"]["throughput"] == throughput(lts, 1000.0)
-        assert report["mid"]["satisfaction"][100.0] == slo_satisfaction(lts, 100.0)
+        assert rolled_up(lts, np.ones(3, dtype=bool)) == rolled_up(lts)
 
     def test_tier_throughputs_sum_to_total(self):
         rng = np.random.default_rng(2)
-        tiers = [("low", "mid", "high")[i % 3] for i in range(9)]
+        tiers = np.array([i % 3 for i in range(9)])
         draws = [(rng.uniform(10, 300), rng.integers(9)) for _ in range(500)]
         lts = columns([d[0] for d in draws], device_id=[d[1] for d in draws])
-        report = aggregate_by_tier(lts, tiers, makespan_ms=2000.0, slos_ms=[100.0])
-        total = throughput(lts, 2000.0)
-        assert sum(t["throughput"] for t in report.values()) == pytest.approx(total, rel=1e-9)
+        parts = [rolled_up(lts, tiers == t, makespan_ms=2000.0)["throughput"] for t in range(3)]
+        total = rolled_up(lts, makespan_ms=2000.0)["throughput"]
+        assert sum(parts) == pytest.approx(total, rel=1e-9)
 
     def test_partition_by_tier(self):
         lts = columns(10.0, device_id=[0, 1, 1])
-        report = aggregate_by_tier(lts, ["low", "high"], 1000.0, [50.0])
-        assert report["low"]["samples"] == 1
-        assert report["high"]["samples"] == 2
+        assert rolled_up(lts, np.array([True, False]))["samples"] == 1
+        assert rolled_up(lts, np.array([False, True]))["samples"] == 2
 
     def test_every_fleet_tier_is_reported(self):
-        lts = columns(10.0, device_id=[0, 0])
-        report = aggregate_by_tier(lts, ["low", "mid", "high", "high"], 1000.0, [50.0])
-        assert set(report) == {"low", "mid", "high"}
-        assert report["low"]["satisfaction"][50.0] == 1.0
-        assert report["high"]["samples"] == 0
-        assert report["high"]["satisfaction"][50.0] == 0.0
+        cfg = small_config(groups=[("low", 1, 30.0), ("mid", 2, 20.0), ("high", 1, 10.0)],
+                           table_entries={1: 15}, threshold=0.5, slos=(50.0,))
+        rng = np.random.default_rng(6)
+        traces = {i: make_trace(rng.random(30), rng.random(30) < 0.7, rng.random(30) < 0.8)
+                  for i in range(4)}
+        report = run_simulation(cfg, traces, seed=0)
+        assert set(report.per_tier) == {"low", "mid", "high"}
+        assert [report.per_tier[t]["samples"] for t in ("low", "mid", "high")] == [30, 60, 30]
+        assert sum(t["throughput"] for t in report.per_tier.values()) == \
+            pytest.approx(report.total_throughput, rel=1e-9)
 
 
 class TestSatisfactionFloor:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import cascsim.trace
 from cascsim.errors import CascSimError, ConfigError, TraceError
-from cascsim.cascade import trace_forward_rate
+from cascsim.cascade import calibrate_static_threshold
 from cascsim.trace import (
     SyntheticTraceParams,
     TraceSet,
@@ -63,7 +63,9 @@ class TestGenerateSynthetic:
     def test_marginal_heavy_accuracy_within_binomial_bound(self, seed):
         p = params(count=20_000)
         trace = generate_synthetic_trace(p, seed=seed)
-        expected = p.marginal_heavy_accuracy
+        la = p.light_accuracy  # the marginal: la*hc + (1-la)*hw
+        expected = la * p.heavy_accuracy_given_light_correct + \
+            (1.0 - la) * p.heavy_accuracy_given_light_wrong
         sigma = (expected * (1 - expected) / len(trace)) ** 0.5
         assert abs(trace.heavy_correct.mean() - expected) <= 3 * sigma
 
@@ -422,35 +424,35 @@ class TestSourceBytes:
 
 
 class TestForwardRate:
+    """A trace's forward rate at the threshold calibration picks; a tolerance of 1
+    never falls back, so the pick is the lowest grid point closest to the target."""
+
+    @staticmethod
+    def pick(trace, target):
+        return calibrate_static_threshold(trace, target, 1.0)
+
     def test_threshold_zero_forwards_nothing(self):
         trace = make_trace([0.0, 0.5, 1.0], [1, 0, 1], [1, 1, 0])
-        assert trace_forward_rate(trace, 0.0) == 0.0
+        assert self.pick(trace, 0.01)[:2] == (0.0, 0.0)
 
     def test_hand_enumerated_fraction(self):
         trace = make_trace([0.1, 0.6, 0.9], [1, 1, 1], [1, 1, 1])
-        assert trace_forward_rate(trace, 0.5) == pytest.approx(1 / 3)
+        assert self.pick(trace, 0.3)[:2] == (0.105, 1 / 3)
 
     def test_exact_one_stays_local_at_threshold_one(self):
         trace = make_trace([1.0, 1.0], [1, 0], [1, 1])
-        assert trace_forward_rate(trace, 1.0) == 0.0
+        assert self.pick(trace, 0.9).forward_rate == 0.0
 
     def test_rate_at_threshold_one_counts_everything_below_one(self):
-        trace = make_trace([0.2, 1.0, 0.8, 1.0], [1, 1, 1, 1], [1, 1, 1, 1])
-        assert trace_forward_rate(trace, 1.0) == 0.5
-
-    def test_empty_trace_is_zero(self):
-        assert trace_forward_rate(make_trace([], [], []), 0.5) == 0.0
+        trace = make_trace([0.999, 1.0, 0.2, 1.0], [1, 1, 1, 1], [1, 1, 1, 1])
+        assert self.pick(trace, 0.5)[:2] == (1.0, 0.5)
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(5)
         trace = make_trace(rng.random(500), rng.random(500) < 0.7, rng.random(500) < 0.8)
-        rates = [trace_forward_rate(trace, t) for t in np.linspace(0, 1, 101)]
+        picks = sorted(self.pick(trace, t)[:2] for t in np.linspace(0.01, 0.99, 99))
+        rates = [rate for _, rate in picks]
         assert all(a <= b for a, b in zip(rates, rates[1:]))
-
-    def test_threshold_outside_unit_interval_rejected(self):
-        trace = make_trace([0.5], [1], [1])
-        with pytest.raises(ConfigError):
-            trace_forward_rate(trace, 1.5)
 
 
 class TestTraceSet:

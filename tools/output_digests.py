@@ -42,6 +42,11 @@ with a line ``<sha256>  errors/csv_<case>/status+stderr``; the ``CSV_VARIANTS``
 copies (CRLF line ends, ``+3`` and ``03`` as indexes, ``\\r\\r\\n`` line ends, a
 final CR in place of the final newline, no final newline, a fullwidth-digit
 index) must each be accepted, with a line ``<sha256>  csv_edits/<case>/stdout``.
+Last of all, ``calibrate --trace`` runs on that trace unedited with each
+``FALLBACK_FLAGS`` pair, ``--target 0.05 --tolerance 0.01`` and ``--target 0.9
+--tolerance 0``: both pick by the accuracy fallback, where the default flags
+pick the closest forward rate. Each line is
+``<sha256>  calibrate_fallback/target<T>_tolerance<E>/stdout``.
 Run the tool on two trees and diff the two outputs: a change that keeps every
 output and every error message byte-identical prints the same lines.
 """
@@ -66,6 +71,10 @@ CSV_SEED = 7
 CSV_DEVICES = 12
 ZERO_DELAY_DEVICES = 12
 ERROR_PRESET = "homog_efflite0_inceptionv3"
+
+# ``calibrate --trace`` flags (target, tolerance) whose pick on the ``ERROR_PRESET``
+# preset's first CSV trace falls back to the most accurate grid points
+FALLBACK_FLAGS = (("0.05", "0.01"), ("0.9", "0"))
 
 
 def _drop(key):
@@ -289,6 +298,14 @@ def csv_edit_digests(cli, trace: Path, work: Path) -> list[str]:
     return lines
 
 
+def fallback_digests(cli, trace: Path) -> list[str]:
+    """Calibrate on a written CSV trace with each ``FALLBACK_FLAGS`` pair."""
+    return [digest(run(cli, ["calibrate", "--trace", str(trace), "--target", target,
+                             "--tolerance", tolerance]),
+                   f"calibrate_fallback/target{target}_tolerance{tolerance}/stdout")
+            for target, tolerance in FALLBACK_FLAGS]
+
+
 def digests(cli, work: Path) -> list[str]:
     lines = []
     for preset in cli.preset_names():
@@ -308,8 +325,9 @@ def digests(cli, work: Path) -> list[str]:
         lines.append(digest(calibrate, f"{preset}/calibrate/stdout"))
         lines += csv_digests(cli, preset, work)
         lines += zero_delay_digests(cli, preset, work)
-    return lines + error_digests(cli, work) + csv_edit_digests(
-        cli, work / ERROR_PRESET / "csv" / "group0.csv", work)
+    trace = work / ERROR_PRESET / "csv" / "group0.csv"
+    return (lines + error_digests(cli, work) + csv_edit_digests(cli, trace, work)
+            + fallback_digests(cli, trace))
 
 
 def main(argv: list[str]) -> int:
