@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,13 +8,46 @@ from hypothesis import strategies as st
 from cascsim.cascade import (
     CALIBRATION_GRID,
     Calibration,
+    CalibrationSpec,
     calibrate_static_threshold,
     forwards,
 )
-from cascsim.trace import generate_synthetic_trace, SyntheticTraceParams
+from cascsim.cli import main
+from cascsim.errors import ConfigError, TraceError
+from cascsim.scheduler import TIER_LEVEL, SchedulerConfig, SchedulerState, Tier, scheduler_tick
+from cascsim.trace import (generate_synthetic_trace, load_trace_csv, SyntheticTraceParams,
+                           write_trace_csv)
 
 from conftest import make_trace
 from oracle_calibration import calibrate_grid_matrix
+
+
+class TestThreshold:
+    """A commanded forwarding threshold stays in [0, 1] (0 never forwards; 1 forwards
+    every gap below 1): the controller clamps each step it takes."""
+
+    @staticmethod
+    def stepped(threshold: float, decrease: bool) -> float:
+        """The threshold of a one-device fleet after one tick whose batches and queue
+        sit above alpha (decrease) or at or below beta (increase) of a capacity of 36;
+        the default margin is 0.05."""
+        state = SchedulerState([threshold], [TIER_LEVEL[Tier.MID]])
+        b_bar, queue_length = (32, 40) if decrease else (4, 3)
+        scheduler_tick(state, b_bar, queue_length, 36,
+                       SchedulerConfig(kind="multitasc", initial_threshold=threshold))
+        return float(state.thresholds[0])
+
+    def test_clamped_high(self):
+        assert self.stepped(0.98, decrease=False) == 1.0
+        assert self.stepped(1.0, decrease=False) == 1.0
+
+    def test_clamped_low(self):
+        assert self.stepped(0.02, decrease=True) == 0.0
+        assert self.stepped(0.0, decrease=True) == 0.0
+
+    def test_in_range_untouched(self):
+        assert self.stepped(0.62, decrease=False) == 0.62 + 0.05
+        assert self.stepped(0.62, decrease=True) == 0.62 - 0.05
 
 
 class TestDecide:
@@ -99,6 +134,17 @@ class TestCascadeAccuracy:
         pick = closest_rate(trace, 0.999)
         assert (pick.forward_rate, pick.cascade_accuracy) == (1.0, 1.0)
 
+    def test_empty_trace_rejected(self, tmp_path, capsys):
+        """A CSV trace without records is refused before any figure is counted."""
+        path = tmp_path / "empty.csv"
+        path.write_text("sample_index,bvsb,light_correct,heavy_correct\n", encoding="utf-8")
+        assert main(["calibrate", "--trace", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "TraceError",
+                                   "message": "--trace: row 2: trace file has a header but "
+                                              "no records"}
+
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(9)
         for _ in range(5):
@@ -160,6 +206,30 @@ class TestCalibration:
                 SyntheticTraceParams(0.75, 0.9, 0.4, count=500), seed=int(rng.integers(1e6)))
             got = calibrate_static_threshold(trace, 0.30, 0.01).value
             assert got == pytest.approx(calibration_oracle(trace, 0.30, 0.01))
+
+    def test_invalid_target_rejected(self, tmp_path, capsys):
+        """A config's calibration target and the ``--target`` flag are both checked
+        before calibration runs."""
+        path = tmp_path / "trace.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            write_trace_csv(make_trace([0.5], [1], [1]), fh)
+        for target in (0.0, 1.0, -0.2):
+            with pytest.raises(ConfigError) as err:
+                CalibrationSpec(target_forward_rate=target).validate()
+            assert err.value.field == "scheduler.calibration.target_forward_rate"
+            assert main(["calibrate", "--trace", str(path), "--target", str(target)]) == 1
+            out, err_text = capsys.readouterr()
+            assert out == ""
+            assert json.loads(err_text)["message"].startswith("--target: must be in (0, 1)")
+
+    def test_empty_trace_rejected(self):
+        """No trace without records reaches calibration: the CSV loader refuses one,
+        and a synthetic trace holds at least one record."""
+        with pytest.raises(TraceError, match="header but no records"):
+            load_trace_csv(b"sample_index,bvsb,light_correct,heavy_correct\n")
+        with pytest.raises(ConfigError) as err:
+            SyntheticTraceParams(0.75, 0.9, 0.4, count=0).validate("calibration")
+        assert err.value.field == "calibration.count"
 
 
 # Gaps on grid points (where keep and forward meet), at 0 and 1, and anywhere.

@@ -27,6 +27,7 @@ from cascsim.engine import (
 )
 from cascsim.errors import ConfigError
 from cascsim.metrics import SampleColumns
+from cascsim.server import BatchLatencyTable
 
 from conftest import log_lines, make_trace, random_integral_config, small_config
 
@@ -47,6 +48,15 @@ class TestArrivalRate:
         ten = estimate_arrival_rate([(0.3, 43.0)] * 10)
         assert ten == pytest.approx(10 * one)
 
+    def test_non_positive_latency_rejected(self):
+        """Device latencies come from the fleet config, which a run validates before
+        it estimates any arrival rate."""
+        for t_inf_ms in (0.0, -43.0):
+            cfg = small_config(groups=[("mid", 1, t_inf_ms)], table_entries={1: 15})
+            with pytest.raises(ConfigError) as err:
+                run_simulation(cfg, {0: make_trace([0.3], [True], [True])}, seed=0)
+            assert err.value.field == "fleet[0].t_inf_ms"
+
 
 class TestServerStateClassification:
     def test_underutilized(self):
@@ -57,6 +67,15 @@ class TestServerStateClassification:
 
     def test_overloaded(self):
         assert classify_server_state(200, 100) == "overloaded"
+
+    def test_throughput_must_be_positive(self):
+        """The server throughput is the latency table's peak, and the table refuses
+        a latency that would make it zero, infinite or undefined."""
+        for latency in (0.0, -15.0, float("inf"), float("nan")):
+            with pytest.raises(ConfigError) as err:
+                BatchLatencyTable({1: latency})
+            assert err.value.field == "batch_latency_table.1"
+        assert BatchLatencyTable({1: 15.0, 2: 20.0}).peak_throughput == 100.0
 
 
 class TestSingleDeviceClosedForms:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cascsim.engine import run_simulation
+from cascsim.errors import ConfigError
 from cascsim.metrics import (
     SWEEP_CSV_HEADER,
     SampleColumns,
@@ -61,6 +62,18 @@ class TestThroughputAndAccuracy:
     def test_worked_throughput(self):
         assert rolled_up(columns([43.0] * 100), makespan_ms=4300.0)["throughput"] == \
             pytest.approx(100 / 4.3)
+
+    @pytest.mark.parametrize("makespan", [-1.0, float("nan")])
+    def test_negative_makespan_rejected(self, makespan):
+        """A run's makespan is never negative or NaN: one device whose one sample stays
+        local ends at its local latency, and the config refuses such a latency."""
+        trace = {0: make_trace([0.9], [True], [True])}
+        ran = run_simulation(small_config(groups=[("mid", 1, 43.0)], table_entries={1: 15}),
+                             trace, seed=0)
+        assert ran.makespan_ms == 43.0
+        cfg = small_config(groups=[("mid", 1, makespan)], table_entries={1: 15})
+        with pytest.raises(ConfigError, match=r"^fleet\[0\]\.t_inf_ms: "):
+            run_simulation(cfg, trace, seed=0)
 
     def test_all_correct(self):
         assert rolled_up(columns([10.0] * 5, correct=True))["accuracy"] == 1.0

@@ -1,8 +1,11 @@
+import json
+from importlib import resources
 from math import ceil
 
 import numpy as np
 import pytest
 
+from cascsim.config import config_from_dict
 from cascsim.engine import parse_event_log_line, run_simulation
 from cascsim.errors import ConfigError
 from cascsim.scheduler import (
@@ -14,6 +17,8 @@ from cascsim.scheduler import (
     select_update_targets,
     threshold_change,
 )
+
+from cascsim.server import BatchLatencyTable, compute_capacity_greedy
 
 from conftest import log_lines, small_config
 
@@ -87,6 +92,16 @@ class TestThresholdChange:
     def test_zero_capacity_with_pending_queue_decreases(self):
         assert threshold_change(1.0, 5, 0, cfg()) == -0.05
 
+    def test_negative_capacity_rejected(self):
+        """No capacity below 0 reaches the change rule: the greedy solver refuses a
+        budget that is not positive and counts up from 0 for one below every batch."""
+        table = BatchLatencyTable({1: 15.0, 2: 20.0})
+        for slo_ms in (0.0, -1.0, float("nan")):
+            with pytest.raises(ConfigError) as err:
+                compute_capacity_greedy(table, slo_ms)
+            assert err.value.field == "slo_ms"
+        assert compute_capacity_greedy(table, 10.0).capacity == 0
+
 
 class TestSelectUpdateTargets:
     def test_decrease_prioritizes_high_tier(self):
@@ -120,6 +135,20 @@ class TestSelectUpdateTargets:
         got = select_update_targets(state.levels, np.array([5, -1, 1]), False,
                                     cfg(update_fraction=0.4))
         assert got.tolist() == [1, 2]
+
+    def test_empty_fleet_rejected(self):
+        """The controller always has a device to pick: a config document with an empty
+        fleet list is refused, and so is a rescale of a fleet to no device."""
+        text = resources.files("cascsim").joinpath(
+            "presets", "homog_efflite0_inceptionv3.json").read_text("utf-8")
+        doc = json.loads(text)
+        config_from_dict(doc)
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({**doc, "fleet": []})
+        assert err.value.field == "fleet"
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(doc).with_device_count(0)
+        assert err.value.field == "--devices"
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_sorted_reference(self, seed):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import cascsim.trace
 from cascsim.errors import CascSimError, ConfigError, TraceError
 from cascsim.cascade import calibrate_static_threshold
+from cascsim.scheduler import SchedulerConfig
 from cascsim.trace import (
     SyntheticTraceParams,
     TraceSet,
@@ -453,6 +454,13 @@ class TestForwardRate:
         picks = sorted(self.pick(trace, t)[:2] for t in np.linspace(0.01, 0.99, 99))
         rates = [rate for _, rate in picks]
         assert all(a <= b for a, b in zip(rates, rates[1:]))
+
+    def test_threshold_outside_unit_interval_rejected(self):
+        """A fixed starting threshold outside [0, 1] is refused with the config."""
+        for threshold in (1.5, -0.1, float("nan")):
+            with pytest.raises(ConfigError) as err:
+                SchedulerConfig(kind="static", initial_threshold=threshold).validate()
+            assert err.value.field == "scheduler.initial_threshold"
 
 
 class TestTraceSet:
