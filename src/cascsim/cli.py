@@ -257,7 +257,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CascSimError, OSError) as exc:  # a failed write or event-log helper too
+    except (CascSimError, OSError) as exc:  # a failed write, or --out naming a file, too
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

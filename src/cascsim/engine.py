@@ -373,7 +373,6 @@ class _Run:
         self.thresholds = self.sched_state.thresholds.copy()
         self.decided = 0
         self.forward = np.zeros(self.total_samples, dtype=bool)
-        self.applied = np.zeros(self.total_samples)
         # request stream: arrival time and completion position, in processing order
         self.ra_time: list[float] = []
         self.ra_sd: list[int] = []
@@ -477,9 +476,7 @@ class _Run:
         if end <= a:
             return
         layout = self.layout
-        threshold = self.thresholds[layout.sd_dev[a:end]]
-        forward = forwards(layout.sd_bvsb[a:end], threshold)
-        self.applied[a:end] = threshold
+        forward = forwards(layout.sd_bvsb[a:end], self.thresholds[layout.sd_dev[a:end]])
         self.forward[a:end] = forward
         fwd = np.flatnonzero(forward) + a
         self.ra_sd.extend(fwd.tolist())

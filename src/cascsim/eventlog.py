@@ -14,24 +14,16 @@ sits at the last event's time and takes the next number.
 The log is yielded as newline-terminated pieces of whole lines, formatted as
 they are read, one ``_CHUNK`` of processing order at a time. Within a stream,
 index order is processing order, so a chunk holds one index range of each
-stream: only those rows are formatted, then merged. A chunk is formatted from
-the run's records alone, given each stream's row count before it, so any range
-of processing order can be formatted on its own. When the process may use two
-CPUs and the log has two chunks or more, one forked child formats the second
-half into an anonymous temporary file while this process formats the first;
-after the first half, the file is read back in fixed-size pieces, each
-completed to the end of its last line. Both halves run the same formatter, so
-the text is the same as one process's. A helper that fails leaves its error's
-repr in the file, and the log fails with it.
+stream: only those rows are formatted, then merged.
+
+Format v2: a ``device_sample_done`` payload is ``decision``, ``device`` and
+``sample``. Its confidence gap is the trace's, and the threshold in force is
+the device's initial one until its latest earlier ``threshold_applied`` line.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import signal
-import sys
-import tempfile
 from typing import Iterator
 
 import numpy as np
@@ -45,18 +37,11 @@ from .metrics import MetricsReport
 _CHUNK = 1 << 12  # events formatted per step, which bounds the temporary Python objects
 
 
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def rebuild_event_log(run, report: MetricsReport) -> Iterator[str]:
     """Every event of ``run`` as a log line, in processing order, then run_end: one pass,
     in newline-terminated pieces of whole lines."""
     # the run_end payload: the iterator holds no report, so a report that holds the
-    # iterator is freed, and its helper stopped, as soon as it is dropped
+    # iterator is freed by its count, not by a cycle collection
     return _stream(run, {"finalized": report.samples_finalized,
                          "local": report.samples_local,
                          "served": report.samples_served,
@@ -66,51 +51,8 @@ def rebuild_event_log(run, report: MetricsReport) -> Iterator[str]:
 
 def _stream(run, end: dict) -> Iterator[str]:
     log = _Log(run, end)
-    n = log.order.size
-    chunks = -(-n // _CHUNK)
-    if chunks < 2 or not hasattr(os, "fork") or _usable_cpus() < 2:
-        yield from log.pieces(0, n)
-    else:
-        yield from _forked(log, chunks // 2 * _CHUNK, n)
+    yield from log.pieces(0, log.order.size)
     yield log.end_line
-
-
-def _forked(log: _Log, mid: int, n: int) -> Iterator[str]:
-    """Lines ``[0, n)``: ``[0, mid)`` formatted here, ``[mid, n)`` by a forked child."""
-    spill = tempfile.TemporaryFile()
-    pid = None  # the child, until it is reaped
-    try:
-        pid = os.fork()
-        if pid == 0:  # the child leaves only here, and flushes nothing it inherited
-            status = 1
-            try:
-                with open(spill.fileno(), "w", encoding="utf-8", closefd=False) as out:
-                    out.writelines(log.pieces(mid, n))
-                status = 0
-            finally:
-                try:
-                    if status:  # the spill holds the cause instead of the lines
-                        os.ftruncate(spill.fileno(), 0)
-                        os.pwrite(spill.fileno(), repr(sys.exc_info()[1]).encode(), 0)
-                finally:
-                    os._exit(status)
-        yield from log.pieces(0, mid)
-        _, status = os.waitpid(pid, 0)
-        pid = None
-        spill.seek(0)
-        if status:
-            code = os.waitstatus_to_exitcode(status)  # a signal's is negative, and wrote nothing
-            raise ChildProcessError(f"the event-log helper process failed with exit code {code}"
-                                    + (f": {spill.read().decode()}" if code == 1 else ""))
-        # pieces of ``_CHUNK * 128`` bytes (the log is ASCII), each completed to the end
-        # of the line it stops in
-        while piece := spill.read(_CHUNK * 128):
-            yield (piece + spill.readline()).decode()
-    finally:
-        if pid is not None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        spill.close()
 
 
 class _Log:
@@ -164,16 +106,12 @@ class _Log:
             count = np.bincount(stream, minlength=6)
             a, b = start.tolist(), (start + count).tolist()
             sd, ra, bc, resp, tick, ta = (slice(x, y) for x, y in zip(a, b))
-            codes, th = np.unique(run.applied[sd].view(np.int64), return_inverse=True)
-            text = [repr(v) for v in codes.view(np.float64).tolist()]  # each distinct threshold
-            lines = [
-                f'{t!r}\t{s}\t{EVENT_DEVICE_SAMPLE_DONE}\t{{"bvsb": {v!r}, "decision": '
-                f'"{"forward" if f else "keep_local"}", "device": {d}, "sample": {i}, '
-                f'"threshold": {text[k]}}}\n'
-                for t, s, v, f, d, i, k in zip(
-                    layout.sd_time[sd].tolist(), seqs[SD][sd].tolist(),
-                    layout.sd_bvsb[sd].tolist(), run.forward[sd].tolist(),
-                    layout.sd_dev[sd].tolist(), layout.sd_index[sd].tolist(), th.tolist())]
+            lines = [f'{t!r}\t{s}\t{EVENT_DEVICE_SAMPLE_DONE}\t{{"decision": '
+                     f'"{"forward" if f else "keep_local"}", "device": {d}, "sample": {i}}}\n'
+                     for t, s, f, d, i in zip(
+                         layout.sd_time[sd].tolist(), seqs[SD][sd].tolist(),
+                         run.forward[sd].tolist(), layout.sd_dev[sd].tolist(),
+                         layout.sd_index[sd].tolist())]
             lines += [f'{t!r}\t{s}\t{EVENT_REQUEST_ARRIVAL}\t{{"device": {d}, "queue_len": {q}, '
                       f'"sample": {i}}}\n'
                       for t, s, d, q, i in zip(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from cascsim.cascade import forwards
 from cascsim.server import BATCH_POOL, BatchLatencyTable
 from cascsim.trace import TraceSet
 
@@ -12,6 +13,24 @@ from cascsim.trace import TraceSet
 def log_lines(report) -> list[str]:
     """A report's event log, read once, as lines without their newlines."""
     return "".join(report.event_log).splitlines()
+
+
+def replay_decisions(cfg, traces, events) -> list[bool]:
+    """Replay a log's decisions, in line order, and check each against the keep/forward
+    rule: a device's threshold is its initial one until its latest earlier
+    ``threshold_applied`` line. Returns whether each decision forwarded."""
+    initial = cfg.resolve_initial_thresholds()
+    current = [initial[group] for group in cfg.device_groups()]
+    forwarded = []
+    for event in events:
+        payload = event.payload
+        if event.kind == "threshold_applied":
+            current[payload["device"]] = payload["threshold"]
+        elif event.kind == "device_sample_done":
+            device, i = payload["device"], payload["sample"]
+            forwarded.append(bool(forwards(traces[device].bvsb[i], current[device])))
+            assert payload["decision"] == ("forward" if forwarded[-1] else "keep_local"), event
+    return forwarded
 
 
 def make_trace(bvsb, light, heavy) -> TraceSet:

@@ -228,8 +228,7 @@ class _Run:
                           (device_id, index))
         if self.log is not None:
             self.emit(now, seq, EVENT_DEVICE_SAMPLE_DONE,
-                      {"device": device_id, "sample": index, "bvsb": score,
-                       "threshold": threshold,
+                      {"device": device_id, "sample": index,
                        "decision": "keep_local" if keep_local else "forward"})
         next_index = index + 1
         if next_index < len(dev.trace):

@@ -705,13 +705,14 @@ def test_logged_simulate_streams_its_event_log(tmp_path, monkeypatch, capsys):
     so a logged run's traced peak stays within ``allowance`` of the same run
     unlogged, though the log is more than 4x that (built whole, then written, it
     peaked about 2x the log above the unlogged run). 12 heterogeneous devices on
-    1000-sample traces, a 1000-sample calibration and 256-event chunks keep
-    tracemalloc's cost low; a warm-up run keeps first-call imports out of the peaks."""
+    1300-sample traces (enough for a v2 log of more than 4x the allowance), a
+    1000-sample calibration and 256-event chunks keep tracemalloc's cost low; a
+    warm-up run keeps first-call imports out of the peaks."""
     allowance = 600_000
     monkeypatch.setattr(eventlog, "_CHUNK", 256)
     doc = preset_doc("heterog_inceptionv3")
     for group in doc["fleet"]:
-        group["trace"]["synthetic"]["count"] = 1000
+        group["trace"]["synthetic"]["count"] = 1300
     doc["scheduler"]["calibration"]["count"] = 1000
     config = write_config(tmp_path, doc)
     out = tmp_path / "out"

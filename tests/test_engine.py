@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cascsim import eventlog
-from cascsim.cascade import forwards
 from cascsim.config import load_config, preset_names
 from cascsim.engine import (
     SD,
@@ -29,7 +28,8 @@ from cascsim.errors import ConfigError
 from cascsim.metrics import SampleColumns
 from cascsim.server import BatchLatencyTable
 
-from conftest import log_lines, make_trace, random_integral_config, small_config
+from conftest import (log_lines, make_trace, random_integral_config, replay_decisions,
+                      small_config)
 
 
 def constant_trace(n, bvsb, light=True, heavy=True):
@@ -204,7 +204,8 @@ class TestStartPhases:
 
 class TestRealizedThresholdOracle:
     def test_report_accuracy_matches_offline_replay(self):
-        """Replay logged decisions through the pure cascade functions."""
+        """Replay the logged decisions through the pure cascade functions, each at the
+        threshold the log's own ``threshold_applied`` lines put in force."""
         cfg = small_config(groups=[("mid", 3, 43.0)], table_entries={1: 15, 2: 20},
                            kind="multitasc", threshold=0.6, uplink=5.0, downlink=5.0,
                            start_phase="staggered")
@@ -212,21 +213,16 @@ class TestRealizedThresholdOracle:
         traces = {i: make_trace(rng.random(400), rng.random(400) < 0.7,
                                 rng.random(400) < 0.8) for i in range(3)}
         report = run_simulation(cfg, traces, seed=0, collect_event_log=True)
+        events = [parse_event_log_line(line) for line in log_lines(report)]
+        assert any(event.kind == "threshold_applied" for event in events)
 
-        correct = 0
-        decisions = 0
-        for line in log_lines(report):
-            event = parse_event_log_line(line)
-            if event.kind != "device_sample_done":
-                continue
-            payload = event.payload
-            trace, i = traces[payload["device"]], payload["sample"]
-            forwarded = forwards(trace.bvsb[i], payload["threshold"])
-            assert payload["decision"] == ("forward" if forwarded else "keep_local")
-            correct += int((trace.heavy_correct if forwarded else trace.light_correct)[i])
-            decisions += 1
-        assert decisions == 1200
-        assert report.cascade_accuracy == correct / decisions
+        forwarded = replay_decisions(cfg, traces, events)
+        samples = [(event.payload["device"], event.payload["sample"]) for event in events
+                   if event.kind == "device_sample_done"]
+        correct = sum(int((traces[d].heavy_correct if f else traces[d].light_correct)[i])
+                      for (d, i), f in zip(samples, forwarded))
+        assert len(forwarded) == 1200
+        assert report.cascade_accuracy == correct / len(forwarded)
 
 
 class TestMonotoneLoad:

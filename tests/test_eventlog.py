@@ -1,20 +1,29 @@
-"""The event log's forked helper: one child formats the second half of a long log.
+"""The event log's text: format v2 payloads, and chunk edges that change no byte.
 
-The helper must change no byte of the log, and no process or temporary file may
-outlive the log's iterator, whether it is read to the end, closed early,
-dropped, or its helper fails.
+The log is formatted one chunk of processing order at a time. Every chunk size
+must give the same text, in pieces that each end a line.
 """
 
 import json
-import os
 from importlib import resources
 
 import pytest
 
 from cascsim import eventlog
-from cascsim.cli import main
 from cascsim.config import config_from_dict
-from cascsim.engine import run_simulation
+from cascsim.engine import parse_event_log_line, run_simulation
+
+from conftest import replay_decisions
+
+PAYLOAD_KEYS = {
+    "device_sample_done": {"decision", "device", "sample"},
+    "request_arrival": {"device", "queue_len", "sample"},
+    "batch_complete": {"batch_size", "launched_ms", "queue_len", "samples"},
+    "response_arrival": {"batch_size", "samples"},
+    "scheduler_tick": {"b_bar", "capacity", "flush", "queue_len", "updates"},
+    "threshold_applied": {"device", "reason", "threshold"},
+    "run_end": {"finalized", "in_flight", "local", "makespan_ms", "served"},
+}
 
 
 def heterog_doc(zero_delay=False):
@@ -31,117 +40,45 @@ def heterog_doc(zero_delay=False):
     return doc
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Count the forks the log makes."""
-    made = []
-    fork = os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            made.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return made
-
-
-def open_fds():
-    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+@pytest.mark.parametrize("zero_delay", [False, True])
+def test_v2_payloads(zero_delay):
+    """Each kind's payload has exactly its v2 keys, and every decision replays from the
+    trace at the threshold the log's own lines put in force."""
+    cfg = config_from_dict(heterog_doc(zero_delay)).with_device_count(12)
+    report = run_simulation(cfg, seed=1, collect_event_log=True)
+    events = [parse_event_log_line(line) for line in "".join(report.event_log).splitlines()]
+    keys = {}
+    for event in events:
+        keys.setdefault(event.kind, set()).add(frozenset(event.payload))
+    assert keys == {kind: {frozenset(names)} for kind, names in PAYLOAD_KEYS.items()}
+    assert [event.kind for event in events].count("run_end") == 1
+    assert events[-1].kind == "run_end"
+    forwarded = replay_decisions(cfg, cfg.build_traces(1), events)
+    assert len(forwarded) == report.samples_finalized
+    assert sum(forwarded) == report.samples_served
 
 
 @pytest.mark.parametrize("zero_delay", [False, True])
-def test_the_helper_changes_no_byte(monkeypatch, forks, zero_delay):
-    """With the helper and without it (one usable CPU), the same text, in pieces that
-    each end a line: at 256-event chunks, and at chunks that make the log exactly one chunk (no fork) or two, one
-    of them split between a batch's completion and its response."""
+def test_chunk_edges_change_no_byte(monkeypatch, zero_delay):
+    """The same text, in pieces that each end a line: at 256-event chunks, at chunks
+    that make the log exactly one chunk or one event short of it, and at a chunk edge
+    between a batch's completion and its response."""
     cfg = config_from_dict(heterog_doc(zero_delay)).with_device_count(12)
 
-    def text(chunk, cpus):
+    def text(chunk):
         with monkeypatch.context() as patch:
             patch.setattr(eventlog, "_CHUNK", chunk)
-            patch.setattr(eventlog, "_usable_cpus", lambda: cpus)
             pieces = list(run_simulation(cfg, seed=1, collect_event_log=True).event_log)
         assert all(piece.endswith("\n") for piece in pieces)
         return "".join(pieces)
 
-    alone = text(256, 1)
-    kinds = [line.split("\t", 3)[2] for line in alone.splitlines()[:-1]]  # run_end aside
+    small = text(256)
+    kinds = [line.split("\t", 3)[2] for line in small.splitlines()[:-1]]  # run_end aside
     events = len(kinds)
-    assert not forks and events > 4 * 256
-    # a second chunk that starts while a batch completed in the first is in flight
+    assert events > 4 * 256
+    # a chunk edge that falls while a batch completed before it is in flight
     completions, responses = ([i for i, kind in enumerate(kinds) if kind == name]
                               for name in ("batch_complete", "response_arrival"))
     in_flight = next(c + 1 for c, r in zip(completions, responses) if 2 * c >= events and r > c)
-    for chunk, forked in ((256, 1), (events, 0), (events - 1, 1), (in_flight, 1)):
-        del forks[:]
-        assert text(chunk, 2) == alone, chunk
-        assert len(forks) == forked, chunk
-    assert_no_child_left()
-
-
-@pytest.mark.parametrize("finish", ["close", "drop"])
-def test_an_unfinished_log_leaves_no_process_or_file(monkeypatch, forks, finish):
-    monkeypatch.setattr(eventlog, "_CHUNK", 256)
-    monkeypatch.setattr(eventlog, "_usable_cpus", lambda: 2)
-    cfg = config_from_dict(heterog_doc()).with_device_count(12)
-    fds = open_fds()
-    log = run_simulation(cfg, seed=1, collect_event_log=True).event_log
-    assert next(log).endswith("\n")
-    assert len(forks) == 1
-    if finish == "close":
-        log.close()
-    else:
-        del log
-    assert_no_child_left()
-    assert open_fds() == fds
-
-
-def failing_in_child(monkeypatch):
-    """Make the range formatter raise in any process but this one, after its first
-    piece, whose lines the spill must not keep."""
-    parent, pieces = os.getpid(), eventlog._Log.pieces
-
-    def failing(self, lo, hi):
-        for piece in pieces(self, lo, hi):
-            yield piece
-            if os.getpid() != parent:
-                raise RuntimeError("the helper fails")
-
-    monkeypatch.setattr(eventlog._Log, "pieces", failing)
-    monkeypatch.setattr(eventlog, "_CHUNK", 256)
-    monkeypatch.setattr(eventlog, "_usable_cpus", lambda: 2)
-
-
-def test_a_failed_helper_fails_the_log(monkeypatch, forks):
-    failing_in_child(monkeypatch)
-    cfg = config_from_dict(heterog_doc()).with_device_count(12)
-    log = run_simulation(cfg, seed=1, collect_event_log=True).event_log
-    with pytest.raises(ChildProcessError,
-                       match=r"exit code 1: RuntimeError\('the helper fails'\)$"):
-        for _ in log:
-            pass
-    assert len(forks) == 1
-    assert_no_child_left()
-
-
-def test_a_failed_helper_writes_no_events_file(tmp_path, monkeypatch, capsys, forks):
-    """``simulate --event-log`` exits 1 with the helper's JSON error, and leaves the
-    report but neither the events file nor its temporary file."""
-    failing_in_child(monkeypatch)
-    config, out = tmp_path / "config.json", tmp_path / "out"
-    config.write_text(json.dumps(heterog_doc()), encoding="utf-8")
-    assert main(["simulate", "--config", str(config), "--devices", "12", "--seed-list", "1",
-                 "--out", str(out), "--event-log"]) == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ChildProcessError"
-    assert err["message"].endswith("exit code 1: RuntimeError('the helper fails')")
-    assert sorted(p.name for p in out.iterdir()) == ["report_seed1.json"]
-    assert json.loads((out / "report_seed1.json").read_text())["seed"] == 1
-    assert_no_child_left()
+    for chunk in (events, events - 1, in_flight):
+        assert text(chunk) == small, chunk

@@ -20,7 +20,7 @@ from cascsim.scheduler import (
 
 from cascsim.server import BatchLatencyTable, compute_capacity_greedy
 
-from conftest import log_lines, small_config
+from conftest import log_lines, replay_decisions, small_config
 
 
 def cfg(**overrides) -> SchedulerConfig:
@@ -269,21 +269,22 @@ class TestBaseline:
         """Under queue pressure that moves the adaptive loop's thresholds, a
         static run applies no update and decides every sample at its initial
         threshold."""
-        logs = {}
+        logs, configs = {}, {}
         for kind in ("static", "multitasc"):
             config = small_config(groups=[("mid", 5, 10.0)], table_entries={1: 15, 2: 20},
                                   kind=kind, threshold=0.62, trace_count=300,
                                   sched_overrides=dict(tick_period_ms=100.0))
             report = run_simulation(config, seed=1, collect_event_log=True)
             logs[kind] = [parse_event_log_line(line) for line in log_lines(report)]
+            configs[kind] = config
         assert any(e.kind == "threshold_applied" for e in logs["multitasc"])
         static = logs["static"]
         ticks = [e for e in static if e.kind == "scheduler_tick"]
         assert ticks and all(e.payload["updates"] == [] for e in ticks)
         assert max(e.payload["queue_len"] for e in ticks) > ticks[0].payload["capacity"]
         assert not any(e.kind == "threshold_applied" for e in static)
-        assert {e.payload["threshold"] for e in static
-                if e.kind == "device_sample_done"} == {0.62}
+        cfg = configs["static"]
+        assert len(replay_decisions(cfg, cfg.build_traces(1), static)) == 5 * 300
 
 
 class TestStateAccounting:
