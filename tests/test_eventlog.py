@@ -1,10 +1,12 @@
 """The event log's text: format v2 payloads, and chunk edges that change no byte.
 
-The log is formatted one chunk of processing order at a time. Every chunk size
-must give the same text, in pieces that each end a line.
+The log is formatted one chunk of processing order at a time, in this process.
+Every chunk size must give the same text, in pieces that each end a line, and an
+iterator closed or dropped early must leave no process or open file behind.
 """
 
 import json
+import os
 from importlib import resources
 
 import pytest
@@ -82,3 +84,29 @@ def test_chunk_edges_change_no_byte(monkeypatch, zero_delay):
     in_flight = next(c + 1 for c, r in zip(completions, responses) if 2 * c >= events and r > c)
     for chunk in (events, events - 1, in_flight):
         assert text(chunk) == small, chunk
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
+
+
+@pytest.mark.parametrize("finish", ["close", "drop"])
+def test_an_unfinished_log_leaves_no_process_or_file(monkeypatch, finish):
+    """Reading one piece and then closing or dropping the log forks nothing and leaves
+    no file open, and that piece is the start of the whole log."""
+    forked, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+    monkeypatch.setattr(eventlog, "_CHUNK", 256)
+    cfg = config_from_dict(heterog_doc()).with_device_count(12)
+    fds = open_fds()
+    log = run_simulation(cfg, seed=1, collect_event_log=True).event_log
+    first = next(log)
+    assert first.endswith("\n")
+    if finish == "close":
+        log.close()
+    else:
+        del log
+    assert not forked
+    assert open_fds() == fds
+    whole = "".join(run_simulation(cfg, seed=1, collect_event_log=True).event_log)
+    assert len(first) < len(whole) and whole.startswith(first)
