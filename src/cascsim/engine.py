@@ -53,13 +53,15 @@ then the first tick) first, by position, and every other event after its
 pusher's processing place, by its position among that pusher's pushes.
 ``processing_order`` applies the rule to whole columns: to every local
 completion when the device layout is built, and to every event of a finished
-run, from ``_Run.push_table``, when the event log is streamed. Mid-run, the loop
+run, from ``_Run.push_table``, when the event log is streamed. It orders every
+independent run, one where no member's pusher is in a run of equal times, with
+one lexsort, and walks only the runs with a pusher inside a run. Mid-run, the loop
 walks the rule only at exactly equal times: when a request arrives at the
 instant a batch completes, or a server event falls at the instant of the next
 control event. It then decides the tie by walking up both events' pushers while
 the times stay equal (``_Run.precedes``). A log line's sequence number is its event's
-rank in push order, the counter the heap stamps on it, so the log is identical
-to a heap-driven loop's, byte for byte.
+rank in push order, the counter the heap stamps on it (``eventlog.push_rank``), so
+the log is identical to a heap-driven loop's, byte for byte.
 """
 
 from __future__ import annotations
@@ -175,6 +177,10 @@ def processing_order(times: np.ndarray, parent: np.ndarray, pos: np.ndarray):
     first, by position; every other event follows its pusher's place, then its
     position. A member whose pusher is in the same run waits until the pusher
     is placed, which needs a zero delay.
+
+    A run is independent when no member's pusher is in any run: the stable sort
+    has already given every such pusher its final place, so one lexsort orders
+    all independent runs at once. The others are walked one by one, in time order.
     """
     n = times.size
     order = np.argsort(times, kind="stable")
@@ -184,7 +190,21 @@ def processing_order(times: np.ndarray, parent: np.ndarray, pos: np.ndarray):
     edge = np.flatnonzero(tied[1:] != tied[:-1])  # each run of equal times: lo, then hi - 1
     place = np.empty(n, dtype=np.int64)
     place[order] = np.arange(n)
-    for lo, hi in zip(edge[0::2].tolist(), (edge[1::2] + 1).tolist()):
+    at = np.flatnonzero(tied[:-1] | tied[1:])  # the places that runs hold, increasing
+    run = np.searchsorted(edge[0::2], at, "right")  # each such place's run, from 1
+    members = order[at]
+    up = parent[members]
+    up = np.where(up >= 0, place[up], -1)  # final unless the pusher is in a run
+    in_run = np.zeros(n + 1, dtype=bool)  # by place; the initial pushes' pusher, -1, in none
+    in_run[at] = True
+    dependent = np.bincount(run, in_run[up], minlength=edge.size // 2 + 1) > 0
+    free = ~dependent[run]
+    free_at, members = at[free], members[free]
+    members = members[np.lexsort((pos[members], up[free], run[free]))]
+    order[free_at] = members
+    place[members] = free_at
+    dependent = np.flatnonzero(dependent[1:])
+    for lo, hi in zip(edge[2 * dependent].tolist(), (edge[2 * dependent + 1] + 1).tolist()):
         left = order[lo:hi].copy()  # a view would change under the writes below
         place[left] = n  # not placed yet
         while left.size:
@@ -197,18 +217,6 @@ def processing_order(times: np.ndarray, parent: np.ndarray, pos: np.ndarray):
             place[members] = np.arange(lo, lo + members.size)
             lo += members.size
     return order, place
-
-
-def push_rank(place: np.ndarray, parent: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Each event's rank in push order, from 1, given ``processing_order``'s places and
-    arguments: the initial pushes first, by position, then every other event by its
-    pusher's place and its position. It is the counter a heap stamps on each push."""
-    pusher_place = np.where(parent >= 0, place[parent], -1)
-    by_push = np.lexsort((pos, pusher_place))
-    del pusher_place  # the temporaries stay small, as the event log ranks every event
-    rank = np.argsort(by_push)  # the inverse permutation, built with no temporary beside it
-    rank += 1
-    return rank
 
 
 class DeviceLayout:

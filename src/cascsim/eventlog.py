@@ -5,16 +5,20 @@ sorted keys. The lines are made after the run from the engine's per-sample
 columns and per-batch and per-tick records, which hold every event: a run ends
 when every sample is final and the control loop has nothing left to deliver.
 The engine's push table and ``processing_order`` order the lines. A line's
-sequence number is its event's rank in push order (``push_rank``), from 1: the
-initial pushes first, by position, then every other event by its pusher's
-processing place and its position among that pusher's pushes, which is the
-counter a heap-driven loop stamps on each push. The closing ``run_end`` line
-sits at the last event's time and takes the next number.
+sequence number is its event's rank in push order, from 1: the initial pushes
+first, by position, then every other event by its pusher's processing place and
+its position among that pusher's pushes, which is the counter a heap-driven loop
+stamps on each push. ``push_rank`` finds it from push counts, with no sort: the
+pushes of every pusher placed earlier, plus the event's position. The closing
+``run_end`` line sits at the last event's time and takes the next number.
 
 The log is yielded as newline-terminated pieces of whole lines, formatted as
 they are read, one ``_CHUNK`` of processing order at a time. Within a stream,
 index order is processing order, so a chunk holds one index range of each
-stream: only those rows are formatted, then merged.
+stream: only those rows are formatted, then merged. The text between a
+sample's or request's sequence number and its last fields is made once per
+device (and decision), and a chunk's batch sample lists are joined from one
+``[device, sample]`` text per request.
 
 Format v2: a ``device_sample_done`` payload is ``decision``, ``device`` and
 ``sample``. Its confidence gap is the trace's, and the threshold in force is
@@ -30,8 +34,7 @@ import numpy as np
 
 from .engine import (BC, EVENT_BATCH_COMPLETE, EVENT_DEVICE_SAMPLE_DONE, EVENT_REQUEST_ARRIVAL,
                      EVENT_RESPONSE_ARRIVAL, EVENT_RUN_END, EVENT_SCHEDULER_TICK,
-                     EVENT_THRESHOLD_APPLIED, RA, RESP, SD, TA, TICK, processing_order,
-                     push_rank)
+                     EVENT_THRESHOLD_APPLIED, RA, RESP, SD, TA, TICK, processing_order)
 from .metrics import MetricsReport
 
 _CHUNK = 1 << 12  # events formatted per step, which bounds the temporary Python objects
@@ -55,6 +58,22 @@ def _stream(run, end: dict) -> Iterator[str]:
     yield log.end_line
 
 
+def push_rank(up: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Each event's rank in push order, from 1, given its pusher's processing place
+    (-1 for an initial push) and its position among that pusher's pushes: the
+    counter a heap stamps on each push. A pusher's positions run 0..k-1, so the
+    rank is the count of pushes by every pusher placed earlier (the initial
+    pushes first), plus the position, plus one."""
+    pushes = np.bincount(up + 1)  # the initial pushes, then each place's pushes
+    earlier = np.zeros(pushes.size + 1, dtype=np.int64)  # pushes before each place; 0 at -1
+    np.cumsum(pushes, out=earlier[:-1])
+    del pushes
+    rank = earlier[up]
+    rank += pos
+    rank += 1
+    return rank
+
+
 class _Log:
     """The columns a finished run's event log is formatted from, in processing order."""
 
@@ -66,23 +85,34 @@ class _Log:
         order, place = processing_order(times, parent, pos)
         end_time = float(times[order[-1]])
         del times  # each array goes once read, which keeps the peak near the run's own
-        seq = push_rank(place, parent, pos)
         # queue length after each arrival, and at each batch completion before it
         # relaunches: arrivals so far less the batches launched by an earlier event
         launch = place[parent[base[BC]:base[BC + 1]]]  # each batch's pusher's place, increasing
-        del parent, pos
         ra_place, bc_place = place[base[RA]:base[RA + 1]], place[base[BC]:base[BC + 1]]
         first = np.cumsum([0] + run.bc_size)  # each batch's first request
         self.ra_queue = (np.arange(1, ra_place.size + 1)
                          - first[np.searchsorted(launch, ra_place)])
         self.bc_queue = (np.searchsorted(ra_place, bc_place)
                          - first[np.searchsorted(launch, bc_place)])
-        del place, ra_place, bc_place, launch
+        del ra_place, bc_place, launch
+        up = place[parent]  # each event's pusher's place, -1 for an initial push
+        up[parent < 0] = -1
+        del place, parent
+        seq = push_rank(up, pos)
+        del up, pos
 
         self.base, self.order, self.first = base, order, first
         self.ra_sd = np.asarray(run.ra_sd, dtype=np.int64)
         self.seqs = [seq[base[s]:base[s + 1]] for s in range(6)]
         self.updates = [update for tick in run.ticks for update in tick[3]]  # one per application
+        # the text between a line's sequence number and its last field, per device (and
+        # decision: ``sd_mid[2 * device + forwarded]``)
+        devices = range(run.layout.n_devices)
+        self.sd_mid = [f'\t{EVENT_DEVICE_SAMPLE_DONE}\t{{"decision": "{decision}", '
+                       f'"device": {d}, "sample": '
+                       for d in devices for decision in ("keep_local", "forward")]
+        self.ra_mid = [f'\t{EVENT_REQUEST_ARRIVAL}\t{{"device": {d}, "queue_len": '
+                       for d in devices]
         self.end_line = (f"{end_time!r}\t{seq.size + 1}\t{EVENT_RUN_END}\t"
                          + json.dumps(end, sort_keys=True) + "\n")
 
@@ -90,14 +120,16 @@ class _Log:
         """Each batch's samples in ``[start, stop)`` as JSON text of (device, sample) pairs."""
         layout, first = self.run.layout, self.first
         rows = self.ra_sd[first[start]:first[stop]]
-        pairs = list(zip(layout.sd_dev[rows].tolist(), layout.sd_index[rows].tolist()))
+        pairs = [f"[{d}, {i}]"
+                 for d, i in zip(layout.sd_dev[rows].tolist(), layout.sd_index[rows].tolist())]
         ends = (first[start:stop + 1] - first[start]).tolist()
-        return [json.dumps(pairs[i:j]) for i, j in zip(ends, ends[1:])]
+        return ["[" + ", ".join(pairs[i:j]) + "]" for i, j in zip(ends, ends[1:])]
 
     def pieces(self, lo: int, hi: int) -> Iterator[str]:
         """Lines ``[lo, hi)`` of processing order, one newline-terminated piece per chunk."""
         run, layout, ra_sd, seqs, updates = (self.run, self.run.layout, self.ra_sd, self.seqs,
                                              self.updates)
+        sd_mid, ra_mid = self.sd_mid, self.ra_mid
         base, order = self.base, self.order
         start = np.bincount(np.searchsorted(base, order[:lo], "right") - 1, minlength=6)
         for at in range(lo, hi, _CHUNK):
@@ -106,18 +138,15 @@ class _Log:
             count = np.bincount(stream, minlength=6)
             a, b = start.tolist(), (start + count).tolist()
             sd, ra, bc, resp, tick, ta = (slice(x, y) for x, y in zip(a, b))
-            lines = [f'{t!r}\t{s}\t{EVENT_DEVICE_SAMPLE_DONE}\t{{"decision": '
-                     f'"{"forward" if f else "keep_local"}", "device": {d}, "sample": {i}}}\n'
-                     for t, s, f, d, i in zip(
-                         layout.sd_time[sd].tolist(), seqs[SD][sd].tolist(),
-                         run.forward[sd].tolist(), layout.sd_dev[sd].tolist(),
-                         layout.sd_index[sd].tolist())]
-            lines += [f'{t!r}\t{s}\t{EVENT_REQUEST_ARRIVAL}\t{{"device": {d}, "queue_len": {q}, '
-                      f'"sample": {i}}}\n'
-                      for t, s, d, q, i in zip(
+            mids = map(sd_mid.__getitem__, (layout.sd_dev[sd] * 2 + run.forward[sd]).tolist())
+            lines = [f"{t!r}\t{s}{mid}{i}}}\n"
+                     for t, s, mid, i in zip(layout.sd_time[sd].tolist(), seqs[SD][sd].tolist(),
+                                             mids, layout.sd_index[sd].tolist())]
+            lines += [f'{t!r}\t{s}{mid}{q}, "sample": {i}}}\n'
+                      for t, s, mid, q, i in zip(
                           run.ra_time[ra], seqs[RA][ra].tolist(),
-                          layout.sd_dev[ra_sd[ra]].tolist(), self.ra_queue[ra].tolist(),
-                          layout.sd_index[ra_sd[ra]].tolist())]
+                          map(ra_mid.__getitem__, layout.sd_dev[ra_sd[ra]].tolist()),
+                          self.ra_queue[ra].tolist(), layout.sd_index[ra_sd[ra]].tolist())]
             # batches respond in the order they complete, each after its completion, so
             # one range holds the samples of every batch that completes or responds here
             samples = self.batch_samples(resp.start, bc.stop)

@@ -733,6 +733,36 @@ def test_logged_simulate_streams_its_event_log(tmp_path, monkeypatch, capsys):
     assert logged - unlogged < allowance, (logged, unlogged)
 
 
+SETUP_THEN_RUNS = """
+import json, sys
+import cascsim
+seen = []
+cascsim.load_config("heterog_inceptionv3").resolve_initial_thresholds()
+seen.append("cascsim.eventlog" in sys.modules)
+from cascsim.cli import main
+for flags in ([], ["--event-log"]):
+    assert main(["simulate", "--config", sys.argv[1], "--seed-list", "1",
+                 "--out", sys.argv[2], *flags]) == 0
+    seen.append("cascsim.eventlog" in sys.modules)
+print(json.dumps(seen))
+"""
+
+
+def test_setup_and_an_unlogged_run_never_import_the_event_log(tmp_path):
+    """A fresh import with a preset's config and initial thresholds (what perfbench's
+    ``setup_s`` times), then a ``simulate`` without ``--event-log``, leave
+    ``cascsim.eventlog`` unimported; a logged run then imports it. One child process
+    runs the three steps in turn, so no test's earlier import hides the answer."""
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cascsim.__file__)))
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", SETUP_THEN_RUNS, write_config(tmp_path, tiny_config_doc()),
+         str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [False, False, True]
+
+
 def test_a_failed_event_log_leaves_no_file(tmp_path, monkeypatch, capsys):
     """A log that fails after its first piece (say, on a full disk) exits 1 with the
     JSON error and leaves neither the events file nor its temporary file."""

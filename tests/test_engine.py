@@ -21,7 +21,6 @@ from cascsim.engine import (
     estimate_arrival_rate,
     parse_event_log_line,
     processing_order,
-    push_rank,
     run_simulation,
 )
 from cascsim.errors import ConfigError
@@ -282,13 +281,13 @@ def completion_layouts(draw):
     return n, done
 
 
-@st.composite
-def heap_runs(draw):
-    """A literal heap-driven loop keyed on (time, push counter) over a random push
-    forest: initial pushes, then up to three pushes per processed event, each at
-    its pusher's time plus a small integral delay, zero included. Returns the
-    events under a random labelling as ``(times, parent, pos)``, the labels in
-    processing order, and each label's push counter."""
+def heap_loop(initial, delays, label):
+    """A literal heap-driven loop keyed on (time, push counter) over a push forest:
+    the initial pushes at the times ``initial``, then the ``step``-th processed
+    event pushes one event per delay in ``delays(step, pushed)`` (``pushed``: the
+    events pushed so far), each at its pusher's time plus that delay. Returns the
+    events under the labelling ``label(n)`` as ``(times, parent, pos)``, the
+    labels in processing order, and each label's push counter."""
     times, parent, pos = [], [], []
     heap = []
 
@@ -298,15 +297,15 @@ def heap_runs(draw):
         pos.append(k)
         heapq.heappush(heap, (t, len(times), len(times) - 1))  # counter = push rank
 
-    for k in range(draw(st.integers(1, 5))):
-        push(draw(st.sampled_from((0, 0, 1, 2))), -1, k)
+    for k, t in enumerate(initial):
+        push(t, -1, k)
     processed = []
     while heap:
         t, _, e = heapq.heappop(heap)
+        for k, delay in enumerate(delays(len(processed), len(times))):
+            push(t + delay, e, k)
         processed.append(e)
-        for k in range(draw(st.integers(0, 3)) if len(times) < 40 else 0):
-            push(t + draw(st.sampled_from((0, 0, 1, 2, 3))), e, k)
-    label = draw(st.permutations(range(len(times))))
+    label = label(len(times))
     at = np.argsort(label)  # event at each label
     parent = np.array(parent)[at]
     return ((np.array(times, dtype=np.float64)[at],
@@ -314,15 +313,43 @@ def heap_runs(draw):
             [label[e] for e in processed], (at + 1).tolist())
 
 
+@st.composite
+def heap_runs(draw):
+    """``heap_loop`` over a random push forest: initial pushes, then up to three
+    pushes per processed event, each after a small integral delay, zero included,
+    under a random labelling."""
+    initial = [draw(st.sampled_from((0, 0, 1, 2))) for _ in range(draw(st.integers(1, 5)))]
+
+    def delays(step, pushed):
+        return [draw(st.sampled_from((0, 0, 1, 2, 3)))
+                for _ in range(draw(st.integers(0, 3)) if pushed < 40 else 0)]
+
+    return heap_loop(initial, delays, lambda n: draw(st.permutations(range(n))))
+
+
+def fixed_heap_run(initial, delays, label):
+    """``heap_loop`` with each processed event's delays listed by step, none past the list."""
+    return heap_loop(initial, lambda step, _: delays[step] if step < len(delays) else (),
+                     lambda n: label)
+
+
 class TestProcessingOrder:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(heap_runs())
+    # a run of equal times whose pushers lie in no run, the later-placed pusher
+    # and its push labelled first
+    @example(fixed_heap_run([1, 2], [(2,), (1,)], [1, 0, 3, 2]))
+    # a run whose pushers sit in an earlier run, placed unlike their labels
+    @example(fixed_heap_run([0, 0], [(1,), (1,)], [1, 0, 3, 2]))
+    # zero-delay pushes in their own pushers' run
+    @example(fixed_heap_run([0, 0], [(0,), (0,)], [1, 0, 2, 3]))
     def test_matches_a_heap_keyed_on_time_and_push_counter(self, run):
         (times, parent, pos), expected, counters = run
         order, place = processing_order(times, parent, pos)
         assert order.tolist() == expected
         assert place[order].tolist() == list(range(order.size))
-        assert push_rank(place, parent, pos).tolist() == counters
+        pusher_place = np.where(parent >= 0, place[parent], -1)
+        assert eventlog.push_rank(pusher_place, pos).tolist() == counters
 
     def test_push_table_is_the_scalar_rule_for_every_event(self):
         """On random integral configs, ``_Run.push_table`` states for every event of

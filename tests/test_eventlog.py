@@ -7,13 +7,14 @@ iterator closed or dropped early must leave no process or open file behind.
 
 import json
 import os
+import tracemalloc
 from importlib import resources
 
 import pytest
 
 from cascsim import eventlog
 from cascsim.config import config_from_dict
-from cascsim.engine import parse_event_log_line, run_simulation
+from cascsim.engine import DeviceLayout, _Run, parse_event_log_line, run_simulation
 
 from conftest import replay_decisions
 
@@ -84,6 +85,29 @@ def test_chunk_edges_change_no_byte(monkeypatch, zero_delay):
     in_flight = next(c + 1 for c, r in zip(completions, responses) if 2 * c >= events and r > c)
     for chunk in (events, events - 1, in_flight):
         assert text(chunk) == small, chunk
+
+
+def test_building_the_log_holds_few_event_columns():
+    """``_Log`` lets each event-sized array go once read and ranks the pushes only
+    after the places and pushers are gone, so building it peaks, above the finished
+    run, at no more than 6.5 int64 columns of one entry per event. 12 heterogeneous
+    devices on 1300-sample traces; a first build keeps first-call costs out."""
+    doc = heterog_doc()
+    for group in doc["fleet"]:
+        group["trace"]["synthetic"]["count"] = 1300
+    cfg = config_from_dict(doc).with_device_count(12)
+    run = _Run(cfg, DeviceLayout(cfg, cfg.build_traces(1)), 1, False)
+    run.run()
+    columns = 8 * sum(len(times) for times in run.times)  # bytes of one int64 column
+    eventlog._Log(run, {})
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        eventlog._Log(run, {})
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * columns, peak / columns
 
 
 def open_fds():
