@@ -53,10 +53,12 @@ then the first tick) first, by position, and every other event after its
 pusher's processing place, by its position among that pusher's pushes.
 ``processing_order`` applies the rule to whole columns: to every local
 completion when the device layout is built, and to every event of a finished
-run, from ``_Run.push_table``, when the event log is streamed. It orders every
-independent run, one where no member's pusher is in a run of equal times, with
-one lexsort, and walks only the runs with a pusher inside a run. Mid-run, the loop
-walks the rule only at exactly equal times: when a request arrives at the
+run, from ``_Run.push_table``, when the event log is streamed (in its two steps,
+``time_order`` and ``apply_tie_rule``, so the event times are dropped before the
+push table is made). It orders every independent run, one where no member's
+pusher is in a run of equal times, with one lexsort, and walks only the runs
+with a pusher inside a run. Mid-run, the loop walks the rule only at exactly
+equal times: when a request arrives at the
 instant a batch completes, or a server event falls at the instant of the next
 control event. It then decides the tie by walking up both events' pushers while
 the times stay equal (``_Run.precedes``). A log line's sequence number is its event's
@@ -68,7 +70,7 @@ from __future__ import annotations
 
 import json
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from math import inf, isclose, isfinite
 from typing import NamedTuple, Optional, Sequence
 
@@ -99,6 +101,8 @@ SERVER_OVERLOADED = "overloaded"
 # response arrivals, scheduler ticks and threshold applications. An event is
 # referenced as (stream, index); within a stream, index order is processing order.
 SD, RA, BC, RESP, TICK, TA = range(6)
+
+_COUNT_BLOCK = 1 << 16  # rows per step of a per-device count
 
 
 class LogEvent(NamedTuple):
@@ -182,14 +186,30 @@ def processing_order(times: np.ndarray, parent: np.ndarray, pos: np.ndarray):
     has already given every such pusher its final place, so one lexsort orders
     all independent runs at once. The others are walked one by one, in time order.
     """
+    order, place, tied = time_order(times)
+    apply_tie_rule(order, place, tied, parent, pos)
+    return order, place
+
+
+def time_order(times: np.ndarray):
+    """``processing_order`` before the tie rule: the events by time, equal times in
+    index order (a stable sort), each event's place, and which places hold a time
+    equal to the place before (``tied[k]``, padded with False at both ends)."""
     n = times.size
     order = np.argsort(times, kind="stable")
     sorted_times = times[order]
     tied = np.concatenate(([False], sorted_times[1:] == sorted_times[:-1], [False]))
     del sorted_times  # the temporaries stay small, as the event log orders every event
-    edge = np.flatnonzero(tied[1:] != tied[:-1])  # each run of equal times: lo, then hi - 1
     place = np.empty(n, dtype=np.int64)
     place[order] = np.arange(n)
+    return order, place, tied
+
+
+def apply_tie_rule(order: np.ndarray, place: np.ndarray, tied: np.ndarray, parent: np.ndarray,
+                   pos: np.ndarray) -> None:
+    """Apply the tie rule to ``time_order``'s order and places, in place."""
+    n = order.size
+    edge = np.flatnonzero(tied[1:] != tied[:-1])  # each run of equal times: lo, then hi - 1
     at = np.flatnonzero(tied[:-1] | tied[1:])  # the places that runs hold, increasing
     run = np.searchsorted(edge[0::2], at, "right")  # each such place's run, from 1
     members = order[at]
@@ -198,6 +218,7 @@ def processing_order(times: np.ndarray, parent: np.ndarray, pos: np.ndarray):
     in_run = np.zeros(n + 1, dtype=bool)  # by place; the initial pushes' pusher, -1, in none
     in_run[at] = True
     dependent = np.bincount(run, in_run[up], minlength=edge.size // 2 + 1) > 0
+    del in_run
     free = ~dependent[run]
     free_at, members = at[free], members[free]
     members = members[np.lexsort((pos[members], up[free], run[free]))]
@@ -216,7 +237,6 @@ def processing_order(times: np.ndarray, parent: np.ndarray, pos: np.ndarray):
             order[lo:lo + members.size] = members
             place[members] = np.arange(lo, lo + members.size)
             lo += members.size
-    return order, place
 
 
 class DeviceLayout:
@@ -232,6 +252,11 @@ class DeviceLayout:
     ``calibration``); the scheduler kind and tuning, the server, the network
     and the SLOs may differ. ``memo`` is passed to
     ``resolve_initial_thresholds``.
+
+    The build makes each column device-major, permutes it into processing order
+    and drops the device-major one at once; ``sd_index`` and ``sd_parent`` are
+    read off the order itself. So no two full sets of columns are ever held, and
+    a build peaks at about 1.3x the bytes it keeps.
     """
 
     def __init__(self, experiment: ExperimentConfig, traces: dict[int, TraceSet],
@@ -273,28 +298,34 @@ class DeviceLayout:
         self.initial_thresholds = np.array(commanded, dtype=np.float64)
         self.levels = np.array(levels, dtype=np.int64)
 
-        # device-major columns, then permuted once into processing order
+        # device-major columns, each permuted into processing order and dropped at once
         lengths_arr = np.asarray(lengths)
         device = np.repeat(np.arange(n), lengths_arr)
         first = np.concatenate(([0], np.cumsum(lengths_arr)[:-1]))
-        index = np.arange(device.size) - np.repeat(first, lengths_arr)
         start = np.concatenate(starts)
+        del starts
         done = start + self.t_inf[device]
         parent = np.arange(-1, device.size - 1)
         parent[first] = -1
         # a completion pushes at most one completion, so only a first completion's
         # position, its device id, ever decides
         order, position = processing_order(done, parent, device)
+        del parent
         self.total_samples = int(device.size)
+        # a completion's parent is the one before it device-major (a first one has none)
+        self.sd_parent = position[order - 1]
+        del position
         self.sd_time = done[order]
+        del done
         self.sd_start = start[order]
+        del start
         self.sd_dev = device[order]
-        self.sd_index = index[order]
+        del device
+        self.sd_index = order - first[self.sd_dev]
+        self.sd_parent[self.sd_index == 0] = -1
         self.sd_bvsb = np.concatenate(bvsb)[order]
         self.sd_light = np.concatenate(light)[order]
         self.sd_heavy = np.concatenate(heavy)[order]
-        parent_flat = parent[order]
-        self.sd_parent = np.where(parent_flat >= 0, position[np.maximum(parent_flat, 0)], -1)
         for column in (self.t_inf, self.initial_thresholds, self.levels, self.sd_time,
                        self.sd_start, self.sd_dev, self.sd_index, self.sd_bvsb, self.sd_light,
                        self.sd_heavy, self.sd_parent):
@@ -381,9 +412,12 @@ class _Run:
         self.thresholds = self.sched_state.thresholds.copy()
         self.decided = 0
         self.forward = np.zeros(self.total_samples, dtype=bool)
-        # request stream: arrival time and completion position, in processing order
+        # request stream: arrival time and completion position, in processing order;
+        # the positions come as one array per decided range that forwards, at ``ra_at``,
+        # and are joined into ``ra_sd`` once the loop ends
         self.ra_time: list[float] = []
-        self.ra_sd: list[int] = []
+        self.ra_chunks: list[np.ndarray] = []
+        self.ra_at: list[int] = []          # each chunk's first request
         # server: one record per launched batch; the queue is ra[head:arrived]
         self.head = 0
         self.busy = False
@@ -417,7 +451,8 @@ class _Run:
                 return None, int(self.layout.sd_dev[i])
             return (SD, p), int(self.forward[p])  # the request, if any, was pushed first
         if stream == RA:
-            return (SD, self.ra_sd[i]), 0
+            c = bisect_right(self.ra_at, i) - 1
+            return (SD, int(self.ra_chunks[c][i - self.ra_at[c]])), 0
         if stream == BC:
             r = self.bc_from_ra[i]
             return ((RA, r), 0) if r >= 0 else ((BC, i - 1), 1)  # after its response
@@ -436,20 +471,25 @@ class _Run:
         push) and its push position."""
         layout, counts = self.layout, [len(times) for times in self.times]
         base = np.cumsum([0] + counts)
-        n_bc, n_resp, n_tick = counts[BC], counts[RESP], counts[TICK]
+        sd, ra, bc, resp, tick, ta = (slice(a, b) for a, b in zip(base[:-1], base[1:]))
+        n_bc, n_tick = counts[BC], counts[TICK]
+        # filled stream by stream, so no stream's part is held beside the whole column
+        parent = np.empty(base[-1], dtype=np.int64)
+        pos = np.zeros(base[-1], dtype=np.int64)
+        parent[sd] = layout.sd_parent
+        pos[sd] = layout.sd_dev
+        np.copyto(pos[sd], self.forward[layout.sd_parent], where=layout.sd_parent >= 0)
+        parent[ra] = base[SD] + self.ra_sd
         from_ra = np.asarray(self.bc_from_ra, dtype=np.int64)
         relaunch = from_ra < 0
+        parent[bc] = np.where(relaunch, base[BC] + np.arange(n_bc) - 1, base[RA] + from_ra)
+        pos[bc] = relaunch
+        parent[resp] = base[BC] + np.arange(counts[RESP])
+        parent[tick] = np.append(-1, base[TICK] + np.arange(n_tick - 1))
+        pos[tick] = [self.n_devices] + [len(record[3]) for record in self.ticks[:n_tick - 1]]
         ta_tick = np.asarray(self.ta_tick, dtype=np.int64)
-        parent = np.concatenate((
-            layout.sd_parent, base[SD] + np.asarray(self.ra_sd, dtype=np.int64),
-            np.where(relaunch, base[BC] + np.arange(n_bc) - 1, base[RA] + from_ra),
-            base[BC] + np.arange(n_resp), np.append(-1, base[TICK] + np.arange(n_tick - 1)),
-            base[TICK] + ta_tick))
-        pos = np.concatenate((
-            np.where(layout.sd_parent >= 0, self.forward[layout.sd_parent], layout.sd_dev),
-            np.zeros(counts[RA], dtype=np.int64), relaunch, np.zeros(n_resp, dtype=np.int64),
-            [self.n_devices] + [len(tick[3]) for tick in self.ticks[:n_tick - 1]],
-            np.arange(ta_tick.size) - np.searchsorted(ta_tick, ta_tick)))
+        parent[ta] = base[TICK] + ta_tick
+        pos[ta] = np.arange(ta_tick.size) - np.searchsorted(ta_tick, ta_tick)
         return parent, pos
 
     def precedes(self, a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -487,8 +527,10 @@ class _Run:
         forward = forwards(layout.sd_bvsb[a:end], self.thresholds[layout.sd_dev[a:end]])
         self.forward[a:end] = forward
         fwd = np.flatnonzero(forward) + a
-        self.ra_sd.extend(fwd.tolist())
-        self.ra_time.extend((layout.sd_time[fwd] + self.uplink).tolist())
+        if fwd.size:
+            self.ra_at.append(len(self.ra_time))
+            self.ra_chunks.append(fwd)
+            self.ra_time.extend((layout.sd_time[fwd] + self.uplink).tolist())
         self.decided = end
 
     def _advance(self, control: Optional[tuple[int, int]]) -> None:
@@ -557,7 +599,7 @@ class _Run:
         self.ta_tick += [k] * len(ids)
         # the last tick is the first that finds every sample final: all decided, every
         # request launched, and every batch's response (each holds >= 1 sample) in
-        if (self.decided < self.total_samples or self.head < len(self.ra_sd)
+        if (self.decided < self.total_samples or self.head < len(self.ra_time)
                 or self._count_before(RESP, 0, (TICK, k)) < len(self.bc_size)):
             self.tick_time.append(now + self.sched_cfg.tick_period_ms)
 
@@ -588,6 +630,8 @@ class _Run:
             else:
                 self._apply_thresholds()
         self._advance(None)
+        self.ra_sd = np.concatenate([np.empty(0, dtype=np.int64), *self.ra_chunks])
+        self.ra_chunks, self.ra_at = [self.ra_sd], [0]  # for the tie walks of ``_parent``
 
         report = self.build_report()
         if self.collect_event_log:
@@ -601,7 +645,7 @@ class _Run:
         """Every sample in decision (local completion) order."""
         layout = self.layout
         completion = layout.sd_time.copy()
-        completion[np.asarray(self.ra_sd, dtype=np.int64)] = np.repeat(resp_time, sizes)
+        completion[self.ra_sd] = np.repeat(resp_time, sizes)
         correct = np.where(self.forward, layout.sd_heavy, layout.sd_light)
         return SampleColumns(layout.sd_dev, layout.sd_index, layout.sd_start, completion,
                              self.forward, correct, completion - layout.sd_start)
@@ -612,15 +656,26 @@ class _Run:
         """Area under the queue-length curve, summed left to right in event order as
         a per-event loop would, and every request's queue wait. The queue is empty
         at the end of a run, so the area ends at the last launch."""
+        # both columns are sorted, so after every change time the queue holds the
+        # arrivals up to it less the requests launched up to it; a step between equal
+        # times adds 0 to the area, so the repeated times change no bit of it
         times = np.concatenate((ra_time, launch))
-        change_times, inverse = np.unique(times, return_inverse=True)
-        delta = np.zeros(change_times.size, dtype=np.int64)
-        np.add.at(delta, inverse.ravel(),
-                  np.concatenate((np.ones(ra_time.size, dtype=np.int64), -sizes)))
-        # same-time changes add 0 to the area, so only distinct change times matter
-        steps = np.cumsum(delta)[:-1] * np.diff(change_times)
-        area = float(np.cumsum(steps)[-1]) if steps.size else 0.0
-        return area, np.repeat(launch, sizes) - ra_time
+        times.sort()
+        queue = np.searchsorted(ra_time, times[:-1], "right")
+        launched = np.searchsorted(launch, times[:-1], "right")
+        # each index is in range, so "clip" changes none; it lets take write in place
+        np.take(np.cumsum(np.append(0, sizes)), launched, out=launched, mode="clip")
+        queue -= launched
+        del launched
+        steps = np.diff(times)
+        del times
+        steps *= queue
+        del queue
+        area = float(np.cumsum(steps, out=steps)[-1]) if steps.size else 0.0
+        del steps
+        waits = np.repeat(launch, sizes)
+        waits -= ra_time
+        return area, waits
 
     def build_report(self) -> MetricsReport:
         experiment = self.experiment
@@ -637,17 +692,17 @@ class _Run:
         queue_area, queue_waits = self._queue_area(times[RA], launch, sizes)
         check_run_invariants(
             total=self.total_samples, decided=self.decided,
-            local=self.decided - len(self.ra_sd), served=int(sizes.sum()), batch_sizes=sizes,
+            local=self.decided - self.ra_sd.size, served=int(sizes.sum()), batch_sizes=sizes,
             max_batch=self.table.max_effective_batch, batch_launch=launch,
             batch_done=times[BC], stream_times=times,
             queue_area=queue_area, queue_waits=queue_waits)
 
         # every figure below comes from these per-device counts
         device = cols.device_id
-        count = np.bincount(device, minlength=n)
-        correct = np.bincount(device[cols.correct], minlength=n)
-        forwarded = np.bincount(device[cols.served], minlength=n)
-        within = {float(slo): np.bincount(device[cols.latency_ms <= slo], minlength=n)
+        count = _device_counts(device, n)
+        correct = _device_counts(device, n, cols.correct)
+        forwarded = _device_counts(device, n, cols.served)
+        within = {float(slo): _device_counts(device, n, cols.latency_ms <= slo)
                   for slo in experiment.slos_ms}
         totals = metrics_mod.rollup(slice(None), count, correct, within, makespan)
         levels = self.layout.levels
@@ -683,6 +738,18 @@ class _Run:
             samples_in_flight=0,
             samples=cols,
         )
+
+
+def _device_counts(device: np.ndarray, n: int, mask: Optional[np.ndarray] = None) -> np.ndarray:
+    """How many rows each of ``n`` devices holds (where ``mask`` holds), counted a block
+    of rows at a time: the index copies, and the copy ``bincount`` makes of a read-only
+    column, stay a block long."""
+    count = np.zeros(n, dtype=np.int64)
+    for at in range(0, device.size, _COUNT_BLOCK):
+        rows = device[at:at + _COUNT_BLOCK]
+        count += np.bincount(rows if mask is None else rows[mask[at:at + _COUNT_BLOCK]],
+                             minlength=n)
+    return count
 
 
 def run_simulation(experiment: ExperimentConfig, traces: Optional[dict[int, TraceSet]] = None,

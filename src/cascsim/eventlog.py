@@ -34,7 +34,8 @@ import numpy as np
 
 from .engine import (BC, EVENT_BATCH_COMPLETE, EVENT_DEVICE_SAMPLE_DONE, EVENT_REQUEST_ARRIVAL,
                      EVENT_RESPONSE_ARRIVAL, EVENT_RUN_END, EVENT_SCHEDULER_TICK,
-                     EVENT_THRESHOLD_APPLIED, RA, RESP, SD, TA, TICK, processing_order)
+                     EVENT_THRESHOLD_APPLIED, RA, RESP, SD, TA, TICK, apply_tie_rule,
+                     time_order)
 from .metrics import MetricsReport
 
 _CHUNK = 1 << 12  # events formatted per step, which bounds the temporary Python objects
@@ -63,15 +64,17 @@ def push_rank(up: np.ndarray, pos: np.ndarray) -> np.ndarray:
     (-1 for an initial push) and its position among that pusher's pushes: the
     counter a heap stamps on each push. A pusher's positions run 0..k-1, so the
     rank is the count of pushes by every pusher placed earlier (the initial
-    pushes first), plus the position, plus one."""
-    pushes = np.bincount(up + 1)  # the initial pushes, then each place's pushes
-    earlier = np.zeros(pushes.size + 1, dtype=np.int64)  # pushes before each place; 0 at -1
-    np.cumsum(pushes, out=earlier[:-1])
-    del pushes
-    rank = earlier[up]
-    rank += pos
-    rank += 1
-    return rank
+    pushes first), plus the position, plus one. The ranks are written over ``up``
+    and returned, so the push counts are the only other event-sized array made."""
+    up += 2  # bin 0 stays empty, bin 1 counts the initial pushes, bin p + 2 place p's
+    earlier = np.bincount(up)
+    np.cumsum(earlier, out=earlier)  # bin p + 1: the pushes before place p; bin 0: none
+    up -= 1
+    np.take(earlier, up, out=up, mode="clip")  # every index is in range; "clip" writes in place
+    del earlier
+    up += pos
+    up += 1
+    return up
 
 
 class _Log:
@@ -80,11 +83,15 @@ class _Log:
     def __init__(self, run, end: dict):
         self.run = run
         base = np.cumsum([0] + [len(t) for t in run.times])
+        # each event-sized array goes once read, and the times go before the push table
+        # is made, which keeps the peak near the run's own
         times = np.concatenate([np.asarray(t, dtype=np.float64) for t in run.times])
-        parent, pos = run.push_table()
-        order, place = processing_order(times, parent, pos)
+        order, place, tied = time_order(times)
         end_time = float(times[order[-1]])
-        del times  # each array goes once read, which keeps the peak near the run's own
+        del times
+        parent, pos = run.push_table()
+        apply_tie_rule(order, place, tied, parent, pos)
+        del tied
         # queue length after each arrival, and at each batch completion before it
         # relaunches: arrivals so far less the batches launched by an earlier event
         launch = place[parent[base[BC]:base[BC + 1]]]  # each batch's pusher's place, increasing
@@ -95,14 +102,16 @@ class _Log:
         self.bc_queue = (np.searchsorted(ra_place, bc_place)
                          - first[np.searchsorted(launch, bc_place)])
         del ra_place, bc_place, launch
-        up = place[parent]  # each event's pusher's place, -1 for an initial push
-        up[parent < 0] = -1
-        del place, parent
-        seq = push_rank(up, pos)
-        del up, pos
+        # each event's pusher's place, -1 for an initial push, written over ``parent``
+        initial = parent < 0
+        np.take(place, parent, out=parent, mode="wrap")
+        parent[initial] = -1
+        del place, initial
+        seq = push_rank(parent, pos)
+        del parent, pos
 
         self.base, self.order, self.first = base, order, first
-        self.ra_sd = np.asarray(run.ra_sd, dtype=np.int64)
+        self.ra_sd = run.ra_sd
         self.seqs = [seq[base[s]:base[s + 1]] for s in range(6)]
         self.updates = [update for tick in run.ticks for update in tick[3]]  # one per application
         # the text between a line's sequence number and its last field, per device (and

@@ -2,6 +2,7 @@ import copy
 import heapq
 import signal
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -437,6 +438,35 @@ class TestDeviceLayout:
         with pytest.raises(ConfigError) as err:
             run_simulation(cfg, cfg.build_traces(1), seed=1, layout=layout)
         assert err.value.field == "layout"
+
+    def test_the_build_holds_little_beside_the_columns_it_keeps(self):
+        """Each device-major column is dropped once permuted into processing order, so
+        building a layout of 20 homogeneous devices on 2,000-sample traces peaks at no
+        more than 1.5x the bytes of the columns it keeps (about 2.6x when every
+        device-major column lived to the end). A first build keeps the calibration
+        and first-call costs out."""
+        cfg = saturated_preset("homog_efflite0_inceptionv3", devices=20, trace_count=2000)
+        traces, memo = cfg.build_traces(1), {}
+        DeviceLayout(cfg, traces, memo)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            layout = DeviceLayout(cfg, traces, memo)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        kept = sum(getattr(layout, column).nbytes for column in LAYOUT_COLUMNS)
+        assert peak <= 1.5 * kept, peak / kept
+
+    def test_a_run_keeps_its_request_rows_as_one_array(self):
+        """The forwarded completions' positions, gathered as arrays while the run
+        decides, are one int64 array once it ends: every forwarded position, in order."""
+        cfg = saturated_preset("heterog_inceptionv3", devices=12, trace_count=300)
+        run = _Run(cfg, DeviceLayout(cfg, cfg.build_traces(1)), 1, False)
+        run.run()
+        assert type(run.ra_sd) is np.ndarray and run.ra_sd.dtype == np.int64
+        assert run.ra_sd.size == len(run.ra_time) > 0
+        assert np.array_equal(run.ra_sd, np.flatnonzero(run.forward))
 
 
 class TestEventLogChunks:
