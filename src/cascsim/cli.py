@@ -88,9 +88,10 @@ def cmd_simulate(args) -> int:
         del memo[seed]  # this seed's synthetic traces: no later seed reads them
         if out_dir:
             _write_atomic(out_dir / f"report_seed{seed}.json", report.to_json() + "\n")
-            if args.event_log:
-                _write_atomic(out_dir / f"events_seed{seed}.tsv", report.event_log)
-        report.samples = report.event_log = None  # the mean needs only the numbers
+        report.samples = None  # neither the log nor the mean reads the per-sample columns
+        if args.event_log:  # which needs --out
+            _write_atomic(out_dir / f"events_seed{seed}.tsv", report.event_log)
+        report.event_log = None  # the mean needs only the numbers
         reports.append(report)
     mean = mean_report(reports)
     mean_text = json.dumps(mean, sort_keys=True, indent=2)

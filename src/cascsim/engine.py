@@ -39,8 +39,10 @@ stepping through samples one by one:
   position); per batch its launch, size, completion, response time and the
   request that launched it, if any; per tick its queue length, ``b_bar``, flush
   state and ``[device, value, reason]`` updates, with one threshold application
-  time per update. Counts are derived where they are read: samples kept are the
-  decided ones less the requests, samples served the summed batch sizes.
+  time per update. When the loop ends each record but the ticks' becomes one
+  numpy array, which every reader reads as it is. Counts are derived where they
+  are read: samples kept are the decided ones less the requests, samples served
+  the summed batch sizes.
 - Reports are computed from the per-sample columns, one row per sample,
   counted once per device: the run's and each tier's figures come from those
   counts. The event log, when asked for, is streamed after the run from the
@@ -70,7 +72,7 @@ from __future__ import annotations
 
 import json
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from math import inf, isclose, isfinite
 from typing import NamedTuple, Optional, Sequence
 
@@ -405,19 +407,17 @@ class _Run:
         self.sched_state = SchedulerState(layout.initial_thresholds, layout.levels)
         self.capacity = compute_capacity_greedy(self.table, self.sched_cfg.slo_ms).capacity
         # the batch a queue of each length launches; every longer queue launches the cap's
-        self.batch_size = [select_batch_size(q, self.table)
-                           for q in range(self.table.max_effective_batch + 1)]
+        self.batch_size = tuple(select_batch_size(q, self.table)
+                                for q in range(self.table.max_effective_batch + 1))
 
         # device side: applied thresholds and the decided prefix of the columns
         self.thresholds = self.sched_state.thresholds.copy()
         self.decided = 0
         self.forward = np.zeros(self.total_samples, dtype=bool)
-        # request stream: arrival time and completion position, in processing order;
-        # the positions come as one array per decided range that forwards, at ``ra_at``,
-        # and are joined into ``ra_sd`` once the loop ends
+        # request stream: arrival time and completion position, in processing order
+        # (a sample forwards at most once, so every position fits one column)
         self.ra_time: list[float] = []
-        self.ra_chunks: list[np.ndarray] = []
-        self.ra_at: list[int] = []          # each chunk's first request
+        self.ra_sd = np.empty(self.total_samples, dtype=np.int64)
         # server: one record per launched batch; the queue is ra[head:arrived]
         self.head = 0
         self.busy = False
@@ -434,8 +434,8 @@ class _Run:
         self.ta_tick: list[int] = []
         self.ta_applied = 0                 # threshold applications processed
         # every stream's event times, in processing order, indexed by stream
-        self.times = [layout.sd_time, self.ra_time, self.bc_time, self.resp_time,
-                      self.tick_time, self.ta_time]
+        self.times = (layout.sd_time, self.ra_time, self.bc_time, self.resp_time,
+                      self.tick_time, self.ta_time)
 
     # -- event order ---------------------------------------------------------
 
@@ -451,10 +451,9 @@ class _Run:
                 return None, int(self.layout.sd_dev[i])
             return (SD, p), int(self.forward[p])  # the request, if any, was pushed first
         if stream == RA:
-            c = bisect_right(self.ra_at, i) - 1
-            return (SD, int(self.ra_chunks[c][i - self.ra_at[c]])), 0
+            return (SD, int(self.ra_sd[i])), 0
         if stream == BC:
-            r = self.bc_from_ra[i]
+            r = int(self.bc_from_ra[i])
             return ((RA, r), 0) if r >= 0 else ((BC, i - 1), 1)  # after its response
         if stream == RESP:
             return (BC, i), 0
@@ -462,14 +461,14 @@ class _Run:
             if i == 0:
                 return None, self.n_devices
             return (TICK, i - 1), len(self.ticks[i - 1][3])  # after its updates
-        k = self.ta_tick[i]
+        k = int(self.ta_tick[i])
         return (TICK, k), i - bisect_left(self.ta_tick, k)
 
     def push_table(self) -> tuple[np.ndarray, np.ndarray]:
         """``_parent`` for every event of the finished run, the streams concatenated
         in stream order: each event's pusher as a flat index (-1 for an initial
         push) and its push position."""
-        layout, counts = self.layout, [len(times) for times in self.times]
+        layout, counts = self.layout, [times.size for times in self.times]
         base = np.cumsum([0] + counts)
         sd, ra, bc, resp, tick, ta = (slice(a, b) for a, b in zip(base[:-1], base[1:]))
         n_bc, n_tick = counts[BC], counts[TICK]
@@ -480,16 +479,14 @@ class _Run:
         pos[sd] = layout.sd_dev
         np.copyto(pos[sd], self.forward[layout.sd_parent], where=layout.sd_parent >= 0)
         parent[ra] = base[SD] + self.ra_sd
-        from_ra = np.asarray(self.bc_from_ra, dtype=np.int64)
-        relaunch = from_ra < 0
-        parent[bc] = np.where(relaunch, base[BC] + np.arange(n_bc) - 1, base[RA] + from_ra)
+        relaunch = self.bc_from_ra < 0
+        parent[bc] = np.where(relaunch, base[BC] + np.arange(n_bc) - 1, base[RA] + self.bc_from_ra)
         pos[bc] = relaunch
         parent[resp] = base[BC] + np.arange(counts[RESP])
         parent[tick] = np.append(-1, base[TICK] + np.arange(n_tick - 1))
         pos[tick] = [self.n_devices] + [len(record[3]) for record in self.ticks[:n_tick - 1]]
-        ta_tick = np.asarray(self.ta_tick, dtype=np.int64)
-        parent[ta] = base[TICK] + ta_tick
-        pos[ta] = np.arange(ta_tick.size) - np.searchsorted(ta_tick, ta_tick)
+        parent[ta] = base[TICK] + self.ta_tick
+        pos[ta] = np.arange(counts[TA]) - np.searchsorted(self.ta_tick, self.ta_tick)
         return parent, pos
 
     def precedes(self, a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -527,10 +524,9 @@ class _Run:
         forward = forwards(layout.sd_bvsb[a:end], self.thresholds[layout.sd_dev[a:end]])
         self.forward[a:end] = forward
         fwd = np.flatnonzero(forward) + a
-        if fwd.size:
-            self.ra_at.append(len(self.ra_time))
-            self.ra_chunks.append(fwd)
-            self.ra_time.extend((layout.sd_time[fwd] + self.uplink).tolist())
+        n_ra = len(self.ra_time)
+        self.ra_sd[n_ra:n_ra + fwd.size] = fwd
+        self.ra_time.extend((layout.sd_time[fwd] + self.uplink).tolist())
         self.decided = end
 
     def _advance(self, control: Optional[tuple[int, int]]) -> None:
@@ -630,8 +626,14 @@ class _Run:
             else:
                 self._apply_thresholds()
         self._advance(None)
-        self.ra_sd = np.concatenate([np.empty(0, dtype=np.int64), *self.ra_chunks])
-        self.ra_chunks, self.ra_at = [self.ra_sd], [0]  # for the tie walks of ``_parent``
+        # the records, frozen: each list becomes one array, read as it is from here on
+        self.ra_sd = self.ra_sd[:len(self.ra_time)].copy()
+        for name in ("ra_time", "bc_time", "bc_launch", "resp_time", "tick_time", "ta_time"):
+            setattr(self, name, np.array(getattr(self, name), dtype=np.float64))
+        for name in ("bc_size", "bc_from_ra", "ta_tick"):
+            setattr(self, name, np.array(getattr(self, name), dtype=np.int64))
+        self.times = (self.layout.sd_time, self.ra_time, self.bc_time, self.resp_time,
+                      self.tick_time, self.ta_time)
 
         report = self.build_report()
         if self.collect_event_log:
@@ -641,11 +643,11 @@ class _Run:
 
     # -- results -------------------------------------------------------------
 
-    def _samples(self, resp_time: np.ndarray, sizes: np.ndarray) -> SampleColumns:
+    def _samples(self) -> SampleColumns:
         """Every sample in decision (local completion) order."""
         layout = self.layout
         completion = layout.sd_time.copy()
-        completion[self.ra_sd] = np.repeat(resp_time, sizes)
+        completion[self.ra_sd] = np.repeat(self.resp_time, self.bc_size)
         correct = np.where(self.forward, layout.sd_heavy, layout.sd_light)
         return SampleColumns(layout.sd_dev, layout.sd_index, layout.sd_start, completion,
                              self.forward, correct, completion - layout.sd_start)
@@ -680,21 +682,17 @@ class _Run:
     def build_report(self) -> MetricsReport:
         experiment = self.experiment
         n = self.n_devices
-        # each record as an array, once: every stream's times, batch launches and sizes
-        times = [np.asarray(t) for t in self.times]
-        launch = np.asarray(self.bc_launch)
-        sizes = np.asarray(self.bc_size, dtype=np.int64)
-        cols = self._samples(times[RESP], sizes)
+        cols = self._samples()
         served = int(np.count_nonzero(cols.served))
         local = len(cols) - served
 
         makespan = float(cols.completion_ms.max())
-        queue_area, queue_waits = self._queue_area(times[RA], launch, sizes)
+        queue_area, queue_waits = self._queue_area(self.ra_time, self.bc_launch, self.bc_size)
         check_run_invariants(
-            total=self.total_samples, decided=self.decided,
-            local=self.decided - self.ra_sd.size, served=int(sizes.sum()), batch_sizes=sizes,
-            max_batch=self.table.max_effective_batch, batch_launch=launch,
-            batch_done=times[BC], stream_times=times,
+            total=self.total_samples, decided=self.decided, local=self.decided - self.ra_sd.size,
+            served=int(self.bc_size.sum()), batch_sizes=self.bc_size,
+            max_batch=self.table.max_effective_batch, batch_launch=self.bc_launch,
+            batch_done=self.bc_time, stream_times=self.times,
             queue_area=queue_area, queue_waits=queue_waits)
 
         # every figure below comes from these per-device counts

@@ -55,7 +55,7 @@ def rebuild_event_log(run, report: MetricsReport) -> Iterator[str]:
 
 def _stream(run, end: dict) -> Iterator[str]:
     log = _Log(run, end)
-    yield from log.pieces(0, log.order.size)
+    yield from log.pieces()
     yield log.end_line
 
 
@@ -82,10 +82,10 @@ class _Log:
 
     def __init__(self, run, end: dict):
         self.run = run
-        base = np.cumsum([0] + [len(t) for t in run.times])
+        base = np.cumsum([0] + [t.size for t in run.times])
         # each event-sized array goes once read, and the times go before the push table
         # is made, which keeps the peak near the run's own
-        times = np.concatenate([np.asarray(t, dtype=np.float64) for t in run.times])
+        times = np.concatenate(run.times)
         order, place, tied = time_order(times)
         end_time = float(times[order[-1]])
         del times
@@ -96,7 +96,7 @@ class _Log:
         # relaunches: arrivals so far less the batches launched by an earlier event
         launch = place[parent[base[BC]:base[BC + 1]]]  # each batch's pusher's place, increasing
         ra_place, bc_place = place[base[RA]:base[RA + 1]], place[base[BC]:base[BC + 1]]
-        first = np.cumsum([0] + run.bc_size)  # each batch's first request
+        first = np.cumsum(np.append(0, run.bc_size))  # each batch's first request
         self.ra_queue = (np.arange(1, ra_place.size + 1)
                          - first[np.searchsorted(launch, ra_place)])
         self.bc_queue = (np.searchsorted(ra_place, bc_place)
@@ -111,7 +111,6 @@ class _Log:
         del parent, pos
 
         self.base, self.order, self.first = base, order, first
-        self.ra_sd = run.ra_sd
         self.seqs = [seq[base[s]:base[s + 1]] for s in range(6)]
         self.updates = [update for tick in run.ticks for update in tick[3]]  # one per application
         # the text between a line's sequence number and its last field, per device (and
@@ -128,21 +127,20 @@ class _Log:
     def batch_samples(self, start: int, stop: int) -> list[str]:
         """Each batch's samples in ``[start, stop)`` as JSON text of (device, sample) pairs."""
         layout, first = self.run.layout, self.first
-        rows = self.ra_sd[first[start]:first[stop]]
+        rows = self.run.ra_sd[first[start]:first[stop]]
         pairs = [f"[{d}, {i}]"
                  for d, i in zip(layout.sd_dev[rows].tolist(), layout.sd_index[rows].tolist())]
         ends = (first[start:stop + 1] - first[start]).tolist()
         return ["[" + ", ".join(pairs[i:j]) + "]" for i, j in zip(ends, ends[1:])]
 
-    def pieces(self, lo: int, hi: int) -> Iterator[str]:
-        """Lines ``[lo, hi)`` of processing order, one newline-terminated piece per chunk."""
-        run, layout, ra_sd, seqs, updates = (self.run, self.run.layout, self.ra_sd, self.seqs,
-                                             self.updates)
+    def pieces(self) -> Iterator[str]:
+        """Every line in processing order, one newline-terminated piece per chunk."""
+        run, layout, seqs, updates = self.run, self.run.layout, self.seqs, self.updates
         sd_mid, ra_mid = self.sd_mid, self.ra_mid
         base, order = self.base, self.order
-        start = np.bincount(np.searchsorted(base, order[:lo], "right") - 1, minlength=6)
-        for at in range(lo, hi, _CHUNK):
-            flat = order[at:min(at + _CHUNK, hi)]
+        start = np.zeros(6, dtype=np.int64)
+        for at in range(0, order.size, _CHUNK):
+            flat = order[at:at + _CHUNK]
             stream = np.searchsorted(base, flat, "right") - 1
             count = np.bincount(stream, minlength=6)
             a, b = start.tolist(), (start + count).tolist()
@@ -153,9 +151,9 @@ class _Log:
                                              mids, layout.sd_index[sd].tolist())]
             lines += [f'{t!r}\t{s}{mid}{q}, "sample": {i}}}\n'
                       for t, s, mid, q, i in zip(
-                          run.ra_time[ra], seqs[RA][ra].tolist(),
-                          map(ra_mid.__getitem__, layout.sd_dev[ra_sd[ra]].tolist()),
-                          self.ra_queue[ra].tolist(), layout.sd_index[ra_sd[ra]].tolist())]
+                          run.ra_time[ra].tolist(), seqs[RA][ra].tolist(),
+                          map(ra_mid.__getitem__, layout.sd_dev[run.ra_sd[ra]].tolist()),
+                          self.ra_queue[ra].tolist(), layout.sd_index[run.ra_sd[ra]].tolist())]
             # batches respond in the order they complete, each after its completion, so
             # one range holds the samples of every batch that completes or responds here
             samples = self.batch_samples(resp.start, bc.stop)
@@ -163,21 +161,22 @@ class _Log:
                       f'"launched_ms": {launched!r}, "queue_len": {q}, '
                       f'"samples": {batch}}}\n'
                       for batch, t, s, size, launched, q in zip(
-                          samples[bc.start - resp.start:], run.bc_time[bc],
-                          seqs[BC][bc].tolist(), run.bc_size[bc], run.bc_launch[bc],
-                          self.bc_queue[bc].tolist())]
+                          samples[bc.start - resp.start:], run.bc_time[bc].tolist(),
+                          seqs[BC][bc].tolist(), run.bc_size[bc].tolist(),
+                          run.bc_launch[bc].tolist(), self.bc_queue[bc].tolist())]
             lines += [f'{t!r}\t{s}\t{EVENT_RESPONSE_ARRIVAL}\t{{"batch_size": {size}, '
                       f'"samples": {batch}}}\n'
-                      for t, s, size, batch in zip(run.resp_time[resp], seqs[RESP][resp].tolist(),
-                                                  run.bc_size[resp], samples)]
-            for k, s in zip(range(tick.start, tick.stop), seqs[TICK][tick].tolist()):
-                queue_len, b_bar, flush, tick_updates = run.ticks[k]
-                lines.append(f"{run.tick_time[k]!r}\t{s}\t{EVENT_SCHEDULER_TICK}\t" + json.dumps(
+                      for t, s, size, batch in zip(
+                          run.resp_time[resp].tolist(), seqs[RESP][resp].tolist(),
+                          run.bc_size[resp].tolist(), samples)]
+            for t, s, (queue_len, b_bar, flush, tick_updates) in zip(
+                    run.tick_time[tick].tolist(), seqs[TICK][tick].tolist(), run.ticks[tick]):
+                lines.append(f"{t!r}\t{s}\t{EVENT_SCHEDULER_TICK}\t" + json.dumps(
                     {"queue_len": queue_len, "b_bar": b_bar, "capacity": run.capacity,
                      "flush": flush, "updates": tick_updates}, sort_keys=True) + "\n")
             lines += [f'{t!r}\t{s}\t{EVENT_THRESHOLD_APPLIED}\t{{"device": {d}, "reason": '
                       f'"{r}", "threshold": {v!r}}}\n'
-                      for t, s, (d, v, r) in zip(run.ta_time[ta], seqs[TA][ta].tolist(),
+                      for t, s, (d, v, r) in zip(run.ta_time[ta].tolist(), seqs[TA][ta].tolist(),
                                                  updates[ta])]
             # an event's line sits at its index less its stream's first row, plus the
             # lines of the streams before it

@@ -459,14 +459,24 @@ class TestDeviceLayout:
         assert peak <= 1.5 * kept, peak / kept
 
     def test_a_run_keeps_its_request_rows_as_one_array(self):
-        """The forwarded completions' positions, gathered as arrays while the run
-        decides, are one int64 array once it ends: every forwarded position, in order."""
+        """Once a run ends, each of its records is one numpy array: the forwarded
+        completions' positions (every one, in order) and every list the loop appended
+        to. No attribute is left a list but the per-tick records."""
         cfg = saturated_preset("heterog_inceptionv3", devices=12, trace_count=300)
         run = _Run(cfg, DeviceLayout(cfg, cfg.build_traces(1)), 1, False)
         run.run()
-        assert type(run.ra_sd) is np.ndarray and run.ra_sd.dtype == np.int64
-        assert run.ra_sd.size == len(run.ra_time) > 0
+        records = {"ra_sd": np.int64, "ra_time": np.float64, "bc_time": np.float64,
+                   "bc_launch": np.float64, "resp_time": np.float64, "tick_time": np.float64,
+                   "ta_time": np.float64, "bc_size": np.int64, "bc_from_ra": np.int64,
+                   "ta_tick": np.int64}
+        for name, dtype in records.items():
+            record = getattr(run, name)
+            assert type(record) is np.ndarray and record.dtype == dtype, name
+        assert run.ra_sd.size == run.ra_time.size > 0 and run.ta_time.size > 0
         assert np.array_equal(run.ra_sd, np.flatnonzero(run.forward))
+        assert [name for name, value in vars(run).items() if isinstance(value, list)] == ["ticks"]
+        assert all(times is getattr(run, name) for times, name in zip(
+            run.times[1:], ("ra_time", "bc_time", "resp_time", "tick_time", "ta_time")))
 
 
 class TestEventLogChunks:
