@@ -63,9 +63,8 @@ with a pusher inside a run. Mid-run, the loop walks the rule only at exactly
 equal times: when a request arrives at the
 instant a batch completes, or a server event falls at the instant of the next
 control event. It then decides the tie by walking up both events' pushers while
-the times stay equal (``_Run.precedes``). A log line's sequence number is its event's
-rank in push order, the counter the heap stamps on it (``eventlog.push_rank``), so
-the log is identical to a heap-driven loop's, byte for byte.
+the times stay equal (``_Run.precedes``). The event log lists the events in that
+order, so it is identical to a heap-driven loop's, byte for byte.
 """
 
 from __future__ import annotations
@@ -111,15 +110,14 @@ class LogEvent(NamedTuple):
     """One parsed event-log line."""
 
     time_ms: float
-    sequence: int
     kind: str
     payload: dict
 
 
 def parse_event_log_line(line: str) -> LogEvent:
-    """Parse one exported event-log line (tab-separated time, seq, kind, JSON payload)."""
-    time_str, seq_str, kind, payload = line.split("\t", 3)
-    return LogEvent(float(time_str), int(seq_str), kind, json.loads(payload))
+    """Parse one exported event-log line (tab-separated time, kind, JSON payload)."""
+    time_str, kind, payload = line.split("\t", 2)
+    return LogEvent(float(time_str), kind, json.loads(payload))
 
 
 def estimate_arrival_rate(devices: Sequence[tuple[float, float]]) -> float:
@@ -142,17 +140,21 @@ def classify_server_state(arrival_rate: float, server_throughput: float) -> str:
 
 
 def check_run_invariants(*, total: int, decided: int, local: int, served: int,
-                         batch_sizes: np.ndarray, max_batch: int, batch_launch: np.ndarray,
-                         batch_done: np.ndarray, stream_times: Sequence[np.ndarray],
+                         batch_sizes: np.ndarray, max_batch: int, latency: dict[int, float],
+                         downlink: float, batch_launch: np.ndarray, batch_done: np.ndarray,
+                         batch_response: np.ndarray, stream_times: Sequence[np.ndarray],
                          queue_area: float, queue_waits: np.ndarray) -> None:
     """Raise InvariantError unless a finished run is self-consistent.
 
     Checks sample conservation (every one of the ``total`` samples decided,
     then kept or served), batch sizes within [1, max_batch], one batch at a
     time on the server (each launches no earlier than the previous one
-    completes), event times that never decrease along each stream, no negative
-    queue wait, and Little's identity: the area under the queue length curve
-    equals the summed queue waits of the requests (relative 1e-9).
+    completes), event times that never decrease along each stream, each batch
+    completing exactly ``latency[size]`` after its launch and its response
+    arriving exactly ``downlink`` after that (the same float sums the run
+    made), no negative queue wait, and Little's identity: the area under the
+    queue length curve equals the summed queue waits of the requests (relative
+    1e-9).
     """
     if decided != total or local + served != total:
         raise InvariantError(f"sample conservation violated: total {total}, decided "
@@ -165,6 +167,12 @@ def check_run_invariants(*, total: int, decided: int, local: int, served: int,
     for times in (*stream_times, batch_launch, batch_done):
         if times.size > 1 and not (times[1:] >= times[:-1]).all():
             raise InvariantError("processed event times decrease")
+    table = np.full(max(latency) + 1, np.nan)  # a size without a latency matches no time
+    table[list(latency)] = list(latency.values())
+    if (batch_launch + table[batch_sizes] != batch_done).any():
+        raise InvariantError("a batch completes other than latency[size] after its launch")
+    if batch_response.shape != batch_done.shape or (batch_done + downlink != batch_response).any():
+        raise InvariantError("a batch's response arrives other than downlink after it completes")
     if queue_waits.size and queue_waits.min() < 0:
         raise InvariantError(f"negative queue wait {queue_waits.min()!r}")
     waits = float(queue_waits.sum())
@@ -691,8 +699,9 @@ class _Run:
         check_run_invariants(
             total=self.total_samples, decided=self.decided, local=self.decided - self.ra_sd.size,
             served=int(self.bc_size.sum()), batch_sizes=self.bc_size,
-            max_batch=self.table.max_effective_batch, batch_launch=self.bc_launch,
-            batch_done=self.bc_time, stream_times=self.times,
+            max_batch=self.table.max_effective_batch, latency=self.latency,
+            downlink=self.downlink, batch_launch=self.bc_launch, batch_done=self.bc_time,
+            batch_response=self.resp_time, stream_times=self.times,
             queue_area=queue_area, queue_waits=queue_waits)
 
         # every figure below comes from these per-device counts

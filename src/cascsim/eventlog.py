@@ -1,28 +1,24 @@
 """Event-log stream: every event of a finished run as one line, in processing order.
 
-A line is ``time<TAB>sequence<TAB>kind<TAB>payload``, the payload JSON with
-sorted keys. The lines are made after the run from the engine's per-sample
-columns and per-batch and per-tick records, which hold every event: a run ends
-when every sample is final and the control loop has nothing left to deliver.
-The engine's push table and ``processing_order`` order the lines. A line's
-sequence number is its event's rank in push order, from 1: the initial pushes
-first, by position, then every other event by its pusher's processing place and
-its position among that pusher's pushes, which is the counter a heap-driven loop
-stamps on each push. ``push_rank`` finds it from push counts, with no sort: the
-pushes of every pusher placed earlier, plus the event's position. The closing
-``run_end`` line sits at the last event's time and takes the next number.
+A line is ``time<TAB>kind<TAB>payload``, the payload JSON with sorted keys. The
+lines are made after the run from the engine's per-sample columns and per-batch
+and per-tick records, which hold every event: a run ends when every sample is
+final and the control loop has nothing left to deliver. The engine's push table
+and ``processing_order`` order the lines, and a line's place in the log is its
+event's place in that order. The closing ``run_end`` line sits at the last
+event's time.
 
 The log is yielded as newline-terminated pieces of whole lines, formatted as
 they are read, one ``_CHUNK`` of processing order at a time. Within a stream,
 index order is processing order, so a chunk holds one index range of each
 stream: only those rows are formatted, then merged. The text between a
-sample's or request's sequence number and its last fields is made once per
-device (and decision), and a chunk's batch sample lists are joined from one
+sample's or request's time and its last fields is made once per device (and
+decision), and a chunk's batch sample lists are joined from one
 ``[device, sample]`` text per request.
 
-Format v2: a ``device_sample_done`` payload is ``decision``, ``device`` and
-``sample``. Its confidence gap is the trace's, and the threshold in force is
-the device's initial one until its latest earlier ``threshold_applied`` line.
+Format v3. A ``device_sample_done`` payload is ``decision``, ``device`` and
+``sample``: its confidence gap is the trace's, and the threshold in force is the
+device's initial one until its latest earlier ``threshold_applied`` line.
 """
 
 from __future__ import annotations
@@ -34,8 +30,7 @@ import numpy as np
 
 from .engine import (BC, EVENT_BATCH_COMPLETE, EVENT_DEVICE_SAMPLE_DONE, EVENT_REQUEST_ARRIVAL,
                      EVENT_RESPONSE_ARRIVAL, EVENT_RUN_END, EVENT_SCHEDULER_TICK,
-                     EVENT_THRESHOLD_APPLIED, RA, RESP, SD, TA, TICK, apply_tie_rule,
-                     time_order)
+                     EVENT_THRESHOLD_APPLIED, RA, apply_tie_rule, time_order)
 from .metrics import MetricsReport
 
 _CHUNK = 1 << 12  # events formatted per step, which bounds the temporary Python objects
@@ -49,7 +44,6 @@ def rebuild_event_log(run, report: MetricsReport) -> Iterator[str]:
     return _stream(run, {"finalized": report.samples_finalized,
                          "local": report.samples_local,
                          "served": report.samples_served,
-                         "in_flight": report.samples_in_flight,
                          "makespan_ms": report.makespan_ms})
 
 
@@ -57,24 +51,6 @@ def _stream(run, end: dict) -> Iterator[str]:
     log = _Log(run, end)
     yield from log.pieces()
     yield log.end_line
-
-
-def push_rank(up: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Each event's rank in push order, from 1, given its pusher's processing place
-    (-1 for an initial push) and its position among that pusher's pushes: the
-    counter a heap stamps on each push. A pusher's positions run 0..k-1, so the
-    rank is the count of pushes by every pusher placed earlier (the initial
-    pushes first), plus the position, plus one. The ranks are written over ``up``
-    and returned, so the push counts are the only other event-sized array made."""
-    up += 2  # bin 0 stays empty, bin 1 counts the initial pushes, bin p + 2 place p's
-    earlier = np.bincount(up)
-    np.cumsum(earlier, out=earlier)  # bin p + 1: the pushes before place p; bin 0: none
-    up -= 1
-    np.take(earlier, up, out=up, mode="clip")  # every index is in range; "clip" writes in place
-    del earlier
-    up += pos
-    up += 1
-    return up
 
 
 class _Log:
@@ -91,29 +67,22 @@ class _Log:
         del times
         parent, pos = run.push_table()
         apply_tie_rule(order, place, tied, parent, pos)
-        del tied
+        del tied, pos
         # queue length after each arrival, and at each batch completion before it
         # relaunches: arrivals so far less the batches launched by an earlier event
         launch = place[parent[base[BC]:base[BC + 1]]]  # each batch's pusher's place, increasing
+        del parent
         ra_place, bc_place = place[base[RA]:base[RA + 1]], place[base[BC]:base[BC + 1]]
         first = np.cumsum(np.append(0, run.bc_size))  # each batch's first request
         self.ra_queue = (np.arange(1, ra_place.size + 1)
                          - first[np.searchsorted(launch, ra_place)])
         self.bc_queue = (np.searchsorted(ra_place, bc_place)
                          - first[np.searchsorted(launch, bc_place)])
-        del ra_place, bc_place, launch
-        # each event's pusher's place, -1 for an initial push, written over ``parent``
-        initial = parent < 0
-        np.take(place, parent, out=parent, mode="wrap")
-        parent[initial] = -1
-        del place, initial
-        seq = push_rank(parent, pos)
-        del parent, pos
+        del place, ra_place, bc_place, launch
 
         self.base, self.order, self.first = base, order, first
-        self.seqs = [seq[base[s]:base[s + 1]] for s in range(6)]
         self.updates = [update for tick in run.ticks for update in tick[3]]  # one per application
-        # the text between a line's sequence number and its last field, per device (and
+        # the text between a line's time and its last field, per device (and
         # decision: ``sd_mid[2 * device + forwarded]``)
         devices = range(run.layout.n_devices)
         self.sd_mid = [f'\t{EVENT_DEVICE_SAMPLE_DONE}\t{{"decision": "{decision}", '
@@ -121,8 +90,7 @@ class _Log:
                        for d in devices for decision in ("keep_local", "forward")]
         self.ra_mid = [f'\t{EVENT_REQUEST_ARRIVAL}\t{{"device": {d}, "queue_len": '
                        for d in devices]
-        self.end_line = (f"{end_time!r}\t{seq.size + 1}\t{EVENT_RUN_END}\t"
-                         + json.dumps(end, sort_keys=True) + "\n")
+        self.end_line = f"{end_time!r}\t{EVENT_RUN_END}\t{json.dumps(end, sort_keys=True)}\n"
 
     def batch_samples(self, start: int, stop: int) -> list[str]:
         """Each batch's samples in ``[start, stop)`` as JSON text of (device, sample) pairs."""
@@ -135,7 +103,7 @@ class _Log:
 
     def pieces(self) -> Iterator[str]:
         """Every line in processing order, one newline-terminated piece per chunk."""
-        run, layout, seqs, updates = self.run, self.run.layout, self.seqs, self.updates
+        run, layout, updates = self.run, self.run.layout, self.updates
         sd_mid, ra_mid = self.sd_mid, self.ra_mid
         base, order = self.base, self.order
         start = np.zeros(6, dtype=np.int64)
@@ -146,38 +114,36 @@ class _Log:
             a, b = start.tolist(), (start + count).tolist()
             sd, ra, bc, resp, tick, ta = (slice(x, y) for x, y in zip(a, b))
             mids = map(sd_mid.__getitem__, (layout.sd_dev[sd] * 2 + run.forward[sd]).tolist())
-            lines = [f"{t!r}\t{s}{mid}{i}}}\n"
-                     for t, s, mid, i in zip(layout.sd_time[sd].tolist(), seqs[SD][sd].tolist(),
-                                             mids, layout.sd_index[sd].tolist())]
-            lines += [f'{t!r}\t{s}{mid}{q}, "sample": {i}}}\n'
-                      for t, s, mid, q, i in zip(
-                          run.ra_time[ra].tolist(), seqs[RA][ra].tolist(),
+            lines = [f"{t!r}{mid}{i}}}\n"
+                     for t, mid, i in zip(layout.sd_time[sd].tolist(), mids,
+                                          layout.sd_index[sd].tolist())]
+            lines += [f'{t!r}{mid}{q}, "sample": {i}}}\n'
+                      for t, mid, q, i in zip(
+                          run.ra_time[ra].tolist(),
                           map(ra_mid.__getitem__, layout.sd_dev[run.ra_sd[ra]].tolist()),
                           self.ra_queue[ra].tolist(), layout.sd_index[run.ra_sd[ra]].tolist())]
             # batches respond in the order they complete, each after its completion, so
             # one range holds the samples of every batch that completes or responds here
             samples = self.batch_samples(resp.start, bc.stop)
-            lines += [f'{t!r}\t{s}\t{EVENT_BATCH_COMPLETE}\t{{"batch_size": {size}, '
+            lines += [f'{t!r}\t{EVENT_BATCH_COMPLETE}\t{{"batch_size": {size}, '
                       f'"launched_ms": {launched!r}, "queue_len": {q}, '
                       f'"samples": {batch}}}\n'
-                      for batch, t, s, size, launched, q in zip(
+                      for batch, t, size, launched, q in zip(
                           samples[bc.start - resp.start:], run.bc_time[bc].tolist(),
-                          seqs[BC][bc].tolist(), run.bc_size[bc].tolist(),
-                          run.bc_launch[bc].tolist(), self.bc_queue[bc].tolist())]
-            lines += [f'{t!r}\t{s}\t{EVENT_RESPONSE_ARRIVAL}\t{{"batch_size": {size}, '
+                          run.bc_size[bc].tolist(), run.bc_launch[bc].tolist(),
+                          self.bc_queue[bc].tolist())]
+            lines += [f'{t!r}\t{EVENT_RESPONSE_ARRIVAL}\t{{"batch_size": {size}, '
                       f'"samples": {batch}}}\n'
-                      for t, s, size, batch in zip(
-                          run.resp_time[resp].tolist(), seqs[RESP][resp].tolist(),
-                          run.bc_size[resp].tolist(), samples)]
-            for t, s, (queue_len, b_bar, flush, tick_updates) in zip(
-                    run.tick_time[tick].tolist(), seqs[TICK][tick].tolist(), run.ticks[tick]):
-                lines.append(f"{t!r}\t{s}\t{EVENT_SCHEDULER_TICK}\t" + json.dumps(
+                      for t, size, batch in zip(run.resp_time[resp].tolist(),
+                                                run.bc_size[resp].tolist(), samples)]
+            for t, (queue_len, b_bar, flush, tick_updates) in zip(run.tick_time[tick].tolist(),
+                                                                  run.ticks[tick]):
+                lines.append(f"{t!r}\t{EVENT_SCHEDULER_TICK}\t" + json.dumps(
                     {"queue_len": queue_len, "b_bar": b_bar, "capacity": run.capacity,
                      "flush": flush, "updates": tick_updates}, sort_keys=True) + "\n")
-            lines += [f'{t!r}\t{s}\t{EVENT_THRESHOLD_APPLIED}\t{{"device": {d}, "reason": '
+            lines += [f'{t!r}\t{EVENT_THRESHOLD_APPLIED}\t{{"device": {d}, "reason": '
                       f'"{r}", "threshold": {v!r}}}\n'
-                      for t, s, (d, v, r) in zip(run.ta_time[ta].tolist(), seqs[TA][ta].tolist(),
-                                                 updates[ta])]
+                      for t, (d, v, r) in zip(run.ta_time[ta].tolist(), updates[ta])]
             # an event's line sits at its index less its stream's first row, plus the
             # lines of the streams before it
             shift = base[:-1] + start - (np.cumsum(count) - count)

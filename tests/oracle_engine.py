@@ -193,9 +193,9 @@ class _Run:
         self.seq += 1
         heapq.heappush(self.heap, (time_ms, self.seq, kind, data))
 
-    def emit(self, time_ms: float, seq: int, kind: str, payload: dict) -> None:
+    def emit(self, time_ms: float, kind: str, payload: dict) -> None:
         if self.log is not None:
-            self.log.append(f"{time_ms!r}\t{seq}\t{kind}\t"
+            self.log.append(f"{time_ms!r}\t{kind}\t"
                             f"{json.dumps(payload, sort_keys=True)}")
 
     def finalize(self, *row) -> None:
@@ -209,7 +209,7 @@ class _Run:
 
     # -- handlers ----------------------------------------------------------
 
-    def on_sample_done(self, now: float, seq: int, device_id: int, index: int) -> None:
+    def on_sample_done(self, now: float, device_id: int, index: int) -> None:
         dev = self.devices[device_id]
         score = float(dev.trace.bvsb[index])
         threshold = dev.applied_threshold
@@ -227,7 +227,7 @@ class _Run:
             self.schedule(now + self.network.uplink_ms, EVENT_REQUEST_ARRIVAL,
                           (device_id, index))
         if self.log is not None:
-            self.emit(now, seq, EVENT_DEVICE_SAMPLE_DONE,
+            self.emit(now, EVENT_DEVICE_SAMPLE_DONE,
                       {"device": device_id, "sample": index,
                        "decision": "keep_local" if keep_local else "forward"})
         next_index = index + 1
@@ -236,12 +236,12 @@ class _Run:
             self.schedule(dev.sample_start(next_index) + dev.t_inf_ms,
                           EVENT_DEVICE_SAMPLE_DONE, (device_id, next_index))
 
-    def on_request_arrival(self, now: float, seq: int, device_id: int, index: int) -> None:
+    def on_request_arrival(self, now: float, device_id: int, index: int) -> None:
         old = len(self.queue)
         self.queue.enqueue(QueuedRequest(device_id, index, now))
         self._queue_changed(now, old)
         if self.log is not None:
-            self.emit(now, seq, EVENT_REQUEST_ARRIVAL,
+            self.emit(now, EVENT_REQUEST_ARRIVAL,
                       {"device": device_id, "sample": index, "queue_len": old + 1})
         self.try_launch(now)
 
@@ -259,10 +259,10 @@ class _Run:
         done = now + self.table.entries[batch_size]
         self.schedule(done, EVENT_BATCH_COMPLETE, (requests, batch_size, now))
 
-    def on_batch_complete(self, now: float, seq: int, requests: list[QueuedRequest],
+    def on_batch_complete(self, now: float, requests: list[QueuedRequest],
                           batch_size: int, launched_ms: float) -> None:
         if self.log is not None:
-            self.emit(now, seq, EVENT_BATCH_COMPLETE,
+            self.emit(now, EVENT_BATCH_COMPLETE,
                       {"batch_size": batch_size, "launched_ms": launched_ms,
                        "queue_len": len(self.queue),
                        "samples": [[r.device_id, r.sample_index] for r in requests]})
@@ -271,7 +271,7 @@ class _Run:
                       (requests, batch_size))
         self.try_launch(now)
 
-    def on_response_arrival(self, now: float, seq: int, requests: list[QueuedRequest],
+    def on_response_arrival(self, now: float, requests: list[QueuedRequest],
                             batch_size: int) -> None:
         for req in requests:
             dev = self.devices[req.device_id]
@@ -282,11 +282,11 @@ class _Run:
             self.finalized += 1
             self.served_count += 1
         if self.log is not None:
-            self.emit(now, seq, EVENT_RESPONSE_ARRIVAL,
+            self.emit(now, EVENT_RESPONSE_ARRIVAL,
                       {"batch_size": batch_size,
                        "samples": [[r.device_id, r.sample_index] for r in requests]})
 
-    def on_scheduler_tick(self, now: float, seq: int) -> None:
+    def on_scheduler_tick(self, now: float) -> None:
         queue_len = len(self.queue)
         b_bar = self.policy.b_bar
         flush_before = self.policy.state.flush_active
@@ -303,18 +303,18 @@ class _Run:
                 flush = "active"
             else:
                 flush = "off"
-            self.emit(now, seq, EVENT_SCHEDULER_TICK,
+            self.emit(now, EVENT_SCHEDULER_TICK,
                       {"queue_len": queue_len, "b_bar": b_bar,
                        "capacity": self.policy.capacity, "flush": flush,
                        "updates": [list(u) for u in updates]})
         if self.finalized < self.total_samples:
             self.schedule(now + self.policy.cfg.tick_period_ms, EVENT_SCHEDULER_TICK, ())
 
-    def on_threshold_applied(self, now: float, seq: int, device_id: int,
+    def on_threshold_applied(self, now: float, device_id: int,
                              value: float, reason: str) -> None:
         self.devices[device_id].applied_threshold = value
         if self.log is not None:
-            self.emit(now, seq, EVENT_THRESHOLD_APPLIED,
+            self.emit(now, EVENT_THRESHOLD_APPLIED,
                       {"device": device_id, "threshold": value, "reason": reason})
 
     # -- main loop ---------------------------------------------------------
@@ -327,20 +327,20 @@ class _Run:
 
         end_time = 0.0
         while self.heap:
-            time_ms, seq, kind, data = heapq.heappop(self.heap)
+            time_ms, _, kind, data = heapq.heappop(self.heap)
             end_time = time_ms
             if kind == EVENT_DEVICE_SAMPLE_DONE:
-                self.on_sample_done(time_ms, seq, *data)
+                self.on_sample_done(time_ms, *data)
             elif kind == EVENT_REQUEST_ARRIVAL:
-                self.on_request_arrival(time_ms, seq, *data)
+                self.on_request_arrival(time_ms, *data)
             elif kind == EVENT_BATCH_COMPLETE:
-                self.on_batch_complete(time_ms, seq, *data)
+                self.on_batch_complete(time_ms, *data)
             elif kind == EVENT_RESPONSE_ARRIVAL:
-                self.on_response_arrival(time_ms, seq, *data)
+                self.on_response_arrival(time_ms, *data)
             elif kind == EVENT_SCHEDULER_TICK:
-                self.on_scheduler_tick(time_ms, seq)
+                self.on_scheduler_tick(time_ms)
             elif kind == EVENT_THRESHOLD_APPLIED:
-                self.on_threshold_applied(time_ms, seq, *data)
+                self.on_threshold_applied(time_ms, *data)
 
         return self.build_report(end_time)
 
@@ -417,11 +417,9 @@ class _Run:
             event_log=self.log,
         )
         if self.log is not None:
-            self.seq += 1
-            self.emit(end_time, self.seq, EVENT_RUN_END,
+            self.emit(end_time, EVENT_RUN_END,
                       {"finalized": self.finalized, "local": self.local_count,
-                       "served": self.served_count, "in_flight": 0,
-                       "makespan_ms": makespan})
+                       "served": self.served_count, "makespan_ms": makespan})
         return report
 
 

@@ -155,9 +155,7 @@ class TestConservationAndCausality:
         report = run_simulation(cfg, traces, seed=0, collect_event_log=True)
         events = [parse_event_log_line(line) for line in log_lines(report)]
         times = [e.time_ms for e in events]
-        seqs = [e.sequence for e in events]
         assert times == sorted(times)
-        assert len(set(seqs)) == len(seqs)
 
     def test_lifetimes_never_precede_their_start(self):
         cfg = small_config(groups=[("mid", 2, 43.0)], table_entries={1: 15},
@@ -287,8 +285,8 @@ def heap_loop(initial, delays, label):
     the initial pushes at the times ``initial``, then the ``step``-th processed
     event pushes one event per delay in ``delays(step, pushed)`` (``pushed``: the
     events pushed so far), each at its pusher's time plus that delay. Returns the
-    events under the labelling ``label(n)`` as ``(times, parent, pos)``, the
-    labels in processing order, and each label's push counter."""
+    events under the labelling ``label(n)`` as ``(times, parent, pos)`` and the
+    labels in processing order."""
     times, parent, pos = [], [], []
     heap = []
 
@@ -296,7 +294,7 @@ def heap_loop(initial, delays, label):
         times.append(t)
         parent.append(up)
         pos.append(k)
-        heapq.heappush(heap, (t, len(times), len(times) - 1))  # counter = push rank
+        heapq.heappush(heap, (t, len(times), len(times) - 1))  # keyed on the push counter
 
     for k, t in enumerate(initial):
         push(t, -1, k)
@@ -311,7 +309,7 @@ def heap_loop(initial, delays, label):
     parent = np.array(parent)[at]
     return ((np.array(times, dtype=np.float64)[at],
              np.where(parent >= 0, np.array(label)[parent], -1), np.array(pos)[at]),
-            [label[e] for e in processed], (at + 1).tolist())
+            [label[e] for e in processed])
 
 
 @st.composite
@@ -345,12 +343,10 @@ class TestProcessingOrder:
     # zero-delay pushes in their own pushers' run
     @example(fixed_heap_run([0, 0], [(0,), (0,)], [1, 0, 2, 3]))
     def test_matches_a_heap_keyed_on_time_and_push_counter(self, run):
-        (times, parent, pos), expected, counters = run
+        (times, parent, pos), expected = run
         order, place = processing_order(times, parent, pos)
         assert order.tolist() == expected
         assert place[order].tolist() == list(range(order.size))
-        pusher_place = np.where(parent >= 0, place[parent], -1)
-        assert eventlog.push_rank(pusher_place, pos).tolist() == counters
 
     def test_push_table_is_the_scalar_rule_for_every_event(self):
         """On random integral configs, ``_Run.push_table`` states for every event of
@@ -503,7 +499,8 @@ class TestEventLogChunks:
                                                           collect_event_log=True))
             for size in self.SIZES:
                 assert logs[size] == logs[eventlog._CHUNK], size
-            kinds = [line.split("\t", 3)[2] for line in logs[7][:-1]]  # run_end stands apart
+            kinds = [parse_event_log_line(line).kind
+                     for line in logs[7][:-1]]  # run_end stands apart
             chunks = [set(kinds[lo:lo + 7]) for lo in range(0, len(kinds), 7)]
             stream_missed |= any(chunk < set(kinds) for chunk in chunks)
             completions, responses = ([p // 7 for p, kind in enumerate(kinds) if kind == name]

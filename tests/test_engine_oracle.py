@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cascsim.config import load_config, preset_names
-from cascsim.engine import run_simulation
+from cascsim.engine import parse_event_log_line, run_simulation
 from cascsim.metrics import SampleColumns
 
 import oracle_engine
@@ -110,9 +110,9 @@ def test_tie_heavy_configs_match_oracle(name, kind):
     assert_identical(cfg, random_traces(rng, devices, 300))
 
 
-def times_of(report, kind: str) -> set[str]:
-    return {line.split("\t", 1)[0] for line in report.event_log
-            if line.split("\t", 3)[2] == kind}
+def times_of(report, kind: str) -> set[float]:
+    return {event.time_ms for event in map(parse_event_log_line, report.event_log)
+            if event.kind == kind}
 
 
 @pytest.mark.parametrize("block", range(4))
@@ -136,9 +136,9 @@ def test_the_last_tick_follows_the_last_response(trial, response_first):
     response goes first, so that tick is the last; in trial 37 the tick goes
     first, so one more tick follows."""
     report = assert_identical(*random_integral_config(np.random.default_rng(trial)))
-    rows = [line.split("\t", 3) for line in report.event_log]
-    last_response = max(i for i, row in enumerate(rows) if row[2] == "response_arrival")
-    ticks = [i for i, row in enumerate(rows) if row[2] == "scheduler_tick"]
-    [tied] = [i for i in ticks if rows[i][0] == rows[last_response][0]]
+    rows = [parse_event_log_line(line) for line in report.event_log]
+    last_response = max(i for i, row in enumerate(rows) if row.kind == "response_arrival")
+    ticks = [i for i, row in enumerate(rows) if row.kind == "scheduler_tick"]
+    [tied] = [i for i in ticks if rows[i].time_ms == rows[last_response].time_ms]
     assert (last_response < tied) == response_first
     assert len(ticks) - 1 - ticks.index(tied) == (0 if response_first else 1)

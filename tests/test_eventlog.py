@@ -1,4 +1,4 @@
-"""The event log's text: format v2 payloads, and chunk edges that change no byte.
+"""The event log's text: format v3 lines and payloads, and chunk edges that change no byte.
 
 The log is formatted one chunk of processing order at a time, in this process.
 Every chunk size must give the same text, in pieces that each end a line, and an
@@ -25,7 +25,7 @@ PAYLOAD_KEYS = {
     "response_arrival": {"batch_size", "samples"},
     "scheduler_tick": {"b_bar", "capacity", "flush", "queue_len", "updates"},
     "threshold_applied": {"device", "reason", "threshold"},
-    "run_end": {"finalized", "in_flight", "local", "makespan_ms", "served"},
+    "run_end": {"finalized", "local", "makespan_ms", "served"},
 }
 
 
@@ -44,12 +44,15 @@ def heterog_doc(zero_delay=False):
 
 
 @pytest.mark.parametrize("zero_delay", [False, True])
-def test_v2_payloads(zero_delay):
-    """Each kind's payload has exactly its v2 keys, and every decision replays from the
-    trace at the threshold the log's own lines put in force."""
+def test_v3_payloads(zero_delay):
+    """Every line is exactly time, kind and payload, each kind's payload has exactly its
+    v3 keys, and every decision replays from the trace at the threshold the log's own
+    lines put in force."""
     cfg = config_from_dict(heterog_doc(zero_delay)).with_device_count(12)
     report = run_simulation(cfg, seed=1, collect_event_log=True)
-    events = [parse_event_log_line(line) for line in "".join(report.event_log).splitlines()]
+    lines = "".join(report.event_log).splitlines()
+    assert all(len(line.split("\t")) == 3 for line in lines)
+    events = [parse_event_log_line(line) for line in lines]
     keys = {}
     for event in events:
         keys.setdefault(event.kind, set()).add(frozenset(event.payload))
@@ -76,7 +79,8 @@ def test_chunk_edges_change_no_byte(monkeypatch, zero_delay):
         return "".join(pieces)
 
     small = text(256)
-    kinds = [line.split("\t", 3)[2] for line in small.splitlines()[:-1]]  # run_end aside
+    kinds = [parse_event_log_line(line).kind
+             for line in small.splitlines()[:-1]]  # run_end aside
     events = len(kinds)
     assert events > 4 * 256
     # a chunk edge that falls while a batch completed before it is in flight
@@ -88,10 +92,10 @@ def test_chunk_edges_change_no_byte(monkeypatch, zero_delay):
 
 
 def test_building_the_log_holds_few_event_columns():
-    """``_Log`` lets each event-sized array go once read, drops the event times before
-    it makes the push table, and ranks the pushes over the pushers' places, so
-    building it peaks, above the finished run, at no more than 5.5 int64 columns of
-    one entry per event (4.9 here; 6.2 when the times lived beside the push table).
+    """``_Log`` lets each event-sized array go once read and drops the event times
+    before it makes the push table, so building it peaks, above the finished run, at
+    no more than 5.5 int64 columns of one entry per event (4.6 here; 6.2 when the
+    times lived beside the push table).
     12 heterogeneous devices on 1300-sample traces; a first build keeps first-call
     costs out."""
     doc = heterog_doc()

@@ -14,7 +14,9 @@ def consistent(**changes) -> dict:
     columns = dict(
         total=10, decided=10, local=6, served=4,
         batch_sizes=np.array([1, 2, 1], dtype=np.int64), max_batch=2,
+        latency={1: 1.0, 2: 2.0, 4: 3.0}, downlink=0.5,
         batch_launch=np.array([0.5, 1.5, 3.5]), batch_done=np.array([1.5, 3.5, 4.5]),
+        batch_response=np.array([2.0, 4.0, 5.0]),
         stream_times=(np.array([1.0, 2.0, 2.0, 3.0]), np.array([2.5, 4.0])),
         queue_area=7.5, queue_waits=np.array([0.5, 3.0, 4.0]),
     )
@@ -35,6 +37,8 @@ def test_consistent_columns_pass():
     (dict(batch_launch=np.array([0.5, 1.0, 3.5])), "before the previous one completes"),
     (dict(stream_times=(np.array([1.0, 3.0, 2.0]),)), "decrease"),
     (dict(batch_done=np.array([1.5, 3.5, 3.0])), "decrease"),
+    (dict(batch_done=np.array([1.5, 3.5, 4.25])), r"latency\[size\] after its launch"),
+    (dict(batch_response=np.array([2.0, 4.25, 5.0])), "downlink after it completes"),
     (dict(queue_waits=np.array([-0.5, 4.0, 4.0])), "negative queue wait"),
     (dict(queue_area=7.5 * (1 + 1e-7)), "queue area"),
     (dict(queue_waits=np.array([0.5, 3.0])), "queue area"),

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascsim.config import load_config, preset_names
-from cascsim.engine import run_simulation
+from cascsim.engine import parse_event_log_line, run_simulation
 from cascsim.metrics import SampleColumns
 from cascsim.server import BatchLatencyTable
 
@@ -75,9 +75,9 @@ def test_zero_fraction_and_margin_alone_do_not_make_it_static():
 
 
 def log_columns(report):
-    """Time, sequence and kind of every event-log line."""
-    time, seq, kind = zip(*(line.split("\t", 3)[:3] for line in log_lines(report)))
-    return np.array(time, dtype=float), seq, kind
+    """Time and kind of every event-log line."""
+    events = [parse_event_log_line(line) for line in log_lines(report)]
+    return np.array([e.time_ms for e in events]), [e.kind for e in events]
 
 
 def assert_scaled_by_four(base, scaled):
@@ -92,10 +92,10 @@ def assert_scaled_by_four(base, scaled):
     assert list(scaled.slo_satisfaction.values()) == list(base.slo_satisfaction.values())
     assert scaled.samples_served == base.samples_served
 
-    base_time, base_seq, base_kind = log_columns(base)
-    time, seq, kind = log_columns(scaled)
+    base_time, base_kind = log_columns(base)
+    time, kind = log_columns(scaled)
     assert np.array_equal(base_time * 4, time)
-    assert (seq, kind) == (base_seq, base_kind)
+    assert kind == base_kind
 
 
 @pytest.mark.parametrize("kind", ("multitasc", "static"))
